@@ -15,14 +15,13 @@
 //! * `SEMLOC_ARENA_VERIFY`  — `off`/`first`/`all` warm-vs-cold digest
 //!   verification subset (default `first`).
 
-use semloc_harness::{arena_run, default_cells, ArenaOpts, TraceStore, VerifyMode};
+use semloc_harness::{arena_run, default_cells, env_knob, ArenaOpts, TraceStore, VerifyMode};
 use semloc_workloads::{kernel_by_name, KernelBox};
 
+/// A positive integer knob, `default` when unset; panics on anything else.
 fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&b| b > 0)
+    env_knob(name, 1..=u64::MAX)
+        .unwrap_or_else(|e| panic!("{e}"))
         .unwrap_or(default)
 }
 
@@ -34,11 +33,9 @@ fn main() {
     let opts = ArenaOpts {
         budget,
         warm: env_u64("SEMLOC_ARENA_WARM", budget / 6),
-        threads: std::env::var("SEMLOC_ARENA_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&t| t > 0)
-            .unwrap_or_else(semloc_harness::pool_threads),
+        threads: env_knob("SEMLOC_ARENA_THREADS", 1..=u64::from(u32::MAX))
+            .unwrap_or_else(|e| panic!("{e}"))
+            .map_or_else(semloc_harness::pool_threads, |t| t as usize),
         verify: match std::env::var("SEMLOC_ARENA_VERIFY") {
             Ok(v) => VerifyMode::parse(&v)
                 .unwrap_or_else(|| panic!("SEMLOC_ARENA_VERIFY must be off|first|all, got {v:?}")),

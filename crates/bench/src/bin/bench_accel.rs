@@ -26,7 +26,7 @@ use semloc_bench::legacy::{
     legacy_ghb_correlate, legacy_parallel_map, sharded_ghb_correlate, LegacyScoredSet,
 };
 use semloc_harness::{
-    run_kernel_with_store, run_sharded, storage_sweep_parallel_with_store,
+    env_knob, run_kernel_with_store, run_sharded, storage_sweep_parallel_with_store,
     storage_sweep_with_store, PrefetcherKind, SimConfig, TraceStore,
 };
 use semloc_workloads::all_kernels;
@@ -404,9 +404,8 @@ fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_accel.json".into());
-    let budget: u64 = std::env::var("SEMLOC_BUDGET")
-        .ok()
-        .and_then(|v| v.parse().ok())
+    let budget = env_knob("SEMLOC_BUDGET", 1..=u64::MAX)
+        .unwrap_or_else(|e| panic!("{e}"))
         .unwrap_or(1_000_000);
 
     println!("component                       before (ns)   after (ns)   speedup");

@@ -1,8 +1,7 @@
 //! Before/after measurement of the hot-path rewrites (written to
 //! `BENCH_hotpath.json`), of the record-once/replay-many trace store
-//! (written to `BENCH_trace.json`), of the checkpointable engine +
-//! result memo (written to `BENCH_ckpt.json`), and of zero-decode block
-//! replay (written to `BENCH_replay.json`).
+//! (written to `BENCH_trace.json`), and of the checkpointable engine +
+//! result memo (written to `BENCH_ckpt.json`).
 //!
 //! "Before" numbers come from the legacy replicas in
 //! [`semloc_bench::legacy`] (linear-scan prefetch queue, nested-`Vec`
@@ -12,14 +11,9 @@
 //! For the checkpoint rows, "before" is the pre-checkpoint harness
 //! behaviour: every figure pipeline re-simulates cells it shares with
 //! other figures ([`TraceStore::without_result_memo`]), and a killed run
-//! restarts from instruction zero. For the replay rows, "before" is the
-//! harness as it shipped before block replay: a store with the
-//! decoded-lane cache disabled (`with_decode_budget_mb(0)` — streaming
-//! varint decode + one-instruction stepping) driving the walk-based
-//! [`LegacyGhbPrefetcher`] for the GHB columns. "After" numbers come from
-//! the shipped implementations. Run with `cargo run --release -p
-//! semloc-bench --bin bench_compare [hotpath.json] [trace.json]
-//! [ckpt.json] [replay.json]`.
+//! restarts from instruction zero. "After" numbers come from the shipped
+//! implementations. Run with `cargo run --release -p semloc-bench --bin
+//! bench_compare [hotpath.json] [trace.json] [ckpt.json]`.
 
 // Wall-clock timing is this binary's purpose (semloc-lint rule D2 exempts the bench crate).
 #![allow(clippy::disallowed_methods)]
@@ -28,11 +22,7 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
-use semloc_baselines::GhbFlavor;
-use semloc_bench::full_lineup;
-use semloc_bench::legacy::{
-    LegacyContextPrefetcher, LegacyGhbPrefetcher, LinearPrefetchQueue, NestedCache,
-};
+use semloc_bench::legacy::{LegacyContextPrefetcher, LinearPrefetchQueue, NestedCache};
 use semloc_context::attrs::{ContextKey, FeatureVec, FullHash};
 use semloc_context::pfq::{PfqHit, PrefetchQueue};
 use semloc_context::{ContextConfig, ContextPrefetcher};
@@ -42,12 +32,10 @@ use semloc_harness::{
     CkptPayload, CkptStore, Engine, PrefetcherKind, SimCheckpoint, SimConfig, TraceStore,
 };
 use semloc_mem::{Cache, CacheConfig, Hierarchy, MemPressure, Prefetcher};
-use semloc_trace::{AccessContext, CountingSink, SemanticHints, TraceSink};
+use semloc_trace::{AccessContext, CountingSink, SemanticHints};
 use semloc_workloads::graph500::{Graph500, Layout};
 use semloc_workloads::ukernels::{HashTest, ListTraversal};
-use semloc_workloads::{
-    capture_kernel, kernel_by_name, spec_suite, Kernel, KernelBox, ReplayKernel,
-};
+use semloc_workloads::{capture_kernel, kernel_by_name, Kernel, KernelBox, ReplayKernel};
 
 fn pressure() -> MemPressure {
     MemPressure {
@@ -651,184 +639,6 @@ fn main() {
     std::fs::write(&ckpt_out_path, &ckpt_json).expect("write BENCH_ckpt.json");
     println!("\nwrote {ckpt_out_path}");
 
-    // ---- zero-decode block replay --------------------------------------
-    let replay_out_path = std::env::args()
-        .nth(4)
-        .unwrap_or_else(|| "BENCH_replay.json".into());
-    let grid = spec_suite();
-    let mut lineup = vec![PrefetcherKind::None];
-    lineup.extend(full_lineup());
-    let cfg = SimConfig::default();
-
-    // One full pass of the production matrix (16 SPEC proxies x 6
-    // prefetchers) against a fresh store, returning the folded cycle count.
-    let grid_pass = |store: &TraceStore| {
-        let mut acc = 0u64;
-        for k in &grid {
-            for pf in &lineup {
-                acc = acc.wrapping_add(
-                    run_kernel_with_store(store, k.as_ref(), pf, &cfg)
-                        .cpu
-                        .cycles,
-                );
-            }
-        }
-        acc
-    };
-
-    // One PR 6 baseline cell: streaming varint decode, one-instruction
-    // stepping, and the walk-based GHB replica for the GHB columns.
-    // Assembled manually because `PrefetcherKind` can only build the
-    // shipped (chain-memoized) implementation.
-    let legacy_ghb_cell = |store: &TraceStore, k: &dyn Kernel, flavor: GhbFlavor| {
-        let replayer = store.replay(k, cfg.instr_budget);
-        let pf: Box<dyn Prefetcher> = Box::new(LegacyGhbPrefetcher::paper_default(flavor));
-        let hierarchy = Hierarchy::new(cfg.mem.clone(), pf);
-        let mut cpu = Cpu::new(cfg.cpu.clone(), hierarchy, cfg.instr_budget);
-        let target = if cfg.instr_budget == 0 {
-            u64::MAX
-        } else {
-            cfg.instr_budget
-        };
-        for i in replayer.trace().buf.iter_from(0) {
-            if cpu.stats().instructions >= target {
-                break;
-            }
-            cpu.instr(i);
-        }
-        cpu.finish().0
-    };
-
-    // The PR 6 pass over the whole grid: non-GHB columns run the shipped
-    // implementations through the streaming path (unchanged by this PR),
-    // GHB columns run the frozen walk-based replica.
-    let legacy_pass = |store: &TraceStore| {
-        let mut acc = 0u64;
-        for k in &grid {
-            for pf in &lineup {
-                let cycles = match pf {
-                    PrefetcherKind::GhbGdc => {
-                        legacy_ghb_cell(store, k.as_ref(), GhbFlavor::GlobalDc).cycles
-                    }
-                    PrefetcherKind::GhbPcdc => {
-                        legacy_ghb_cell(store, k.as_ref(), GhbFlavor::PcDc).cycles
-                    }
-                    _ => {
-                        run_kernel_with_store(store, k.as_ref(), pf, &cfg)
-                            .cpu
-                            .cycles
-                    }
-                };
-                acc = acc.wrapping_add(cycles);
-            }
-        }
-        acc
-    };
-
-    // Correctness first (untimed): decoded block replay must be invisible
-    // in the results — every cell's statistics digest must match the
-    // streaming-decode run — and the decoded store must have expanded each
-    // stream exactly once for the whole grid (the decode-once property).
-    let decoded_store = TraceStore::new();
-    let streaming_store = TraceStore::new().with_decode_budget_mb(0);
-    for k in &grid {
-        for pf in &lineup {
-            let decoded = run_kernel_with_store(&decoded_store, k.as_ref(), pf, &cfg);
-            let streaming = run_kernel_with_store(&streaming_store, k.as_ref(), pf, &cfg);
-            assert_eq!(
-                decoded.stats_digest(),
-                streaming.stats_digest(),
-                "{}/{}: decoded block replay diverged from streaming decode",
-                k.name(),
-                pf.label()
-            );
-            // The PR 6 baseline leg must simulate the same machine: the
-            // walk-based GHB replica has to reproduce the shipped cell's
-            // CPU statistics exactly.
-            let legacy = match pf {
-                PrefetcherKind::GhbGdc => Some(legacy_ghb_cell(
-                    &streaming_store,
-                    k.as_ref(),
-                    GhbFlavor::GlobalDc,
-                )),
-                PrefetcherKind::GhbPcdc => Some(legacy_ghb_cell(
-                    &streaming_store,
-                    k.as_ref(),
-                    GhbFlavor::PcDc,
-                )),
-                _ => None,
-            };
-            if let Some(legacy) = legacy {
-                assert_eq!(
-                    legacy,
-                    streaming.cpu,
-                    "{}/{}: walk-based GHB replica diverged from the shipped cell",
-                    k.name(),
-                    pf.label()
-                );
-            }
-        }
-    }
-    let once = decoded_store.decode_stats();
-    assert!(
-        once.misses <= grid.len() as u64,
-        "decode-once violated: {} decodes for {} kernels",
-        once.misses,
-        grid.len()
-    );
-    assert_eq!(once.evictions, 0, "default budget must hold the full grid");
-    let never = streaming_store.decode_stats();
-    assert_eq!(
-        (never.hits, never.misses),
-        (0, 0),
-        "a zero-budget store must never touch the decode cache"
-    );
-
-    println!();
-    println!("block replay                    before (ns)   after (ns)   speedup");
-    println!("-----------------------------------------------------------------");
-    let mut replay_json = String::from("{\n");
-    let mut replay_row = |name: &str, bench: &str, before: f64, after: f64| {
-        let speedup = before / after;
-        println!("{name:<30} {before:>12.2} {after:>12.2} {speedup:>8.2}x");
-        let _ = writeln!(
-            replay_json,
-            "  \"{bench}\": {{\"before_ns\": {before:.2}, \"after_ns\": {after:.2}, \"speedup\": {speedup:.3}}},"
-        );
-        speedup
-    };
-
-    // Fresh stores inside the timed closures: each rep pays capture +
-    // (for "after") decode + replay for the whole grid, so the comparison
-    // is end-to-end matrix wall-clock, not a warm-cache microbenchmark.
-    let streaming_matrix = time_per(2, 1, || {
-        legacy_pass(&TraceStore::new().with_decode_budget_mb(0))
-    });
-    let decoded_matrix = time_per(2, 1, || grid_pass(&TraceStore::new()));
-    let replay_speedup = replay_row(
-        "matrix end-to-end (16k x 6pf)",
-        "replay/matrix_end_to_end",
-        streaming_matrix,
-        decoded_matrix,
-    );
-
-    let _ = writeln!(
-        replay_json,
-        "  \"replay/decode_once\": {{\"kernels\": {}, \"cells\": {}, \"hits\": {}, \"misses\": {}, \"evictions\": {}}},",
-        grid.len(),
-        grid.len() * lineup.len(),
-        once.hits,
-        once.misses,
-        once.evictions
-    );
-    let _ = write!(
-        replay_json,
-        "  \"meta\": {{\"kernels\": \"16 SPEC proxies\", \"lineup\": [\"none\", \"stride\", \"ghb-g/dc\", \"ghb-pc/dc\", \"sms\", \"context\"], \"instr_budget\": {}, \"note\": \"before = the PR 6 harness: streaming varint decode + one-instruction stepping (SEMLOC_DECODE_CACHE_MB=0) with the walk-based GHB; after = decoded-lane cache + block-batched stepping + chain-memoized GHB; per-cell stats digests asserted bit-identical (decoded vs streaming, and legacy GHB vs shipped) and decode-once (<= 1 decode per kernel per run) asserted via store counters before timing\"}}\n}}\n",
-        cfg.instr_budget
-    );
-    std::fs::write(&replay_out_path, &replay_json).expect("write BENCH_replay.json");
-    println!("\nwrote {replay_out_path}");
-
     assert!(
         sim_speedup > 1.0,
         "end-to-end simulation must not regress (got {sim_speedup:.2}x)"
@@ -852,9 +662,5 @@ fn main() {
     assert!(
         shortcut_speedup > 2.0,
         "a final checkpoint must short-circuit simulation (got {shortcut_speedup:.2}x)"
-    );
-    assert!(
-        replay_speedup >= 1.4,
-        "decoded block replay must deliver >= 1.4x on the production matrix (got {replay_speedup:.2}x)"
     );
 }

@@ -23,12 +23,11 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use semloc_harness::{
-    adversarial_search, coverage, mc_digest, AdvBench, AdvParams, Engine, McConfig, McEngine,
-    PrefetcherKind, RunResult, SearchConfig, SimConfig,
+    adversarial_search, coverage, env_knob, mc_digest, AdvBench, AdvParams, Engine, McConfig,
+    McEngine, PrefetcherKind, RunResult, SearchConfig, SimConfig,
 };
 use semloc_workloads::{
-    capture_kernel, kernel_by_name, AliasChains, CapturedTrace, Composer, PhaseFlip, ReplayKernel,
-    RewardStraddle,
+    capture_kernel, kernel_by_name, pinned_collapse_points, CapturedTrace, Composer, ReplayKernel,
 };
 
 /// Fixed seed for every composed draw and the adversarial search; the
@@ -36,10 +35,8 @@ use semloc_workloads::{
 const SEED: u64 = 42;
 
 fn budget() -> u64 {
-    std::env::var("SEMLOC_BUDGET")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&b| b > 0)
+    env_knob("SEMLOC_BUDGET", 1..=u64::MAX)
+        .unwrap_or_else(|e| panic!("{e}"))
         .unwrap_or(120_000)
 }
 
@@ -175,10 +172,11 @@ fn main() {
         iters: 12,
     };
     let bench = AdvBench::new(&search_cfg, &SimConfig::default());
+    let (straddle, alias, flip) = pinned_collapse_points();
     let pinned = [
-        AdvParams::Straddle(RewardStraddle::default()),
-        AdvParams::Alias(AliasChains::default()),
-        AdvParams::Flip(PhaseFlip::default()),
+        AdvParams::Straddle(straddle),
+        AdvParams::Alias(alias),
+        AdvParams::Flip(flip),
     ];
     for p in &pinned {
         let s = bench.eval(p).expect("bench eval");

@@ -35,14 +35,13 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use semloc_bandit::{ExplorationPolicy, RewardFunction};
-use semloc_baselines::GhbFlavor;
 use semloc_context::attrs::{ContextKey, FullHash};
 use semloc_context::cst::{AddOutcome, ContextStatesTable};
 use semloc_context::history::{HistoryEntry, HistoryQueue};
 use semloc_context::pfq::{PfqEntry, PfqHit};
 use semloc_context::reducer::Reducer;
 use semloc_context::ContextConfig;
-use semloc_mem::{CacheConfig, MemPressure, PrefetchReq, Prefetcher, PrefetcherStats};
+use semloc_mem::{CacheConfig, MemPressure, PrefetchReq};
 use semloc_trace::{AccessContext, Addr, Cycle, Seq};
 
 /// The original linear-scan prefetch queue (seed `pfq.rs`).
@@ -253,147 +252,6 @@ pub fn sharded_ghb_correlate(blocks: &[u64], degree: usize, scratch: &mut Vec<i6
         acc = acc.wrapping_add(target as u64);
     }
     acc
-}
-
-/// The pre-memo GHB delta-correlation prefetcher: the shipped `ghb.rs`
-/// before the per-slot chain memos, re-walking the ring through `prev`
-/// links (up to `max_walk` *dependent* loads) and rebuilding the full
-/// delta vector from scratch on every access. Configuration-identical to
-/// [`semloc_baselines::GhbPrefetcher`]; `tests::legacy_ghb_matches_
-/// memoized` pins it to the optimized implementation output-for-output.
-/// Only the delta-correlation flavors are replicated (the block-replay
-/// bench's "before" leg); G/AC never walked chains.
-#[derive(Debug)]
-pub struct LegacyGhbPrefetcher {
-    flavor: GhbFlavor,
-    ghb: Vec<(u64, u64)>, // (block, prev position or u64::MAX)
-    pushes: u64,
-    it: Vec<(u16, u64, bool)>, // (tag, head position, valid)
-    degree: u32,
-    line_shift: u32,
-    max_walk: u32,
-    stats: PrefetcherStats,
-    chain_buf: Vec<u64>,
-    delta_buf: Vec<i64>,
-}
-
-impl LegacyGhbPrefetcher {
-    /// Table 2 configuration: 2K GHB entries, 512 index entries, degree 3.
-    pub fn paper_default(flavor: GhbFlavor) -> Self {
-        assert!(
-            flavor != GhbFlavor::GlobalAc,
-            "the replica covers the delta-correlation flavors only"
-        );
-        LegacyGhbPrefetcher {
-            flavor,
-            ghb: vec![(0, 0); 2048],
-            pushes: 0,
-            it: vec![(0, 0, false); 512],
-            degree: 3,
-            line_shift: 6,
-            max_walk: 64,
-            stats: PrefetcherStats::default(),
-            chain_buf: Vec::with_capacity(64),
-            delta_buf: Vec::with_capacity(64),
-        }
-    }
-
-    fn live(&self, pos: u64) -> bool {
-        pos != u64::MAX && pos < self.pushes && self.pushes - pos <= self.ghb.len() as u64
-    }
-
-    fn chain_into(&self, head: u64, out: &mut Vec<u64>) {
-        out.clear();
-        let mut pos = head;
-        while self.live(pos) && out.len() < self.max_walk as usize {
-            let (block, prev) = self.ghb[(pos % self.ghb.len() as u64) as usize];
-            out.push(block);
-            if prev >= pos {
-                break;
-            }
-            pos = prev;
-        }
-    }
-}
-
-impl Prefetcher for LegacyGhbPrefetcher {
-    fn name(&self) -> &'static str {
-        match self.flavor {
-            GhbFlavor::GlobalDc => "ghb-g/dc",
-            GhbFlavor::PcDc => "ghb-pc/dc",
-            GhbFlavor::GlobalAc => "ghb-g/ac",
-        }
-    }
-
-    fn on_access(
-        &mut self,
-        ctx: &AccessContext,
-        _pressure: MemPressure,
-        out: &mut Vec<PrefetchReq>,
-    ) {
-        let block = ctx.addr >> self.line_shift;
-        let key = match self.flavor {
-            GhbFlavor::GlobalDc => 0,
-            GhbFlavor::PcDc => ctx.pc,
-            GhbFlavor::GlobalAc => unreachable!("rejected in the constructor"),
-        };
-        let h = key ^ (key >> 9);
-        let (it_idx, tag) = ((h as usize) & (self.it.len() - 1), (key >> 2) as u16);
-        let prev = {
-            let (t, head, valid) = self.it[it_idx];
-            if valid && t == tag && self.live(head) {
-                head
-            } else {
-                u64::MAX
-            }
-        };
-        let pos = self.pushes;
-        let slot = (pos % self.ghb.len() as u64) as usize;
-        self.ghb[slot] = (block, prev);
-        self.pushes += 1;
-        self.it[it_idx] = (tag, pos, true);
-
-        let mut blocks = std::mem::take(&mut self.chain_buf);
-        let mut deltas = std::mem::take(&mut self.delta_buf);
-        self.chain_into(pos, &mut blocks);
-        if blocks.len() < 4 {
-            self.chain_buf = blocks;
-            self.delta_buf = deltas;
-            return;
-        }
-        deltas.clear();
-        deltas.extend(blocks.windows(2).map(|w| w[0] as i64 - w[1] as i64));
-        let (d1, d2) = (deltas[0], deltas[1]);
-        let found = semloc_accel::find_pair_i64(&deltas, d1, d2);
-        self.chain_buf = blocks;
-        self.delta_buf = deltas;
-        let Some(i) = found else { return };
-        let deltas = &self.delta_buf;
-        let mut target = block as i64;
-        let mut k = 0u64;
-        for j in (0..i).rev().take(self.degree as usize) {
-            target += deltas[j];
-            if target > 0 {
-                k += 1;
-                out.push(PrefetchReq::real((target as u64) << self.line_shift, k));
-                self.stats.issued += 1;
-            }
-        }
-    }
-
-    fn on_issue_result(&mut self, _tag: u64, issued: bool) {
-        if !issued {
-            self.stats.rejected += 1;
-        }
-    }
-
-    fn storage_bytes(&self) -> usize {
-        self.ghb.len() * 8 + self.it.len() * 4
-    }
-
-    fn stats(&self) -> PrefetcherStats {
-        self.stats
-    }
 }
 
 /// The pre-acceleration parallel runner: `threads` scoped workers pulling
@@ -883,37 +741,6 @@ mod tests {
                 sharded_ghb_correlate(&blocks, 4, &mut scratch),
                 "len {len}"
             );
-        }
-    }
-
-    #[test]
-    fn legacy_ghb_matches_memoized() {
-        for flavor in [GhbFlavor::GlobalDc, GhbFlavor::PcDc] {
-            let mut legacy = LegacyGhbPrefetcher::paper_default(flavor);
-            let mut new = semloc_baselines::GhbPrefetcher::paper_default(flavor);
-            let mut state = 0x9e37_79b9_u64;
-            let mut out_l = Vec::new();
-            let mut out_n = Vec::new();
-            for i in 0..30_000u64 {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                // A blend of strided streams (correlating) and noise from
-                // 16 PCs, long enough to wrap the 2K ring.
-                let pc = 0x400 + (state % 16) * 8;
-                let addr = match state % 3 {
-                    0 => 0x10_0000 + i * 64,
-                    1 => 0x80_0000 + (i % 511) * 192,
-                    _ => 0x100_0000 + (state % (1 << 20)),
-                };
-                let c = AccessContext::bare(i, pc, addr, false);
-                out_l.clear();
-                out_n.clear();
-                legacy.on_access(&c, pressure(), &mut out_l);
-                new.on_access(&c, pressure(), &mut out_n);
-                assert_eq!(out_l, out_n, "{flavor:?} diverged at access {i}");
-            }
-            assert_eq!(legacy.stats(), new.stats());
         }
     }
 

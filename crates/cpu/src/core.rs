@@ -248,12 +248,29 @@ impl<P: Prefetcher> Cpu<P> {
     /// the block so it never crosses the instruction budget (the engine
     /// does this at block granularity). Semantically identical to feeding
     /// the same instructions through [`TraceSink::instr`] one at a time.
+    /// The [`Cycle::MAX`] case of [`Cpu::step_block_until`].
     pub fn step_block(&mut self, block: &semloc_trace::InstrBlock<'_>) {
+        self.step_block_until(block, Cycle::MAX);
+    }
+
+    /// Step the block's instructions in order while the core's clock is
+    /// below `horizon`, checked before each instruction; returns how many
+    /// were stepped. This is the multi-core engine's quantum gate: a core
+    /// runs until its clock reaches the round-robin horizon, which may fall
+    /// in the middle of a block.
+    pub fn step_block_until(
+        &mut self,
+        block: &semloc_trace::InstrBlock<'_>,
+        horizon: Cycle,
+    ) -> usize {
         let mut stats = std::mem::take(&mut self.stats);
-        for i in 0..block.len() {
-            self.step_with(block.instr(i), &mut stats);
+        let mut stepped = 0;
+        while stepped < block.len() && stats.cycles < horizon {
+            self.step_with(block.instr(stepped), &mut stats);
+            stepped += 1;
         }
         self.stats = stats;
+        stepped
     }
 
     #[allow(clippy::expect_used)]

@@ -41,6 +41,8 @@ use std::sync::{Mutex, OnceLock};
 
 use semloc_trace::FaultPlan;
 
+use crate::knob::env_knob;
+
 /// Magic bytes opening every checkpoint file.
 pub const CKPT_MAGIC: [u8; 8] = *b"SEMLOCKP";
 
@@ -195,14 +197,18 @@ impl CkptStore {
 
     /// Build from the environment: enabled iff `SEMLOC_CKPT_DIR` is set;
     /// `SEMLOC_CKPT_INTERVAL` overrides the mid-run save cadence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `SEMLOC_CKPT_INTERVAL` is set but not a non-negative
+    /// integer.
     pub fn from_env() -> Self {
         let mut store = match std::env::var_os("SEMLOC_CKPT_DIR") {
             Some(dir) if !dir.is_empty() => Self::with_dir(PathBuf::from(dir)),
             _ => Self::new(),
         };
-        if let Some(v) = std::env::var("SEMLOC_CKPT_INTERVAL")
-            .ok()
-            .and_then(|s| s.parse::<u64>().ok())
+        if let Some(v) =
+            env_knob("SEMLOC_CKPT_INTERVAL", 0..=u64::MAX).unwrap_or_else(|e| panic!("{e}"))
         {
             store.interval = v.max(1);
         }

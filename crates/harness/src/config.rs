@@ -3,6 +3,8 @@
 use semloc_cpu::CpuConfig;
 use semloc_mem::MemConfig;
 
+use crate::knob::env_knob;
+
 /// Everything needed to reproduce one simulated run.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -19,10 +21,14 @@ pub struct SimConfig {
 }
 
 impl Default for SimConfig {
+    /// Table 2 with the default 400k budget, or `SEMLOC_BUDGET` when set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `SEMLOC_BUDGET` is set but not a non-negative integer.
     fn default() -> Self {
-        let instr_budget = std::env::var("SEMLOC_BUDGET")
-            .ok()
-            .and_then(|v| v.parse().ok())
+        let instr_budget = env_knob("SEMLOC_BUDGET", 0..=u64::MAX)
+            .unwrap_or_else(|e| panic!("{e}"))
             .unwrap_or(400_000);
         SimConfig {
             cpu: CpuConfig::default(),

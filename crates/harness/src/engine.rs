@@ -30,7 +30,7 @@ use std::io;
 
 use semloc_cpu::Cpu;
 use semloc_mem::{Hierarchy, Prefetcher};
-use semloc_trace::{snap_err, SnapReader, SnapWriter, Snapshot, TraceSink};
+use semloc_trace::{snap_err, SnapReader, SnapWriter, Snapshot};
 use semloc_workloads::{Kernel, ReplayKernel};
 
 use crate::config::SimConfig;
@@ -166,43 +166,30 @@ impl Engine {
     /// the stream position is exactly the instruction count, so each call
     /// resumes where the previous one stopped.
     ///
-    /// When the replay carries pre-decoded lanes (the trace store's decode
-    /// cache admitted it), the engine consumes whole
+    /// The engine consumes the capture's decoded lanes in whole
     /// [`BLOCK_LEN`](semloc_trace::BLOCK_LEN)-instruction blocks through
     /// [`Cpu::step_block`]: the budget/target bounds are resolved here once
     /// per slice instead of per instruction, stats fold once per block, and
     /// the next block's lanes are prefetched while the current one
-    /// executes. Without decoded lanes it streams the varint decode one
-    /// instruction at a time (seeking to the resume point via block marks)
-    /// — the path the diff oracle's lockstep tee always uses, and the
-    /// fallback when the decode cache evicted this trace. Both paths are
-    /// bit-identical by construction and pinned by proptests.
+    /// executes. A cursor in the middle of a block (a slice or checkpoint
+    /// boundary) just starts with a partial block.
     pub fn run_to(&mut self, target: u64) -> u64 {
+        const BLOCK: u64 = semloc_trace::BLOCK_LEN as u64;
         let budget = self.config.instr_budget;
         let target = if budget == 0 {
             target
         } else {
             target.min(budget)
         };
-        if let Some(decoded) = self.replay.decoded().cloned() {
-            const BLOCK: u64 = semloc_trace::BLOCK_LEN as u64;
-            let end = target.min(decoded.len() as u64);
-            let mut cur = self.cursor();
-            while cur < end {
-                let block_end = ((cur / BLOCK + 1) * BLOCK).min(end);
-                decoded.prefetch_block(block_end as usize);
-                self.cpu
-                    .step_block(&decoded.block(cur as usize, block_end as usize));
-                cur = block_end;
-            }
-            return self.cursor();
-        }
-        let start = self.cursor() as usize;
-        for i in self.replay.trace().buf.iter_from(start) {
-            if self.cpu.stats().instructions >= target {
-                break;
-            }
-            self.cpu.instr(i);
+        let lanes = &self.replay.trace().lanes;
+        let end = target.min(lanes.len() as u64);
+        let mut cur = self.cursor();
+        while cur < end {
+            let block_end = ((cur / BLOCK + 1) * BLOCK).min(end);
+            lanes.prefetch_block(block_end as usize);
+            self.cpu
+                .step_block(&lanes.block(cur as usize, block_end as usize));
+            cur = block_end;
         }
         self.cursor()
     }
@@ -292,16 +279,16 @@ impl Engine {
                 replay.trace().buf.len()
             )));
         }
-        let ours = self.replay.trace().buf.iter().take(cursor as usize);
-        let theirs = replay.trace().buf.iter().take(cursor as usize);
-        for (n, (a, b)) in ours.zip(theirs).enumerate() {
-            if a != b {
-                return Err(snap_err(format!(
-                    "fork_onto target '{}' diverges from '{}' at instr {n} (cursor {cursor})",
-                    replay.name(),
-                    self.replay.name()
-                )));
-            }
+        let ours = &self.replay.trace().lanes;
+        let n = ours.len().min(cursor as usize);
+        let ours = ours.block(0, n);
+        let theirs = replay.trace().lanes.block(0, n);
+        if let Some(at) = (0..n).find(|&i| ours.instr(i) != theirs.instr(i)) {
+            return Err(snap_err(format!(
+                "fork_onto target '{}' diverges from '{}' at instr {at} (cursor {cursor})",
+                replay.name(),
+                self.replay.name()
+            )));
         }
         let mut e = Engine::new(replay, &self.kind, &self.config);
         // Same warm state, new stream identity: re-stamp the fingerprint so

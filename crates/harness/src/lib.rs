@@ -18,6 +18,7 @@ pub mod config;
 pub mod diff;
 pub mod engine;
 pub mod interfere;
+pub mod knob;
 pub mod matrix;
 pub mod mc;
 pub mod pool;
@@ -38,6 +39,7 @@ pub use interfere::{
     adversarial_search, coverage, AdvBench, AdvFinding, AdvParams, AdvScore, SearchConfig,
     BASELINES,
 };
+pub use knob::{env_knob, parse_knob, KnobError};
 pub use matrix::Matrix;
 pub use mc::{mc_digest, McCheckpoint, McConfig, McCore, McEngine, MC_CKPT_VERSION};
 pub use pool::{pool_threads, run_sharded};
@@ -46,7 +48,7 @@ pub use report::Table;
 pub use runner::{
     run_kernel, run_kernel_uncached, run_kernel_with_store, run_resumable, RunResult, SpeedupError,
 };
-pub use store::{DecodeCacheStats, TraceStore};
+pub use store::TraceStore;
 pub use sweep::{
     ablation_variants, storage_sweep, storage_sweep_parallel, storage_sweep_parallel_with_store,
     storage_sweep_with_store, AblationVariant, SweepPoint,

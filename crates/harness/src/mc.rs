@@ -13,9 +13,9 @@
 //! per-core clock skew is bounded by one quantum, and the golden-digest
 //! discipline extends to multi-core runs: the same composed scenario pins
 //! the same digest across `SEMLOC_POOL_THREADS` and every `SEMLOC_ACCEL`
-//! tier. To keep that invariance trivial the multi-core engine always
-//! streams the varint decode (the single-core decoded-block fast path is
-//! quantum-oblivious, so it is not used here).
+//! tier. Cores step decoded blocks like the single-core engine, but gate
+//! every instruction on the quantum horizon, so block stepping leaves the
+//! interleaving a pure function of simulated time.
 //!
 //! Checkpointing follows the single-core engine's contract: an
 //! [`McCheckpoint`] snapshots the shared level once plus every core, is
@@ -26,10 +26,11 @@ use std::io;
 
 use semloc_cpu::Cpu;
 use semloc_mem::{DramConfig, Hierarchy, Prefetcher, SharedL2, SharedL2Handle, SharedL2Stats};
-use semloc_trace::{snap_err, Cycle, SnapReader, SnapWriter, Snapshot, TraceSink};
+use semloc_trace::{snap_err, Cycle, SnapReader, SnapWriter, Snapshot};
 use semloc_workloads::{Kernel, ReplayKernel};
 
 use crate::config::SimConfig;
+use crate::knob::{env_knob, KnobError};
 use crate::prefetchers::PrefetcherKind;
 use crate::runner::{collect_result, Digest, RunResult};
 
@@ -56,25 +57,23 @@ impl Default for McConfig {
 
 impl McConfig {
     /// Defaults overridden by `SEMLOC_MC_QUANTUM`, `SEMLOC_MC_DRAM_CHANNELS`
-    /// and `SEMLOC_MC_DRAM_INTERVAL`.
-    pub fn from_env() -> Self {
-        let var = |name: &str| {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-                .filter(|&v| v > 0)
-        };
+    /// and `SEMLOC_MC_DRAM_INTERVAL`, each a positive integer when set.
+    ///
+    /// # Errors
+    ///
+    /// A [`KnobError`] naming the first variable set to anything else.
+    pub fn from_env() -> Result<Self, KnobError> {
         let mut mc = McConfig::default();
-        if let Some(q) = var("SEMLOC_MC_QUANTUM") {
+        if let Some(q) = env_knob("SEMLOC_MC_QUANTUM", 1..=u64::MAX)? {
             mc.quantum = q;
         }
-        if let Some(c) = var("SEMLOC_MC_DRAM_CHANNELS") {
+        if let Some(c) = env_knob("SEMLOC_MC_DRAM_CHANNELS", 1..=u64::from(u32::MAX))? {
             mc.dram.channels = c as u32;
         }
-        if let Some(i) = var("SEMLOC_MC_DRAM_INTERVAL") {
+        if let Some(i) = env_knob("SEMLOC_MC_DRAM_INTERVAL", 1..=u64::MAX)? {
             mc.dram.service_interval = i;
         }
-        mc
+        Ok(mc)
     }
 }
 
@@ -262,23 +261,31 @@ impl McEngine {
     }
 
     /// Advance the horizon by one quantum and run each core (in index
-    /// order) until its clock reaches the horizon. Streams the varint
-    /// decode one instruction at a time — see the module docs for why the
-    /// decoded-block path is deliberately not used here.
+    /// order) until its clock reaches the horizon. Cores step their
+    /// capture's decoded lanes block by block through
+    /// [`Cpu::step_block_until`], which checks the horizon before every
+    /// instruction, so a quantum may end, and the next resume, inside a
+    /// block.
     pub fn step_quantum(&mut self) {
+        const BLOCK: usize = semloc_trace::BLOCK_LEN;
         self.horizon += self.mc.quantum;
         let budget = self.config.instr_budget;
         for core in &mut self.cores {
-            if core.done(budget) {
-                continue;
-            }
-            let start = core.cursor() as usize;
-            for i in core.replay.trace().buf.iter_from(start) {
-                let stats = core.cpu.stats();
-                if stats.cycles >= self.horizon || (budget != 0 && stats.instructions >= budget) {
+            let lanes = &core.replay.trace().lanes;
+            let end = match budget {
+                0 => lanes.len(),
+                b => lanes.len().min(b as usize),
+            };
+            let mut cur = core.cursor() as usize;
+            while cur < end {
+                let block_end = ((cur / BLOCK + 1) * BLOCK).min(end);
+                lanes.prefetch_block(block_end);
+                cur += core
+                    .cpu
+                    .step_block_until(&lanes.block(cur, block_end), self.horizon);
+                if cur < block_end {
                     break;
                 }
-                core.cpu.instr(i);
             }
         }
     }

@@ -22,6 +22,8 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
+use crate::knob::env_knob;
+
 /// Worker-thread count for the shard pool: the `SEMLOC_POOL_THREADS`
 /// environment variable if set, else the host's available parallelism.
 ///
@@ -30,15 +32,10 @@ use std::sync::Mutex;
 /// Panics if `SEMLOC_POOL_THREADS` is set but is not a positive integer —
 /// a typo'd knob should fail loudly, not silently serialise the run.
 pub fn pool_threads() -> usize {
-    match std::env::var("SEMLOC_POOL_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => panic!(
-                "SEMLOC_POOL_THREADS must be a positive integer, got {v:?} \
-                 (unset it to size the pool to the host)"
-            ),
-        },
-        Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
+    match env_knob("SEMLOC_POOL_THREADS", 1..=u64::from(u32::MAX)) {
+        Ok(Some(n)) => n as usize,
+        Ok(None) => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        Err(e) => panic!("{e} (unset it to size the pool to the host)"),
     }
 }
 

@@ -103,29 +103,6 @@ pub fn pct(v: f64) -> String {
     format!("{:.1}%", v * 100.0)
 }
 
-/// One-line text summary of the decoded-trace cache counters, e.g.
-/// `12 hits / 3 misses / 1 eviction (80.0% hit rate)`.
-pub fn decode_cache_line(s: &crate::store::DecodeCacheStats) -> String {
-    let count = |n: u64, one: &str, many: &str| format!("{n} {}", if n == 1 { one } else { many });
-    format!(
-        "{} / {} / {} ({} hit rate)",
-        count(s.hits, "hit", "hits"),
-        count(s.misses, "miss", "misses"),
-        count(s.evictions, "eviction", "evictions"),
-        pct(s.hit_rate()),
-    )
-}
-
-/// The decoded-trace cache counters as a JSON object fragment — the
-/// `"decode_cache"` value in the CLI's `--json` report shape:
-/// `{"hits":12,"misses":3,"evictions":1}`.
-pub fn decode_cache_json(s: &crate::store::DecodeCacheStats) -> String {
-    format!(
-        "{{\"hits\":{},\"misses\":{},\"evictions\":{}}}",
-        s.hits, s.misses, s.evictions
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,37 +146,5 @@ mod tests {
     fn formatters() {
         assert_eq!(ratio(1.234), "1.23x");
         assert_eq!(pct(0.2), "20.0%");
-    }
-
-    #[test]
-    fn decode_cache_text_line() {
-        let s = crate::store::DecodeCacheStats {
-            hits: 12,
-            misses: 3,
-            evictions: 1,
-        };
-        assert_eq!(
-            decode_cache_line(&s),
-            "12 hits / 3 misses / 1 eviction (80.0% hit rate)"
-        );
-        let cold = crate::store::DecodeCacheStats::default();
-        assert_eq!(
-            decode_cache_line(&cold),
-            "0 hits / 0 misses / 0 evictions (0.0% hit rate)",
-            "no lookups must not divide by zero"
-        );
-    }
-
-    #[test]
-    fn decode_cache_json_shape() {
-        let s = crate::store::DecodeCacheStats {
-            hits: 12,
-            misses: 3,
-            evictions: 1,
-        };
-        assert_eq!(
-            decode_cache_json(&s),
-            r#"{"hits":12,"misses":3,"evictions":1}"#
-        );
     }
 }

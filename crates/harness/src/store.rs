@@ -25,59 +25,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use semloc_trace::{DecodedChunk, DecodedTrace, FaultPlan, ShortWriter, TraceBuffer, BLOCK_LEN};
+use semloc_trace::{BufferSink, FaultPlan, ShortWriter};
 use semloc_workloads::{capture_kernel, CapturedTrace, Kernel, ReplayKernel};
 
-use crate::pool::{pool_threads, run_sharded};
 use crate::runner::{Digest, RunResult};
 
 type Slot = Arc<Mutex<Option<Arc<CapturedTrace>>>>;
-
-/// Default decoded-lane cache budget when `SEMLOC_DECODE_CACHE_MB` is
-/// unset: enough for a full production matrix of 200k-instruction traces
-/// (~33 B/instr × 16 kernels ≈ 106 MB) with headroom, small enough not to
-/// matter on any machine that can run the simulator.
-const DEFAULT_DECODE_CACHE_MB: usize = 256;
-
-/// The decoded-lane LRU: fully-decoded traces keyed by trace key, bounded
-/// by a byte budget over [`DecodedTrace::bytes`]. Purely an accelerator —
-/// an evicted (or never-admitted) entry just means the engine streams the
-/// varint decode instead, with bit-identical results.
-#[derive(Debug, Default)]
-#[allow(clippy::disallowed_types)] // keyed-only cache; iteration order never reaches output
-struct DecodeCache {
-    entries: HashMap<String, Arc<DecodedTrace>>,
-    /// LRU order, oldest first. A handful of kernels per process, so the
-    /// O(n) touch is noise next to a single decoded block.
-    recency: Vec<String>,
-    bytes: usize,
-}
-
-/// A snapshot of the decoded-lane cache counters, read by
-/// [`TraceStore::decode_stats`]. The replay bench pins the decode-once
-/// property on these ("≤ 1 miss per kernel per run"), and the CLI's
-/// report surfaces them in both text and `--json` form.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DecodeCacheStats {
-    /// Replays served from an already-decoded trace.
-    pub hits: u64,
-    /// Decodes performed (cache misses, including first-touch).
-    pub misses: u64,
-    /// Entries evicted by the byte budget.
-    pub evictions: u64,
-}
-
-impl DecodeCacheStats {
-    /// Hits as a fraction of all lookups, `0.0` when there were none.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
 
 /// A lazily-populated, thread-safe cache of captured kernel traces, keyed by
 /// [`Kernel::trace_key`] (the kernel's full configuration — name, placement,
@@ -117,16 +70,6 @@ pub struct TraceStore {
     /// to the serialized bytes before they reach disk, and an optional write
     /// budget in bytes after which the underlying writer fails.
     save_faults: Mutex<SaveFaults>,
-    /// Decoded-lane cache behind every [`TraceStore::replay`], so the whole
-    /// matrix decodes each stream once instead of once per cell.
-    decode: Mutex<DecodeCache>,
-    /// Decode-cache byte budget override; `None` consults
-    /// `SEMLOC_DECODE_CACHE_MB` (default [`DEFAULT_DECODE_CACHE_MB`],
-    /// `0` disables decoding entirely).
-    decode_budget: Option<usize>,
-    decode_hits: AtomicU64,
-    decode_misses: AtomicU64,
-    decode_evictions: AtomicU64,
 }
 
 /// Injected failure modes for [`TraceStore::save_to_disk`].
@@ -161,16 +104,6 @@ impl TraceStore {
             disable_result_memo: true,
             ..Self::default()
         }
-    }
-
-    /// A store with an explicit decoded-lane cache budget in megabytes
-    /// (`0` disables decoded replay — every engine streams the varint
-    /// decode). Overrides `SEMLOC_DECODE_CACHE_MB`. This is how the replay
-    /// bench builds its streaming "before" side and how tests exercise
-    /// eviction with tiny budgets.
-    pub fn with_decode_budget_mb(mut self, mb: usize) -> Self {
-        self.decode_budget = Some(mb << 20);
-        self
     }
 
     /// A store configured from the environment: on-disk caching under
@@ -230,6 +163,7 @@ impl TraceStore {
     /// instructions (0 = the kernel's complete stream). Captures the kernel
     /// on first use (checking the on-disk cache first, when configured) and
     /// serves every later request for the same configuration from memory.
+    /// Every capture carries its decoded lanes, so replay never decodes.
     pub fn replay(&self, kernel: &dyn Kernel, budget: u64) -> ReplayKernel {
         let key = kernel.trace_key();
         let slot = {
@@ -240,9 +174,7 @@ impl TraceStore {
         if let Some(trace) = guard.as_ref() {
             if trace.covers(budget) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                let trace = Arc::clone(trace);
-                let decoded = self.decoded_for(&trace);
-                return ReplayKernel::new(trace).with_decoded(decoded);
+                return ReplayKernel::new(Arc::clone(trace));
             }
         }
         // A stale (smaller) capture is superseded by one covering both the
@@ -261,120 +193,7 @@ impl TraceStore {
                 }),
         );
         *guard = Some(Arc::clone(&trace));
-        let decoded = self.decoded_for(&trace);
-        ReplayKernel::new(trace).with_decoded(decoded)
-    }
-
-    /// The decode-cache byte budget: the explicit override if set, else
-    /// `SEMLOC_DECODE_CACHE_MB` (default [`DEFAULT_DECODE_CACHE_MB`]).
-    /// `0` disables the decoded replay path entirely.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `SEMLOC_DECODE_CACHE_MB` is set but not a non-negative
-    /// integer — a typo'd knob should fail loudly.
-    fn decode_budget_bytes(&self) -> usize {
-        if let Some(b) = self.decode_budget {
-            return b;
-        }
-        match std::env::var("SEMLOC_DECODE_CACHE_MB") {
-            Ok(v) => match v.trim().parse::<usize>() {
-                Ok(mb) => mb << 20,
-                Err(_) => panic!(
-                    "SEMLOC_DECODE_CACHE_MB must be a non-negative integer (MB), got {v:?} \
-                     (unset it for the default, 0 to disable decoded replay)"
-                ),
-            },
-            Err(_) => DEFAULT_DECODE_CACHE_MB << 20,
-        }
-    }
-
-    /// Decoded lanes for `trace`, via the byte-budgeted LRU. Returns `None`
-    /// when decoding is disabled or the trace alone exceeds the budget —
-    /// callers then stream the varint decode instead (bit-identical, just
-    /// slower). Called with the per-key slot lock held, so one kernel never
-    /// decodes twice concurrently (the decode-once property the bench
-    /// asserts via [`TraceStore::decode_stats`]).
-    fn decoded_for(&self, trace: &Arc<CapturedTrace>) -> Option<Arc<DecodedTrace>> {
-        let budget = self.decode_budget_bytes();
-        // The decoded footprint is a pure function of the instruction
-        // count, so admission is decided before paying for the decode.
-        if budget == 0 || DecodedTrace::bytes_for(trace.buf.len()) > budget {
-            return None;
-        }
-        {
-            let mut c = self.decode.lock().expect("no panics hold the lock");
-            match c.entries.get(&trace.key) {
-                // A superseding (larger) capture invalidates the old decode.
-                Some(d) if d.len() == trace.buf.len() => {
-                    self.decode_hits.fetch_add(1, Ordering::Relaxed);
-                    let d = Arc::clone(d);
-                    c.recency.retain(|k| k != &trace.key);
-                    c.recency.push(trace.key.clone());
-                    return Some(d);
-                }
-                Some(stale) => {
-                    c.bytes -= stale.bytes();
-                    c.entries.remove(&trace.key);
-                    c.recency.retain(|k| k != &trace.key);
-                }
-                None => {}
-            }
-        }
-        // Decode outside the cache lock so different kernels decode
-        // concurrently (the slot lock already serializes same-key callers).
-        self.decode_misses.fetch_add(1, Ordering::Relaxed);
-        let d = Arc::new(Self::decode_parallel(&trace.buf));
-        let mut c = self.decode.lock().expect("no panics hold the lock");
-        if !c.entries.contains_key(&trace.key) {
-            c.bytes += d.bytes();
-            c.entries.insert(trace.key.clone(), Arc::clone(&d));
-            c.recency.push(trace.key.clone());
-        }
-        // Evict oldest-first down to the budget. The entry just inserted
-        // fits on its own (checked above), so it is never the victim
-        // unless something older is still over-budget ahead of it.
-        while c.bytes > budget {
-            let victim = c.recency.remove(0);
-            if let Some(old) = c.entries.remove(&victim) {
-                c.bytes -= old.bytes();
-                self.decode_evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        Some(d)
-    }
-
-    /// Expand a captured buffer into decoded lanes, fanning
-    /// [`BLOCK_LEN`]-aligned chunks over the shard pool. Chunk decode is
-    /// independent (each seeks via the buffer's block marks), and
-    /// [`DecodedTrace::assemble`] stitches results positionally, so the
-    /// output is bit-identical at any thread count.
-    fn decode_parallel(buf: &TraceBuffer) -> DecodedTrace {
-        // 64 blocks = 16k instructions per chunk: large enough that the
-        // per-chunk seek + assembly copy is noise, small enough to spread
-        // a 200k-instruction trace across every worker.
-        const CHUNK: usize = 64 * BLOCK_LEN;
-        let total = buf.len();
-        let starts: Vec<usize> = (0..total.div_ceil(CHUNK).max(1))
-            .map(|c| c * CHUNK)
-            .collect();
-        let threads = pool_threads().min(starts.len());
-        let chunks = run_sharded(threads, starts, |start| {
-            DecodedChunk::decode(buf, start, CHUNK)
-        });
-        DecodedTrace::assemble(total, chunks)
-    }
-
-    /// Counters of the decoded-lane cache: replays served from an
-    /// already-decoded trace vs. decodes performed vs. entries evicted by
-    /// the byte budget. "≤ 1 miss per kernel per run" is the decode-once
-    /// property the replay bench pins.
-    pub fn decode_stats(&self) -> DecodeCacheStats {
-        DecodeCacheStats {
-            hits: self.decode_hits.load(Ordering::Relaxed),
-            misses: self.decode_misses.load(Ordering::Relaxed),
-            evictions: self.decode_evictions.load(Ordering::Relaxed),
-        }
+        ReplayKernel::new(trace)
     }
 
     /// Memoized calibration-probe result. `key` must identify both the
@@ -497,8 +316,10 @@ impl TraceStore {
             }
         }
         let (file_budget, complete, path) = best?;
-        let buf = match Self::read_trace(&path) {
-            Ok(buf) => buf,
+        let read = fs::File::open(&path)
+            .and_then(|f| BufferSink::read_semloc(io::BufReader::new(f), file_budget));
+        let sink = match read {
+            Ok(sink) => sink,
             Err(_) => {
                 self.disk_rejects.fetch_add(1, Ordering::Relaxed);
                 return None;
@@ -507,23 +328,17 @@ impl TraceStore {
         // A partial capture contains exactly its named budget of
         // instructions; anything else means the file name lies about the
         // payload (e.g. a valid trace renamed to claim more coverage).
-        if !complete && buf.len() as u64 != file_budget {
+        if !complete && sink.len() as u64 != file_budget {
             self.disk_rejects.fetch_add(1, Ordering::Relaxed);
             return None;
         }
         self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(CapturedTrace {
-            name: kernel.name(),
-            suite: kernel.suite(),
-            key: key.to_string(),
-            budget: file_budget,
+        Some(CapturedTrace::from_sink(
+            kernel,
+            file_budget,
             complete,
-            buf,
-        })
-    }
-
-    fn read_trace(path: &Path) -> io::Result<TraceBuffer> {
-        TraceBuffer::read_semloc(io::BufReader::new(fs::File::open(path)?))
+            sink,
+        ))
     }
 
     /// Persist a capture (atomically: temp file + rename). Failures are

@@ -25,26 +25,7 @@
 //! bound and note it in CHANGES.md) or a regression shipped.
 
 use semloc_harness::{adversarial_search, AdvBench, AdvParams, AdvScore, SearchConfig, SimConfig};
-use semloc_workloads::{AliasChains, Kernel, PhaseFlip, RewardStraddle};
-
-/// The searched collapse points (seed 42, default search config).
-fn straddle() -> RewardStraddle {
-    RewardStraddle {
-        cold_work: 9,
-        ..RewardStraddle::default()
-    }
-}
-
-fn alias() -> AliasChains {
-    AliasChains {
-        nodes: 501,
-        ..AliasChains::default()
-    }
-}
-
-fn flip() -> PhaseFlip {
-    PhaseFlip::default()
-}
+use semloc_workloads::{pinned_collapse_points, Kernel};
 
 fn bench() -> AdvBench {
     AdvBench::new(&SearchConfig::default(), &SimConfig::default())
@@ -77,12 +58,11 @@ fn pinned_collapse_points_still_collapse() {
     //   straddle  learned 0.0246, ghb-g/dc 0.8047, gap 0.7801
     //   alias     learned 0.0581, sms      0.1309, gap 0.0729
     //   phaseflip learned 0.1463, ghb-g/dc 0.4746, gap 0.3283
-    let s = b
-        .eval(&AdvParams::Straddle(straddle()))
-        .expect("bench eval");
+    let (straddle, alias, flip) = pinned_collapse_points();
+    let s = b.eval(&AdvParams::Straddle(straddle)).expect("bench eval");
     check(&s, "adv-straddle", 0.10, 0.70, 0.60);
 
-    let a = b.eval(&AdvParams::Alias(alias())).expect("bench eval");
+    let a = b.eval(&AdvParams::Alias(alias)).expect("bench eval");
     check(&a, "adv-alias", 0.10, 0.10, 0.03);
     assert!(
         a.learned_accuracy < 0.10,
@@ -90,7 +70,7 @@ fn pinned_collapse_points_still_collapse() {
         a.learned_accuracy
     );
 
-    let f = b.eval(&AdvParams::Flip(flip())).expect("bench eval");
+    let f = b.eval(&AdvParams::Flip(flip)).expect("bench eval");
     check(&f, "adv-phaseflip", 0.25, 0.40, 0.25);
 }
 
@@ -100,11 +80,8 @@ fn seeded_search_reproduces_the_pinned_points() {
     // hill-climb must rediscover all three from the family defaults.
     let findings = adversarial_search(42, &SearchConfig::default(), &SimConfig::default())
         .expect("adversarial search");
-    let expected = [
-        straddle().trace_key(),
-        alias().trace_key(),
-        flip().trace_key(),
-    ];
+    let (straddle, alias, flip) = pinned_collapse_points();
+    let expected = [straddle.trace_key(), alias.trace_key(), flip.trace_key()];
     assert_eq!(findings.len(), expected.len());
     for (f, want) in findings.iter().zip(&expected) {
         assert_eq!(

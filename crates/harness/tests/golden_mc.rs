@@ -6,10 +6,10 @@
 //! core's full [`RunResult`] digest plus every shared-L2/DRAM counter.
 //!
 //! The multi-core engine steps cores round-robin over a fixed cycle
-//! quantum and always streams the varint decode, so these digests must be
-//! identical across `SEMLOC_POOL_THREADS`, every `SEMLOC_ACCEL` tier, and
-//! decode-cache configurations — the CI `interference` job re-runs this
-//! test under those environments to prove it. If a future change
+//! quantum, gating every instruction on the horizon, so these digests must
+//! be identical across `SEMLOC_POOL_THREADS` and every `SEMLOC_ACCEL`
+//! tier — the CI `interference` job re-runs this test under those
+//! environments to prove it. If a future change
 //! *intends* to alter multi-core behaviour, update the constants with the
 //! values printed by the failing assertion and record why in CHANGES.md.
 

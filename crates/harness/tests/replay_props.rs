@@ -1,63 +1,81 @@
-//! Property tests for the zero-decode block replay path.
+//! Property tests for capture-time lanes, the form every replay steps.
 //!
-//! The decoded-lane cache must be a *pure* performance optimization: for
-//! random kernels, prefetchers and budgets — emphatically including
-//! budgets that stop in the middle of a 256-instruction block — a store
-//! with decoding enabled and a store forced onto the streaming varint
-//! path must produce bit-identical statistics. Alongside, the capture
-//! prefix property ([`CapturedTrace::covers`]) and the chunk-parallel
-//! decoder's independence from chunk geometry are pinned over random
-//! inputs, because all three are what the golden-digest test's stability
-//! under `SEMLOC_DECODE_CACHE_MB` / thread-count changes rests on.
+//! A capture builds its varint buffer and its decoded lanes in one pass,
+//! and nothing decodes the buffer again, so these tests pin the lanes to
+//! the varint stream directly: for random kernels and budgets — budgets
+//! that stop in the middle of a 256-instruction block, budgets on a block
+//! boundary, and budget 0 through composed schedules — the capture's lanes
+//! equal a fresh [`DecodedTrace::decode`] of its buffer, which equals the
+//! streaming varint decode. Alongside, the capture prefix property
+//! ([`CapturedTrace::covers`]), the trace store's supersede rule, and
+//! multi-core checkpoint/restore at a cursor inside a block are pinned,
+//! because the golden digests rest on all of them.
+//!
+//! [`CapturedTrace::covers`]: semloc_workloads::CapturedTrace::covers
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use semloc_harness::{run_kernel_with_store, PrefetcherKind, SimConfig, TraceStore};
-use semloc_trace::{DecodedChunk, DecodedTrace, BLOCK_LEN};
-use semloc_workloads::{all_kernels, capture_kernel};
+use semloc_harness::{mc_digest, McCheckpoint, McConfig, McEngine, PrefetcherKind, SimConfig};
+use semloc_harness::{run_kernel_uncached, Engine, TraceStore};
+use semloc_trace::{DecodedTrace, BLOCK_LEN};
+use semloc_workloads::{
+    all_kernels, capture_kernel, kernel_by_name, CapturedTrace, Composer, ReplayKernel,
+};
+
+/// Assert that a capture's lanes, a fresh decode of its buffer, and the
+/// streaming varint decode agree on every instruction.
+fn assert_lanes_match(t: &CapturedTrace, what: &str) {
+    let decoded = DecodedTrace::decode(&t.buf);
+    assert_eq!(t.lanes.len(), t.buf.len(), "{what}: lane count");
+    assert_eq!(decoded.len(), t.buf.len(), "{what}: decoded count");
+    assert_eq!(t.lanes.bytes(), decoded.bytes(), "{what}: lane bytes");
+    for (i, streamed) in t.buf.iter().enumerate() {
+        assert_eq!(t.lanes.instr(i), streamed, "{what}: capture lanes at {i}");
+        assert_eq!(decoded.instr(i), streamed, "{what}: decoded lanes at {i}");
+    }
+}
 
 proptest! {
-    /// Decoded block replay and streaming decode are bit-identical for any
-    /// (kernel, prefetcher, budget) cell, and the decoded store performs at
-    /// most one decode for it (the decode-once property).
+    /// Capture lanes == decode(buffer) == streaming decode, for random
+    /// kernels at budgets inside a block and on a block boundary.
     #[test]
-    fn decoded_replay_matches_streaming(
+    fn capture_lanes_match_decode_and_stream(
         kidx in 0usize..64,
-        pf_pick in 0usize..4,
         blocks in 0u64..24,
         offset in 1u64..=256,
     ) {
         let kernels = all_kernels();
         let kernel = kernels[kidx % kernels.len()].as_ref();
         // offset=256 lands exactly on a block boundary; everything else
-        // stops the run mid-block.
+        // stops the capture mid-block.
         let budget = blocks * BLOCK_LEN as u64 + offset;
-        let pf = match pf_pick {
-            0 => PrefetcherKind::Stride,
-            1 => PrefetcherKind::GhbGdc,
-            2 => PrefetcherKind::NextLine,
-            _ => PrefetcherKind::context(),
-        };
-        let cfg = SimConfig::default().with_budget(budget);
-        let decoded = TraceStore::new();
-        let streaming = TraceStore::new().with_decode_budget_mb(0);
-        let a = run_kernel_with_store(&decoded, kernel, &pf, &cfg);
-        let b = run_kernel_with_store(&streaming, kernel, &pf, &cfg);
-        prop_assert_eq!(
-            a.stats_digest(), b.stats_digest(),
-            "decoded vs streaming replay diverged: {} / {:?} @ {budget}",
-            kernel.name(), pf
-        );
-        let s = decoded.decode_stats();
-        prop_assert!(
-            s.misses <= 1,
-            "{} decoded {} times for one cell", kernel.name(), s.misses
-        );
-        prop_assert_eq!(
-            streaming.decode_stats(),
-            Default::default(),
-            "a zero-budget store must never touch the decode cache"
-        );
+        let t = capture_kernel(kernel, budget);
+        assert_lanes_match(&t, &format!("{} @ {budget}", kernel.name()));
+    }
+
+    /// The same for composed schedules captured at budget 0 (unbounded),
+    /// whose lanes are built from their sources' lanes.
+    #[test]
+    fn composed_capture_lanes_match_decode_and_stream(
+        seed in 0u64..1_000_000,
+        phases in 1usize..5,
+        min in 1u64..1_500,
+        extra in 0u64..1_500,
+    ) {
+        let menu: Vec<Arc<CapturedTrace>> = ["list", "array", "mcf"]
+            .iter()
+            .map(|n| {
+                let k = kernel_by_name(n).expect("registry kernel");
+                Arc::new(capture_kernel(k.as_ref(), 3_000))
+            })
+            .collect();
+        let sched = Composer::new(seed).phase_shift("prop", &menu, phases, min, min + extra);
+        let t = capture_kernel(&sched, 0);
+        prop_assert!(t.complete, "a budget-0 capture holds the whole schedule");
+        prop_assert_eq!(t.buf.len() as u64, sched.total_instrs());
+        assert_lanes_match(&t, &format!("compose seed {seed}"));
     }
 
     /// A capture taken at budget `b1` covers every smaller non-zero budget
@@ -87,31 +105,94 @@ proptest! {
         }
     }
 
-    /// The chunk-parallel decoder is bit-identical to the streaming varint
-    /// decode regardless of chunk geometry: every lane value of the
-    /// assembled [`DecodedTrace`] matches the corresponding streamed
-    /// [`Instr`], for random kernels, budgets and block-aligned chunk sizes.
+    /// A larger budget supersedes a store's capture: later replays get the
+    /// new capture's own lanes, replays handed out earlier keep theirs, and
+    /// both simulate exactly what generation at their budget does.
     #[test]
-    fn chunked_decode_matches_streaming_for_any_geometry(
+    fn superseding_capture_serves_its_own_lanes(
         kidx in 0usize..64,
-        budget in 1u64..5_000,
-        chunk_blocks in 1usize..9,
+        small in 1u64..2_000,
+        grow in 1u64..2_000,
     ) {
         let kernels = all_kernels();
         let kernel = kernels[kidx % kernels.len()].as_ref();
-        let t = capture_kernel(kernel, budget);
-        let chunk = chunk_blocks * BLOCK_LEN;
-        let chunks: Vec<DecodedChunk> = (0..t.buf.len().div_ceil(chunk).max(1))
-            .map(|c| DecodedChunk::decode(&t.buf, c * chunk, chunk))
-            .collect();
-        let assembled = DecodedTrace::assemble(t.buf.len(), chunks);
-        prop_assert_eq!(assembled.len(), t.buf.len());
-        for (i, streamed) in t.buf.iter().enumerate() {
+        let big = small + grow;
+        let store = TraceStore::new();
+        let early = store.replay(kernel, small);
+        let early_lanes = Arc::clone(&early.trace().lanes);
+        let late = store.replay(kernel, big);
+        prop_assert!(late.trace().covers(big));
+        if !early.trace().complete {
+            // A complete capture covers `big` too, so only a truncated one
+            // is superseded.
+            prop_assert!(!Arc::ptr_eq(&early.trace().lanes, &late.trace().lanes));
+        }
+        prop_assert!(Arc::ptr_eq(&early.trace().lanes, &early_lanes), "earlier replay lost its lanes");
+        prop_assert_eq!(late.trace().lanes.len(), late.trace().buf.len());
+        let again = store.replay(kernel, small);
+        prop_assert!(
+            Arc::ptr_eq(&again.trace().lanes, &late.trace().lanes),
+            "the superseding capture serves the smaller budget too"
+        );
+        for (replay, budget) in [(early, small), (late, big)] {
+            let cfg = SimConfig::default().with_budget(budget);
+            let mut e = Engine::new(replay, &PrefetcherKind::Stride, &cfg);
+            e.run_to_end();
             prop_assert_eq!(
-                assembled.instr(i), streamed,
-                "{}: lane mismatch at instruction {i} (chunk={chunk})",
-                kernel.name()
+                e.finish().stats_digest(),
+                run_kernel_uncached(kernel, &PrefetcherKind::Stride, &cfg).stats_digest(),
+                "{} @ {budget}: replay diverged from generation", kernel.name()
             );
         }
     }
+}
+
+/// Two cores over a shared L2, each stepping its capture's lanes.
+fn mc_engine() -> McEngine {
+    let replay = |name: &str, budget| {
+        let k = kernel_by_name(name).expect("registry kernel");
+        ReplayKernel::new(Arc::new(capture_kernel(k.as_ref(), budget)))
+    };
+    McEngine::new(
+        vec![
+            (replay("mcf", 12_000), PrefetcherKind::context()),
+            (replay("array", 9_000), PrefetcherKind::Stride),
+        ],
+        &SimConfig::default().with_budget(0),
+        &McConfig::default(),
+    )
+}
+
+fn mc_finish(mut e: McEngine) -> u64 {
+    e.run_to_end();
+    let (results, shared) = e.finish();
+    mc_digest(&results, &shared)
+}
+
+/// A multi-core engine restored from a checkpoint whose cursors sit inside
+/// a block continues exactly as the uninterrupted run does.
+#[test]
+fn mc_restore_at_a_mid_block_cursor_matches_uninterrupted() {
+    let uninterrupted = mc_finish(mc_engine());
+    let mut mid_block = 0;
+    for quanta in [1, 2, 5, 11] {
+        let mut warm = mc_engine();
+        for _ in 0..quanta {
+            warm.step_quantum();
+        }
+        let ckpt = McCheckpoint::from_bytes(&warm.checkpoint().to_bytes()).expect("round-trip");
+        mid_block += ckpt
+            .cursors
+            .iter()
+            .filter(|&&c| c % BLOCK_LEN as u64 != 0)
+            .count();
+        let mut resumed = mc_engine();
+        resumed.restore(&ckpt).expect("restore into a cold engine");
+        assert_eq!(
+            mc_finish(resumed),
+            uninterrupted,
+            "restore after {quanta} quanta diverged from the uninterrupted run"
+        );
+    }
+    assert!(mid_block > 0, "no pause point left a cursor inside a block");
 }

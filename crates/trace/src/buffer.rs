@@ -21,7 +21,11 @@
 //! Deltas make the common cases tiny: straight-line code has PC deltas of
 //! +8, streaming kernels have constant address strides, and loop branches
 //! have small target offsets.
+//!
+//! The buffer is the compact, persistable form of a capture; replay steps
+//! the [`DecodedTrace`] lanes that [`BufferSink`] builds in the same pass.
 
+use crate::decoded::{DecodedTrace, LaneWriter};
 use crate::hints::SemanticHints;
 use crate::instr::{Instr, InstrKind, Reg};
 use crate::sink::TraceSink;
@@ -43,22 +47,39 @@ pub(crate) const F_DST: u8 = 0x20;
 pub(crate) const F_AUX: u8 = 0x40;
 pub(crate) const F_RESULT: u8 = 0x80;
 
-/// Instructions per block: the granularity of [`TraceBuffer`] seek marks
-/// and of [`DecodedTrace`](crate::decoded::DecodedTrace) batched stepping.
+/// Instructions per block: the granularity of
+/// [`DecodedTrace`](crate::decoded::DecodedTrace) batched stepping.
 pub const BLOCK_LEN: usize = 256;
 
-/// Decoder state at a block boundary: column positions plus the delta
-/// baselines, captured every [`BLOCK_LEN`] pushes. 32 bytes per 256
-/// instructions (~0.1 B/instr) buys O(1) mid-trace seeks and
-/// chunk-parallel decoding.
-#[derive(Clone, Copy, Debug, Default)]
-struct Mark {
-    p_pcs: u32,
-    p_addrs: u32,
-    p_regs: u32,
-    p_aux: u32,
-    prev_pc: u64,
-    prev_addr: u64,
+/// The op byte of `i`: kind tag plus presence flags, shared by the varint
+/// buffer and the decoded lanes.
+#[inline]
+pub(crate) fn op_byte(i: &Instr) -> u8 {
+    let mut op = match i.kind {
+        InstrKind::Alu { .. } => K_ALU,
+        InstrKind::Load { .. } => K_LOAD,
+        InstrKind::Store { .. } => K_STORE,
+        InstrKind::Branch { .. } => K_BRANCH,
+        InstrKind::Nop => K_NOP,
+    };
+    if i.src1.is_some() {
+        op |= F_SRC1;
+    }
+    if i.src2.is_some() {
+        op |= F_SRC2;
+    }
+    if i.dst.is_some() {
+        op |= F_DST;
+    }
+    if i.result != 0 {
+        op |= F_RESULT;
+    }
+    match i.kind {
+        InstrKind::Branch { taken: true, .. } => op |= F_AUX,
+        InstrKind::Load { hints: Some(_), .. } => op |= F_AUX,
+        _ => {}
+    }
+    op
 }
 
 #[inline]
@@ -118,9 +139,6 @@ pub struct TraceBuffer {
     addrs: Vec<u8>,
     regs: Vec<u8>,
     aux: Vec<u8>,
-    // Decoder state at each block boundary; marks[k] describes the state
-    // right before instruction (k+1)*BLOCK_LEN (block 0 starts from zero).
-    marks: Vec<Mark>,
     // Encoder state (the decoder keeps its own copy in the cursor).
     prev_pc: u64,
     prev_addr: u64,
@@ -149,41 +167,7 @@ impl TraceBuffer {
 
     /// Append one instruction.
     pub fn push(&mut self, i: &Instr) {
-        if self.ops.len().is_multiple_of(BLOCK_LEN) && !self.ops.is_empty() {
-            self.marks.push(Mark {
-                p_pcs: self.pcs.len() as u32,
-                p_addrs: self.addrs.len() as u32,
-                p_regs: self.regs.len() as u32,
-                p_aux: self.aux.len() as u32,
-                prev_pc: self.prev_pc,
-                prev_addr: self.prev_addr,
-            });
-        }
-        let mut op = match i.kind {
-            InstrKind::Alu { .. } => K_ALU,
-            InstrKind::Load { .. } => K_LOAD,
-            InstrKind::Store { .. } => K_STORE,
-            InstrKind::Branch { .. } => K_BRANCH,
-            InstrKind::Nop => K_NOP,
-        };
-        if i.src1.is_some() {
-            op |= F_SRC1;
-        }
-        if i.src2.is_some() {
-            op |= F_SRC2;
-        }
-        if i.dst.is_some() {
-            op |= F_DST;
-        }
-        if i.result != 0 {
-            op |= F_RESULT;
-        }
-        match i.kind {
-            InstrKind::Branch { taken: true, .. } => op |= F_AUX,
-            InstrKind::Load { hints: Some(_), .. } => op |= F_AUX,
-            _ => {}
-        }
-        self.ops.push(op);
+        self.ops.push(op_byte(i));
 
         put_varint(
             &mut self.pcs,
@@ -241,39 +225,6 @@ impl TraceBuffer {
         }
     }
 
-    /// Iterate the stored instructions starting at index `start`, seeking
-    /// via the block marks: O(1) to the enclosing block boundary plus at
-    /// most [`BLOCK_LEN`]`-1` decode-skips, instead of decoding the whole
-    /// prefix. Starting at or past the end yields an exhausted iterator.
-    pub fn iter_from(&self, start: usize) -> TraceIter<'_> {
-        let start = start.min(self.ops.len());
-        if start == self.ops.len() {
-            let mut it = self.iter();
-            it.i = self.ops.len();
-            return it;
-        }
-        let block = start / BLOCK_LEN;
-        let mut it = if block == 0 {
-            self.iter()
-        } else {
-            let m = self.marks[block - 1];
-            TraceIter {
-                buf: self,
-                i: block * BLOCK_LEN,
-                p_pcs: m.p_pcs as usize,
-                p_addrs: m.p_addrs as usize,
-                p_regs: m.p_regs as usize,
-                p_aux: m.p_aux as usize,
-                prev_pc: m.prev_pc,
-                prev_addr: m.prev_addr,
-            }
-        };
-        for _ in it.i..start {
-            it.next();
-        }
-        it
-    }
-
     /// Serialize to the `SEMLOC02` on-disk format.
     ///
     /// # Errors
@@ -302,12 +253,7 @@ impl TraceBuffer {
     ///
     /// Returns any decoding error from [`TraceReader`](crate::TraceReader).
     pub fn read_semloc<R: Read>(input: R) -> io::Result<Self> {
-        let mut r = crate::record::TraceReader::new(input)?;
-        let mut buf = TraceBuffer::new();
-        while let Some(i) = r.next_instr()? {
-            buf.push(&i);
-        }
-        Ok(buf)
+        BufferSink::read_semloc(input, 0).map(BufferSink::into_buffer)
     }
 }
 
@@ -421,26 +367,57 @@ impl Iterator for TraceIter<'_> {
     }
 }
 
-/// A [`TraceSink`] that captures into a [`TraceBuffer`], mirroring the
-/// budget gating of the simulated core: instructions are accepted while the
-/// count is below `limit` and silently dropped after, and `done()` flips
-/// exactly when the limit is reached (`limit == 0` is unbounded). This
-/// makes a capture see the *same* `done()` transitions a budgeted
+/// Instructions a capture reserves lanes for up front: its budget, capped
+/// so a huge budget on a short kernel does not reserve gigabytes.
+const PRESIZE_MAX: u64 = 1 << 22;
+
+/// A [`TraceSink`] that captures into a [`TraceBuffer`] and its
+/// [`DecodedTrace`] lanes in the same pass, mirroring the budget gating of
+/// the simulated core: instructions are accepted while the count is below
+/// `limit` and silently dropped after, and `done()` flips exactly when the
+/// limit is reached (`limit == 0` is unbounded). This makes a capture see
+/// the *same* `done()` transitions a budgeted
 /// [`Cpu`](crate::TraceSink)-driven run would, so the captured stream is
 /// bit-identical to what the simulator consumed.
 #[derive(Debug, Default)]
 pub struct BufferSink {
     buf: TraceBuffer,
+    lanes: LaneWriter,
     limit: u64,
 }
 
 impl BufferSink {
-    /// Capture at most `limit` instructions (0 = unbounded).
+    /// Capture at most `limit` instructions (0 = unbounded), with lanes
+    /// pre-sized for the limit.
     pub fn with_limit(limit: u64) -> Self {
         BufferSink {
-            buf: TraceBuffer::new(),
             limit,
+            ..Self::presized(limit)
         }
+    }
+
+    /// An unbounded sink with lanes reserved for `expected` instructions.
+    fn presized(expected: u64) -> Self {
+        BufferSink {
+            buf: TraceBuffer::new(),
+            lanes: LaneWriter::with_capacity(expected.min(PRESIZE_MAX) as usize),
+            limit: 0,
+        }
+    }
+
+    /// Read a `SEMLOC02` stream into a fresh unbounded sink, validating the
+    /// trailer. `expected` (0 = unknown) pre-sizes the lanes.
+    ///
+    /// # Errors
+    ///
+    /// Returns any decoding error from [`TraceReader`](crate::TraceReader).
+    pub fn read_semloc<R: Read>(input: R, expected: u64) -> io::Result<Self> {
+        let mut r = crate::record::TraceReader::new(input)?;
+        let mut sink = Self::presized(expected);
+        while let Some(i) = r.next_instr()? {
+            sink.instr(i);
+        }
+        Ok(sink)
     }
 
     /// Instructions captured so far.
@@ -457,12 +434,18 @@ impl BufferSink {
     pub fn into_buffer(self) -> TraceBuffer {
         self.buf
     }
+
+    /// Consume the sink, returning the captured buffer and its lanes.
+    pub fn into_parts(self) -> (TraceBuffer, DecodedTrace) {
+        (self.buf, self.lanes.finish())
+    }
 }
 
 impl TraceSink for BufferSink {
     fn instr(&mut self, instr: Instr) {
         if !self.done() {
             self.buf.push(&instr);
+            self.lanes.push(&instr);
         }
     }
 
@@ -611,9 +594,41 @@ mod tests {
             s.instr(i);
         }
         assert!(s.done());
-        let buf = s.into_buffer();
+        let (buf, lanes) = s.into_parts();
         assert_eq!(buf.len(), 3);
         assert_eq!(buf.iter().collect::<Vec<_>>(), sample()[..3].to_vec());
+        assert_eq!(lanes.len(), 3, "lanes gate with the buffer");
+    }
+
+    #[test]
+    fn capture_lanes_match_the_varint_stream() {
+        let mut s = BufferSink::with_limit(0);
+        for i in sample() {
+            s.instr(i);
+        }
+        let (buf, lanes) = s.into_parts();
+        let decoded = DecodedTrace::decode(&buf);
+        assert_eq!(lanes.len(), sample().len());
+        for (n, want) in sample().iter().enumerate() {
+            assert_eq!(&lanes.instr(n), want, "capture lanes, instr {n}");
+            assert_eq!(&decoded.instr(n), want, "decoded lanes, instr {n}");
+        }
+    }
+
+    #[test]
+    fn read_semloc_builds_lanes_in_the_same_pass() {
+        let mut buf = TraceBuffer::new();
+        for i in sample() {
+            buf.push(&i);
+        }
+        let mut bytes = Vec::new();
+        buf.write_semloc(&mut bytes).unwrap();
+        let (back, lanes) = BufferSink::read_semloc(&bytes[..], 2).unwrap().into_parts();
+        assert_eq!(back.iter().collect::<Vec<_>>(), sample());
+        assert_eq!(
+            (0..lanes.len()).map(|n| lanes.instr(n)).collect::<Vec<_>>(),
+            sample()
+        );
     }
 
     #[test]
@@ -624,31 +639,6 @@ mod tests {
         }
         assert!(!s.done());
         assert_eq!(s.len(), sample().len());
-    }
-
-    #[test]
-    fn iter_from_matches_skip_everywhere() {
-        let mut state = 0x5eed_u64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            state
-        };
-        let mut buf = TraceBuffer::new();
-        let n = 3 * BLOCK_LEN + 17;
-        for i in 0..n as u64 {
-            let r = next();
-            buf.push(&match r % 3 {
-                0 => Instr::load(i * 8, next(), 8, Reg((r % 32) as u8), None, None, next()),
-                1 => Instr::branch(next(), r & 8 != 0, next(), None),
-                _ => Instr::alu(next(), Some(Reg(1)), None, None, next()),
-            });
-        }
-        let all: Vec<Instr> = buf.iter().collect();
-        // Boundaries, mid-block, the very end, and past the end.
-        for start in [0, 1, 255, 256, 257, 511, 512, 700, n - 1, n, n + 5] {
-            let got: Vec<Instr> = buf.iter_from(start).collect();
-            assert_eq!(got, all[start.min(n)..], "start {start}");
-        }
     }
 
     #[test]

@@ -1,42 +1,38 @@
-//! Fully-decoded trace lanes for zero-decode block replay.
+//! Fully-decoded trace lanes: the form every replay steps.
 //!
 //! [`DecodedTrace`] is the flat struct-of-arrays twin of
-//! [`TraceBuffer`](crate::TraceBuffer): every varint is expanded once into
+//! [`TraceBuffer`](crate::TraceBuffer): every instruction is held in
 //! fixed-width parallel lanes (op byte, absolute PC, a kind-dependent
 //! 64-bit auxiliary word, access size, packed hints, the three register
-//! operands, and the architectural result), so replay becomes pure
-//! sequential lane reads with no per-instruction decode work. The layout
-//! costs ~33 B/instr — a deliberate space-for-time trade against the
-//! ~6-10 B/instr varint encoding — which is why callers cache these behind
-//! a byte-budgeted LRU rather than keeping one per capture forever.
+//! operands, and the architectural result), so replay is pure sequential
+//! lane reads with no per-instruction decode work. The layout costs
+//! 33 B/instr against the ~6-10 B/instr varint encoding.
 //!
-//! Decoding is chunk-parallel friendly: [`DecodedChunk::decode`] decodes
-//! any `[start, start+len)` instruction range independently (seeking via
-//! the buffer's block marks), and [`DecodedTrace::assemble`] stitches the
-//! chunks back together. [`DecodedTrace::decode`] is the serial
-//! convenience form. Both produce bit-identical [`Instr`] streams to
-//! [`TraceBuffer::iter`](crate::TraceBuffer::iter) — pinned by proptests
-//! in the workloads crate.
+//! Lanes are built while capturing: [`BufferSink`](crate::BufferSink)
+//! appends each instruction to the varint buffer and to the lanes in the
+//! same pass, so a captured stream is never decoded back. [`DecodedTrace::
+//! decode`] derives the same lanes from a finished buffer in one
+//! sequential pass; it is the decoder round trip the tests pin, bit-identical
+//! to [`TraceBuffer::iter`](crate::TraceBuffer::iter).
 //!
-//! Replay consumers step whole [`BLOCK_LEN`]-instruction blocks at a time
-//! through [`InstrBlock`] views (see `Cpu::step_block` in the cpu crate),
-//! which keeps the engine loop free of per-instruction bounds/budget
-//! checks and lets it prefetch the next block's lanes while the current
-//! one executes.
+//! Replay consumers step whole [`BLOCK_LEN`](crate::BLOCK_LEN)-instruction
+//! blocks at a time through [`InstrBlock`] views (see `Cpu::step_block` in
+//! the cpu crate), which keeps the engine loop free of per-instruction
+//! bounds/budget checks and lets it prefetch the next block's lanes while
+//! the current one executes.
 
 use crate::buffer::{
-    TraceBuffer, F_AUX, F_DST, F_RESULT, F_SRC1, F_SRC2, KIND_MASK, K_ALU, K_BRANCH, K_LOAD,
-    K_STORE,
+    op_byte, TraceBuffer, F_AUX, F_DST, F_RESULT, F_SRC1, F_SRC2, KIND_MASK, K_ALU, K_BRANCH,
+    K_LOAD, K_STORE,
 };
 use crate::hints::SemanticHints;
 use crate::instr::{Instr, InstrKind, Reg};
 
-/// One independently-decoded instruction range, produced by
-/// [`DecodedChunk::decode`] (typically fanned out across a worker pool)
-/// and consumed by [`DecodedTrace::assemble`].
-#[derive(Debug)]
-pub struct DecodedChunk {
-    start: usize,
+/// A fully-decoded trace: fixed-width parallel lanes over a whole captured
+/// stream, replayable in [`BLOCK_LEN`](crate::BLOCK_LEN)-instruction blocks
+/// with zero per-instruction decode work.
+#[derive(Default)]
+pub struct DecodedTrace {
     ops: Vec<u8>,
     pcs: Vec<u64>,
     aux: Vec<u64>,
@@ -48,145 +44,99 @@ pub struct DecodedChunk {
     results: Vec<u64>,
 }
 
-impl DecodedChunk {
-    /// Decode `len` instructions starting at index `start` of `buf`.
-    /// Ranges past the end are clamped; chunks may be decoded in any
-    /// order and on any thread (the buffer is only read).
-    pub fn decode(buf: &TraceBuffer, start: usize, len: usize) -> Self {
-        let start = start.min(buf.len());
-        let len = len.min(buf.len() - start);
-        let mut c = DecodedChunk {
-            start,
-            ops: Vec::with_capacity(len),
-            pcs: Vec::with_capacity(len),
-            aux: Vec::with_capacity(len),
-            sizes: Vec::with_capacity(len),
-            hints: Vec::with_capacity(len),
-            src1: Vec::with_capacity(len),
-            src2: Vec::with_capacity(len),
-            dst: Vec::with_capacity(len),
-            results: Vec::with_capacity(len),
-        };
-        for i in buf.iter_from(start).take(len) {
-            let mut op = match i.kind {
-                InstrKind::Alu { .. } => K_ALU,
-                InstrKind::Load { .. } => K_LOAD,
-                InstrKind::Store { .. } => K_STORE,
-                InstrKind::Branch { .. } => K_BRANCH,
-                InstrKind::Nop => crate::buffer::K_NOP,
-            };
-            if i.src1.is_some() {
-                op |= F_SRC1;
-            }
-            if i.src2.is_some() {
-                op |= F_SRC2;
-            }
-            if i.dst.is_some() {
-                op |= F_DST;
-            }
-            if i.result != 0 {
-                op |= F_RESULT;
-            }
-            let (aux, size, hint) = match i.kind {
-                InstrKind::Alu { latency } => (latency as u64, 0u8, 0u32),
-                InstrKind::Load { addr, size, hints } => {
-                    if hints.is_some() {
-                        op |= F_AUX;
-                    }
-                    (addr, size, hints.map_or(0, |h| h.pack()))
-                }
-                InstrKind::Store { addr, size } => (addr, size, 0),
-                InstrKind::Branch { taken, target } => {
-                    if taken {
-                        op |= F_AUX;
-                    }
-                    (target, 0, 0)
-                }
-                InstrKind::Nop => (0, 0, 0),
-            };
-            c.ops.push(op);
-            c.pcs.push(i.pc);
-            c.aux.push(aux);
-            c.sizes.push(size);
-            c.hints.push(hint);
-            c.src1.push(i.src1.map_or(0, |r| r.0));
-            c.src2.push(i.src2.map_or(0, |r| r.0));
-            c.dst.push(i.dst.map_or(0, |r| r.0));
-            c.results.push(i.result);
-        }
-        c
-    }
-
-    /// Number of instructions in this chunk.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether the chunk decoded no instructions.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
+/// Lanes under construction. Every lane is zero-filled to the same length
+/// up front and written by index, so appending an instruction is nine
+/// plain stores; [`LaneWriter::finish`] trims the lanes to the count
+/// written.
+#[derive(Debug, Default)]
+pub(crate) struct LaneWriter {
+    len: usize,
+    lanes: DecodedTrace,
 }
 
-/// A fully-decoded trace: fixed-width parallel lanes over the whole
-/// captured stream, replayable in [`BLOCK_LEN`]-instruction blocks with
-/// zero per-instruction decode work.
-pub struct DecodedTrace {
-    ops: Box<[u8]>,
-    pcs: Box<[u64]>,
-    aux: Box<[u64]>,
-    sizes: Box<[u8]>,
-    hints: Box<[u32]>,
-    src1: Box<[u8]>,
-    src2: Box<[u8]>,
-    dst: Box<[u8]>,
-    results: Box<[u64]>,
+impl LaneWriter {
+    /// A writer with lanes for `n` instructions already in place.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        LaneWriter {
+            len: 0,
+            lanes: DecodedTrace {
+                ops: vec![0; n],
+                pcs: vec![0; n],
+                aux: vec![0; n],
+                sizes: vec![0; n],
+                hints: vec![0; n],
+                src1: vec![0; n],
+                src2: vec![0; n],
+                dst: vec![0; n],
+                results: vec![0; n],
+            },
+        }
+    }
+
+    /// Append one instruction to every lane.
+    #[inline]
+    pub(crate) fn push(&mut self, i: &Instr) {
+        let n = self.len;
+        if n == self.lanes.len() {
+            self.lanes.resize((2 * n).max(crate::BLOCK_LEN));
+        }
+        let (aux, size, hint) = match i.kind {
+            InstrKind::Alu { latency } => (u64::from(latency), 0, 0),
+            InstrKind::Load { addr, size, hints } => (addr, size, hints.map_or(0, |h| h.pack())),
+            InstrKind::Store { addr, size } => (addr, size, 0),
+            InstrKind::Branch { target, .. } => (target, 0, 0),
+            InstrKind::Nop => (0, 0, 0),
+        };
+        let l = &mut self.lanes;
+        l.ops[n] = op_byte(i);
+        l.pcs[n] = i.pc;
+        l.aux[n] = aux;
+        l.sizes[n] = size;
+        l.hints[n] = hint;
+        l.src1[n] = i.src1.map_or(0, |r| r.0);
+        l.src2[n] = i.src2.map_or(0, |r| r.0);
+        l.dst[n] = i.dst.map_or(0, |r| r.0);
+        l.results[n] = i.result;
+        self.len = n + 1;
+    }
+
+    /// The lanes of every instruction pushed, without spare capacity.
+    pub(crate) fn finish(mut self) -> DecodedTrace {
+        self.lanes.resize(self.len);
+        self.lanes.ops.shrink_to_fit();
+        self.lanes.pcs.shrink_to_fit();
+        self.lanes.aux.shrink_to_fit();
+        self.lanes.sizes.shrink_to_fit();
+        self.lanes.hints.shrink_to_fit();
+        self.lanes.src1.shrink_to_fit();
+        self.lanes.src2.shrink_to_fit();
+        self.lanes.dst.shrink_to_fit();
+        self.lanes.results.shrink_to_fit();
+        self.lanes
+    }
 }
 
 impl DecodedTrace {
-    /// Serially decode an entire buffer (the single-chunk case of
-    /// [`DecodedTrace::assemble`]).
-    pub fn decode(buf: &TraceBuffer) -> Self {
-        Self::assemble(buf.len(), vec![DecodedChunk::decode(buf, 0, buf.len())])
+    /// Resize every lane to `n` instructions, zero-filling new slots.
+    fn resize(&mut self, n: usize) {
+        self.ops.resize(n, 0);
+        self.pcs.resize(n, 0);
+        self.aux.resize(n, 0);
+        self.sizes.resize(n, 0);
+        self.hints.resize(n, 0);
+        self.src1.resize(n, 0);
+        self.src2.resize(n, 0);
+        self.dst.resize(n, 0);
+        self.results.resize(n, 0);
     }
 
-    /// Stitch independently-decoded chunks into one trace. The chunks
-    /// must tile `[0, total)` exactly (any order, no gaps or overlaps).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chunks do not tile the range — that is a caller bug,
-    /// not a recoverable condition.
-    pub fn assemble(total: usize, mut chunks: Vec<DecodedChunk>) -> Self {
-        chunks.sort_by_key(|c| c.start);
-        let mut t = DecodedTrace {
-            ops: vec![0; total].into_boxed_slice(),
-            pcs: vec![0; total].into_boxed_slice(),
-            aux: vec![0; total].into_boxed_slice(),
-            sizes: vec![0; total].into_boxed_slice(),
-            hints: vec![0; total].into_boxed_slice(),
-            src1: vec![0; total].into_boxed_slice(),
-            src2: vec![0; total].into_boxed_slice(),
-            dst: vec![0; total].into_boxed_slice(),
-            results: vec![0; total].into_boxed_slice(),
-        };
-        let mut at = 0usize;
-        for c in &chunks {
-            assert_eq!(c.start, at, "decoded chunks must tile the trace");
-            let end = at + c.len();
-            t.ops[at..end].copy_from_slice(&c.ops);
-            t.pcs[at..end].copy_from_slice(&c.pcs);
-            t.aux[at..end].copy_from_slice(&c.aux);
-            t.sizes[at..end].copy_from_slice(&c.sizes);
-            t.hints[at..end].copy_from_slice(&c.hints);
-            t.src1[at..end].copy_from_slice(&c.src1);
-            t.src2[at..end].copy_from_slice(&c.src2);
-            t.dst[at..end].copy_from_slice(&c.dst);
-            t.results[at..end].copy_from_slice(&c.results);
-            at = end;
+    /// Decode an entire buffer into lanes in one sequential pass.
+    pub fn decode(buf: &TraceBuffer) -> Self {
+        let mut w = LaneWriter::with_capacity(buf.len());
+        for i in buf.iter() {
+            w.push(&i);
         }
-        assert_eq!(at, total, "decoded chunks must cover the whole trace");
-        t
+        w.finish()
     }
 
     /// Number of instructions.
@@ -199,22 +149,15 @@ impl DecodedTrace {
         self.ops.is_empty()
     }
 
-    /// Resident lane bytes (the quantity the decode-cache byte budget
-    /// accounts).
+    /// Resident lane bytes: 33 per instruction (u8 op, size and three
+    /// register lanes, u32 hints, u64 PC, aux and result).
     pub fn bytes(&self) -> usize {
-        Self::bytes_for(self.len())
-    }
-
-    /// Decoded footprint of a trace with `len` instructions — a pure
-    /// function of the length, so cache admission can be decided before
-    /// paying for the decode.
-    pub fn bytes_for(len: usize) -> usize {
-        // u8 ops + sizes + 3 reg lanes, u32 hints, u64 pcs + aux + results.
-        len * (1 + 1 + 3 + 4 + 8 + 8 + 8)
+        self.len() * (1 + 1 + 3 + 4 + 8 + 8 + 8)
     }
 
     /// Borrow the instruction range `[start, end)` as lane slices for
-    /// batched stepping. Callers walk block boundaries ([`BLOCK_LEN`]);
+    /// batched stepping. Callers walk block boundaries
+    /// ([`BLOCK_LEN`](crate::BLOCK_LEN));
     /// partial first/last blocks are fine.
     pub fn block(&self, start: usize, end: usize) -> InstrBlock<'_> {
         InstrBlock {
@@ -389,29 +332,12 @@ mod tests {
     }
 
     #[test]
-    fn serial_decode_matches_streaming() {
+    fn decode_matches_streaming() {
         // 5 full blocks plus a partial tail.
         let instrs = random_stream(5 * BLOCK_LEN as u64 + 37);
         let buf = buffer_of(&instrs);
         let d = DecodedTrace::decode(&buf);
         assert_eq!(d.len(), instrs.len());
-        for (i, want) in instrs.iter().enumerate() {
-            assert_eq!(&d.instr(i), want, "instr {i}");
-        }
-    }
-
-    #[test]
-    fn chunked_assembly_matches_serial() {
-        let instrs = random_stream(4 * BLOCK_LEN as u64 + 100);
-        let buf = buffer_of(&instrs);
-        // Deliberately unaligned, out-of-order chunk tiling.
-        let cuts = [0usize, 300, 301, 512, 1000, buf.len()];
-        let mut chunks: Vec<DecodedChunk> = cuts
-            .windows(2)
-            .map(|w| DecodedChunk::decode(&buf, w[0], w[1] - w[0]))
-            .collect();
-        chunks.reverse();
-        let d = DecodedTrace::assemble(buf.len(), chunks);
         for (i, want) in instrs.iter().enumerate() {
             assert_eq!(&d.instr(i), want, "instr {i}");
         }
@@ -429,14 +355,6 @@ mod tests {
         }
         d.prefetch_block(0);
         d.prefetch_block(d.len()); // past-the-end is a no-op
-    }
-
-    #[test]
-    #[should_panic(expected = "tile")]
-    fn assemble_rejects_gaps() {
-        let buf = buffer_of(&random_stream(100));
-        let c = DecodedChunk::decode(&buf, 10, 90);
-        let _ = DecodedTrace::assemble(100, vec![c]);
     }
 
     #[test]

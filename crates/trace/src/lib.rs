@@ -50,7 +50,7 @@ pub mod snap;
 pub use address_space::{AddressSpace, Placement};
 pub use buffer::{BufferSink, TraceBuffer, BLOCK_LEN};
 pub use context::{AccessContext, RECENT_ADDRS};
-pub use decoded::{DecodedChunk, DecodedTrace, InstrBlock};
+pub use decoded::{DecodedTrace, InstrBlock};
 pub use emit::{Emitter, PcAlloc};
 pub use fault::{Fault, FaultPlan, ShortWriter};
 pub use hints::{RefForm, SemanticHints};

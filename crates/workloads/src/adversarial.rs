@@ -300,6 +300,25 @@ pub fn adversarial_kernels() -> Vec<KernelBox> {
     ]
 }
 
+/// The collapse point of each family that the seeded adversarial search
+/// (`adversarial_search(42, SearchConfig::default(), …)` in the harness)
+/// discovers from the defaults: `adv-straddle` at `cold_work: 9`,
+/// `adv-alias` at `nodes: 501`, and `adv-phaseflip` at its default point.
+/// The regression suite and `bench_interfere` both evaluate these.
+pub fn pinned_collapse_points() -> (RewardStraddle, AliasChains, PhaseFlip) {
+    (
+        RewardStraddle {
+            cold_work: 9,
+            ..RewardStraddle::default()
+        },
+        AliasChains {
+            nodes: 501,
+            ..AliasChains::default()
+        },
+        PhaseFlip::default(),
+    )
+}
+
 /// Look up an adversarial family by name (default parameters).
 pub fn adversarial_by_name(name: &str) -> Option<KernelBox> {
     adversarial_kernels().into_iter().find(|k| k.name() == name)

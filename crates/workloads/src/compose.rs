@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use semloc_trace::TraceSink;
 
-use crate::replay::CapturedTrace;
+use crate::replay::{replay_prefix, CapturedTrace};
 use crate::{Kernel, Suite};
 
 /// One schedule phase: exactly `instrs` instructions replayed from the
@@ -96,15 +96,7 @@ impl Kernel for ComposedKernel {
 
     fn run(&self, sink: &mut dyn TraceSink) {
         for phase in &self.phases {
-            for (emitted, i) in phase.source.buf.iter().enumerate() {
-                if sink.done() {
-                    return;
-                }
-                if emitted as u64 == phase.instrs {
-                    break;
-                }
-                sink.instr(i);
-            }
+            replay_prefix(&phase.source.lanes, phase.instrs as usize, sink);
         }
     }
 

@@ -36,7 +36,8 @@ pub mod ssca2;
 pub mod ukernels;
 
 pub use adversarial::{
-    adversarial_by_name, adversarial_kernels, AliasChains, PhaseFlip, RewardStraddle,
+    adversarial_by_name, adversarial_kernels, pinned_collapse_points, AliasChains, PhaseFlip,
+    RewardStraddle,
 };
 pub use compose::{ComposedKernel, Composer, Phase};
 pub use object::Session;

@@ -1,5 +1,6 @@
 //! Record-once / replay-many: capture a kernel's instruction stream into a
-//! [`TraceBuffer`] and replay it through the `Kernel` trait.
+//! [`TraceBuffer`] plus its [`DecodedTrace`] lanes, and replay the lanes
+//! through the `Kernel` trait.
 //!
 //! Why replay is bit-identical to generation: kernels receive **no**
 //! feedback from their sink other than `done()`, and every sink the
@@ -33,8 +34,11 @@ pub struct CapturedTrace {
     /// Whether the generator finished on its own before the capture budget
     /// — i.e. the buffer holds the kernel's *entire* stream.
     pub complete: bool,
-    /// The captured stream.
+    /// The captured stream, varint-encoded: the persistable form.
     pub buf: TraceBuffer,
+    /// The same stream as decoded lanes, built in the capture pass: the
+    /// form every replay steps.
+    pub lanes: Arc<DecodedTrace>,
 }
 
 impl CapturedTrace {
@@ -45,6 +49,20 @@ impl CapturedTrace {
     pub fn covers(&self, budget: u64) -> bool {
         self.complete || (budget != 0 && self.budget != 0 && self.budget >= budget)
     }
+
+    /// A capture of `kernel` under `budget` from a filled sink.
+    pub fn from_sink(kernel: &dyn Kernel, budget: u64, complete: bool, sink: BufferSink) -> Self {
+        let (buf, lanes) = sink.into_parts();
+        CapturedTrace {
+            name: kernel.name(),
+            suite: kernel.suite(),
+            key: kernel.trace_key(),
+            budget,
+            complete,
+            buf,
+            lanes: Arc::new(lanes),
+        }
+    }
 }
 
 /// Run `kernel` once against a [`BufferSink`] with the given instruction
@@ -53,14 +71,7 @@ pub fn capture_kernel(kernel: &dyn Kernel, budget: u64) -> CapturedTrace {
     let mut sink = BufferSink::with_limit(budget);
     kernel.run(&mut sink);
     let complete = budget == 0 || (sink.len() as u64) < budget;
-    CapturedTrace {
-        name: kernel.name(),
-        suite: kernel.suite(),
-        key: kernel.trace_key(),
-        budget,
-        complete,
-        buf: sink.into_buffer(),
-    }
+    CapturedTrace::from_sink(kernel, budget, complete, sink)
 }
 
 /// A [`Kernel`] that replays a [`CapturedTrace`] instead of re-running the
@@ -69,34 +80,18 @@ pub fn capture_kernel(kernel: &dyn Kernel, budget: u64) -> CapturedTrace {
 #[derive(Debug, Clone)]
 pub struct ReplayKernel {
     trace: Arc<CapturedTrace>,
-    /// Pre-decoded lanes for zero-decode block replay, when the trace
-    /// store's decode cache admitted this capture. `None` falls back to
-    /// streaming varint decode — bit-identical either way.
-    decoded: Option<Arc<DecodedTrace>>,
 }
 
 impl ReplayKernel {
     /// Wrap a captured trace.
     pub fn new(trace: Arc<CapturedTrace>) -> Self {
-        ReplayKernel {
-            trace,
-            decoded: None,
-        }
+        ReplayKernel { trace }
     }
 
-    /// Attach pre-decoded lanes (must be a decode of exactly this
-    /// capture's buffer; debug-asserted by length).
-    pub fn with_decoded(mut self, decoded: Option<Arc<DecodedTrace>>) -> Self {
-        if let Some(d) = decoded.as_ref() {
-            debug_assert_eq!(d.len(), self.trace.buf.len());
-        }
-        self.decoded = decoded;
-        self
-    }
-
-    /// The pre-decoded lanes, if attached.
+    /// The capture's decoded lanes; always present, since every capture
+    /// builds them.
     pub fn decoded(&self) -> Option<&Arc<DecodedTrace>> {
-        self.decoded.as_ref()
+        Some(&self.trace.lanes)
     }
 
     /// The underlying capture.
@@ -115,18 +110,25 @@ impl Kernel for ReplayKernel {
     }
 
     fn run(&self, sink: &mut dyn TraceSink) {
-        for i in self.trace.buf.iter() {
-            if sink.done() {
-                return;
-            }
-            sink.instr(i);
-        }
+        replay_prefix(&self.trace.lanes, self.trace.lanes.len(), sink);
     }
 
     /// The *source* kernel's key, so a replay-backed run caches under the
     /// same identity as a generated one.
     fn trace_key(&self) -> String {
         self.trace.key.clone()
+    }
+}
+
+/// Feed the first `n` instructions of `lanes` to `sink`, stopping early
+/// once it reports done.
+pub(crate) fn replay_prefix(lanes: &DecodedTrace, n: usize, sink: &mut dyn TraceSink) {
+    let block = lanes.block(0, n);
+    for i in 0..block.len() {
+        if sink.done() {
+            return;
+        }
+        sink.instr(block.instr(i));
     }
 }
 

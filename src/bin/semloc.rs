@@ -5,7 +5,7 @@
 //! semloc list                         workloads and prefetchers
 //! semloc run <kernel> [pf] [budget]   one simulation, full statistics
 //! semloc compare <kernel> [budget]    every prefetcher on one workload
-//! (run/compare take --json: machine-readable report incl. decode-cache counters)
+//! (run/compare take --json: machine-readable report)
 //! semloc record <kernel> <file> [n]   write a binary trace
 //! semloc replay <file> [pf]           simulate from a recorded trace
 //! semloc inspect <kernel> [budget]    dump the trained prefetcher state
@@ -18,7 +18,7 @@ use std::process::ExitCode;
 
 use semloc::context::{Attr, ContextConfig, ContextPrefetcher};
 use semloc::cpu::{Cpu, CpuConfig};
-use semloc::harness::{report, run_kernel, PrefetcherKind, RunResult, SimConfig, TraceStore};
+use semloc::harness::{parse_knob, run_kernel, PrefetcherKind, RunResult, SimConfig};
 use semloc::mem::{AccessClass, Hierarchy, MemConfig};
 use semloc::trace::{TraceReader, TraceWriter};
 use semloc::workloads::{all_kernels, kernel_by_name};
@@ -122,8 +122,7 @@ fn cmd_list() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The `--json` report for one run: flat metrics plus the decoded-trace
-/// cache counters of the global [`TraceStore`]. Keys are stable — CI and
+/// The `--json` report for one run: flat metrics. Keys are stable — CI and
 /// downstream tooling parse this shape.
 fn run_json(r: &RunResult, baseline: &RunResult) -> String {
     let speedup = match r.speedup_over(baseline) {
@@ -135,7 +134,7 @@ fn run_json(r: &RunResult, baseline: &RunResult) -> String {
             "{{\"workload\":\"{}\",\"prefetcher\":\"{}\",",
             "\"instructions\":{},\"cycles\":{},\"ipc\":{:.6},",
             "\"speedup\":{},\"l1_mpki\":{:.6},\"l2_mpki\":{:.6},",
-            "\"storage_bytes\":{},\"decode_cache\":{}}}"
+            "\"storage_bytes\":{}}}"
         ),
         r.kernel,
         r.prefetcher,
@@ -146,7 +145,6 @@ fn run_json(r: &RunResult, baseline: &RunResult) -> String {
         r.l1_mpki(),
         r.l2_mpki(),
         r.storage_bytes,
-        report::decode_cache_json(&TraceStore::global().decode_stats()),
     )
 }
 
@@ -170,10 +168,6 @@ fn cmd_run(kernel: &str, pf: &str, budget: u64, json: bool) -> ExitCode {
         println!("{}", run_json(&r, &base));
     } else {
         print_result(&r, Some(&base));
-        println!(
-            "decode cache:    {}",
-            report::decode_cache_line(&TraceStore::global().decode_stats())
-        );
     }
     ExitCode::SUCCESS
 }
@@ -199,10 +193,9 @@ fn cmd_compare(kernel: &str, budget: u64, json: bool) -> ExitCode {
             })
             .collect();
         println!(
-            "{{\"workload\":\"{}\",\"rows\":[{}],\"decode_cache\":{}}}",
+            "{{\"workload\":\"{}\",\"rows\":[{}]}}",
             kernel,
             rows.join(","),
-            report::decode_cache_json(&TraceStore::global().decode_stats()),
         );
         return ExitCode::SUCCESS;
     }
@@ -226,10 +219,6 @@ fn cmd_compare(kernel: &str, budget: u64, json: bool) -> ExitCode {
             r.l2_mpki()
         );
     }
-    println!(
-        "\ndecode cache: {}",
-        report::decode_cache_line(&TraceStore::global().decode_stats())
-    );
     ExitCode::SUCCESS
 }
 
@@ -347,7 +336,15 @@ fn main() -> ExitCode {
     let json = args.iter().any(|a| a == "--json");
     args.retain(|a| a != "--json");
     let arg = |i: usize| args.get(i).map(String::as_str);
-    let budget = |i: usize, default: u64| arg(i).and_then(|s| s.parse().ok()).unwrap_or(default);
+    let budget =
+        |i: usize, default: u64| match arg(i).map(|s| parse_knob("budget", s, 0..=u64::MAX)) {
+            None => default,
+            Some(Ok(b)) => b,
+            Some(Err(e)) => {
+                eprintln!("{e}");
+                std::process::exit(1)
+            }
+        };
     match arg(0) {
         Some("list") => cmd_list(),
         Some("run") => match arg(1) {

@@ -142,3 +142,23 @@ fn calibrated_context_runs_and_learns() {
     assert!(learn.collected > 0);
     assert!(r.cpu.ipc() > 0.0);
 }
+
+#[test]
+fn cli_rejects_a_malformed_budget() {
+    // A typo'd budget must stop the CLI with the knob name and the bad
+    // value, not silently run the 400k default.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_semloc"))
+        .args(["run", "mcf", "context", "banana"])
+        .output()
+        .expect("run the semloc binary");
+    assert_eq!(out.status.code(), Some(1), "malformed budget must exit 1");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("budget") && err.contains("\"banana\""),
+        "stderr must name the knob and the value: {err}"
+    );
+    assert!(
+        out.stdout.is_empty(),
+        "nothing may run on a malformed budget"
+    );
+}
