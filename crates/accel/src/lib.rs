@@ -1,4 +1,4 @@
-//! Runtime-dispatched SIMD kernels for the simulator's measured hot paths.
+//! Small integer kernels behind the simulator's measured hot paths.
 //!
 //! Four kernel families back the structures that dominate many-cell runs:
 //!
@@ -13,338 +13,135 @@
 //!   precomputed bell-reward table, plus [`find_pair_i64`], the GHB
 //!   delta-correlation pair scan.
 //!
-//! Every kernel has four implementations — portable scalar, SSE2, AVX2
-//! and AVX-512 — selected once per process by [`tier`]: the `SEMLOC_ACCEL`
-//! environment variable (`scalar`, `sse2`, `avx2`, `avx512` or `auto`, the
-//! default) names the *requested* tier, which is then capped at what
-//! `is_x86_feature_detected!` reports, so a binary built on one machine
-//! never faults on another. All four paths are **bit-identical** for every
-//! input (tie-breaks included: first-minimum, last-maximum, first-match —
-//! matching the `Iterator::min_by_key`/`max_by_key` conventions of the
-//! structures they replace); the equivalence property suites in
-//! `tests/equivalence.rs` pin this, and the golden-digest CI job runs the
-//! full harness under `scalar`, `auto` and the parallel shard pool
-//! asserting one digest.
-//!
-//! The per-tier entry points ([`mix8_with`] and friends) are public so
-//! tests and benchmarks can compare tiers directly; production callers use
-//! the auto-dispatched forms.
+//! Every kernel is plain scalar Rust, small enough to inline into its
+//! caller. Tie-breaks follow the `Iterator` conventions of the scans they
+//! replace: first match, first minimum (`min_by_key`), last maximum
+//! (`max_by_key`). `tests/equivalence.rs` pins each kernel to a plain
+//! iterator reference. At the paper's Table-2 shapes (4-link CST entries,
+//! 8- and 16-way sets) hand-written vector tiers did not pay end to end;
+//! DESIGN.md §13 has the measurement.
 
 // Mirror of semloc-lint rule D3 (no-unwrap); D1/D2 are mirrored via clippy.toml.
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
-use std::sync::OnceLock;
-
-pub mod scalar;
-
-#[cfg(target_arch = "x86_64")]
-pub mod avx2;
-#[cfg(target_arch = "x86_64")]
-pub mod avx512;
-#[cfg(target_arch = "x86_64")]
-pub mod sse2;
-
-/// One implementation tier. Ordered: later tiers require strictly more CPU
-/// features.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+/// The kernels' implementation: always [`Tier::Scalar`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Tier {
-    /// Portable scalar Rust — always available, the reference semantics.
+    /// Portable scalar Rust.
     Scalar,
-    /// 128-bit SSE2 (baseline on x86_64).
-    Sse2,
-    /// 256-bit AVX2.
-    Avx2,
-    /// 512-bit AVX-512 (requires the F+BW+DQ+VL subset).
-    Avx512,
 }
 
-impl Tier {
-    /// Parse a `SEMLOC_ACCEL` value. `auto` (and unset) request the best
-    /// supported tier.
-    fn from_env(v: &str) -> Option<Tier> {
-        match v {
-            "scalar" => Some(Tier::Scalar),
-            "sse2" => Some(Tier::Sse2),
-            "avx2" => Some(Tier::Avx2),
-            "avx512" => Some(Tier::Avx512),
-            _ => None,
-        }
-    }
-}
-
-/// Whether this host can execute `t`'s instructions.
-pub fn supported(t: Tier) -> bool {
-    match t {
-        Tier::Scalar => true,
-        #[cfg(target_arch = "x86_64")]
-        Tier::Sse2 => true, // SSE2 is architectural baseline on x86_64
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx512 => {
-            std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("avx512bw")
-                && std::arch::is_x86_feature_detected!("avx512dq")
-                && std::arch::is_x86_feature_detected!("avx512vl")
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => false,
-    }
-}
-
-/// The best tier this host supports.
-pub fn best_supported() -> Tier {
-    if supported(Tier::Avx512) {
-        Tier::Avx512
-    } else if supported(Tier::Avx2) {
-        Tier::Avx2
-    } else if supported(Tier::Sse2) {
-        Tier::Sse2
-    } else {
-        Tier::Scalar
-    }
-}
-
-fn resolve_tier() -> Tier {
-    let requested = match std::env::var("SEMLOC_ACCEL") {
-        Ok(v) if !v.is_empty() => match Tier::from_env(&v) {
-            Some(t) => t,
-            None if v == "auto" => best_supported(),
-            None => panic!("SEMLOC_ACCEL={v:?}: expected scalar|sse2|avx2|avx512|auto"),
-        },
-        _ => best_supported(),
-    };
-    // Cap the request at what the CPU offers: a tier is a performance
-    // choice, never a correctness one, so degrading silently is safe (all
-    // tiers are bit-identical) and keeps one binary portable.
-    if supported(requested) {
-        requested
-    } else {
-        best_supported().min(requested)
-    }
-}
-
-/// The process-wide dispatch tier (resolved once from `SEMLOC_ACCEL` and
-/// CPU feature detection).
+/// The implementation every kernel runs (reported in benchmark
+/// provenance lines).
 pub fn tier() -> Tier {
-    static TIER: OnceLock<Tier> = OnceLock::new();
-    *TIER.get_or_init(resolve_tier)
+    Tier::Scalar
 }
 
-/// Default minimum input length (lanes) at which an auto-dispatched
-/// wrapper hands a scan to the SIMD tiers.
-///
-/// `#[target_feature]` functions cannot be inlined into callers compiled
-/// without that feature, so every SIMD call pays an outlined call plus
-/// vector setup (~a dozen ns). A branchy scalar loop over a handful of
-/// elements beats that by a wide margin — measured on the simulator's own
-/// structures, routing an 8-way cache probe or a 4-link CST scan through
-/// the dispatcher *doubled* the end-to-end cost of a no-prefetch run.
-/// Below the crossover the wrappers therefore run the (inlinable) scalar
-/// kernel directly; at or above it, the resolved [`tier`] takes over. The
-/// explicit `*_with` entry points bypass the crossover — the equivalence
-/// suites use them to pin every tier bit-identical at every length, so
-/// the cutover is a pure performance choice, never a correctness one.
-///
-/// Where the trade flips differs per kernel, so each wrapper reads its
-/// own constant from [`crossover`]; this shared value is the default for
-/// kernels whose measured crossover matches the historical shared cut.
-pub const SIMD_CROSSOVER_LANES: usize = 16;
-
-/// Per-kernel scalar→SIMD crossover lane counts.
-///
-/// Measured by the `calibrate_crossover` bench binary (semloc-bench):
-/// for each kernel it sweeps input lengths over needle-absent full scans
-/// and reports the smallest length from which the best supported tier
-/// never loses to the inlined scalar loop again. The committed values are
-/// that measurement rounded *up* to the next production shape (4/8-way
-/// probes, 16-entry queues, 48–64-lane tables), so hosts slightly slower
-/// at vector setup than the calibration box still never regress. Re-run
-/// the bench and compare its table against these when bringing up a new
-/// host class.
-pub mod crossover {
-    use super::SIMD_CROSSOVER_LANES;
-
-    /// [`crate::find_i16`] — CST link search. Measured stable at 8: the
-    /// 32-lane masked compare amortizes its setup over a single vector,
-    /// so only the paper-default 4-link scans stay scalar.
-    pub const FIND_I16: usize = 8;
-    /// [`crate::find_u64`] — scored-set tag scan. Measured stable at 6,
-    /// committed at the 8-lane production shape.
-    pub const FIND_U64: usize = 8;
-    /// [`crate::min_index_i8`] — victim-select reduction. Measured stable
-    /// at 16 (two passes — reduce then rescan — need more lanes to pay
-    /// off than a single-pass scan).
-    pub const MIN_INDEX_I8: usize = SIMD_CROSSOVER_LANES;
-    /// [`crate::max_index_last_i8`] — best-candidate reduction. Measured
-    /// stable at 6, committed at the 8-lane production shape.
-    pub const MAX_INDEX_LAST_I8: usize = 8;
-    /// [`crate::min_index_u32`] — LRU-style minimum scan. Measured stable
-    /// at 12, committed at 16 (also two-pass).
-    pub const MIN_INDEX_U32: usize = SIMD_CROSSOVER_LANES;
-    /// [`crate::find_valid_tag`] — cache tag probe. Measured stable at
-    /// 12, committed at 16 so paper-default 8-way probes keep the inlined
-    /// scalar loop.
-    pub const FIND_VALID_TAG: usize = SIMD_CROSSOVER_LANES;
-    /// [`crate::gather_i32`] — reward-table batch gather. Measured stable
-    /// at 16 (`vpgatherdd` issues one load µop per lane, so small batches
-    /// gain nothing over the scalar loop).
-    pub const GATHER_I32: usize = SIMD_CROSSOVER_LANES;
-    /// [`crate::find_pair_i64`] — GHB delta-correlation pair scan.
-    /// Measured stable at 12, committed at 16: chains at the paper's
-    /// 8-deep history stay scalar, sweep-widened chains vectorize.
-    pub const FIND_PAIR_I64: usize = SIMD_CROSSOVER_LANES;
-}
-
-macro_rules! dispatch {
-    ($t:expr, $f:ident ( $($arg:expr),* )) => {{
-        match $t {
-            #[cfg(target_arch = "x86_64")]
-            // semloc-lint: allow(unsafe-audit): tier() / `supported` guarantee the AVX-512 F+BW+DQ+VL bundle was detected before this path is taken
-            Tier::Avx512 => unsafe { avx512::$f($($arg),*) },
-            #[cfg(target_arch = "x86_64")]
-            // semloc-lint: allow(unsafe-audit): tier() / `supported` guarantee AVX2 was detected before this path is taken
-            Tier::Avx2 => unsafe { avx2::$f($($arg),*) },
-            #[cfg(target_arch = "x86_64")]
-            // semloc-lint: allow(unsafe-audit): SSE2 is the x86_64 architectural baseline, always executable
-            Tier::Sse2 => unsafe { sse2::$f($($arg),*) },
-            #[allow(unreachable_patterns)] // non-x86_64 builds fold every tier to scalar
-            _ => scalar::$f($($arg),*),
-        }
-    }};
+/// SplitMix64 finalizer (the `mix` of `semloc_context::attrs`).
+#[inline]
+fn splitmix(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
 }
 
 /// Apply the SplitMix64 finalizer to all 8 lanes in place.
-///
-/// Always runs the scalar kernel: pre-AVX512DQ x86 has no packed 64-bit
-/// multiply, so the AVX2 tier synthesizes each of SplitMix64's multiplies
-/// from three `vpmuludq`s — measurably slower than eight native `imul`s at
-/// this fixed width (~0.4x in `bench_accel`). [`mix8_with`] still reaches
-/// the vector tiers for equivalence testing.
 #[inline]
 pub fn mix8(x: &mut [u64; 8]) {
-    scalar::mix8(x)
-}
-
-/// [`mix8`] at an explicit tier (caller must check [`supported`]).
-#[inline]
-pub fn mix8_with(t: Tier, x: &mut [u64; 8]) {
-    dispatch!(t, mix8(x))
+    for v in x.iter_mut() {
+        *v = splitmix(*v);
+    }
 }
 
 /// Index of the first element equal to `needle`.
 #[inline]
 pub fn find_i16(hay: &[i16], needle: i16) -> Option<usize> {
-    if hay.len() < crossover::FIND_I16 {
-        return scalar::find_i16(hay, needle);
-    }
-    find_i16_with(tier(), hay, needle)
-}
-
-/// [`find_i16`] at an explicit tier.
-#[inline]
-pub fn find_i16_with(t: Tier, hay: &[i16], needle: i16) -> Option<usize> {
-    dispatch!(t, find_i16(hay, needle))
+    hay.iter().position(|&a| a == needle)
 }
 
 /// Index of the first element equal to `needle`.
 #[inline]
 pub fn find_u64(hay: &[u64], needle: u64) -> Option<usize> {
-    if hay.len() < crossover::FIND_U64 {
-        return scalar::find_u64(hay, needle);
-    }
-    find_u64_with(tier(), hay, needle)
-}
-
-/// [`find_u64`] at an explicit tier.
-#[inline]
-pub fn find_u64_with(t: Tier, hay: &[u64], needle: u64) -> Option<usize> {
-    dispatch!(t, find_u64(hay, needle))
+    hay.iter().position(|&a| a == needle)
 }
 
 /// Index of the first minimum (the `min_by_key` tie-break).
 #[inline]
 pub fn min_index_i8(v: &[i8]) -> Option<usize> {
-    if v.len() < crossover::MIN_INDEX_I8 {
-        return scalar::min_index_i8(v);
+    let mut best: Option<(usize, i8)> = None;
+    for (i, &x) in v.iter().enumerate() {
+        match best {
+            Some((_, b)) if b <= x => {}
+            _ => best = Some((i, x)),
+        }
     }
-    min_index_i8_with(tier(), v)
-}
-
-/// [`min_index_i8`] at an explicit tier.
-#[inline]
-pub fn min_index_i8_with(t: Tier, v: &[i8]) -> Option<usize> {
-    dispatch!(t, min_index_i8(v))
+    best.map(|(i, _)| i)
 }
 
 /// Index of the **last** maximum (the `max_by_key` tie-break).
 #[inline]
 pub fn max_index_last_i8(v: &[i8]) -> Option<usize> {
-    if v.len() < crossover::MAX_INDEX_LAST_I8 {
-        return scalar::max_index_last_i8(v);
+    let mut best: Option<(usize, i8)> = None;
+    for (i, &x) in v.iter().enumerate() {
+        match best {
+            Some((_, b)) if b > x => {}
+            _ => best = Some((i, x)),
+        }
     }
-    max_index_last_i8_with(tier(), v)
-}
-
-/// [`max_index_last_i8`] at an explicit tier.
-#[inline]
-pub fn max_index_last_i8_with(t: Tier, v: &[i8]) -> Option<usize> {
-    dispatch!(t, max_index_last_i8(v))
+    best.map(|(i, _)| i)
 }
 
 /// Index of the first minimum (the `min_by_key` tie-break).
 #[inline]
 pub fn min_index_u32(v: &[u32]) -> Option<usize> {
-    if v.len() < crossover::MIN_INDEX_U32 {
-        return scalar::min_index_u32(v);
+    let mut best: Option<(usize, u32)> = None;
+    for (i, &x) in v.iter().enumerate() {
+        match best {
+            Some((_, b)) if b <= x => {}
+            _ => best = Some((i, x)),
+        }
     }
-    min_index_u32_with(tier(), v)
-}
-
-/// [`min_index_u32`] at an explicit tier.
-#[inline]
-pub fn min_index_u32_with(t: Tier, v: &[u32]) -> Option<usize> {
-    dispatch!(t, min_index_u32(v))
+    best.map(|(i, _)| i)
 }
 
 /// Index of the first way with `valid[i] && tags[i] == needle`.
 /// `tags` and `valid` must have equal lengths.
+///
+/// The tag is compared first: it rejects almost every way on its own, so
+/// the `valid` lane is read only on a tag match.
 #[inline]
 pub fn find_valid_tag(tags: &[u64], valid: &[bool], needle: u64) -> Option<usize> {
-    if tags.len() < crossover::FIND_VALID_TAG {
-        assert_eq!(tags.len(), valid.len(), "tag/valid arrays must pair up");
-        return scalar::find_valid_tag(tags, valid, needle);
-    }
-    find_valid_tag_with(tier(), tags, valid, needle)
+    assert_eq!(tags.len(), valid.len(), "tag/valid arrays must pair up");
+    tags.iter().zip(valid).position(|(&t, &v)| t == needle && v)
 }
 
-/// [`find_valid_tag`] at an explicit tier.
+/// The LRU key of a way: invalid ways are free (key 0) and always beat
+/// valid ones, whose key is `lru + 1` (wrapping, so the contract is total
+/// over all of `u64` — real LRU ticks never reach the wrap).
 #[inline]
-pub fn find_valid_tag_with(t: Tier, tags: &[u64], valid: &[bool], needle: u64) -> Option<usize> {
-    assert_eq!(tags.len(), valid.len(), "tag/valid arrays must pair up");
-    dispatch!(t, find_valid_tag(tags, valid, needle))
+fn lru_key(valid: bool, lru: u64) -> u64 {
+    if valid {
+        lru.wrapping_add(1)
+    } else {
+        0
+    }
 }
 
 /// Replacement victim: index of the first way minimizing the LRU key
 /// `if valid { lru + 1 } else { 0 }` (invalid ways always win; ties go to
 /// the first way, matching `min_by_key`).
-///
-/// Always runs the scalar kernel: the AVX2 tier must materialize a key
-/// scratch array before its first-minimum rescan, and that setup loses to
-/// the branchy scalar loop even at 64 ways (~0.7x in `bench_accel`).
-/// [`victim_way_with`] still reaches the vector tiers for equivalence
-/// testing.
 #[inline]
 pub fn victim_way(valid: &[bool], lru: &[u64]) -> Option<usize> {
     assert_eq!(valid.len(), lru.len(), "valid/lru arrays must pair up");
-    scalar::victim_way(valid, lru)
-}
-
-/// [`victim_way`] at an explicit tier.
-#[inline]
-pub fn victim_way_with(t: Tier, valid: &[bool], lru: &[u64]) -> Option<usize> {
-    assert_eq!(valid.len(), lru.len(), "valid/lru arrays must pair up");
-    dispatch!(t, victim_way(valid, lru))
+    let mut best: Option<(usize, u64)> = None;
+    for i in 0..valid.len() {
+        let k = lru_key(valid[i], lru[i]);
+        match best {
+            Some((_, b)) if b <= k => {}
+            _ => best = Some((i, k)),
+        }
+    }
+    best.map(|(i, _)| i)
 }
 
 /// Gather `out[i] = table[min(idxs[i], table.len() - 1)]` — batch lookup of
@@ -353,20 +150,12 @@ pub fn victim_way_with(t: Tier, valid: &[bool], lru: &[u64]) -> Option<usize> {
 /// as `idxs`.
 #[inline]
 pub fn gather_i32(table: &[i32], idxs: &[u32], out: &mut [i32]) {
-    if idxs.len() < crossover::GATHER_I32 {
-        assert!(!table.is_empty(), "gather table must be non-empty");
-        assert!(out.len() >= idxs.len(), "gather output too short");
-        return scalar::gather_i32(table, idxs, out);
-    }
-    gather_i32_with(tier(), table, idxs, out)
-}
-
-/// [`gather_i32`] at an explicit tier.
-#[inline]
-pub fn gather_i32_with(t: Tier, table: &[i32], idxs: &[u32], out: &mut [i32]) {
     assert!(!table.is_empty(), "gather table must be non-empty");
     assert!(out.len() >= idxs.len(), "gather output too short");
-    dispatch!(t, gather_i32(table, idxs, out))
+    let last = table.len() - 1;
+    for (o, &idx) in out.iter_mut().zip(idxs) {
+        *o = table[(idx as usize).min(last)];
+    }
 }
 
 /// First `i` in `1..deltas.len()-1` with `deltas[i] == d1 &&
@@ -374,25 +163,10 @@ pub fn gather_i32_with(t: Tier, table: &[i32], idxs: &[u32], out: &mut [i32]) {
 /// at 1 because index 0 is the pair being correlated).
 #[inline]
 pub fn find_pair_i64(deltas: &[i64], d1: i64, d2: i64) -> Option<usize> {
-    if deltas.len() < crossover::FIND_PAIR_I64 {
-        return scalar::find_pair_i64(deltas, d1, d2);
+    if deltas.len() < 3 {
+        return None;
     }
-    find_pair_i64_with(tier(), deltas, d1, d2)
-}
-
-/// [`find_pair_i64`] at an explicit tier.
-#[inline]
-pub fn find_pair_i64_with(t: Tier, deltas: &[i64], d1: i64, d2: i64) -> Option<usize> {
-    dispatch!(t, find_pair_i64(deltas, d1, d2))
-}
-
-/// Every tier this host can run, scalar first (test helper: equivalence
-/// suites iterate it).
-pub fn available_tiers() -> Vec<Tier> {
-    [Tier::Scalar, Tier::Sse2, Tier::Avx2, Tier::Avx512]
-        .into_iter()
-        .filter(|&t| supported(t))
-        .collect()
+    (1..deltas.len() - 1).find(|&i| deltas[i] == d1 && deltas[i + 1] == d2)
 }
 
 #[cfg(test)]
@@ -400,41 +174,50 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scalar_is_always_supported() {
-        assert!(supported(Tier::Scalar));
-        assert!(available_tiers().contains(&Tier::Scalar));
+    fn mix8_reproduces_the_published_splitmix64_stream() {
+        // SplitMix64 seeded with 0 emits splitmix(k * golden) for
+        // k = 1, 2, ...; its published first outputs pin the finalizer.
+        let mut lanes: [u64; 8] =
+            std::array::from_fn(|k| (k as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        mix8(&mut lanes);
+        assert_eq!(
+            lanes[..3],
+            [
+                0xe220_a839_7b1d_cdaf,
+                0x6e78_9e6a_a1b9_65f4,
+                0x06c4_5d18_8009_454f
+            ]
+        );
     }
 
     #[test]
-    fn tier_is_stable_across_calls() {
-        assert_eq!(tier(), tier());
-        assert!(supported(tier()), "resolved tier must be executable");
+    fn victim_prefers_first_invalid_then_first_lru_min() {
+        assert_eq!(victim_way(&[true, false, false], &[1, 9, 9]), Some(1));
+        assert_eq!(victim_way(&[true, true, true], &[5, 2, 2]), Some(1));
+        assert_eq!(victim_way(&[], &[]), None);
     }
 
     #[test]
-    fn env_parse_accepts_the_documented_values() {
-        assert_eq!(Tier::from_env("scalar"), Some(Tier::Scalar));
-        assert_eq!(Tier::from_env("sse2"), Some(Tier::Sse2));
-        assert_eq!(Tier::from_env("avx2"), Some(Tier::Avx2));
-        assert_eq!(Tier::from_env("avx512"), Some(Tier::Avx512));
-        assert_eq!(Tier::from_env("auto"), None);
-        assert_eq!(Tier::from_env("neon"), None);
+    fn gather_clamps_to_the_tail_entry() {
+        let table = [10, 20, 30, 0];
+        let mut out = [0i32; 5];
+        gather_i32(&table, &[0, 2, 3, 4, 1000], &mut out);
+        assert_eq!(out, [10, 30, 0, 0, 0]);
     }
 
     #[test]
-    fn best_supported_is_ordered() {
-        assert!(best_supported() >= Tier::Scalar);
+    fn pair_scan_skips_index_zero_and_needs_a_successor() {
+        let d = [7i64, 7, 7, 9];
+        // i=0 excluded; i=1 matches (7,7)? deltas[1]=7, deltas[2]=7.
+        assert_eq!(find_pair_i64(&d, 7, 7), Some(1));
+        assert_eq!(find_pair_i64(&d, 7, 9), Some(2));
+        assert_eq!(find_pair_i64(&d, 9, 7), None);
+        assert_eq!(find_pair_i64(&[1, 2], 1, 2), None, "too short");
     }
 
     #[test]
-    fn dispatched_forms_match_scalar_on_a_smoke_input() {
-        let mut a = [1u64, 2, 3, 4, 5, 6, 7, u64::MAX];
-        let mut b = a;
-        mix8(&mut a);
-        scalar::mix8(&mut b);
-        assert_eq!(a, b);
-        assert_eq!(find_i16(&[3, -1, 7, -1], -1), Some(1));
-        assert_eq!(min_index_i8(&[4, -2, -2, 9]), Some(1));
-        assert_eq!(max_index_last_i8(&[4, 9, 9, -2]), Some(2));
+    #[should_panic(expected = "must pair up")]
+    fn tag_probe_rejects_mismatched_lanes() {
+        find_valid_tag(&[1, 2], &[true], 1);
     }
 }

@@ -1,104 +1,108 @@
-//! Property suite pinning every SIMD tier to the scalar reference
-//! bit-for-bit, over tie-dense and rail-heavy inputs: small alphabets so
-//! duplicate minima/maxima (where tie-break order matters) and matches in
-//! both vector-body and padded-tail positions occur constantly.
+//! Property suite pinning every kernel to a plain iterator reference, over
+//! tie-dense and rail-heavy inputs: small alphabets so duplicate
+//! minima/maxima (where tie-break order matters) and repeated matches
+//! occur constantly, plus the integer rails.
 
 use proptest::prelude::*;
-use semloc_accel::{available_tiers, Tier};
-
-/// Every tier the host can execute, asserted against scalar.
-fn tiers() -> Vec<Tier> {
-    let t = available_tiers();
-    assert!(t.contains(&Tier::Scalar));
-    t
-}
 
 fn score_i8() -> impl Strategy<Value = i8> {
     prop_oneof![Just(i8::MIN), Just(i8::MAX), -2i8..3, any::<i8>(),]
 }
 
+/// First index equal to `needle`, as an indexed scan.
+fn find_ref<T: PartialEq>(hay: &[T], needle: T) -> Option<usize> {
+    (0..hay.len()).find(|&i| hay[i] == needle)
+}
+
+/// The valid-first probe the tag-first kernel replaced.
+fn find_valid_tag_ref(tags: &[u64], valid: &[bool], needle: u64) -> Option<usize> {
+    (0..tags.len()).find(|&i| valid[i] && tags[i] == needle)
+}
+
+fn min_index_ref<T: Ord>(v: &[T]) -> Option<usize> {
+    v.iter().enumerate().min_by_key(|&(_, x)| x).map(|(i, _)| i)
+}
+
+fn max_index_last_ref<T: Ord>(v: &[T]) -> Option<usize> {
+    v.iter().enumerate().max_by_key(|&(_, x)| x).map(|(i, _)| i)
+}
+
+fn victim_way_ref(valid: &[bool], lru: &[u64]) -> Option<usize> {
+    valid
+        .iter()
+        .zip(lru)
+        .enumerate()
+        .min_by_key(|&(_, (&v, &l))| if v { l.wrapping_add(1) } else { 0 })
+        .map(|(i, _)| i)
+}
+
+fn gather_i32_ref(table: &[i32], idxs: &[u32]) -> Vec<i32> {
+    idxs.iter()
+        .map(|&i| table[(i as usize).min(table.len() - 1)])
+        .collect()
+}
+
+fn find_pair_i64_ref(deltas: &[i64], d1: i64, d2: i64) -> Option<usize> {
+    deltas
+        .windows(2)
+        .enumerate()
+        .skip(1)
+        .find(|(_, w)| w[0] == d1 && w[1] == d2)
+        .map(|(i, _)| i)
+}
+
 proptest! {
     #[test]
-    fn mix8_matches_scalar_on_every_tier(vals in collection::vec(any::<u64>(), 8..9)) {
-        let mut reference: [u64; 8] = vals.clone().try_into().unwrap();
-        semloc_accel::mix8_with(Tier::Scalar, &mut reference);
-        for t in tiers() {
-            let mut got: [u64; 8] = vals.clone().try_into().unwrap();
-            semloc_accel::mix8_with(t, &mut got);
-            prop_assert_eq!(got, reference, "tier {:?}", t);
-        }
-    }
-
-    #[test]
-    fn find_i16_matches_scalar_on_every_tier(
+    fn find_i16_matches_an_indexed_scan(
         hay in collection::vec(-3i16..4, 0..40),
         needle in -3i16..4,
     ) {
-        let want = semloc_accel::find_i16_with(Tier::Scalar, &hay, needle);
-        for t in tiers() {
-            prop_assert_eq!(semloc_accel::find_i16_with(t, &hay, needle), want, "tier {:?}", t);
-        }
+        prop_assert_eq!(semloc_accel::find_i16(&hay, needle), find_ref(&hay, needle));
     }
 
     #[test]
-    fn find_u64_matches_scalar_on_every_tier(
+    fn find_u64_matches_an_indexed_scan(
         hay in collection::vec(0u64..6, 0..24),
         needle in 0u64..6,
     ) {
-        let want = semloc_accel::find_u64_with(Tier::Scalar, &hay, needle);
-        for t in tiers() {
-            prop_assert_eq!(semloc_accel::find_u64_with(t, &hay, needle), want, "tier {:?}", t);
-        }
+        prop_assert_eq!(semloc_accel::find_u64(&hay, needle), find_ref(&hay, needle));
     }
 
     #[test]
-    fn min_index_i8_matches_scalar_on_every_tier(v in collection::vec(score_i8(), 0..72)) {
-        let want = semloc_accel::min_index_i8_with(Tier::Scalar, &v);
-        for t in tiers() {
-            prop_assert_eq!(semloc_accel::min_index_i8_with(t, &v), want, "tier {:?}", t);
-        }
+    fn min_index_i8_matches_min_by_key(v in collection::vec(score_i8(), 0..72)) {
+        prop_assert_eq!(semloc_accel::min_index_i8(&v), min_index_ref(&v));
     }
 
     #[test]
-    fn max_index_last_i8_matches_scalar_on_every_tier(v in collection::vec(score_i8(), 0..72)) {
-        let want = semloc_accel::max_index_last_i8_with(Tier::Scalar, &v);
-        for t in tiers() {
-            prop_assert_eq!(semloc_accel::max_index_last_i8_with(t, &v), want, "tier {:?}", t);
-        }
+    fn max_index_last_i8_matches_max_by_key(v in collection::vec(score_i8(), 0..72)) {
+        prop_assert_eq!(semloc_accel::max_index_last_i8(&v), max_index_last_ref(&v));
     }
 
     #[test]
-    fn min_index_u32_matches_scalar_on_every_tier(
+    fn min_index_u32_matches_min_by_key(
         v in collection::vec(
             prop_oneof![Just(0u32), Just(u32::MAX), 0u32..4, any::<u32>()],
             0..40,
         )
     ) {
-        let want = semloc_accel::min_index_u32_with(Tier::Scalar, &v);
-        for t in tiers() {
-            prop_assert_eq!(semloc_accel::min_index_u32_with(t, &v), want, "tier {:?}", t);
-        }
+        prop_assert_eq!(semloc_accel::min_index_u32(&v), min_index_ref(&v));
     }
 
     #[test]
-    fn find_valid_tag_matches_scalar_on_every_tier(
+    fn find_valid_tag_matches_the_valid_first_probe(
         ways in collection::vec((0u64..5, any::<bool>()), 0..24),
         needle in 0u64..5,
     ) {
         let tags: Vec<u64> = ways.iter().map(|w| w.0).collect();
         let valid: Vec<bool> = ways.iter().map(|w| w.1).collect();
-        let want = semloc_accel::find_valid_tag_with(Tier::Scalar, &tags, &valid, needle);
-        for t in tiers() {
-            prop_assert_eq!(
-                semloc_accel::find_valid_tag_with(t, &tags, &valid, needle),
-                want,
-                "tier {:?}", t
-            );
-        }
+        prop_assert_eq!(
+            semloc_accel::find_valid_tag(&tags, &valid, needle),
+            find_valid_tag_ref(&tags, &valid, needle)
+        );
     }
 
     #[test]
-    fn victim_way_matches_scalar_on_every_tier(
+    fn victim_way_matches_min_by_key_of_the_lru_key(
         ways in collection::vec(
             (any::<bool>(), prop_oneof![0u64..4, Just(u64::MAX), any::<u64>()]),
             0..24,
@@ -106,47 +110,37 @@ proptest! {
     ) {
         let valid: Vec<bool> = ways.iter().map(|w| w.0).collect();
         let lru: Vec<u64> = ways.iter().map(|w| w.1).collect();
-        let want = semloc_accel::victim_way_with(Tier::Scalar, &valid, &lru);
-        for t in tiers() {
-            prop_assert_eq!(semloc_accel::victim_way_with(t, &valid, &lru), want, "tier {:?}", t);
-        }
+        prop_assert_eq!(semloc_accel::victim_way(&valid, &lru), victim_way_ref(&valid, &lru));
     }
 
     #[test]
-    fn gather_i32_matches_scalar_on_every_tier(
+    fn gather_i32_matches_clamped_indexing(
         table in collection::vec(any::<i32>(), 1..50),
         idxs in collection::vec(prop_oneof![0u32..64, Just(u32::MAX)], 0..40),
     ) {
-        let mut want = vec![0i32; idxs.len()];
-        semloc_accel::gather_i32_with(Tier::Scalar, &table, &idxs, &mut want);
-        for t in tiers() {
-            let mut got = vec![0i32; idxs.len()];
-            semloc_accel::gather_i32_with(t, &table, &idxs, &mut got);
-            prop_assert_eq!(&got, &want, "tier {:?}", t);
-        }
+        let mut got = vec![0i32; idxs.len()];
+        semloc_accel::gather_i32(&table, &idxs, &mut got);
+        prop_assert_eq!(got, gather_i32_ref(&table, &idxs));
     }
 
     #[test]
-    fn find_pair_i64_matches_scalar_on_every_tier(
+    fn find_pair_i64_matches_a_windows_scan_from_one(
         deltas in collection::vec(-2i64..3, 0..40),
         d1 in -2i64..3,
         d2 in -2i64..3,
     ) {
-        let want = semloc_accel::find_pair_i64_with(Tier::Scalar, &deltas, d1, d2);
-        for t in tiers() {
-            prop_assert_eq!(
-                semloc_accel::find_pair_i64_with(t, &deltas, d1, d2),
-                want,
-                "tier {:?}", t
-            );
-        }
+        prop_assert_eq!(
+            semloc_accel::find_pair_i64(&deltas, d1, d2),
+            find_pair_i64_ref(&deltas, d1, d2)
+        );
     }
 }
 
-/// The edge lengths the random vectors may under-sample: exactly at, one
-/// below, and one above each vector width used by the tiers.
+/// The edge lengths the random vectors may under-sample, including the
+/// production shapes (4-link CST entries, 8- and 16-way sets, 64-deep GHB
+/// walks) and one either side of each.
 #[test]
-fn boundary_lengths_agree_on_every_tier() {
+fn boundary_lengths_match_the_references() {
     for n in [
         0usize, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65,
     ] {
@@ -154,42 +148,58 @@ fn boundary_lengths_agree_on_every_tier() {
         let u32s: Vec<u32> = (0..n).map(|i| ((i * 29) % 7) as u32).collect();
         let u64s: Vec<u64> = (0..n).map(|i| ((i * 13) % 5) as u64).collect();
         let i16s: Vec<i16> = (0..n).map(|i| ((i * 7) % 9) as i16 - 4).collect();
+        let i64s: Vec<i64> = (0..n).map(|i| ((i * 11) % 3) as i64 - 1).collect();
         let valid: Vec<bool> = (0..n).map(|i| i % 3 != 0).collect();
-        for t in available_tiers() {
+        let idxs: Vec<u32> = (0..n).map(|i| (i * 3) as u32).collect();
+        let table: Vec<i32> = (0..17).map(|i| i * 10 - 80).collect();
+        assert_eq!(
+            semloc_accel::min_index_i8(&i8s),
+            min_index_ref(&i8s),
+            "min_index_i8 len {n}"
+        );
+        assert_eq!(
+            semloc_accel::max_index_last_i8(&i8s),
+            max_index_last_ref(&i8s),
+            "max_index_last_i8 len {n}"
+        );
+        assert_eq!(
+            semloc_accel::min_index_u32(&u32s),
+            min_index_ref(&u32s),
+            "min_index_u32 len {n}"
+        );
+        assert_eq!(
+            semloc_accel::victim_way(&valid, &u64s),
+            victim_way_ref(&valid, &u64s),
+            "victim_way len {n}"
+        );
+        let mut out = vec![0i32; n];
+        semloc_accel::gather_i32(&table, &idxs, &mut out);
+        assert_eq!(out, gather_i32_ref(&table, &idxs), "gather_i32 len {n}");
+        for needle in 0..6 {
             assert_eq!(
-                semloc_accel::min_index_i8_with(t, &i8s),
-                semloc_accel::min_index_i8_with(Tier::Scalar, &i8s),
-                "min_index_i8 len {n} tier {t:?}"
+                semloc_accel::find_u64(&u64s, needle),
+                find_ref(&u64s, needle),
+                "find_u64 len {n} needle {needle}"
             );
             assert_eq!(
-                semloc_accel::max_index_last_i8_with(t, &i8s),
-                semloc_accel::max_index_last_i8_with(Tier::Scalar, &i8s),
-                "max_index_last_i8 len {n} tier {t:?}"
+                semloc_accel::find_valid_tag(&u64s, &valid, needle),
+                find_valid_tag_ref(&u64s, &valid, needle),
+                "find_valid_tag len {n} needle {needle}"
             );
+        }
+        for needle in -4..5 {
             assert_eq!(
-                semloc_accel::min_index_u32_with(t, &u32s),
-                semloc_accel::min_index_u32_with(Tier::Scalar, &u32s),
-                "min_index_u32 len {n} tier {t:?}"
+                semloc_accel::find_i16(&i16s, needle),
+                find_ref(&i16s, needle),
+                "find_i16 len {n} needle {needle}"
             );
-            for needle in 0..6 {
-                assert_eq!(
-                    semloc_accel::find_u64_with(t, &u64s, needle),
-                    semloc_accel::find_u64_with(Tier::Scalar, &u64s, needle),
-                    "find_u64 len {n} needle {needle} tier {t:?}"
-                );
-                assert_eq!(
-                    semloc_accel::find_valid_tag_with(t, &u64s, &valid, needle),
-                    semloc_accel::find_valid_tag_with(Tier::Scalar, &u64s, &valid, needle),
-                    "find_valid_tag len {n} needle {needle} tier {t:?}"
-                );
-            }
-            for needle in -4..5 {
-                assert_eq!(
-                    semloc_accel::find_i16_with(t, &i16s, needle),
-                    semloc_accel::find_i16_with(Tier::Scalar, &i16s, needle),
-                    "find_i16 len {n} needle {needle} tier {t:?}"
-                );
-            }
+        }
+        for (d1, d2) in [(-1, 0), (0, 1), (1, -1), (1, 1), (-1, -1)] {
+            assert_eq!(
+                semloc_accel::find_pair_i64(&i64s, d1, d2),
+                find_pair_i64_ref(&i64s, d1, d2),
+                "find_pair_i64 len {n} pair ({d1}, {d2})"
+            );
         }
     }
 }

@@ -34,4 +34,4 @@ pub use reward::{
     BellReward, GaussianPenaltyReward, PythiaLevelReward, RewardFunction, RewardLut, RewardShape,
     StepReward,
 };
-pub use scored::{Action, ScoredSet};
+pub use scored::ScoredSet;

@@ -19,42 +19,13 @@ pub enum Replacement {
     Fifo,
 }
 
-/// An action storable in a [`ScoredSet`]: the membership scan is routed
-/// through a per-type accelerated kernel (first-match, identical to
-/// `Iterator::position`). `Default` supplies the filler for unused slots —
-/// never observable, since every read is bounded by the live length.
-pub trait Action: Copy + Eq + Default {
-    /// First index of `needle` in `hay`, or `None`.
-    fn find(hay: &[Self], needle: Self) -> Option<usize>;
-}
-
-impl Action for i16 {
-    fn find(hay: &[Self], needle: Self) -> Option<usize> {
-        semloc_accel::find_i16(hay, needle)
-    }
-}
-
-impl Action for u64 {
-    fn find(hay: &[Self], needle: Self) -> Option<usize> {
-        semloc_accel::find_u64(hay, needle)
-    }
-}
-
-impl Action for i8 {
-    // No dedicated SIMD kernel: the simulator's sets key on i16 deltas and
-    // u64 blocks; i8 actions only appear in property tests.
-    fn find(hay: &[Self], needle: Self) -> Option<usize> {
-        hay.iter().position(|&a| a == needle)
-    }
-}
-
 /// Up to `N` scored candidate actions.
 ///
 /// Stored structure-of-arrays: the score scan of an eviction or a
 /// best-candidate probe touches one small contiguous array instead of
-/// striding over interleaved slots, and each scan vectorizes through
-/// `semloc_accel` (actions, scores and ages are split exactly so those
-/// kernels see flat lanes).
+/// striding over interleaved slots. `A: Default` supplies the filler for
+/// unused slots — never observable, since every read is bounded by the
+/// live length.
 ///
 /// ```rust
 /// use semloc_bandit::ScoredSet;
@@ -75,13 +46,13 @@ pub struct ScoredSet<A, const N: usize> {
     clock: u32,
 }
 
-impl<A: Action, const N: usize> Default for ScoredSet<A, N> {
+impl<A: Copy + Eq + Default, const N: usize> Default for ScoredSet<A, N> {
     fn default() -> Self {
         Self::new(Replacement::default())
     }
 }
 
-impl<A: Action, const N: usize> ScoredSet<A, N> {
+impl<A: Copy + Eq + Default, const N: usize> ScoredSet<A, N> {
     /// An empty set with the given replacement policy.
     pub fn new(policy: Replacement) -> Self {
         ScoredSet {
@@ -107,7 +78,7 @@ impl<A: Action, const N: usize> ScoredSet<A, N> {
     /// Index of `action` among the live slots, if stored.
     #[inline]
     fn position(&self, action: A) -> Option<usize> {
-        A::find(&self.actions[..self.len()], action)
+        self.actions[..self.len()].iter().position(|&a| a == action)
     }
 
     /// Insert `action` with score 0 if not already present. When full, the

@@ -17,6 +17,7 @@
 use std::sync::Arc;
 
 use semloc_harness::{run_resumable, CkptPayload, CkptStore, Engine, PrefetcherKind, SimConfig};
+use semloc_trace::{fnv1a, FNV_OFFSET};
 use semloc_workloads::{capture_kernel, kernel_by_name, ReplayKernel};
 
 /// Same pinned fingerprint as `golden_digest.rs` / `checkpoint_golden.rs`.
@@ -42,13 +43,9 @@ fn replay_of(name: &str, budget: u64) -> ReplayKernel {
 
 /// FNV-1a fold of per-cell digests, mirroring `Matrix::stats_digest`.
 fn fold(digests: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for d in digests {
-        for b in d.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
+    digests
+        .iter()
+        .fold(FNV_OFFSET, |h, d| fnv1a(h, &d.to_le_bytes()))
 }
 
 fn interrupted(store: &CkptStore, cfg: &SimConfig) {

@@ -4,7 +4,7 @@
 //! max 2.8×), and the context prefetcher's margin over the best competitor
 //! (paper: ~76% higher average speedup, SMS the runner-up).
 
-use semloc_bench::{banner, full_lineup, geomean, run_matrix};
+use semloc_bench::{banner, full_lineup, run_matrix};
 use semloc_harness::{report, SimConfig, Table};
 use semloc_workloads::{all_kernels, Suite};
 
@@ -81,12 +81,12 @@ fn main() {
             "n/a".into()
         },
     );
-    let _ = geomean([1.0]);
 
-    if let Ok(path) = std::env::var("SEMLOC_CSV") {
-        match std::fs::write(&path, m.to_csv()) {
-            Ok(()) => eprintln!("wrote raw matrix CSV to {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
+    if let Some(path) = std::env::var("SEMLOC_CSV").ok().filter(|p| !p.is_empty()) {
+        if let Err(e) = std::fs::write(&path, m.to_csv()) {
+            eprintln!("fig12_speedup: cannot write SEMLOC_CSV={path}: {e}");
+            std::process::exit(1);
         }
+        eprintln!("wrote raw matrix CSV to {path}");
     }
 }

@@ -10,19 +10,11 @@
 //!   [`semloc_mem::Cache`] uses one flat slice;
 //! * [`LegacyContextPrefetcher`] — the original `on_access` pipeline:
 //!   two-pass context hashing (`FullHash::of` + `ContextKey::of`), a fresh
-//!   ranking `Vec` per prediction with a second sort, and the linear queue.
-//!
-//! The acceleration PR (`bench_accel`) adds replicas of the structures it
-//! rewrote:
-//!
+//!   ranking `Vec` per prediction with a second sort, and the linear queue;
 //! * [`LegacyScoredSet`] — interleaved `Vec<Slot>` storage with iterator
 //!   scans, where [`semloc_bandit::ScoredSet`] splits actions/scores/ages
-//!   into flat lanes;
-//! * [`legacy_ghb_correlate`] — the original GHB delta-correlation step:
-//!   two fresh `Vec` allocations and a scalar pair scan per chain walk;
-//! * [`legacy_parallel_map`] — the original fixed-count work queue
-//!   (scoped threads + atomic next-index + one shared results mutex),
-//!   where the harness now runs [`semloc_harness::run_sharded`].
+//!   into flat lanes (`tests::legacy_scored_set_matches_soa` checks the
+//!   production set against it).
 //!
 //! The replicas share the CST/reducer/history/exploration implementations
 //! with the optimized prefetcher, so any timing difference is attributable
@@ -145,7 +137,7 @@ struct Slot<A> {
     score: i8,
 }
 
-/// The pre-acceleration `ScoredSet`: one interleaved `Vec<Slot>`, every
+/// The original `ScoredSet`: one interleaved `Vec<Slot>`, every
 /// scan an iterator walk over ~7-byte-strided slots.
 #[derive(Clone, Debug)]
 pub struct LegacyScoredSet<A, const N: usize> {
@@ -205,84 +197,6 @@ impl<A: Copy + Eq, const N: usize> LegacyScoredSet<A, N> {
             .max_by_key(|s| s.score)
             .map(|s| (s.action, s.score))
     }
-}
-
-/// The pre-acceleration GHB delta-correlation step: given one chain walk's
-/// block addresses, allocate a fresh delta vector, scan it for the lead
-/// pair, and fold the replay targets the DC path would issue. The
-/// optimized path keeps both buffers as prefetcher scratch and routes the
-/// pair scan through `semloc_accel::find_pair_i64`.
-pub fn legacy_ghb_correlate(blocks: &[u64], degree: usize) -> u64 {
-    if blocks.len() < 4 {
-        return 0;
-    }
-    let deltas: Vec<i64> = blocks
-        .windows(2)
-        .map(|w| w[0] as i64 - w[1] as i64)
-        .collect();
-    let (d1, d2) = (deltas[0], deltas[1]);
-    let Some(i) = (1..deltas.len() - 1).find(|&i| deltas[i] == d1 && deltas[i + 1] == d2) else {
-        return 0;
-    };
-    let mut target = blocks[0] as i64;
-    let mut acc = 0u64;
-    for j in (0..i).rev().take(degree) {
-        target += deltas[j];
-        acc = acc.wrapping_add(target as u64);
-    }
-    acc
-}
-
-/// The optimized counterpart of [`legacy_ghb_correlate`]: caller-owned
-/// scratch and the accelerated pair scan, same fold.
-pub fn sharded_ghb_correlate(blocks: &[u64], degree: usize, scratch: &mut Vec<i64>) -> u64 {
-    if blocks.len() < 4 {
-        return 0;
-    }
-    scratch.clear();
-    scratch.extend(blocks.windows(2).map(|w| w[0] as i64 - w[1] as i64));
-    let (d1, d2) = (scratch[0], scratch[1]);
-    let Some(i) = semloc_accel::find_pair_i64(scratch, d1, d2) else {
-        return 0;
-    };
-    let mut target = blocks[0] as i64;
-    let mut acc = 0u64;
-    for j in (0..i).rev().take(degree) {
-        target += scratch[j];
-        acc = acc.wrapping_add(target as u64);
-    }
-    acc
-}
-
-/// The pre-acceleration parallel runner: `threads` scoped workers pulling
-/// jobs off one atomic next-index counter and pushing results through a
-/// single shared mutex (completion order). Results are re-sorted to job
-/// order afterwards, exactly as `Matrix::run_parallel_with_store` did by
-/// re-keying its result map.
-pub fn legacy_parallel_map<J: Sync, R: Send>(
-    threads: usize,
-    jobs: &[J],
-    run: impl Fn(&J) -> R + Sync,
-) -> Vec<R> {
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let results: std::sync::Mutex<Vec<(usize, R)>> =
-        std::sync::Mutex::new(Vec::with_capacity(jobs.len()));
-    std::thread::scope(|scope| {
-        for _ in 0..threads.max(1) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(job) = jobs.get(i) else { break };
-                let r = run(job);
-                results
-                    .lock()
-                    .expect("no panics hold the lock")
-                    .push((i, r));
-            });
-        }
-    });
-    let mut out = results.into_inner().expect("workers finished");
-    out.sort_by_key(|&(i, _)| i);
-    out.into_iter().map(|(_, r)| r).collect()
 }
 
 #[derive(Clone, Copy, Debug, Default)]
@@ -720,36 +634,6 @@ mod tests {
                 }
                 _ => assert_eq!(legacy.best(), soa.best()),
             }
-        }
-    }
-
-    #[test]
-    fn ghb_correlate_replicas_agree() {
-        let mut state = 0x5151_u64;
-        let mut scratch = Vec::new();
-        for len in [0usize, 3, 4, 9, 24, 48, 64] {
-            let blocks: Vec<u64> = (0..len)
-                .map(|_| {
-                    state ^= state << 13;
-                    state ^= state >> 7;
-                    state ^= state << 17;
-                    0x1000 + state % 7 // few distinct deltas => pairs recur
-                })
-                .collect();
-            assert_eq!(
-                legacy_ghb_correlate(&blocks, 4),
-                sharded_ghb_correlate(&blocks, 4, &mut scratch),
-                "len {len}"
-            );
-        }
-    }
-
-    #[test]
-    fn legacy_parallel_map_preserves_job_order() {
-        let jobs: Vec<u64> = (0..257).collect();
-        for threads in [1, 2, 8] {
-            let got = legacy_parallel_map(threads, &jobs, |&j| j * 3);
-            assert_eq!(got, jobs.iter().map(|j| j * 3).collect::<Vec<_>>());
         }
     }
 

@@ -100,9 +100,8 @@ impl FeatureVec {
     #[inline]
     pub fn extract(ctx: &AccessContext, block_shift: u32) -> Self {
         // The 8 independent inner mixes `mix(feature_i ⊕ salt_i)` go
-        // through one SIMD SplitMix64 batch; only the (inherently serial)
-        // full-chain fold stays scalar. `mix8`'s lanes are exactly
-        // `Attr::COUNT` wide.
+        // through one `mix8` batch; only the full-chain fold is serial.
+        // `mix8`'s lanes are exactly `Attr::COUNT` wide.
         const { assert!(Attr::COUNT == 8) };
         let mut mixed = [0u64; Attr::COUNT];
         for (i, attr) in Attr::ORDER.into_iter().enumerate() {

@@ -166,7 +166,7 @@ impl FeatureExtractor for FeatureSet {
 
     fn extract(&self, ctx: &AccessContext, block_shift: u32) -> ExtractedFeatures {
         if *self == FeatureSet::FullTable1 {
-            // The hot default keeps the SIMD-batched single-pass extractor.
+            // The hot default keeps the batched single-pass extractor.
             let fv = FeatureVec::extract(ctx, block_shift);
             return ExtractedFeatures {
                 mixed: *fv.mixed(),

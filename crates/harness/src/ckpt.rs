@@ -39,7 +39,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use semloc_trace::FaultPlan;
+use semloc_trace::{fnv1a, FaultPlan, FNV_OFFSET};
 
 use crate::knob::env_knob;
 
@@ -48,17 +48,6 @@ pub const CKPT_MAGIC: [u8; 8] = *b"SEMLOCKP";
 
 /// Current `SEMLOC-CKPT` format version.
 pub const CKPT_VERSION: u32 = 1;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// What a checkpoint file holds.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -97,7 +86,7 @@ pub fn encode_ckpt(kind: &CkptPayload, fingerprint: u64) -> Vec<u8> {
     out.extend_from_slice(payload);
     out.push(0xFF);
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    let checksum = fnv1a(&out);
+    let checksum = fnv1a(FNV_OFFSET, &out);
     out.extend_from_slice(&checksum.to_le_bytes());
     out
 }
@@ -124,7 +113,7 @@ pub fn decode_ckpt(bytes: &[u8], fingerprint: u64) -> Option<CkptPayload> {
     }
     let checksum_at = bytes.len() - 8;
     let stored = u64::from_le_bytes(bytes[checksum_at..].try_into().unwrap());
-    if fnv1a(&bytes[..checksum_at]) != stored {
+    if fnv1a(FNV_OFFSET, &bytes[..checksum_at]) != stored {
         return None;
     }
     let len_at = checksum_at - 8;

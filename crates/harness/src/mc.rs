@@ -12,9 +12,9 @@
 //! schedules and configuration (never of wall-clock or thread timing), the
 //! per-core clock skew is bounded by one quantum, and the golden-digest
 //! discipline extends to multi-core runs: the same composed scenario pins
-//! the same digest across `SEMLOC_POOL_THREADS` and every `SEMLOC_ACCEL`
-//! tier. Cores step decoded blocks like the single-core engine, but gate
-//! every instruction on the quantum horizon, so block stepping leaves the
+//! the same digest across every `SEMLOC_POOL_THREADS` pool size. Cores
+//! step decoded blocks like the single-core engine, but gate every
+//! instruction on the quantum horizon, so block stepping leaves the
 //! interleaving a pure function of simulated time.
 //!
 //! Checkpointing follows the single-core engine's contract: an

@@ -5,7 +5,7 @@ use std::io;
 use semloc_context::{ContextConfig, ContextPrefetcher, ContextStats};
 use semloc_cpu::{Cpu, CpuStats};
 use semloc_mem::{Hierarchy, MemStats, Prefetcher, PrefetcherStats};
-use semloc_trace::{snap_err, SnapReader, SnapWriter, Snapshot};
+use semloc_trace::{fnv1a, snap_err, SnapReader, SnapWriter, Snapshot, FNV_OFFSET};
 use semloc_workloads::{Kernel, ReplayKernel};
 
 use crate::ckpt::{CkptPayload, CkptStore};
@@ -208,20 +208,17 @@ pub(crate) struct Digest(u64);
 
 impl Digest {
     pub(crate) fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
+        Digest(FNV_OFFSET)
     }
 
     pub(crate) fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
+        self.0 = fnv1a(self.0, &v.to_le_bytes());
     }
 
+    /// Fold `s` plus a `0xff` terminator (never a UTF-8 byte), so adjacent
+    /// strings cannot run together.
     pub(crate) fn str(&mut self, s: &str) {
-        for b in s.bytes() {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
-        self.0 = (self.0 ^ 0xff).wrapping_mul(0x100_0000_01b3);
+        self.0 = fnv1a(fnv1a(self.0, s.as_bytes()), &[0xff]);
     }
 
     pub(crate) fn finish(&self) -> u64 {

@@ -7,11 +7,11 @@
 //!
 //! The multi-core engine steps cores round-robin over a fixed cycle
 //! quantum, gating every instruction on the horizon, so these digests must
-//! be identical across `SEMLOC_POOL_THREADS` and every `SEMLOC_ACCEL`
-//! tier — the CI `interference` job re-runs this test under those
-//! environments to prove it. If a future change
-//! *intends* to alter multi-core behaviour, update the constants with the
-//! values printed by the failing assertion and record why in CHANGES.md.
+//! be identical across `SEMLOC_POOL_THREADS` pool sizes — the CI
+//! `interference` job re-runs this test with 1 and 8 pool threads to prove
+//! it. If a future change *intends* to alter multi-core behaviour, update
+//! the constants with the values printed by the failing assertion and
+//! record why in CHANGES.md.
 
 use std::sync::Arc;
 

@@ -1,6 +1,5 @@
 //! The rule set: D1–D5 from launch, D6 (no-float-in-stats-accumulation)
-//! from the block-replay work, D7 (unsafe-audit) from the acceleration
-//! layer, and the item-model rules D8–D11 (snapshot field coverage,
+//! from the block-replay work, D7 (unsafe-audit), and the item-model rules D8–D11 (snapshot field coverage,
 //! RefCell borrow discipline, the env-var registry, stale pragmas).
 //!
 //! Each rule documents *why* it exists in its `explain` text (shown by
@@ -156,14 +155,14 @@ never reaches a digest or report may be kept with a pragma:
         severity: Severity::Deny,
         summary: "every unsafe block needs an adjacent safety-argument pragma",
         explain: "\
-The acceleration layer (crates/accel) is the only place the workspace
-uses `unsafe` — SIMD pointer intrinsics and `#[target_feature]` dispatch.
-Each such block is trusted code on the bit-identical hot path: a missed
-bounds argument corrupts simulation state silently instead of panicking,
-which the golden digest would only catch after the fact. Every `unsafe {`
-block in non-test code must therefore carry its safety argument right
-next to it, machine-checkably, as a pragma on the same line or the line
-above:
+The workspace has one `unsafe` block: the `_mm_prefetch` cache hints
+in `DecodedTrace::prefetch_block` (crates/trace/src/decoded.rs). Any
+`unsafe` block is trusted code on the bit-identical hot path: a missed
+bounds argument corrupts simulation state silently instead of
+panicking, which the golden digest would only catch after the fact.
+Every `unsafe {` block in non-test code must therefore carry its
+safety argument right next to it, machine-checkably, as a pragma on the
+same line or the line above:
   // semloc-lint: allow(unsafe-audit): <why the operation is sound>
 The argument should name the invariant that makes the operation in the
 block sound (e.g. which bounds check covers a raw load, or why a CPU

@@ -55,7 +55,7 @@ pub use emit::{Emitter, PcAlloc};
 pub use fault::{Fault, FaultPlan, ShortWriter};
 pub use hints::{RefForm, SemanticHints};
 pub use instr::{Instr, InstrKind, Reg};
-pub use record::{TraceReader, TraceWriter};
+pub use record::{fnv1a, TraceReader, TraceWriter, FNV_OFFSET};
 pub use sink::{CountingSink, RecordingSink, TraceSink};
 pub use snap::{snap_err, SnapReader, SnapWriter, Snapshot};
 

@@ -23,14 +23,26 @@ const K_STORE: u8 = 2;
 const K_BRANCH: u8 = 3;
 const K_NOP: u8 = 4;
 
-/// FNV-1a offset basis; the checksum accumulator starts here.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a offset basis; every FNV-1a accumulator starts here.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0100_0000_01b3;
 
 /// Fold `bytes` into an FNV-1a accumulator. Every step is a bijection of
 /// the accumulator state, so two streams differing in any byte keep
 /// differing hashes no matter what identical suffix follows.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+///
+/// Trace and checkpoint checksums, stats digests and engine fingerprints
+/// all fold through this function.
+///
+/// ```rust
+/// use semloc_trace::{fnv1a, FNV_OFFSET};
+///
+/// // Folding in pieces equals folding the concatenation.
+/// assert_eq!(fnv1a(fnv1a(FNV_OFFSET, b"sem"), b"loc"), fnv1a(FNV_OFFSET, b"semloc"));
+/// assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+/// ```
+#[inline]
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(FNV_PRIME);
