@@ -8,8 +8,6 @@
 use semloc_harness::{Matrix, PrefetcherKind, SimConfig};
 use semloc_workloads::KernelBox;
 
-pub mod legacy;
-
 /// Print a standard figure banner: what the paper shows, what to compare.
 pub fn banner(id: &str, title: &str, paper: &str) {
     println!("==============================================================");

@@ -449,25 +449,18 @@ pub(crate) fn run_baseline_priming_probe(
     r
 }
 
-/// [`run_kernel`] without the trace store: re-runs the workload generator
-/// for this cell (and for the calibration probe). This is the pre-store
-/// behaviour, kept as the baseline side of `bench_compare`'s
-/// replay-vs-regenerate rows and for store-equivalence tests.
+/// [`run_kernel`] without the trace store: drives the workload generator
+/// directly for this cell (and for the calibration probe), with no capture,
+/// replay, result memo or checkpoint. Tests use it as the reference that
+/// every store-backed path must reproduce bit for bit.
 pub fn run_kernel_uncached(
     kernel: &dyn Kernel,
     prefetcher: &PrefetcherKind,
     config: &SimConfig,
 ) -> RunResult {
     if let PrefetcherKind::ContextCalibrated(base) = prefetcher {
-        let probe_cfg = SimConfig {
-            instr_budget: (config.instr_budget / 4).clamp(40_000, 150_000),
-            ..config.clone()
-        };
-        let probe = run_kernel_uncached(kernel, &PrefetcherKind::None, &probe_cfg);
-        let penalty = config.mem.l1_miss_penalty(probe.mem.l2_miss_rate());
-        let target = penalty * probe.cpu.ipc() * probe.cpu.mem_fraction();
-        let calibrated = PrefetcherKind::Context(base.clone().calibrated(target));
-        return run_kernel_uncached(kernel, &calibrated, config);
+        let probe = simulate(kernel, &PrefetcherKind::None, &probe_config(config));
+        return simulate(kernel, &calibrate(base, &probe, config), config);
     }
     simulate(kernel, prefetcher, config)
 }

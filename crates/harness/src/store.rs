@@ -53,8 +53,6 @@ pub struct TraceStore {
     /// binaries share repeated cells (every sweep re-runs the no-prefetch
     /// baseline and the default-context column) through this map.
     results: Mutex<HashMap<String, RunResult>>,
-    /// Memoization opt-out for benchmarks measuring the un-memoized cost.
-    disable_result_memo: bool,
     /// On-disk cache directory (`SEMLOC_TRACE_DIR`), if configured.
     dir: Option<PathBuf>,
     hits: AtomicU64,
@@ -90,18 +88,6 @@ impl TraceStore {
     pub fn with_dir(dir: impl Into<PathBuf>) -> Self {
         TraceStore {
             dir: Some(dir.into()),
-            ..Self::default()
-        }
-    }
-
-    /// An in-memory store with full-run result memoization disabled: every
-    /// [`run_kernel_with_store`](crate::run_kernel_with_store) call
-    /// simulates its cell even when an identical cell already ran. This is
-    /// the "before" side of `bench_compare`'s warm-state rows; traces are
-    /// still captured once (the pre-memo behaviour).
-    pub fn without_result_memo() -> Self {
-        TraceStore {
-            disable_result_memo: true,
             ..Self::default()
         }
     }
@@ -223,12 +209,9 @@ impl TraceStore {
 
     /// Memoized full-run result for `key` (built by the runner from the
     /// kernel's trace key, the prefetcher kind, and the config — the same
-    /// identity the golden digest pins), if one was stored and memoization
-    /// is enabled. Counts a result hit or miss either way.
+    /// identity the golden digest pins), if one was stored. Counts a result
+    /// hit or miss either way.
     pub fn result(&self, key: &str) -> Option<RunResult> {
-        if self.disable_result_memo {
-            return None;
-        }
         let r = self
             .results
             .lock()
@@ -246,9 +229,6 @@ impl TraceStore {
     /// insert first; determinism makes either copy correct, so the first
     /// insertion wins.
     pub fn memoize_result(&self, key: &str, r: &RunResult) {
-        if self.disable_result_memo {
-            return;
-        }
         self.results
             .lock()
             .expect("no panics hold the lock")

@@ -314,6 +314,7 @@ pub fn ablation_variants() -> Vec<AblationVariant> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::Matrix;
     use semloc_workloads::kernel_by_name;
 
     #[test]
@@ -330,29 +331,43 @@ mod tests {
     fn sweep_reuses_memoized_results() {
         let kernels = vec![kernel_by_name("list").unwrap()];
         let cfg = SimConfig::quick();
-        // Memo off: every run simulates.
-        let off = TraceStore::without_result_memo();
-        let pts_off = storage_sweep_with_store(&off, &kernels, &[256, 1024], &cfg, |_| {});
-        // Memo on: identical points...
-        let on = TraceStore::new();
-        let pts_on = storage_sweep_with_store(&on, &kernels, &[256, 1024], &cfg, |_| {});
-        for (a, b) in pts_off.iter().zip(&pts_on) {
+        let sizes = [256, 1024];
+        // A fresh store: every cell the sweep needs simulates.
+        let cold = TraceStore::new();
+        let pts_cold = storage_sweep_with_store(&cold, &kernels, &sizes, &cfg, |_| {});
+        // A store where the matrix already ran the baseline and default
+        // context cells: the sweep takes both from the memo, bit for bit...
+        let warm = TraceStore::new();
+        Matrix::run_with_store(&warm, &kernels, &[PrefetcherKind::context()], &cfg, |_| {});
+        let (hits_before, _) = warm.result_stats();
+        let pts_warm = storage_sweep_with_store(&warm, &kernels, &sizes, &cfg, |_| {});
+        let (hits_after, _) = warm.result_stats();
+        assert_eq!(
+            hits_after - hits_before,
+            2,
+            "the sweep must reuse the matrix's baseline and context cells"
+        );
+        assert_eq!(pts_cold.len(), pts_warm.len());
+        for (a, b) in pts_cold.iter().zip(&pts_warm) {
             assert_eq!(
                 a.all.to_bits(),
                 b.all.to_bits(),
-                "memoization changed results"
+                "memoized matrix cells changed the sweep"
             );
             assert_eq!(a.top10.to_bits(), b.top10.to_bits());
         }
         // ...and a second sweep over the same store simulates nothing new.
-        let (_, misses_before) = on.result_stats();
-        storage_sweep_with_store(&on, &kernels, &[256, 1024], &cfg, |_| {});
-        let (hits, misses_after) = on.result_stats();
+        let (_, misses_before) = warm.result_stats();
+        storage_sweep_with_store(&warm, &kernels, &sizes, &cfg, |_| {});
+        let (hits, misses_after) = warm.result_stats();
         assert_eq!(
             misses_after, misses_before,
             "second sweep must be memo-only"
         );
-        assert!(hits >= 4, "baseline + context runs must hit the memo");
+        assert!(
+            hits - hits_after >= 4,
+            "baseline + context runs must hit the memo"
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! | id | alias | what it denies |
 //! |----|-------|----------------|
 //! | `no-std-hash-collections` | d1 | `HashMap`/`HashSet` in sim-state crates |
-//! | `no-wall-clock`           | d2 | `Instant`/`SystemTime` outside bench/criterion |
+//! | `no-wall-clock`           | d2 | `Instant`/`SystemTime` outside bench and `benches/` |
 //! | `no-unwrap`               | d3 | `unwrap`/`expect`/`panic!` in sim-crate library code |
 //! | `snapshot-coverage`       | d4 | run-state structs missing from checkpointing |
 //! | `paper-constants`         | d5 | drift from the paper's Table 2 structural constants |
@@ -116,7 +116,7 @@ pub enum FileKind {
     Bin,
     /// Integration tests under `tests/`.
     TestsDir,
-    /// Criterion benches under `benches/`.
+    /// Bench targets under `benches/`.
     Benches,
     /// Examples under `examples/`.
     Examples,
@@ -188,9 +188,8 @@ pub const MANIFEST_REL_PATH: &str = "crates/lint/snapshot_manifest.txt";
 pub const ENV_REGISTRY_REL_PATH: &str = "crates/lint/env_registry.txt";
 
 /// Vendored stand-ins for third-party crates: not our code, not scanned
-/// (the criterion stub legitimately reads wall-clock time, and the stubs
-/// mirror external APIs rather than project conventions).
-const VENDOR_STUBS: &[&str] = &["rand", "proptest", "criterion"];
+/// (the stubs mirror external APIs rather than project conventions).
+const VENDOR_STUBS: &[&str] = &["rand", "proptest"];
 
 /// Load every scannable `.rs` file under the workspace root.
 pub fn load_workspace(root: &Path) -> io::Result<Workspace> {

@@ -22,8 +22,8 @@ use crate::{FileKind, Finding, LexData, Severity, SourceFile};
 /// state in these crates can silently break golden digests.
 pub const SIM_CRATES: &[&str] = &["core", "mem", "cpu", "bandit", "baselines", "spec", "trace"];
 
-/// Crates allowed to read wall-clock time (measurement harnesses).
-pub const WALL_CLOCK_CRATES: &[&str] = &["bench", "criterion"];
+/// Crates allowed to read wall-clock time (the measurement harness).
+pub const WALL_CLOCK_CRATES: &[&str] = &["bench"];
 
 /// Crates sharing `Rc<RefCell<…>>` state (the shared-L2 handle), where
 /// rule D9 polices guard lifetimes.
@@ -64,11 +64,11 @@ Scope: library and binary code of sim crates; #[cfg(test)] code is exempt
         id: "no-wall-clock",
         alias: "d2",
         severity: Severity::Deny,
-        summary: "no Instant::now/SystemTime outside bench/criterion",
+        summary: "no Instant::now/SystemTime outside the bench crate and benches/ targets",
         explain: "\
 Wall-clock reads make simulation output depend on host timing. The
-simulator models its own clock; only the measurement crates (bench,
-criterion) and benches/ targets may read real time. Everywhere else,
+simulator models its own clock; only the measurement crate (bench, home
+of semloc-perf) and benches/ targets may read real time. Everywhere else,
 Instant and SystemTime are denied — including test code, where a timing
 assertion would be flaky by construction.",
     },
@@ -368,7 +368,7 @@ pub fn check_file(file: &SourceFile, lexed: &LexData) -> Vec<Finding> {
                 Severity::Deny,
                 file,
                 t,
-                format!("wall-clock type `{name}` outside bench/criterion: simulation output must not depend on host time"),
+                format!("wall-clock type `{name}` outside the bench crate and benches/ targets: simulation output must not depend on host time"),
             ));
         }
 

@@ -137,7 +137,7 @@ fn d2_applies_even_in_test_code() {
 fn d2_exempts_bench_crates_and_bench_targets() {
     let src = "fn f() { let _ = std::time::Instant::now(); }\n";
     assert!(findings_for("bench", FileKind::LibSrc, src).is_empty());
-    assert!(findings_for("criterion", FileKind::LibSrc, src).is_empty());
+    assert!(findings_for("bench", FileKind::Bin, src).is_empty());
     assert!(findings_for("core", FileKind::Benches, src).is_empty());
 }
 

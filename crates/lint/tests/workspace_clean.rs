@@ -134,8 +134,7 @@ fn vendored_stubs_are_not_scanned() {
         !ws.files
             .iter()
             .any(|f| f.rel_path.starts_with("crates/rand/")
-                || f.rel_path.starts_with("crates/proptest/")
-                || f.rel_path.starts_with("crates/criterion/")),
+                || f.rel_path.starts_with("crates/proptest/")),
         "vendor stubs mirror external APIs and must stay out of the scan"
     );
 }

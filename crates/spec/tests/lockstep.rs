@@ -244,6 +244,33 @@ fn random_stream(n: usize, seed: u64) -> Vec<AccessContext> {
     out
 }
 
+/// Strided, pointer-like (with link hints) and noise accesses interleaved
+/// one by one, on bare contexts whose registers and branch history carry
+/// a xorshift state.
+fn interleaved_stream(n: u64) -> Vec<AccessContext> {
+    let mut state = 0xfeed_5eed_u64;
+    (0..n)
+        .map(|seq| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let addr = match seq % 3 {
+                0 => 0x10_0000 + seq * 64,
+                1 => 0x80_0000 + (seq % 97) * 160,
+                _ => 0x100_0000 + (state % (1 << 22)),
+            };
+            let mut c = AccessContext::bare(seq, 0x400 + (seq % 3) * 0x10, addr, seq % 7 == 0);
+            c.reg1 = addr >> 5;
+            c.branch_history = state as u16;
+            c.last_loaded = state;
+            if seq % 3 == 1 {
+                c.hints = Some(SemanticHints::link(2, 8));
+            }
+            c
+        })
+        .collect()
+}
+
 #[test]
 fn lockstep_stride_default_config() {
     run_lockstep(
@@ -268,6 +295,15 @@ fn lockstep_random_default_config() {
         ContextConfig::default(),
         "random/default",
         &random_stream(3000, 33),
+    );
+}
+
+#[test]
+fn lockstep_interleaved_default_config() {
+    run_lockstep(
+        ContextConfig::default(),
+        "interleaved/default",
+        &interleaved_stream(20_000),
     );
 }
 
