@@ -4,9 +4,9 @@
 //!
 //! * **hash mixing** — [`mix8`], the SplitMix64 finalizer applied to the 8
 //!   per-attribute lanes of a `FeatureVec` extraction;
-//! * **scored-set scans** — [`find_i16`], [`find_u64`], [`min_index_i8`],
-//!   [`max_index_last_i8`], [`min_index_u32`]: the CST link search,
-//!   victim-select and best-candidate reductions;
+//! * **scored-set scans** — [`min_index_i8`], [`max_index_last_i8`],
+//!   [`min_index_u32`]: the CST victim-select and best-candidate
+//!   reductions;
 //! * **cache tag probes** — [`find_valid_tag`] and [`victim_way`] over a
 //!   set-major SoA cache array;
 //! * **reward gathers** — [`gather_i32`], batch evaluation of the
@@ -21,8 +21,19 @@
 //! 8- and 16-way sets) hand-written vector tiers did not pay end to end;
 //! DESIGN.md §13 has the measurement.
 
-// Mirror of semloc-lint rule D3 (no-unwrap); D1/D2 are mirrored via clippy.toml.
-#![warn(clippy::unwrap_used, clippy::expect_used)]
+// No panic paths in library code; tests, bins and examples are exempt.
+// `clippy::unreachable` has no in-tests exemption, hence the `cfg_attr`.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 /// The kernels' implementation: always [`Tier::Scalar`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,18 +62,6 @@ pub fn mix8(x: &mut [u64; 8]) {
     for v in x.iter_mut() {
         *v = splitmix(*v);
     }
-}
-
-/// Index of the first element equal to `needle`.
-#[inline]
-pub fn find_i16(hay: &[i16], needle: i16) -> Option<usize> {
-    hay.iter().position(|&a| a == needle)
-}
-
-/// Index of the first element equal to `needle`.
-#[inline]
-pub fn find_u64(hay: &[u64], needle: u64) -> Option<usize> {
-    hay.iter().position(|&a| a == needle)
 }
 
 /// Index of the first minimum (the `min_by_key` tie-break).

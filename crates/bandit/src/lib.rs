@@ -20,8 +20,19 @@
 //! * [`MultiArmedBandit`] — the classical model the paper generalizes,
 //!   kept here for reference, tests and examples.
 
-// Mirror of semloc-lint rule D3 (no-unwrap); D1/D2 are mirrored via clippy.toml.
-#![warn(clippy::unwrap_used, clippy::expect_used)]
+// No panic paths in library code; tests, bins and examples are exempt.
+// `clippy::unreachable` has no in-tests exemption, hence the `cfg_attr`.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod mab;
 pub mod policy;

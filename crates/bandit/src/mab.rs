@@ -55,15 +55,17 @@ impl<P: ExplorationPolicy> MultiArmedBandit<P> {
     }
 
     /// The arm with the highest value estimate.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "estimates are incremental means of finite rewards, never NaN, and \
+                  constructors reject zero-arm bandits"
+    )]
     pub fn greedy(&self) -> usize {
         self.values
             .iter()
             .enumerate()
-            // semloc-lint: allow(no-unwrap): estimates are incremental means of finite rewards, never NaN
             .max_by(|a, b| a.1.partial_cmp(b.1).expect("value estimates are finite"))
             .map(|(i, _)| i)
-            // semloc-lint: allow(no-unwrap): constructors reject zero-arm bandits
             .expect("at least one arm")
     }
 

@@ -84,7 +84,10 @@ impl<A: Copy + Eq + Default, const N: usize> ScoredSet<A, N> {
     /// Insert `action` with score 0 if not already present. When full, the
     /// replacement policy selects a victim. Returns the evicted action and
     /// its score, if any.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "eviction path only runs when the set is full"
+    )]
     pub fn insert(&mut self, action: A) -> Option<(A, i8)> {
         self.clock = self.clock.wrapping_add(1);
         if self.position(action).is_some() {
@@ -99,12 +102,12 @@ impl<A: Copy + Eq + Default, const N: usize> ScoredSet<A, N> {
             return None;
         }
         let victim = match self.policy {
-            Replacement::LowestScore => semloc_accel::min_index_i8(&self.scores)
-                // semloc-lint: allow(no-unwrap): eviction path only runs when the set is full
-                .expect("full set is non-empty"),
-            Replacement::Fifo => semloc_accel::min_index_u32(&self.inserted_at)
-                // semloc-lint: allow(no-unwrap): eviction path only runs when the set is full
-                .expect("full set is non-empty"),
+            Replacement::LowestScore => {
+                semloc_accel::min_index_i8(&self.scores).expect("full set is non-empty")
+            }
+            Replacement::Fifo => {
+                semloc_accel::min_index_u32(&self.inserted_at).expect("full set is non-empty")
+            }
         };
         let evicted = (self.actions[victim], self.scores[victim]);
         self.actions[victim] = action;

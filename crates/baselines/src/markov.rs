@@ -60,7 +60,7 @@ impl MarkovPrefetcher {
         ((h as usize) & (self.table.len() - 1), (block >> 5) as u16)
     }
 
-    #[allow(clippy::expect_used)]
+    #[expect(clippy::expect_used, reason = "SUCCESSORS is a const > 0")]
     fn learn(&mut self, from: u64, to: u64) {
         let (idx, tag) = self.slot(from);
         let e = &mut self.table[idx];
@@ -82,7 +82,6 @@ impl MarkovPrefetcher {
         // Replace the weakest successor.
         let weakest = (0..SUCCESSORS)
             .min_by_key(|&i| e.count[i])
-            // semloc-lint: allow(no-unwrap): SUCCESSORS is a const > 0
             .expect("non-empty successor list");
         e.succ[weakest] = to;
         e.count[weakest] = 1;

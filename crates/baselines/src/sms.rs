@@ -107,7 +107,10 @@ impl Prefetcher for SmsPrefetcher {
         "sms"
     }
 
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "both evictions run only when len >= capacity >= 1 was just checked"
+    )]
     fn on_access(
         &mut self,
         ctx: &AccessContext,
@@ -137,7 +140,6 @@ impl Prefetcher for SmsPrefetcher {
                     .enumerate()
                     .min_by_key(|(_, g)| g.last_use)
                     .map(|(i, _)| i)
-                    // semloc-lint: allow(no-unwrap): len >= agt_capacity >= 1 was just checked
                     .expect("AGT at capacity is non-empty");
                 let done = self.agt.swap_remove(oldest);
                 self.archive(done);
@@ -169,7 +171,6 @@ impl Prefetcher for SmsPrefetcher {
                 .enumerate()
                 .min_by_key(|(_, g)| g.last_use)
                 .map(|(i, _)| i)
-                // semloc-lint: allow(no-unwrap): len >= filter_capacity >= 1 was just checked
                 .expect("filter at capacity is non-empty");
             let done = self.filter.swap_remove(oldest);
             self.archive(done);

@@ -4,7 +4,6 @@ use semloc_bandit::scored::Replacement;
 use semloc_bandit::{AdaptiveEpsilon, BellReward, RewardShape};
 
 use crate::features::FeatureSet;
-use crate::policy::PolicyKind;
 
 /// All tunables of the [`ContextPrefetcher`](crate::ContextPrefetcher).
 ///
@@ -13,7 +12,7 @@ use crate::policy::PolicyKind;
 /// queue, 32-byte operating granularity (§7.3) and the 18–50-access reward
 /// window.
 #[derive(Clone, Debug)]
-// semloc-lint: allow(snapshot-coverage): configuration template only — cloned into the live policy, whose copy is covered via bandit/AdaptiveEpsilon
+// semloc-lint: allow(snapshot-coverage): configuration template only — cloned into the live prefetcher, whose exploration state is covered via bandit/AdaptiveEpsilon
 pub struct ContextConfig {
     /// Context-states-table entries (power of two). Table 2: 2K.
     pub cst_entries: usize,
@@ -34,8 +33,6 @@ pub struct ContextConfig {
     pub reward: RewardShape,
     /// Which features form the context (Table 1 by default).
     pub features: FeatureSet,
-    /// Which learning backend binds contexts to candidates.
-    pub policy: PolicyKind,
     /// Exploration policy (accuracy-adaptive ε-greedy).
     pub exploration: AdaptiveEpsilon,
     /// Initial number of active attributes per reducer entry (prefix of
@@ -85,7 +82,6 @@ impl Default for ContextConfig {
             sample_depths: vec![4, 12, 20, 30, 40, 50],
             reward: RewardShape::PaperBell(BellReward::paper_default()),
             features: FeatureSet::FullTable1,
-            policy: PolicyKind::CstBandit,
             exploration: AdaptiveEpsilon::paper_default(),
             initial_active: 4,
             overload_threshold: 3,
@@ -206,12 +202,10 @@ mod tests {
 
     #[test]
     fn default_validates_and_matches_table2_scale() {
+        // The Table 2 values themselves are pinned by the spec crate's
+        // `table2_constants_match_the_paper`.
         let c = ContextConfig::default();
         c.validate();
-        assert_eq!(c.cst_entries, 2048);
-        assert_eq!(c.reducer_entries, 16 * 1024);
-        assert_eq!(c.history_len, 50);
-        assert_eq!(c.pfq_len, 128);
         // Table 2 reports ~31 kB; our honest accounting of the same
         // structures lands within ~25% of it.
         let kb = c.storage_bytes() as f64 / 1024.0;

@@ -92,7 +92,10 @@ impl ContextStatesTable {
 
     /// Insert a candidate delta for `key` (data collection). Allocates the
     /// entry on a tag miss.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "insert into a full set without a matching slot always evicts"
+    )]
     pub fn add_candidate(&mut self, key: ContextKey, delta: i16) -> AddOutcome {
         let idx = self.slot(key);
         let tag = key.cst_tag();
@@ -109,7 +112,6 @@ impl ContextStatesTable {
             return AddOutcome::Allocated;
         }
         if e.links.len() == LINKS && e.links.score_of(delta).is_none() {
-            // semloc-lint: allow(no-unwrap): insert into a full set without a matching slot always evicts
             let (_, score) = e.links.insert(delta).expect("full entry evicts");
             AddOutcome::Evicted(score)
         } else {

@@ -40,8 +40,19 @@
 //! assert!(mem.prefetcher().storage_bytes() < 40 * 1024);
 //! ```
 
-// Mirror of semloc-lint rule D3 (no-unwrap); D1/D2 are mirrored via clippy.toml.
-#![warn(clippy::unwrap_used, clippy::expect_used)]
+// No panic paths in library code; tests, bins and examples are exempt.
+// `clippy::unreachable` has no in-tests exemption, hence the `cfg_attr`.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod attrs;
 pub mod config;
@@ -50,7 +61,6 @@ pub mod features;
 pub mod history;
 pub mod pfq;
 pub mod pipeline;
-pub mod policy;
 pub mod prefetcher;
 pub mod reducer;
 pub mod stats;
@@ -62,7 +72,6 @@ pub use features::{ExtractedFeatures, FeatureExtractor, FeatureSet};
 pub use history::HistoryQueue;
 pub use pfq::PrefetchQueue;
 pub use pipeline::PipelineConfig;
-pub use policy::{CstBanditPolicy, LearnedPolicy, PolicyKind};
 pub use prefetcher::ContextPrefetcher;
 pub use reducer::Reducer;
 pub use semloc_bandit::RewardShape;

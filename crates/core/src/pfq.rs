@@ -25,8 +25,10 @@
 //!   so hits are emitted in exactly the order the scan produced them.
 //!   Freed id lists are pooled to keep the hot path allocation-free.
 
-#[allow(clippy::disallowed_types)] // mirror of the semloc-lint pragma below on BlockIndex
-// semloc-lint: allow(no-std-hash-collections): fixed-seed BlockHasher; keyed access only (see BlockIndex)
+#[expect(
+    clippy::disallowed_types,
+    reason = "fixed-seed BlockHasher; keyed access only (see BlockIndex)"
+)]
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -89,14 +91,16 @@ impl Hasher for BlockHasher {
     }
 }
 
-/// Hot-path block → id index. A std HashMap is allowed here (rule D1)
-/// because the hasher is the fixed-seed [`BlockHasher`] (no per-process
+/// Hot-path block → id index. A std HashMap is allowed here because the
+/// hasher is the fixed-seed [`BlockHasher`] (no per-process
 /// randomization), every read is keyed, the index is rebuilt from the
 /// deque on restore rather than serialized, and the only iteration
 /// ([`PrefetchQueue::drain`]) recycles cleared buffers whose order is
 /// unobservable — so iteration order can never reach stats or output.
-#[allow(clippy::disallowed_types)]
-// semloc-lint: allow(no-std-hash-collections): fixed-seed hasher, keyed access, order never observable
+#[expect(
+    clippy::disallowed_types,
+    reason = "fixed-seed hasher, keyed access, order never observable"
+)]
 type BlockIndex = HashMap<u64, Vec<u64>, BuildHasherDefault<BlockHasher>>;
 
 /// Fixed-capacity queue of outstanding predictions (Table 2: 128 entries).
@@ -204,7 +208,11 @@ impl PrefetchQueue {
 
     /// Match a demand access against the queue: every un-hit entry
     /// predicting `block` is marked hit and returned with its depth.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "index lists cover exactly the live un-hit entries, so a hit implies a \
+                  non-empty deque; silent divergence here would be worse than the panic"
+    )]
     pub fn record_access(&mut self, block: u64, seq: Seq, out: &mut Vec<PfqHit>) {
         let Some(mut ids) = self.index.remove(&block) else {
             return;
@@ -212,7 +220,6 @@ impl PrefetchQueue {
         let front = self
             .entries
             .front()
-            // semloc-lint: allow(no-unwrap): index lists cover exactly the live un-hit entries, so a hit implies a non-empty deque; silent divergence here would be worse than the panic
             .expect("indexed entry implies non-empty queue")
             .id;
         for &id in &ids {
@@ -235,7 +242,10 @@ impl PrefetchQueue {
     /// Whether an un-hit *real* (dispatched) prefetch covers `block` —
     /// the dedup check before issuing another real prefetch. Shadow
     /// entries must not suppress a real dispatch.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "same index-covers-live-entries invariant as record_access"
+    )]
     pub fn predicts_real(&self, block: u64) -> bool {
         let Some(ids) = self.index.get(&block) else {
             return false;
@@ -243,7 +253,6 @@ impl PrefetchQueue {
         let front = self
             .entries
             .front()
-            // semloc-lint: allow(no-unwrap): same index-covers-live-entries invariant as record_access
             .expect("indexed entry implies non-empty queue")
             .id;
         ids.iter()

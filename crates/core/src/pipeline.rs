@@ -2,16 +2,14 @@
 //!
 //! A [`PipelineConfig`] names one point in the design space the trait
 //! layers open up: a feature selection ([`FeatureSet`]), a reward shape
-//! ([`RewardShape`]), a learning backend ([`PolicyKind`]) and a table
-//! geometry. [`PipelineConfig::default`] composes exactly the paper's
-//! pipeline — the golden digest pins that composition bit-identical to
-//! the pre-refactor prefetcher.
+//! ([`RewardShape`]) and a CST geometry. [`PipelineConfig::default`]
+//! composes exactly the paper's pipeline — the golden digest pins that
+//! composition bit-identical to the pre-refactor prefetcher.
 
 use semloc_bandit::RewardShape;
 
 use crate::config::ContextConfig;
 use crate::features::{FeatureExtractor, FeatureSet};
-use crate::policy::PolicyKind;
 use crate::prefetcher::ContextPrefetcher;
 
 /// One composition of the configurable pipeline axes.
@@ -22,8 +20,6 @@ pub struct PipelineConfig {
     pub features: FeatureSet,
     /// Reward shape over hit depth.
     pub reward: RewardShape,
-    /// Learning backend.
-    pub policy: PolicyKind,
     /// CST entries override; `None` keeps the Table-2 geometry (2K
     /// entries, reducer at 8×).
     pub cst_entries: Option<usize>,
@@ -35,12 +31,9 @@ impl PipelineConfig {
         let base = ContextConfig::default();
         let entries = self.cst_entries.unwrap_or(base.cst_entries);
         format!(
-            "{}+{}+{}{}",
+            "{}+{}+cst{}",
             self.features.name(),
             self.reward.label(),
-            match self.policy {
-                PolicyKind::CstBandit => "cst",
-            },
             entries
         )
     }
@@ -51,7 +44,6 @@ impl PipelineConfig {
     pub fn apply(&self, mut base: ContextConfig) -> ContextConfig {
         base.features = self.features;
         base.reward = self.reward.clone();
-        base.policy = self.policy;
         match self.cst_entries {
             Some(entries) => base.with_cst_entries(entries),
             None => base,
@@ -86,7 +78,6 @@ mod tests {
             features: FeatureSet::PcDeltas,
             reward: GaussianPenaltyReward::snippet_default().into(),
             cst_entries: Some(4096),
-            ..PipelineConfig::default()
         };
         assert_eq!(cell.label(), "pc+deltas+gauss-pen+cst4096");
     }

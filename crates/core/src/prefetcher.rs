@@ -28,7 +28,6 @@ use crate::cst::{AddOutcome, ContextStatesTable};
 use crate::features::FeatureExtractor;
 use crate::history::{HistoryEntry, HistoryQueue};
 use crate::pfq::{PfqEntry, PfqHit, PrefetchQueue};
-use crate::policy::{CstBanditPolicy, LearnedPolicy};
 use crate::reducer::Reducer;
 use crate::stats::ContextStats;
 
@@ -51,15 +50,9 @@ use crate::stats::ContextStats;
 /// }
 /// assert!(pf.learn_stats().hits > 0, "the stride stream is learned");
 /// ```
-///
-/// The learning backend is a type parameter (default: the paper's
-/// [`CstBanditPolicy`]), so alternative [`LearnedPolicy`] implementations
-/// reuse the whole feedback/collection/prediction loop. `ContextPrefetcher`
-/// written without arguments is the default composition — bit-identical to
-/// the pre-refactor pipeline.
-pub struct ContextPrefetcher<P: LearnedPolicy = CstBanditPolicy> {
+pub struct ContextPrefetcher {
     cfg: ContextConfig,
-    policy: P,
+    cst: ContextStatesTable,
     reducer: Reducer,
     history: HistoryQueue,
     pfq: PrefetchQueue,
@@ -78,34 +71,16 @@ pub struct ContextPrefetcher<P: LearnedPolicy = CstBanditPolicy> {
 }
 
 impl ContextPrefetcher {
-    /// Build the default-composition prefetcher (CST + contextual bandit)
-    /// from its configuration.
+    /// Build the prefetcher from its configuration.
     ///
     /// # Panics
     ///
     /// Panics if the configuration fails [`ContextConfig::validate`].
     pub fn new(cfg: ContextConfig) -> Self {
-        let policy = CstBanditPolicy::new(&cfg);
-        ContextPrefetcher::with_policy(policy, cfg)
-    }
-
-    /// The context-states table (for inspection/diagnostics).
-    pub fn cst(&self) -> &ContextStatesTable {
-        self.policy.table()
-    }
-}
-
-impl<P: LearnedPolicy> ContextPrefetcher<P> {
-    /// Build a prefetcher around an explicit learning backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails [`ContextConfig::validate`].
-    pub fn with_policy(policy: P, cfg: ContextConfig) -> Self {
         cfg.validate();
         let reward_lut = RewardLut::new(&cfg.reward);
         ContextPrefetcher {
-            policy,
+            cst: ContextStatesTable::new(cfg.cst_entries, cfg.replacement),
             reducer: Reducer::new(
                 cfg.reducer_entries,
                 cfg.initial_active,
@@ -137,9 +112,9 @@ impl<P: LearnedPolicy> ContextPrefetcher<P> {
         &self.stats
     }
 
-    /// The learning backend (for inspection/diagnostics).
-    pub fn policy(&self) -> &P {
-        &self.policy
+    /// The context-states table (for inspection/diagnostics).
+    pub fn cst(&self) -> &ContextStatesTable {
+        &self.cst
     }
 
     /// The reducer (for inspection/diagnostics).
@@ -153,7 +128,7 @@ impl<P: LearnedPolicy> ContextPrefetcher<P> {
         let expiry = self.cfg.reward.expiry();
         for e in self.pfq.drain() {
             if !e.hit {
-                self.policy.reward(e.key, e.delta, expiry);
+                self.cst.reward(e.key, e.delta, expiry);
                 self.stats.expired += 1;
             }
         }
@@ -187,9 +162,9 @@ impl<P: LearnedPolicy> ContextPrefetcher<P> {
                 // Late hits only shortened a wait (the demand merged into
                 // the in-flight fill): partial credit, capped so it can
                 // never outrank fully timely candidates.
-                self.policy.reward_capped(h.entry.key, h.entry.delta, r, 32);
+                self.cst.reward_capped(h.entry.key, h.entry.delta, r, 32);
             } else {
-                self.policy.reward(h.entry.key, h.entry.delta, r);
+                self.cst.reward(h.entry.key, h.entry.delta, r);
             }
             self.stats.hits += 1;
             self.stats.depth_cdf.record(h.depth);
@@ -236,7 +211,7 @@ impl<P: LearnedPolicy> ContextPrefetcher<P> {
             }
             let delta = delta64 as i16;
             self.stats.collected += 1;
-            match self.policy.add_candidate(e.key, delta) {
+            match self.cst.add_candidate(e.key, delta) {
                 // Only the loss of a *proven* candidate signals that too
                 // many useful predictions compete for this reduced context;
                 // churn among unproven candidates is ordinary exploration.
@@ -262,10 +237,11 @@ impl<P: LearnedPolicy> ContextPrefetcher<P> {
         out: &mut Vec<PrefetchReq>,
     ) {
         let mut ranked = std::mem::take(&mut self.rank_buf);
-        if !self.policy.ranked_into(key, &mut ranked) {
+        let Some(links) = self.cst.lookup(key) else {
             self.rank_buf = ranked;
             return;
-        }
+        };
+        links.ranked_into(&mut ranked);
         // Rank by score, tie-breaking saturated scores toward the
         // deeper-reaching delta: with equal evidence, more distance hides
         // more latency. One stable sort over slot order — equivalent to
@@ -354,7 +330,7 @@ impl<P: LearnedPolicy> ContextPrefetcher<P> {
     fn expire(&mut self, expired: Option<PfqEntry>) {
         if let Some(e) = expired {
             if !e.hit {
-                self.policy.reward(e.key, e.delta, self.cfg.reward.expiry());
+                self.cst.reward(e.key, e.delta, self.cfg.reward.expiry());
                 self.stats.expired += 1;
                 self.cfg.exploration.observe(false);
             }
@@ -362,7 +338,7 @@ impl<P: LearnedPolicy> ContextPrefetcher<P> {
     }
 }
 
-impl<P: LearnedPolicy + 'static> Prefetcher for ContextPrefetcher<P> {
+impl Prefetcher for ContextPrefetcher {
     fn name(&self) -> &'static str {
         "context"
     }
@@ -390,7 +366,7 @@ impl<P: LearnedPolicy + 'static> Prefetcher for ContextPrefetcher<P> {
         // 2b. Ref-count overload (§5): a reduced context shared by many
         // distinct full contexts while predicting weakly should split.
         if self
-            .policy
+            .cst
             .note_shared_weak(key, full.0, self.cfg.split_strength_bar)
         {
             self.reducer.report_overload(full);
@@ -437,8 +413,7 @@ impl<P: LearnedPolicy + 'static> Prefetcher for ContextPrefetcher<P> {
     fn save_state(&self, w: &mut SnapWriter) {
         // v2: the composition axes (feature set, reward shape) are stamped
         // ahead of the payload so a checkpoint can never silently restore
-        // into a differently-composed pipeline; the policy's own section
-        // tag guards the backend kind the same way.
+        // into a differently-composed pipeline.
         w.section(*b"CTXP", 2);
         self.cfg.features.save(w);
         self.cfg.reward.save(w);
@@ -447,7 +422,7 @@ impl<P: LearnedPolicy + 'static> Prefetcher for ContextPrefetcher<P> {
         // hit_buf/rank_buf are scratch cleared before each use and are
         // restored empty.
         self.cfg.exploration.save(w);
-        self.policy.save(w);
+        self.cst.save(w);
         self.reducer.save(w);
         self.history.save(w);
         self.pfq.save(w);
@@ -478,7 +453,7 @@ impl<P: LearnedPolicy + 'static> Prefetcher for ContextPrefetcher<P> {
             )));
         }
         self.cfg.exploration.restore(r)?;
-        self.policy.restore(r)?;
+        self.cst.restore(r)?;
         self.reducer.restore(r)?;
         self.history.restore(r)?;
         self.pfq.restore(r)?;
@@ -495,11 +470,10 @@ impl<P: LearnedPolicy + 'static> Prefetcher for ContextPrefetcher<P> {
     }
 }
 
-impl<P: LearnedPolicy> std::fmt::Debug for ContextPrefetcher<P> {
+impl std::fmt::Debug for ContextPrefetcher {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ContextPrefetcher")
-            .field("policy", &self.policy.name())
-            .field("occupancy", &self.policy.occupancy())
+            .field("occupancy", &self.cst.occupancy())
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }

@@ -37,7 +37,7 @@ impl Occupancy {
     }
 
     /// Earliest cycle ≥ `at` when a slot is free; drains freed entries.
-    #[allow(clippy::expect_used)]
+    #[expect(clippy::expect_used, reason = "len >= capacity >= 1 was just checked")]
     fn admit(&mut self, mut at: Cycle) -> Cycle {
         while let Some(&Reverse(t)) = self.free_times.peek() {
             if t <= at {
@@ -47,7 +47,6 @@ impl Occupancy {
             }
         }
         if self.free_times.len() >= self.capacity {
-            // semloc-lint: allow(no-unwrap): len >= capacity >= 1 was just checked
             let Reverse(t) = self.free_times.pop().expect("non-empty at capacity");
             at = at.max(t);
             // Entries freed between the old `at` and the new one.
@@ -273,12 +272,11 @@ impl<P: Prefetcher> Cpu<P> {
         stepped
     }
 
-    #[allow(clippy::expect_used)]
+    #[expect(clippy::expect_used, reason = "len >= rob_size >= 1 was just checked")]
     fn step_with(&mut self, instr: Instr, stats: &mut CpuStats) {
         // Structural lower bound: the ROB must have room.
         let mut floor = 0;
         if self.rob.len() >= self.cfg.rob_size {
-            // semloc-lint: allow(no-unwrap): len >= rob_size >= 1 was just checked
             floor = self.rob.pop_front().expect("ROB non-empty at capacity");
         }
         let d0 = self.dispatch_cycle.max(self.fetch_resume).max(floor);

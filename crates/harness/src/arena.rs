@@ -1,7 +1,7 @@
 //! `semloc-arena` — a tournament over pipeline compositions.
 //!
-//! The trait layers in `crates/core` (feature sets, reward shapes, policy
-//! backends, table geometry) open a design space the paper only samples.
+//! The trait layers in `crates/core` (feature sets, reward shapes, table
+//! geometry) open a design space the paper only samples.
 //! The arena sweeps a grid of [`PipelineConfig`] cells over a shared
 //! [`TraceStore`] capture set, ranks them by geometric-mean speedup over
 //! the no-prefetch baseline and reports IPC, prediction accuracy and

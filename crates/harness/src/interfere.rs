@@ -212,7 +212,6 @@ impl AdvBench {
     /// Warm one engine per kind (context + [`BASELINES`]) over the first
     /// `search.warmup` instructions of `mcf`.
     pub fn new(search: &SearchConfig, sim: &SimConfig) -> AdvBench {
-        #[allow(clippy::expect_used)]
         let mcf = kernel_by_name("mcf").expect("mcf is a registry kernel");
         let warmup_capture = Arc::new(capture_kernel(mcf.as_ref(), search.warmup));
         let cfg = sim.clone().with_budget(search.warmup + search.tail);
@@ -270,9 +269,7 @@ impl AdvBench {
                 }
             }
         }
-        #[allow(clippy::expect_used)]
         let (learned_accuracy, learned_coverage) = learned.expect("context engine in bench");
-        #[allow(clippy::expect_used)]
         let (best_baseline, best_baseline_coverage) = best_base.expect("baselines in bench");
         Ok(AdvScore {
             learned_accuracy,

@@ -368,7 +368,6 @@ impl McEngine {
             .map(|c| (c.replay.clone(), c.kind.clone()))
             .collect();
         let mut e = McEngine::new(specs, &self.config, &self.mc);
-        #[allow(clippy::expect_used)]
         e.restore(&self.checkpoint())
             .expect("a fresh mc engine restores its own checkpoint");
         e

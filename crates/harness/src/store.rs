@@ -15,9 +15,10 @@
 //! largest budget needed serves the probe and the main run alike. The
 //! golden-digest test pins generated == replayed == the published digest.
 
-// semloc-lint rule D1 does not govern the harness crate: these maps are keyed
-// caches that are never iterated, so their order cannot reach simulator output.
-#[allow(clippy::disallowed_types)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed caches that are never iterated, so their order cannot reach simulator output"
+)]
 use std::collections::HashMap;
 use std::fs;
 use std::io;
@@ -36,7 +37,10 @@ type Slot = Arc<Mutex<Option<Arc<CapturedTrace>>>>;
 /// [`Kernel::trace_key`] (the kernel's full configuration — name, placement,
 /// sizes, seed) and covering budgets per the prefix property.
 #[derive(Debug, Default)]
-#[allow(clippy::disallowed_types)] // keyed-only memo maps, never iterated (see note on the `use`)
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed-only memo maps, never iterated (see the reason on the `use`)"
+)]
 pub struct TraceStore {
     /// Two-level locking: the outer map lock is held only to find/insert a
     /// slot, the per-key slot lock is held across capture — so the same

@@ -29,11 +29,10 @@
 //! per *process*, so a single order-sensitive walk of one would make this
 //! digest differ between two runs of the same binary — the failure would
 //! look like flakiness, not like the layout bug it is. That is exactly
-//! what `semloc-lint` rule D1 (`no-std-hash-collections`) bans from
-//! sim-state crates; the two allowed exceptions (the prefetch queue's
-//! fixed-seed block index, the harness's keyed-only memo maps) are argued
-//! inline at their declarations and re-audited by the lint on every CI
-//! run.
+//! what `clippy.toml`'s `disallowed-types` bans workspace-wide; the two
+//! allowed exceptions (the prefetch queue's fixed-seed block index, the
+//! harness's keyed-only memo maps) are argued inline at their declarations
+//! as `#[expect]` reasons, which clippy re-checks on every CI run.
 
 use std::sync::Arc;
 

@@ -11,15 +11,14 @@
 //!
 //! Deliberate simplifications (documented, tested):
 //!
-//! * Numeric literals keep their value only when they are plain integers
-//!   (decimal / hex / octal / binary, `_` separators, type suffixes); float
-//!   and malformed literals become valueless number tokens.
+//! * Numeric literals (integer or float, any radix or suffix) become one
+//!   valueless [`Tok::Num`] token: no rule reads a literal's value.
 //! * Raw identifiers (`r#type`) lex as a single identifier *including* the
 //!   `r#` prefix, so `let r#struct = …` can never be mistaken for a
 //!   `struct` keyword by the item model, while a field named `r#type` and
 //!   its `self.r#type` references still compare equal.
-//! * Macro bodies are lexed like ordinary code (conservative: a `panic!`
-//!   inside `macro_rules!` counts as a panic site).
+//! * Macro bodies are lexed like ordinary code (conservative: an env read
+//!   inside `macro_rules!` counts as a read site).
 //! * Plain/raw/byte *string* literals keep their text (as [`Tok::Str`]) so
 //!   the env-var registry rule (D10) can see `std::env::var("SEMLOC_…")`
 //!   call sites; rules must still never match *identifiers* inside them.
@@ -42,8 +41,8 @@ pub enum Tok {
     Ident(String),
     /// Single punctuation character (`.`, `!`, `{`, `<`, ...).
     Punct(char),
-    /// Integer literal, with its value when it parses as `u64`.
-    Int(Option<u64>),
+    /// Numeric literal (integer or float).
+    Num,
     /// String literal (plain, raw, or byte) with its uninterpreted text
     /// (escape sequences are kept verbatim).
     Str(String),
@@ -382,7 +381,6 @@ impl<'a> Lexer<'a> {
     }
 
     fn number(&mut self, line: u32, col: u32) {
-        let start = self.pos;
         while let Some(b) = self.peek(0) {
             if b.is_ascii_alphanumeric() || b == b'_' {
                 self.bump();
@@ -393,39 +391,8 @@ impl<'a> Lexer<'a> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap_or("");
-        self.push(Tok::Int(parse_int(text)), line, col);
+        self.push(Tok::Num, line, col);
     }
-}
-
-/// Parse an integer literal's value: radix prefixes, `_` separators and
-/// type suffixes allowed. Returns `None` for floats or out-of-range values.
-fn parse_int(text: &str) -> Option<u64> {
-    let clean: String = text.chars().filter(|&c| c != '_').collect();
-    let (radix, digits) = if let Some(d) = clean.strip_prefix("0x").or(clean.strip_prefix("0X")) {
-        (16, d)
-    } else if let Some(d) = clean.strip_prefix("0o") {
-        (8, d)
-    } else if let Some(d) = clean.strip_prefix("0b") {
-        (2, d)
-    } else {
-        (10, clean.as_str())
-    };
-    // Strip a type suffix (usize, u64, i32, ...): cut at the first char
-    // that is not a digit of the radix.
-    let end = digits
-        .char_indices()
-        .find(|&(_, c)| !c.is_digit(radix))
-        .map(|(i, _)| i)
-        .unwrap_or(digits.len());
-    let (num, suffix) = digits.split_at(end);
-    const SUFFIXES: [&str; 12] = [
-        "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
-    ];
-    if !suffix.is_empty() && !SUFFIXES.contains(&suffix) {
-        return None; // float (`5e3`, `2f64`) or malformed
-    }
-    u64::from_str_radix(num, radix).ok()
 }
 
 /// Parse `semloc-lint: allow(rule-a, rule-b): optional reason` from a
@@ -490,40 +457,36 @@ mod tests {
     }
 
     #[test]
-    fn int_values_parse() {
-        let toks = lex("16 * 1024, 0x40, 2048usize, 1 << 11, 1_000, 1.5").tokens;
-        let ints: Vec<Option<u64>> = toks
-            .iter()
-            .filter_map(|t| match t.kind {
-                Tok::Int(v) => Some(v),
-                _ => None,
-            })
+    fn numbers_lex_as_single_tokens() {
+        let kinds: Vec<Tok> = lex("16 * 1024, 0x40, 2048usize, 1_000, 1.5, 0..n")
+            .tokens
+            .into_iter()
+            .map(|t| t.kind)
             .collect();
+        let nums = kinds.iter().filter(|k| **k == Tok::Num).count();
+        assert_eq!(nums, 7, "{kinds:?}");
+        // `0..n` is a number, a range and an identifier, not a float.
         assert_eq!(
-            ints,
-            vec![
-                Some(16),
-                Some(1024),
-                Some(0x40),
-                Some(2048),
-                Some(1),
-                Some(11),
-                Some(1000),
-                None
+            kinds[kinds.len() - 4..],
+            [
+                Tok::Num,
+                Tok::Punct('.'),
+                Tok::Punct('.'),
+                Tok::Ident("n".into())
             ]
         );
     }
 
     #[test]
     fn pragma_parses_with_reason() {
-        let out = lex("let x = m.get(k); // semloc-lint: allow(no-unwrap, d1): keyed access only");
+        let out = lex("s.x += d; // semloc-lint: allow(snapshot-coverage, d6): debug-only field");
         assert_eq!(out.pragmas.len(), 1);
-        assert_eq!(out.pragmas[0].rules, vec!["no-unwrap", "d1"]);
+        assert_eq!(out.pragmas[0].rules, vec!["snapshot-coverage", "d6"]);
     }
 
     #[test]
     fn doc_comments_never_carry_pragmas() {
-        let out = lex("/// semloc-lint: allow(no-unwrap)\nfn f() {}");
+        let out = lex("/// semloc-lint: allow(snapshot-coverage)\nfn f() {}");
         assert!(out.pragmas.is_empty());
     }
 

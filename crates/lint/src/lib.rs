@@ -6,23 +6,23 @@
 //!
 //! | id | alias | what it denies |
 //! |----|-------|----------------|
-//! | `no-std-hash-collections` | d1 | `HashMap`/`HashSet` in sim-state crates |
-//! | `no-wall-clock`           | d2 | `Instant`/`SystemTime` outside bench and `benches/` |
-//! | `no-unwrap`               | d3 | `unwrap`/`expect`/`panic!` in sim-crate library code |
 //! | `snapshot-coverage`       | d4 | run-state structs missing from checkpointing |
-//! | `paper-constants`         | d5 | drift from the paper's Table 2 structural constants |
 //! | `no-float-in-stats-accumulation` | d6 | `f32`/`f64` `+=` folds on sim-crate stats fields |
-//! | `unsafe-audit`            | d7 | `unsafe` blocks lacking an adjacent safety-argument pragma |
 //! | `snapshot-field-coverage` | d8 | manifested struct fields absent from save/restore bodies |
 //! | `refcell-borrow-discipline` | d9 | RefCell guards held across `self`/re-borrow calls |
 //! | `env-var-registry`        | d10 | unregistered/undocumented/dead `SEMLOC_*` env knobs |
 //! | `stale-pragma`            | d11 | allow-pragmas that no longer suppress anything |
 //!
-//! D1–D7 match on the token stream; D8–D10 consume the item model
-//! ([`model`]) — a dependency-free recursive-descent pass over the lexer
-//! output that recovers structs-with-fields, impl blocks, functions and
-//! `SEMLOC_*` env-read call sites. D11 runs inside the suppression pass
-//! itself, after every other rule.
+//! The missing ids are enforced elsewhere, once each: clippy owns std hash
+//! collections (D1), wall-clock reads (D2), panics in sim-crate library
+//! code (D3) and undocumented `unsafe` blocks (D7); the Table 2 constants
+//! (D5) are a paper-fidelity test in crates/spec.
+//!
+//! D4, D6 and D8–D10 consume the item model ([`model`]) — a
+//! dependency-free recursive-descent pass over the lexer output that
+//! recovers structs-with-fields, impl blocks, functions and `SEMLOC_*`
+//! env-read call sites. D11 runs inside the suppression pass itself,
+//! after every other rule.
 //!
 //! Suppression is per-site via `// semloc-lint: allow(<rule>): reason`
 //! pragmas (same line or the line above); `--explain <rule>` prints the
@@ -313,8 +313,8 @@ pub struct LintReport {
     /// Findings suppressed by a matching pragma.
     pub pragmas_honored: usize,
     /// Wall time of load+lint in milliseconds, measured by the CLI (the
-    /// library itself never reads a clock — see rule D2). `None` when
-    /// unset; reported in the JSON summary for BENCH_lint.json.
+    /// library itself never reads a clock). `None` when unset; reported in
+    /// the JSON summary for BENCH_lint.json.
     pub parse_ms: Option<u64>,
 }
 
@@ -353,15 +353,11 @@ pub fn lint(ws: &Workspace) -> LintReport {
     let mut raw: Vec<Finding> = Vec::new();
     raw.extend(ws.manifest_findings.iter().cloned());
     raw.extend(ws.env_registry_findings.iter().cloned());
-    for (file, lx) in &pairs {
-        raw.extend(rules::check_file(file, lx));
-    }
     raw.extend(rules::check_snapshot_coverage(
         &ctxs,
         &ws.manifest,
         &ws.manifest_path,
     ));
-    raw.extend(rules::check_paper_constants(&ctxs));
     raw.extend(rules::check_float_stats(&ctxs));
     raw.extend(rules::check_snapshot_field_coverage(&ctxs, &ws.manifest));
     raw.extend(rules::check_refcell_borrow_discipline(&ctxs));
@@ -475,28 +471,6 @@ pub fn lint(ws: &Workspace) -> LintReport {
         pragmas_honored,
         parse_ms: None,
     }
-}
-
-/// Convenience for fixture tests: run the per-file rules (D1–D3) over one
-/// in-memory file and apply pragma suppression.
-pub fn lint_source(file: &SourceFile) -> Vec<Finding> {
-    let lx = LexData::of(&file.content);
-    let raw = rules::check_file(file, &lx);
-    suppress(raw, &lx)
-}
-
-/// Apply pragma suppression to raw findings from a single file.
-pub fn suppress(raw: Vec<Finding>, lx: &LexData) -> Vec<Finding> {
-    raw.into_iter()
-        .filter(|f| {
-            !lx.pragmas.iter().any(|p| {
-                (p.line == f.line || p.line + 1 == f.line)
-                    && p.rules
-                        .iter()
-                        .any(|r| r == "all" || rules::rule(r).is_some_and(|info| info.id == f.rule))
-            })
-        })
-        .collect()
 }
 
 /// Escape a string for JSON output (shared with the SARIF emitter).

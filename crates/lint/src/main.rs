@@ -17,7 +17,7 @@ use semloc_lint::sarif::to_sarif;
 use semloc_lint::{lint, load_workspace, to_json, Severity};
 
 fn usage() -> &'static str {
-    "semloc-lint: workspace static analysis (determinism, snapshot coverage, paper constants)
+    "semloc-lint: workspace static analysis (checkpoint coverage, stats folds, RefCell borrows, env knobs)
 
 USAGE:
     semloc-lint [OPTIONS]
@@ -29,7 +29,7 @@ OPTIONS:
     --sarif                 Emit a SARIF 2.1.0 report on stdout (CI annotations)
     --write-summary <path>  Also write the JSON report to <path>
     --write-sarif <path>    Also write the SARIF report to <path>
-    --explain <rule>        Print a rule's full rationale (id or an alias d1..d11)
+    --explain <rule>        Print a rule's full rationale (id or alias, e.g. d4)
     --list-rules            List the rule catalog
     -h, --help              This help
 "
@@ -144,10 +144,12 @@ fn main() -> ExitCode {
     }
 
     // Timing lives here in the CLI, not the library: the lint pass itself
-    // is clock-free (its own rule D2), but BENCH_lint.json tracks how
-    // long a full workspace parse+lint takes as the rule set grows.
-    #[allow(clippy::disallowed_methods)]
-    // semloc-lint: allow(no-wall-clock): CLI-only measurement for BENCH_lint.json; never reaches simulation output
+    // is clock-free, but BENCH_lint.json tracks how long a full workspace
+    // parse+lint takes as the rule set grows.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "CLI-only measurement for BENCH_lint.json; never reaches simulation output"
+    )]
     let t0 = std::time::Instant::now();
 
     let ws = match load_workspace(&root) {

@@ -1,6 +1,7 @@
-//! The rule set: D1–D5 from launch, D6 (no-float-in-stats-accumulation)
-//! from the block-replay work, D7 (unsafe-audit), and the item-model rules D8–D11 (snapshot field coverage,
-//! RefCell borrow discipline, the env-var registry, stale pragmas).
+//! The rule set: D4 (snapshot coverage), D6 (no float accumulation in
+//! stats structs) and the item-model rules D8–D11 (snapshot field
+//! coverage, RefCell borrow discipline, the env-var registry, stale
+//! pragmas). The crate docs say where the missing ids are enforced.
 //!
 //! Each rule documents *why* it exists in its `explain` text (shown by
 //! `semloc-lint --explain <rule>`): the project's correctness story rests
@@ -8,9 +9,8 @@
 //! differential oracle, checkpoint/restore fidelity), and these rules make
 //! the assumptions behind that story statically checkable.
 //!
-//! D1–D3 and D7 match directly on the token stream; D4, D6 and D8–D10
-//! consume the item model ([`crate::model`]) built once per file by
-//! [`analyze`]. D11 lives in the suppression pass itself
+//! D4, D6 and D8–D10 consume the item model ([`crate::model`]) built once
+//! per file by [`analyze`]. D11 lives in the suppression pass itself
 //! (`crate::lint`), because a pragma's staleness is only known after
 //! every other rule has run.
 
@@ -22,9 +22,6 @@ use crate::{FileKind, Finding, LexData, Severity, SourceFile};
 /// state in these crates can silently break golden digests.
 pub const SIM_CRATES: &[&str] = &["core", "mem", "cpu", "bandit", "baselines", "spec", "trace"];
 
-/// Crates allowed to read wall-clock time (the measurement harness).
-pub const WALL_CLOCK_CRATES: &[&str] = &["bench"];
-
 /// Crates sharing `Rc<RefCell<…>>` state (the shared-L2 handle), where
 /// rule D9 polices guard lifetimes.
 pub const REFCELL_CRATES: &[&str] = &["mem", "harness"];
@@ -33,7 +30,7 @@ pub const REFCELL_CRATES: &[&str] = &["mem", "harness"];
 pub struct RuleInfo {
     /// Stable rule id, used in findings, pragmas and JSON output.
     pub id: &'static str,
-    /// Short alias accepted in pragmas (`d1`..`d11`).
+    /// Short alias accepted in pragmas (`d4`, `d6`, `d8`..`d11`).
     pub alias: &'static str,
     pub severity: Severity,
     pub summary: &'static str,
@@ -41,54 +38,7 @@ pub struct RuleInfo {
 }
 
 /// The rule catalog.
-pub const RULES: [RuleInfo; 11] = [
-    RuleInfo {
-        id: "no-std-hash-collections",
-        alias: "d1",
-        severity: Severity::Deny,
-        summary: "sim-state crates must not use std HashMap/HashSet",
-        explain: "\
-std's HashMap/HashSet randomize their hash seed per process, so their
-iteration order differs between runs. Any map whose iteration order can
-reach statistics, prediction order, or serialized state silently breaks
-bit-identical reproducibility (golden digest 0xe1cb22f196f55582, the
-spec-vs-core differential oracle, checkpoint fidelity). In sim-state
-crates (core, mem, cpu, bandit, baselines, spec, trace), use BTreeMap,
-Vec, or index tables instead. A map that is provably keyed-access-only
-with a fixed-seed hasher may be kept with a pragma:
-  // semloc-lint: allow(no-std-hash-collections): <why order never leaks>
-Scope: library and binary code of sim crates; #[cfg(test)] code is exempt
-(tests only use hash sets for order-insensitive set equality).",
-    },
-    RuleInfo {
-        id: "no-wall-clock",
-        alias: "d2",
-        severity: Severity::Deny,
-        summary: "no Instant::now/SystemTime outside the bench crate and benches/ targets",
-        explain: "\
-Wall-clock reads make simulation output depend on host timing. The
-simulator models its own clock; only the measurement crate (bench, home
-of semloc-perf) and benches/ targets may read real time. Everywhere else,
-Instant and SystemTime are denied — including test code, where a timing
-assertion would be flaky by construction.",
-    },
-    RuleInfo {
-        id: "no-unwrap",
-        alias: "d3",
-        severity: Severity::Deny,
-        summary: "no unwrap/expect/panic in sim-crate library code",
-        explain: "\
-A panic path in library code of a sim crate can take down a whole matrix
-run and, worse, hides the error taxonomy the harness relies on (typed
-io::Errors for snapshot/trace corruption, SpeedupError for degenerate
-stats). Library (non-test, non-bin) code of sim crates must return typed
-errors or use infallible indexing. Flagged: .unwrap(), .expect(),
-panic!, unreachable!, todo!, unimplemented!. Not flagged: assert!
-(constructor precondition checks documented under '# Panics' are
-deliberate API contracts). Provably-unreachable sites keep a pragma with
-a one-line justification:
-  // semloc-lint: allow(no-unwrap): <the invariant that makes this safe>",
-    },
+pub const RULES: [RuleInfo; 6] = [
     RuleInfo {
         id: "snapshot-coverage",
         alias: "d4",
@@ -110,25 +60,6 @@ the declaration if the field is genuinely derived/transient state:
   // semloc-lint: allow(snapshot-coverage): <why this is not run state>",
     },
     RuleInfo {
-        id: "paper-constants",
-        alias: "d5",
-        severity: Severity::Deny,
-        summary: "Table 2 structural constants must match the paper",
-        explain: "\
-The paper (Peled et al., ISCA 2015, Table 2) fixes the prefetcher's
-structural constants: 2K-entry CST with 4 links, 16K-entry reducer (8x
-the CST), 50-entry history queue, 128-entry prefetch queue, and the
-18-50-access bell reward window. Experiments and docs all assume these
-defaults; silent drift would invalidate every pinned figure. The rule
-re-parses crates/core/src/config.rs (Default impl), crates/core/src/cst.rs
-(LINKS), crates/spec/src/tables.rs (SPEC_LINKS) and
-crates/bandit/src/reward.rs (BellReward::new literals in paper_default)
-and checks the values, power-of-two table sizes, the reducer = 8x CST
-ratio, and that the bell window fits inside the history queue. A
-deliberate sweep default may be annotated:
-  // semloc-lint: allow(paper-constants): <why the default departs>",
-    },
-    RuleInfo {
         id: "no-float-in-stats-accumulation",
         alias: "d6",
         severity: Severity::Deny,
@@ -148,26 +79,6 @@ the struct declarations (light inference: direct f32/f64 fields) and
 flags every `.field +=` fold on such a field. A field that provably
 never reaches a digest or report may be kept with a pragma:
   // semloc-lint: allow(no-float-in-stats-accumulation): <why order never leaks>",
-    },
-    RuleInfo {
-        id: "unsafe-audit",
-        alias: "d7",
-        severity: Severity::Deny,
-        summary: "every unsafe block needs an adjacent safety-argument pragma",
-        explain: "\
-The workspace has one `unsafe` block: the `_mm_prefetch` cache hints
-in `DecodedTrace::prefetch_block` (crates/trace/src/decoded.rs). Any
-`unsafe` block is trusted code on the bit-identical hot path: a missed
-bounds argument corrupts simulation state silently instead of
-panicking, which the golden digest would only catch after the fact.
-Every `unsafe {` block in non-test code must therefore carry its
-safety argument right next to it, machine-checkably, as a pragma on the
-same line or the line above:
-  // semloc-lint: allow(unsafe-audit): <why the operation is sound>
-The argument should name the invariant that makes the operation in the
-block sound (e.g. which bounds check covers a raw load, or why a CPU
-feature is known present at a call site). Test code is exempt; vendor
-stubs are not scanned.",
     },
     RuleInfo {
         id: "snapshot-field-coverage",
@@ -305,103 +216,6 @@ pub fn analyze<'a>(pairs: &[(&'a SourceFile, &'a LexData)]) -> Vec<FileCtx<'a>> 
             model: model::build(lex),
         })
         .collect()
-}
-
-/// D1–D3, D7: single-file token rules. `lexed` must come from `file.content`.
-pub fn check_file(file: &SourceFile, lexed: &LexData) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let toks = &lexed.tokens;
-    let d1_applies = is_sim_crate(file) && matches!(file.kind, FileKind::LibSrc | FileKind::Bin);
-    let d2_applies = !file
-        .crate_dir
-        .as_deref()
-        .is_some_and(|c| WALL_CLOCK_CRATES.contains(&c))
-        && file.kind != FileKind::Benches;
-    let d3_applies = is_sim_crate(file) && file.kind == FileKind::LibSrc;
-    let d7_applies = file.kind != FileKind::TestsDir;
-
-    for (i, t) in toks.iter().enumerate() {
-        let Tok::Ident(name) = &t.kind else { continue };
-        let in_test = lexed.test_mask[i];
-
-        if d1_applies && !in_test && (name == "HashMap" || name == "HashSet") {
-            out.push(Finding::new(
-                "no-std-hash-collections",
-                Severity::Deny,
-                file,
-                t,
-                format!(
-                    "std::collections::{name} in sim-state crate `{}`: iteration order is \
-                     nondeterministic; use BTreeMap/Vec/an index table, or pragma a \
-                     provably keyed-access-only fixed-seed map",
-                    file.crate_dir.as_deref().unwrap_or("?")
-                ),
-            ));
-        }
-
-        // D7: every `unsafe {` block in non-test code must carry an
-        // adjacent safety-argument pragma. The pragma *is* the audit
-        // record: a justified block suppresses this finding via the
-        // normal pragma machinery, an unjustified one survives to deny.
-        // `unsafe fn`/`unsafe impl` headers are declarations, not trusted
-        // operations, and are not flagged.
-        if d7_applies
-            && !in_test
-            && name == "unsafe"
-            && toks.get(i + 1).map(|t| &t.kind) == Some(&Tok::Punct('{'))
-        {
-            out.push(Finding::new(
-                "unsafe-audit",
-                Severity::Deny,
-                file,
-                t,
-                "`unsafe` block without a safety argument: add \
-                 `// semloc-lint: allow(unsafe-audit): <why the operation is sound>` \
-                 on this line or the line above"
-                    .to_string(),
-            ));
-        }
-
-        if d2_applies && (name == "Instant" || name == "SystemTime") {
-            out.push(Finding::new(
-                "no-wall-clock",
-                Severity::Deny,
-                file,
-                t,
-                format!("wall-clock type `{name}` outside the bench crate and benches/ targets: simulation output must not depend on host time"),
-            ));
-        }
-
-        if d3_applies && !in_test {
-            let prev_dot = i > 0 && toks[i - 1].kind == Tok::Punct('.');
-            let next = toks.get(i + 1).map(|t| &t.kind);
-            let next_paren = next == Some(&Tok::Punct('('));
-            let next_bang = next == Some(&Tok::Punct('!'));
-            let hit = match name.as_str() {
-                "unwrap" | "expect" => prev_dot && next_paren,
-                "panic" | "unreachable" | "todo" | "unimplemented" => next_bang,
-                _ => false,
-            };
-            if hit {
-                let display = if next_bang {
-                    format!("{name}!")
-                } else {
-                    format!(".{name}()")
-                };
-                out.push(Finding::new(
-                    "no-unwrap",
-                    Severity::Deny,
-                    file,
-                    t,
-                    format!(
-                        "`{display}` in sim-crate library code: return a typed error or use \
-                         infallible indexing; pragma only with a one-line invariant justification"
-                    ),
-                ));
-            }
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -1099,194 +913,6 @@ pub fn check_env_registry(
 }
 
 // ---------------------------------------------------------------------------
-// D5: paper constants
-// ---------------------------------------------------------------------------
-
-/// Expected Table 2 values (see the rule's `explain` text).
-const CONFIG_EXPECTED: [(&str, u64); 4] = [
-    ("cst_entries", 2048),
-    ("reducer_entries", 16 * 1024),
-    ("history_len", 50),
-    ("pfq_len", 128),
-];
-
-/// D5: verify the paper's structural constants in the four anchor files.
-pub fn check_paper_constants(ctxs: &[FileCtx<'_>]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let find = |suffix: &str| ctxs.iter().find(|c| c.file.rel_path.ends_with(suffix));
-
-    let mut history_len: Option<u64> = None;
-    let mut bell_hi: Option<(u64, String, u32)> = None;
-
-    match find("core/src/config.rs") {
-        None => out.push(missing_anchor("crates/core/src/config.rs")),
-        Some(ctx) => {
-            let (file, lexed) = (ctx.file, ctx.lex);
-            let mut values: Vec<(u64, u64, u32, u32)> = Vec::new(); // (idx into CONFIG_EXPECTED, value, line, col)
-            for (k, (name, _)) in CONFIG_EXPECTED.iter().enumerate() {
-                for occ in literal_field_values(lexed, name) {
-                    values.push((k as u64, occ.0, occ.1, occ.2));
-                }
-            }
-            for (k, (name, expected)) in CONFIG_EXPECTED.iter().enumerate() {
-                let occs: Vec<_> = values.iter().filter(|v| v.0 == k as u64).collect();
-                if occs.is_empty() {
-                    out.push(Finding {
-                        rule: "paper-constants",
-                        severity: Severity::Deny,
-                        file: file.rel_path.clone(),
-                        line: 1,
-                        col: 1,
-                        message: format!(
-                            "could not find a literal default for `{name}` — the D5 anchor moved; \
-                             update semloc-lint's paper-constant table"
-                        ),
-                    });
-                    continue;
-                }
-                for &&(_, value, line, col) in &occs {
-                    if *name == "history_len" {
-                        history_len = Some(value);
-                    }
-                    let pow2_field = *name == "cst_entries" || *name == "reducer_entries";
-                    if value != *expected {
-                        out.push(Finding {
-                            rule: "paper-constants",
-                            severity: Severity::Deny,
-                            file: file.rel_path.clone(),
-                            line,
-                            col,
-                            message: format!(
-                                "`{name}` defaults to {value}, but Table 2 fixes it at {expected}; \
-                                 pragma the line if this is a deliberate sweep default"
-                            ),
-                        });
-                    } else if pow2_field && !value.is_power_of_two() {
-                        out.push(Finding {
-                            rule: "paper-constants",
-                            severity: Severity::Deny,
-                            file: file.rel_path.clone(),
-                            line,
-                            col,
-                            message: format!("`{name}` = {value} must be a power of two"),
-                        });
-                    }
-                }
-            }
-            // Reducer = 8x CST (Table 2: 16K over 2K).
-            let get = |k: usize| {
-                values
-                    .iter()
-                    .find(|v| v.0 == k as u64)
-                    .map(|&(_, v, l, c)| (v, l, c))
-            };
-            if let (Some((cst, _, _)), Some((red, line, col))) = (get(0), get(1)) {
-                if red != cst * 8 {
-                    out.push(Finding {
-                        rule: "paper-constants",
-                        severity: Severity::Deny,
-                        file: file.rel_path.clone(),
-                        line,
-                        col,
-                        message: format!(
-                            "reducer_entries ({red}) must be 8x cst_entries ({cst}) per Table 2"
-                        ),
-                    });
-                }
-            }
-        }
-    }
-
-    for (suffix, konst) in [
-        ("core/src/cst.rs", "LINKS"),
-        ("spec/src/tables.rs", "SPEC_LINKS"),
-    ] {
-        match find(suffix) {
-            None => out.push(missing_anchor(suffix)),
-            Some(ctx) => match const_value(ctx.lex, konst) {
-                None => out.push(Finding {
-                    rule: "paper-constants",
-                    severity: Severity::Deny,
-                    file: ctx.file.rel_path.clone(),
-                    line: 1,
-                    col: 1,
-                    message: format!(
-                        "could not find `const {konst}` — the D5 anchor moved; update semloc-lint"
-                    ),
-                }),
-                Some((v, line, col)) if v != 4 => out.push(Finding {
-                    rule: "paper-constants",
-                    severity: Severity::Deny,
-                    file: ctx.file.rel_path.clone(),
-                    line,
-                    col,
-                    message: format!(
-                        "`{konst}` = {v}, but the paper's CST stores 4 links per entry"
-                    ),
-                }),
-                Some(_) => {}
-            },
-        }
-    }
-
-    match find("bandit/src/reward.rs") {
-        None => out.push(missing_anchor("crates/bandit/src/reward.rs")),
-        Some(ctx) => {
-            let (file, lexed) = (ctx.file, ctx.lex);
-            let calls = literal_ctor_args(lexed, "BellReward");
-            if calls.is_empty() {
-                out.push(Finding {
-                    rule: "paper-constants",
-                    severity: Severity::Deny,
-                    file: file.rel_path.clone(),
-                    line: 1,
-                    col: 1,
-                    message: "could not find a literal BellReward::new(lo, hi, ..) — the D5 \
-                              anchor moved; update semloc-lint"
-                        .into(),
-                });
-            }
-            for (args, line, col) in calls {
-                if args.len() >= 2 && (args[0], args[1]) != (18, 50) {
-                    out.push(Finding {
-                        rule: "paper-constants",
-                        severity: Severity::Deny,
-                        file: file.rel_path.clone(),
-                        line,
-                        col,
-                        message: format!(
-                            "bell reward window ({}, {}) departs from the paper's 18-50 accesses \
-                             (Fig 5 / §7.1); pragma if deliberate",
-                            args[0], args[1]
-                        ),
-                    });
-                } else if args.len() >= 2 {
-                    bell_hi = Some((args[1], file.rel_path.clone(), line));
-                }
-            }
-        }
-    }
-
-    if let (Some(hist), Some((hi, file, line))) = (history_len, bell_hi) {
-        if hi > hist {
-            out.push(Finding {
-                rule: "paper-constants",
-                severity: Severity::Deny,
-                file,
-                line,
-                col: 1,
-                message: format!(
-                    "bell window upper edge ({hi}) exceeds the history queue depth ({hist}): \
-                     late hits could never be observed or rewarded"
-                ),
-            });
-        }
-    }
-
-    out
-}
-
-// ---------------------------------------------------------------------------
 // D6: no float accumulation in stats structs
 // ---------------------------------------------------------------------------
 
@@ -1369,154 +995,4 @@ pub fn check_float_stats(ctxs: &[FileCtx<'_>]) -> Vec<Finding> {
         }
     }
     out
-}
-
-fn missing_anchor(path: &str) -> Finding {
-    Finding {
-        rule: "paper-constants",
-        severity: Severity::Deny,
-        file: path.to_string(),
-        line: 1,
-        col: 1,
-        message: "D5 anchor file missing from the workspace scan".into(),
-    }
-}
-
-/// All `name: <int expr>` occurrences in non-test code, with the evaluated
-/// value (supports `a * b` and `a << b`). Type ascriptions (`name: usize`)
-/// are skipped because they do not evaluate.
-fn literal_field_values(lexed: &LexData, name: &str) -> Vec<(u64, u32, u32)> {
-    let toks = &lexed.tokens;
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        if lexed.test_mask[i] || toks[i].kind != Tok::Ident(name.into()) {
-            continue;
-        }
-        if toks.get(i + 1).map(|t| &t.kind) != Some(&Tok::Punct(':')) {
-            continue;
-        }
-        // `::` means a path, not a field init.
-        if toks.get(i + 2).map(|t| &t.kind) == Some(&Tok::Punct(':')) {
-            continue;
-        }
-        if let Some(v) = eval_int_expr(toks, i + 2) {
-            out.push((v, toks[i].line, toks[i].col));
-        }
-    }
-    out
-}
-
-/// Value of `const NAME ... = <int expr>`, if present in non-test code.
-fn const_value(lexed: &LexData, name: &str) -> Option<(u64, u32, u32)> {
-    let toks = &lexed.tokens;
-    for i in 0..toks.len() {
-        if lexed.test_mask[i]
-            || toks[i].kind != Tok::Ident(name.into())
-            || i == 0
-            || !matches!(&toks[i - 1].kind, Tok::Ident(k) if k == "const")
-        {
-            continue;
-        }
-        let mut j = i + 1;
-        while j < toks.len() && toks[j].kind != Tok::Punct('=') && toks[j].kind != Tok::Punct(';') {
-            j += 1;
-        }
-        if toks.get(j).map(|t| &t.kind) == Some(&Tok::Punct('=')) {
-            if let Some(v) = eval_int_expr(toks, j + 1) {
-                return Some((v, toks[i].line, toks[i].col));
-            }
-        }
-    }
-    None
-}
-
-/// All-literal argument lists of `Type::new(...)` calls in non-test code.
-fn literal_ctor_args(lexed: &LexData, ty: &str) -> Vec<(Vec<u64>, u32, u32)> {
-    let toks = &lexed.tokens;
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        if lexed.test_mask[i] || toks[i].kind != Tok::Ident(ty.into()) {
-            continue;
-        }
-        let shape = [
-            toks.get(i + 1).map(|t| &t.kind),
-            toks.get(i + 2).map(|t| &t.kind),
-            toks.get(i + 3).map(|t| &t.kind),
-            toks.get(i + 4).map(|t| &t.kind),
-        ];
-        let (a, b, c, d) = (&shape[0], &shape[1], &shape[2], &shape[3]);
-        if *a != Some(&Tok::Punct(':'))
-            || *b != Some(&Tok::Punct(':'))
-            || *c != Some(&Tok::Ident("new".into()))
-            || *d != Some(&Tok::Punct('('))
-        {
-            continue;
-        }
-        // Parse leading literal args; stop at the first non-literal.
-        let mut args = Vec::new();
-        let mut j = i + 5;
-        loop {
-            match toks.get(j).map(|t| &t.kind) {
-                Some(Tok::Punct('-')) => {
-                    // Negative literal: record magnitude 0 placeholder —
-                    // only the first two (unsigned window) args matter.
-                    j += 2;
-                    args.push(u64::MAX);
-                }
-                Some(Tok::Int(Some(v))) => {
-                    args.push(*v);
-                    j += 1;
-                }
-                _ => break,
-            }
-            match toks.get(j).map(|t| &t.kind) {
-                Some(Tok::Punct(',')) => j += 1,
-                _ => break,
-            }
-        }
-        if !args.is_empty() {
-            out.push((args, toks[i].line, toks[i].col));
-        }
-    }
-    out
-}
-
-/// Evaluate `Int (('*' | '<<') Int)*` starting at `start`. Returns `None`
-/// if the expression is anything else (identifiers, calls, floats).
-fn eval_int_expr(toks: &[Token], start: usize) -> Option<u64> {
-    let Tok::Int(Some(mut acc)) = toks.get(start)?.kind else {
-        return None;
-    };
-    let mut j = start + 1;
-    loop {
-        match toks.get(j).map(|t| &t.kind) {
-            Some(Tok::Punct('*')) => {
-                let Some(Token {
-                    kind: Tok::Int(Some(v)),
-                    ..
-                }) = toks.get(j + 1)
-                else {
-                    return None;
-                };
-                acc = acc.checked_mul(*v)?;
-                j += 2;
-            }
-            Some(Tok::Punct('<')) if toks.get(j + 1).map(|t| &t.kind) == Some(&Tok::Punct('<')) => {
-                let Some(Token {
-                    kind: Tok::Int(Some(v)),
-                    ..
-                }) = toks.get(j + 2)
-                else {
-                    return None;
-                };
-                acc = acc.checked_shl(*v as u32)?;
-                j += 3;
-            }
-            // A field init ends at `,` or `}`; a const ends at `;`.
-            Some(Tok::Punct(',')) | Some(Tok::Punct(';')) | Some(Tok::Punct('}')) | None => {
-                return Some(acc)
-            }
-            _ => return None,
-        }
-    }
 }

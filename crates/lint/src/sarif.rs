@@ -93,17 +93,17 @@ mod tests {
     #[test]
     fn sarif_document_has_schema_rules_and_results() {
         let r = report(vec![Finding {
-            rule: "no-unwrap",
+            rule: "no-float-in-stats-accumulation",
             severity: Severity::Deny,
             file: "crates/core/src/lib.rs".into(),
             line: 7,
             col: 13,
-            message: "`.unwrap()` in sim-crate library code".into(),
+            message: "float `+=` fold on stats field `lat`".into(),
         }]);
         let doc = to_sarif(&r);
         assert!(doc.contains("\"version\": \"2.1.0\""));
         assert!(doc.contains("\"name\": \"semloc-lint\""));
-        assert!(doc.contains("\"ruleId\": \"no-unwrap\""));
+        assert!(doc.contains("\"ruleId\": \"no-float-in-stats-accumulation\""));
         assert!(doc.contains("\"level\": \"error\""));
         assert!(doc.contains("\"uri\": \"crates/core/src/lib.rs\""));
         assert!(doc.contains("\"startLine\": 7"));

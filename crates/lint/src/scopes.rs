@@ -1,10 +1,10 @@
 //! Test-scope tracking: which tokens live inside `#[cfg(test)]` /
 //! `#[test]` items.
 //!
-//! Rules D1 and D3 apply to *library* code only; test code is free to
-//! `unwrap()` and to build `HashSet`s for set-equality assertions. The
-//! tracker walks the token stream once, pairing test attributes with the
-//! brace block of the item they decorate:
+//! Rules D4, D6 and D8–D10 skip test code: a test-only struct, fold or
+//! env read is not run state. The tracker walks the token stream once,
+//! pairing test attributes with the brace block of the item they
+//! decorate:
 //!
 //! * `#[cfg(test)] mod tests { ... }` — the whole module body;
 //! * `#[test] fn case() { ... }` — the function body;

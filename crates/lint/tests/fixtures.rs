@@ -3,13 +3,11 @@
 //! `// semloc-lint: allow(...)` pragmas.
 
 use semloc_lint::rules::{
-    analyze, check_env_registry, check_paper_constants, check_refcell_borrow_discipline,
-    check_snapshot_coverage, check_snapshot_field_coverage, parse_env_registry, parse_manifest,
-    rule,
+    analyze, check_env_registry, check_refcell_borrow_discipline, check_snapshot_coverage,
+    check_snapshot_field_coverage, parse_env_registry, parse_manifest, rule, RULES,
 };
 use semloc_lint::{
-    lint, lint_source, to_json, FileKind, Finding, LexData, LintReport, Severity, SourceFile,
-    Workspace,
+    lint, to_json, FileKind, Finding, LexData, LintReport, Severity, SourceFile, Workspace,
 };
 use std::path::PathBuf;
 
@@ -29,9 +27,46 @@ fn fixture(crate_dir: &str, kind: FileKind, content: &str) -> SourceFile {
     )
 }
 
-fn findings_for(crate_dir: &str, kind: FileKind, content: &str) -> Vec<Finding> {
-    lint_source(&fixture(crate_dir, kind, content))
+/// A minimal workspace for `lint()` tests: the given files, manifest,
+/// env registry and README text.
+fn ws_fixture(
+    files: Vec<SourceFile>,
+    manifest_text: &str,
+    registry_text: &str,
+    readme: &str,
+) -> Workspace {
+    let (manifest, manifest_findings) = parse_manifest(manifest_text, "manifest.txt");
+    let (env_registry, env_registry_findings) =
+        parse_env_registry(registry_text, "env_registry.txt");
+    Workspace {
+        root: PathBuf::from("."),
+        files,
+        manifest,
+        manifest_findings,
+        manifest_path: "manifest.txt".into(),
+        env_registry,
+        env_registry_findings,
+        env_registry_path: "env_registry.txt".into(),
+        readme: readme.into(),
+    }
 }
+
+/// Run the full `lint()` pass over one core-crate library file holding
+/// `body` followed by the `*Stats` declaration its float folds resolve
+/// against. Declaration and fold share the file because `lint()` looks a
+/// finding's pragmas up in the file that holds the finding.
+fn lint_stats_fold(body: &str) -> LintReport {
+    let src = format!("{body}pub struct DbgStats {{ pub drift: f64 }}\n");
+    lint(&ws_fixture(
+        vec![fixture("core", FileKind::LibSrc, &src)],
+        "",
+        "",
+        "",
+    ))
+}
+
+/// A D6 violation on one line.
+const FOLD: &str = "pub fn f(s: &mut DbgStats) { s.drift += 1.0; }\n";
 
 #[track_caller]
 fn assert_fires(findings: &[Finding], rule_id: &str, line: u32) {
@@ -42,205 +77,56 @@ fn assert_fires(findings: &[Finding], rule_id: &str, line: u32) {
 }
 
 // ---------------------------------------------------------------------------
-// D1: no-std-hash-collections
-// ---------------------------------------------------------------------------
-
-#[test]
-fn d1_fires_on_hashmap_in_sim_lib() {
-    let f = findings_for(
-        "core",
-        FileKind::LibSrc,
-        "use std::collections::HashMap;\nstruct S { m: HashMap<u64, u64> }\n",
-    );
-    assert_fires(&f, "no-std-hash-collections", 1);
-    assert_fires(&f, "no-std-hash-collections", 2);
-    assert!(f.iter().all(|x| x.severity == Severity::Deny));
-}
-
-#[test]
-fn d1_fires_in_sim_bins_too() {
-    let f = findings_for(
-        "core",
-        FileKind::Bin,
-        "fn main() { let _ = std::collections::HashSet::<u64>::new(); }\n",
-    );
-    assert_fires(&f, "no-std-hash-collections", 1);
-}
-
-#[test]
-fn d1_quiet_on_btree_and_non_sim_crates() {
-    assert!(findings_for(
-        "core",
-        FileKind::LibSrc,
-        "use std::collections::BTreeMap;\nstruct S { m: BTreeMap<u64, u64> }\n",
-    )
-    .is_empty());
-    // The harness crate is not sim state: HashMap is allowed there.
-    assert!(findings_for(
-        "harness",
-        FileKind::LibSrc,
-        "use std::collections::HashMap;\n",
-    )
-    .is_empty());
-}
-
-#[test]
-fn d1_exempts_cfg_test_code() {
-    let src = "pub fn f() {}\n\
-               #[cfg(test)]\n\
-               mod tests {\n\
-               \x20   use std::collections::HashSet;\n\
-               \x20   #[test]\n\
-               \x20   fn t() { let _ = HashSet::<u64>::new(); }\n\
-               }\n";
-    assert!(findings_for("core", FileKind::LibSrc, src).is_empty());
-    // Integration tests are test code wholesale.
-    assert!(findings_for(
-        "core",
-        FileKind::TestsDir,
-        "use std::collections::HashMap;\n",
-    )
-    .is_empty());
-}
-
-#[test]
-fn d1_ident_must_match_exactly_and_strings_are_ignored() {
-    let src = "struct MyHashMapLike;\nconst DOC: &str = \"HashMap\"; // HashMap in comment\n";
-    assert!(findings_for("core", FileKind::LibSrc, src).is_empty());
-}
-
-// ---------------------------------------------------------------------------
-// D2: no-wall-clock
-// ---------------------------------------------------------------------------
-
-#[test]
-fn d2_fires_on_instant_and_system_time() {
-    let f = findings_for(
-        "core",
-        FileKind::LibSrc,
-        "use std::time::Instant;\nfn f() { let _ = Instant::now(); }\nfn g() { let _ = std::time::SystemTime::now(); }\n",
-    );
-    assert_fires(&f, "no-wall-clock", 1);
-    assert_fires(&f, "no-wall-clock", 2);
-    assert_fires(&f, "no-wall-clock", 3);
-}
-
-#[test]
-fn d2_applies_even_in_test_code() {
-    // A wall-clock assertion in a test is flaky by construction.
-    let src = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { let _ = std::time::Instant::now(); }\n}\n";
-    let f = findings_for("harness", FileKind::LibSrc, src);
-    assert_fires(&f, "no-wall-clock", 4);
-}
-
-#[test]
-fn d2_exempts_bench_crates_and_bench_targets() {
-    let src = "fn f() { let _ = std::time::Instant::now(); }\n";
-    assert!(findings_for("bench", FileKind::LibSrc, src).is_empty());
-    assert!(findings_for("bench", FileKind::Bin, src).is_empty());
-    assert!(findings_for("core", FileKind::Benches, src).is_empty());
-}
-
-// ---------------------------------------------------------------------------
-// D3: no-unwrap
-// ---------------------------------------------------------------------------
-
-#[test]
-fn d3_fires_on_unwrap_expect_and_panics() {
-    let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n\
-               fn g(x: Option<u32>) -> u32 { x.expect(\"boom\") }\n\
-               fn h() { panic!(\"no\") }\n\
-               fn i() { unreachable!() }\n\
-               fn j() { todo!() }\n\
-               fn k() { unimplemented!() }\n";
-    let f = findings_for("mem", FileKind::LibSrc, src);
-    for line in 1..=6 {
-        assert_fires(&f, "no-unwrap", line);
-    }
-}
-
-#[test]
-fn d3_scope_is_sim_lib_only() {
-    let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-    // Bins may panic (CLI error handling), tests/examples are exempt, and
-    // non-sim crates are out of scope.
-    assert!(findings_for("core", FileKind::Bin, src).is_empty());
-    assert!(findings_for("core", FileKind::TestsDir, src).is_empty());
-    assert!(findings_for("core", FileKind::Examples, src).is_empty());
-    assert!(findings_for("harness", FileKind::LibSrc, src).is_empty());
-}
-
-#[test]
-fn d3_does_not_flag_lookalikes() {
-    let src = "fn f(x: Option<u32>) -> u32 { x.unwrap_or_default() }\n\
-               fn g(x: Option<u32>) -> u32 { x.unwrap_or(7) }\n\
-               fn h(v: u64) { assert!(v > 0, \"precondition\"); }\n\
-               fn unwrap(x: u32) -> u32 { x }\n";
-    assert!(findings_for("mem", FileKind::LibSrc, src).is_empty());
-}
-
-#[test]
-fn d3_exempts_cfg_test_fns_and_modules() {
-    let src = "pub fn lib() {}\n\
-               #[test]\n\
-               fn t() { None::<u32>.unwrap(); }\n\
-               #[cfg(test)]\n\
-               mod tests {\n\
-               \x20   pub fn helper(x: Option<u32>) -> u32 { x.unwrap() }\n\
-               }\n";
-    assert!(findings_for("spec", FileKind::LibSrc, src).is_empty());
-}
-
-// ---------------------------------------------------------------------------
-// Pragmas
+// Pragmas (carried by D6 through the full `lint()` pass)
 // ---------------------------------------------------------------------------
 
 #[test]
 fn pragma_suppresses_own_line_and_next_line() {
-    let own = "fn f(x: Option<u32>) -> u32 { x.unwrap() } // semloc-lint: allow(no-unwrap): test\n";
-    assert!(findings_for("core", FileKind::LibSrc, own).is_empty());
+    let own = "pub fn f(s: &mut DbgStats) { s.drift += 1.0; } \
+               // semloc-lint: allow(no-float-in-stats-accumulation): test\n";
+    let r = lint_stats_fold(own);
+    assert!(r.findings.is_empty(), "{:?}", r.findings);
+    assert_eq!(r.pragmas_honored, 1);
 
-    let above = "// semloc-lint: allow(no-unwrap): caller checked\n\
-                 fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-    assert!(findings_for("core", FileKind::LibSrc, above).is_empty());
+    let above =
+        format!("// semloc-lint: allow(no-float-in-stats-accumulation): debug-only\n{FOLD}");
+    let r = lint_stats_fold(&above);
+    assert!(r.findings.is_empty(), "{:?}", r.findings);
+    assert_eq!(r.pragmas_honored, 1);
 }
 
 #[test]
 fn pragma_does_not_reach_two_lines_down() {
-    let src = "// semloc-lint: allow(no-unwrap): too far away\n\
-               fn pad() {}\n\
-               fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-    let f = findings_for("core", FileKind::LibSrc, src);
-    assert_fires(&f, "no-unwrap", 3);
+    let src = format!("// semloc-lint: allow(d6): too far away\nfn pad() {{}}\n{FOLD}");
+    let f = lint_stats_fold(&src).findings;
+    assert_fires(&f, "no-float-in-stats-accumulation", 3);
 }
 
 #[test]
 fn pragma_is_rule_scoped() {
-    // A D1 pragma does not excuse a D3 violation on the same line.
-    let src = "// semloc-lint: allow(no-std-hash-collections): wrong rule\n\
-               fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-    let f = findings_for("core", FileKind::LibSrc, src);
-    assert_fires(&f, "no-unwrap", 2);
+    // A D4 pragma does not excuse a D6 violation on the next line.
+    let src = format!("// semloc-lint: allow(snapshot-coverage): wrong rule\n{FOLD}");
+    let f = lint_stats_fold(&src).findings;
+    assert_fires(&f, "no-float-in-stats-accumulation", 2);
 }
 
 #[test]
 fn pragma_accepts_aliases_and_all() {
-    let alias = "// semloc-lint: allow(d3): alias form\n\
-                 fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-    assert!(findings_for("core", FileKind::LibSrc, alias).is_empty());
+    let alias = format!("// semloc-lint: allow(d6): alias form\n{FOLD}");
+    let r = lint_stats_fold(&alias);
+    assert!(r.findings.is_empty(), "{:?}", r.findings);
 
-    let all = "// semloc-lint: allow(all): kitchen sink\n\
-               fn f() { let _ = std::collections::HashMap::<u8, u8>::new(); }\n";
-    assert!(findings_for("core", FileKind::LibSrc, all).is_empty());
+    let all = format!("// semloc-lint: allow(all): kitchen sink\n{FOLD}");
+    let r = lint_stats_fold(&all);
+    assert!(r.findings.is_empty(), "{:?}", r.findings);
 }
 
 #[test]
 fn doc_comments_never_carry_pragmas() {
     // A doc comment quoting the pragma syntax must not suppress anything.
-    let src = "/// semloc-lint: allow(no-unwrap): just documentation\n\
-               fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-    let f = findings_for("core", FileKind::LibSrc, src);
-    assert_fires(&f, "no-unwrap", 2);
+    let src = format!("/// semloc-lint: allow(d6): just documentation\n{FOLD}");
+    let f = lint_stats_fold(&src).findings;
+    assert_fires(&f, "no-float-in-stats-accumulation", 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -367,230 +253,69 @@ fn d4_malformed_manifest_line_is_a_deny_finding() {
 }
 
 // ---------------------------------------------------------------------------
-// D5: paper-constants
-// ---------------------------------------------------------------------------
-
-const GOOD_CONFIG: &str = "impl Default for ContextConfig {\n\
-    \x20   fn default() -> Self {\n\
-    \x20       ContextConfig {\n\
-    \x20           cst_entries: 2048,\n\
-    \x20           reducer_entries: 16 * 1024,\n\
-    \x20           history_len: 50,\n\
-    \x20           pfq_len: 128,\n\
-    \x20       }\n\
-    \x20   }\n\
-    }\n";
-const GOOD_CST: &str = "pub const LINKS: usize = 4;\n";
-const GOOD_SPEC: &str = "pub const SPEC_LINKS: usize = 4;\n";
-const GOOD_REWARD: &str =
-    "pub fn paper_default() -> BellReward { BellReward::new(18, 50, 16, -8, -4) }\n";
-
-fn d5_anchors(config: &str, cst: &str, spec: &str, reward: &str) -> Vec<SourceFile> {
-    vec![
-        SourceFile::fixture(
-            "core",
-            FileKind::LibSrc,
-            "crates/core/src/config.rs",
-            config,
-        ),
-        SourceFile::fixture("core", FileKind::LibSrc, "crates/core/src/cst.rs", cst),
-        SourceFile::fixture("spec", FileKind::LibSrc, "crates/spec/src/tables.rs", spec),
-        SourceFile::fixture(
-            "bandit",
-            FileKind::LibSrc,
-            "crates/bandit/src/reward.rs",
-            reward,
-        ),
-    ]
-}
-
-fn d5_run(files: &[SourceFile]) -> Vec<Finding> {
-    let lexed: Vec<LexData> = files.iter().map(|f| LexData::of(&f.content)).collect();
-    let pairs: Vec<(&SourceFile, &LexData)> = files.iter().zip(lexed.iter()).collect();
-    check_paper_constants(&analyze(&pairs))
-}
-
-#[test]
-fn d5_clean_on_table2_values() {
-    let files = d5_anchors(GOOD_CONFIG, GOOD_CST, GOOD_SPEC, GOOD_REWARD);
-    assert!(d5_run(&files).is_empty());
-}
-
-#[test]
-fn d5_fires_on_drifted_config_value() {
-    let bad = GOOD_CONFIG.replace("history_len: 50", "history_len: 49");
-    let files = d5_anchors(&bad, GOOD_CST, GOOD_SPEC, GOOD_REWARD);
-    let f = d5_run(&files);
-    // history_len sits on line 6 of the fixture, and 49 also breaks the
-    // bell-window-fits-in-history invariant (hi = 50 > 49).
-    assert_fires(&f, "paper-constants", 6);
-    assert!(f.iter().any(|x| x.message.contains("49")), "{f:?}");
-}
-
-#[test]
-fn d5_fires_on_broken_reducer_ratio() {
-    let bad = GOOD_CONFIG.replace("reducer_entries: 16 * 1024", "reducer_entries: 4096");
-    let files = d5_anchors(&bad, GOOD_CST, GOOD_SPEC, GOOD_REWARD);
-    let f = d5_run(&files);
-    assert!(
-        f.iter().any(|x| x.message.contains("8x")),
-        "expected the 8x-ratio finding, got {f:?}"
-    );
-}
-
-#[test]
-fn d5_fires_on_wrong_link_count() {
-    let files = d5_anchors(
-        GOOD_CONFIG,
-        "pub const LINKS: usize = 8;\n",
-        GOOD_SPEC,
-        GOOD_REWARD,
-    );
-    let f = d5_run(&files);
-    assert_fires(&f, "paper-constants", 1);
-    assert!(f.iter().any(|x| x.file.ends_with("cst.rs")), "{f:?}");
-}
-
-#[test]
-fn d5_fires_on_shifted_bell_window() {
-    let bad = GOOD_REWARD.replace("new(18, 50", "new(10, 60");
-    let files = d5_anchors(GOOD_CONFIG, GOOD_CST, GOOD_SPEC, &bad);
-    let f = d5_run(&files);
-    assert!(
-        f.iter().any(|x| x.message.contains("18-50")),
-        "expected the bell-window finding, got {f:?}"
-    );
-}
-
-#[test]
-fn d5_fires_when_anchor_goes_missing() {
-    let files = d5_anchors(GOOD_CONFIG, GOOD_CST, GOOD_SPEC, GOOD_REWARD);
-    let f = d5_run(&files[..3]);
-    assert!(
-        f.iter().any(|x| x.file.contains("reward.rs")),
-        "missing anchor must be reported, got {f:?}"
-    );
-}
-
-#[test]
-fn d5_understands_const_expressions() {
-    // `16 * 1024` and `1 << 11` must evaluate, not silently skip.
-    let shifted = GOOD_CONFIG.replace("cst_entries: 2048", "cst_entries: 1 << 11");
-    let files = d5_anchors(&shifted, GOOD_CST, GOOD_SPEC, GOOD_REWARD);
-    assert!(d5_run(&files).is_empty());
-}
-
-// ---------------------------------------------------------------------------
-// D7: unsafe-audit
-// ---------------------------------------------------------------------------
-
-#[test]
-fn d7_fires_on_unjustified_unsafe_block() {
-    let f = findings_for(
-        "accel",
-        FileKind::LibSrc,
-        "pub fn f(p: *const u8) -> u8 { unsafe { *p } }\n",
-    );
-    assert_fires(&f, "unsafe-audit", 1);
-    assert!(f.iter().all(|x| x.severity == Severity::Deny));
-}
-
-#[test]
-fn d7_applies_to_every_crate_and_bins() {
-    let src = "pub fn f(p: *const u8) -> u8 { unsafe { *p } }\n";
-    assert_fires(
-        &findings_for("harness", FileKind::LibSrc, src),
-        "unsafe-audit",
-        1,
-    );
-    assert_fires(&findings_for("core", FileKind::Bin, src), "unsafe-audit", 1);
-}
-
-#[test]
-fn d7_honors_safety_argument_pragmas() {
-    let above = "// semloc-lint: allow(unsafe-audit): caller checked the pointer is in bounds\n\
-                 pub fn f(p: *const u8) -> u8 { unsafe { *p } }\n";
-    assert!(findings_for("accel", FileKind::LibSrc, above).is_empty());
-
-    let own = "pub fn f(p: *const u8) -> u8 { unsafe { *p } } // semloc-lint: allow(unsafe-audit): bounds-checked above\n";
-    assert!(findings_for("accel", FileKind::LibSrc, own).is_empty());
-
-    let alias = "// semloc-lint: allow(d7): alias form works too\n\
-                 pub fn f(p: *const u8) -> u8 { unsafe { *p } }\n";
-    assert!(findings_for("accel", FileKind::LibSrc, alias).is_empty());
-}
-
-#[test]
-fn d7_exempts_test_code_and_declarations() {
-    // Test code is exempt.
-    let test = "#[cfg(test)]\nmod tests {\n    fn t(p: *const u8) -> u8 { unsafe { *p } }\n}\n";
-    assert!(findings_for("accel", FileKind::LibSrc, test).is_empty());
-    assert!(findings_for(
-        "accel",
-        FileKind::TestsDir,
-        "fn f(p: *const u8) -> u8 { unsafe { *p } }\n",
-    )
-    .is_empty());
-    // `unsafe fn` / `unsafe impl` headers declare contracts rather than
-    // trusting an operation; their *call sites'* blocks get audited.
-    let decls = "pub unsafe fn raw() {}\nunsafe impl Send for W {}\nstruct W;\n";
-    assert!(findings_for("accel", FileKind::LibSrc, decls).is_empty());
-}
-
-// ---------------------------------------------------------------------------
 // End-to-end: seeded violations through `lint()` + JSON shape
 // ---------------------------------------------------------------------------
 
 #[test]
 fn seeded_workspace_fires_every_rule_with_positions() {
-    let mut files = d5_anchors(
-        GOOD_CONFIG,
-        "pub const LINKS: usize = 8;\n", // D5 violation, cst.rs line 1
-        GOOD_SPEC,
-        GOOD_REWARD,
-    );
-    files.push(SourceFile::fixture(
-        "mem",
-        FileKind::LibSrc,
-        "crates/mem/src/bad.rs",
-        "use std::collections::HashMap;\n\
-         fn f() { let _ = std::time::Instant::now(); }\n\
-         fn g(x: Option<u32>) -> u32 { x.unwrap() }\n\
-         fn h(p: *const u8) -> u8 { unsafe { *p } }\n",
-    ));
-    files.push(SourceFile::fixture(
-        "cpu",
-        FileKind::LibSrc,
-        "crates/cpu/src/badstats.rs",
-        "pub struct LatStats { pub sum: f64 }\n\
-         fn fold(s: &mut LatStats, l: f64) { s.sum += l; }\n",
-    ));
-    let (manifest, manifest_findings) = parse_manifest("mem/Ghost snapshot\n", "manifest.txt");
-    let ws = Workspace {
-        root: PathBuf::from("."),
+    let files = vec![
+        SourceFile::fixture(
+            "mem",
+            FileKind::LibSrc,
+            "crates/mem/src/bad.rs",
+            "pub struct Table {\n\
+             \x20   v: Vec<u64>,\n\
+             \x20   tick: u64,\n\
+             }\n\
+             impl Snapshot for Table {\n\
+             \x20   fn save(&self, w: &mut W) { w.bytes(&self.v); w.u64(self.tick); }\n\
+             \x20   fn restore(&mut self, r: &mut R) -> E { self.v = r.bytes()?; Ok(()) }\n\
+             }\n\
+             impl Core {\n\
+             \x20   fn step(&mut self) {\n\
+             \x20       let g = self.shared.borrow_mut();\n\
+             \x20       self.advance(1);\n\
+             \x20   }\n\
+             }\n",
+        ),
+        SourceFile::fixture(
+            "cpu",
+            FileKind::LibSrc,
+            "crates/cpu/src/badstats.rs",
+            "pub struct LatStats { pub sum: f64 }\n\
+             fn fold(s: &mut LatStats, l: f64) { s.sum += l; }\n",
+        ),
+        SourceFile::fixture(
+            "harness",
+            FileKind::LibSrc,
+            "crates/harness/src/knob.rs",
+            READS_KNOB,
+        ),
+        SourceFile::fixture(
+            "core",
+            FileKind::LibSrc,
+            "crates/core/src/stale.rs",
+            "// semloc-lint: allow(d6): nothing left to excuse\npub fn f() {}\n",
+        ),
+    ];
+    let report = lint(&ws_fixture(
         files,
-        manifest,
-        manifest_findings,
-        manifest_path: "manifest.txt".into(),
-        env_registry: Vec::new(),
-        env_registry_findings: Vec::new(),
-        env_registry_path: "env_registry.txt".into(),
-        readme: String::new(),
-    };
-    let report = lint(&ws);
+        "mem/Ghost snapshot\nmem/Table snapshot\n",
+        "",
+        "",
+    ));
 
     let expect = [
-        ("no-std-hash-collections", "crates/mem/src/bad.rs", 1),
-        ("no-wall-clock", "crates/mem/src/bad.rs", 2),
-        ("no-unwrap", "crates/mem/src/bad.rs", 3),
-        ("unsafe-audit", "crates/mem/src/bad.rs", 4),
         ("snapshot-coverage", "manifest.txt", 1),
-        ("paper-constants", "crates/core/src/cst.rs", 1),
         (
             "no-float-in-stats-accumulation",
             "crates/cpu/src/badstats.rs",
             2,
         ),
+        ("snapshot-field-coverage", "crates/mem/src/bad.rs", 3),
+        ("refcell-borrow-discipline", "crates/mem/src/bad.rs", 11),
+        ("env-var-registry", "crates/harness/src/knob.rs", 2),
+        ("stale-pragma", "crates/core/src/stale.rs", 1),
     ];
     for (rule_id, file, line) in expect {
         assert!(
@@ -600,6 +325,13 @@ fn seeded_workspace_fires_every_rule_with_positions() {
                 .any(|f| f.rule == rule_id && f.file == file && f.line == line),
             "expected {rule_id} at {file}:{line}, got: {:?}",
             report.findings
+        );
+    }
+    for r in &RULES {
+        assert!(
+            expect.iter().any(|(id, ..)| *id == r.id),
+            "rule {} is not seeded",
+            r.id
         );
     }
 
@@ -618,8 +350,8 @@ fn seeded_workspace_fires_every_rule_with_positions() {
     let json = to_json(&report);
     for key in [
         "\"version\": 1",
-        "\"files_scanned\": 6",
-        "\"rule_count\": 11",
+        "\"files_scanned\": 4",
+        "\"rule_count\": 6",
         "\"pragmas_honored\"",
         "\"deny_findings\"",
         "\"warn_findings\"",
@@ -641,13 +373,8 @@ fn seeded_workspace_fires_every_rule_with_positions() {
 #[test]
 fn rule_lookup_resolves_ids_and_aliases() {
     for (id, alias) in [
-        ("no-std-hash-collections", "d1"),
-        ("no-wall-clock", "d2"),
-        ("no-unwrap", "d3"),
         ("snapshot-coverage", "d4"),
-        ("paper-constants", "d5"),
         ("no-float-in-stats-accumulation", "d6"),
-        ("unsafe-audit", "d7"),
         ("snapshot-field-coverage", "d8"),
         ("refcell-borrow-discipline", "d9"),
         ("env-var-registry", "d10"),
@@ -658,6 +385,11 @@ fn rule_lookup_resolves_ids_and_aliases() {
         assert!(!rule(id).unwrap().explain.is_empty());
     }
     assert!(rule("no-such-rule").is_none());
+    // Retired ids (now enforced by clippy or a test) resolve to nothing,
+    // so D11 flags any pragma still naming them.
+    for retired in ["no-unwrap", "d1", "d2", "d3", "d5", "d7"] {
+        assert!(rule(retired).is_none(), "{retired} still resolves");
+    }
 }
 
 #[test]
@@ -993,8 +725,9 @@ fn d9_pragma_suppresses_a_justified_guard() {
     let file = fixture("mem", FileKind::LibSrc, src);
     let raw = d9_run(std::slice::from_ref(&file));
     assert_eq!(raw.len(), 1, "finding must exist before suppression");
-    let lx = LexData::of(&file.content);
-    assert!(semloc_lint::suppress(raw, &lx).is_empty());
+    let report = lint(&ws_fixture(vec![file], "", "", ""));
+    assert!(report.findings.is_empty(), "{:?}", report.findings);
+    assert_eq!(report.pragmas_honored, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -1115,42 +848,12 @@ fn d10_pragma_suppresses_at_the_read_site_through_lint() {
 // D11: stale-pragma (runs inside `lint()`)
 // ---------------------------------------------------------------------------
 
-/// A minimal workspace for `lint()` tests: the given files plus clean D5
-/// anchors (so missing-anchor findings don't pollute the report).
-fn ws_fixture(
-    files: Vec<SourceFile>,
-    manifest_text: &str,
-    registry_text: &str,
-    readme: &str,
-) -> Workspace {
-    let mut all = d5_anchors(GOOD_CONFIG, GOOD_CST, GOOD_SPEC, GOOD_REWARD);
-    all.extend(files);
-    let (manifest, manifest_findings) = parse_manifest(manifest_text, "manifest.txt");
-    let (env_registry, env_registry_findings) =
-        parse_env_registry(registry_text, "env_registry.txt");
-    Workspace {
-        root: PathBuf::from("."),
-        files: all,
-        manifest,
-        manifest_findings,
-        manifest_path: "manifest.txt".into(),
-        env_registry,
-        env_registry_findings,
-        env_registry_path: "env_registry.txt".into(),
-        readme: readme.into(),
-    }
-}
-
 #[test]
 fn d11_fires_on_pragma_that_suppresses_nothing() {
-    let src = "// semloc-lint: allow(no-unwrap): the unwrap below was refactored away\n\
-               pub fn f(x: Option<u32>) -> u32 { x.unwrap_or(0) }\n";
-    let report = lint(&ws_fixture(
-        vec![fixture("core", FileKind::LibSrc, src)],
-        "",
-        "",
-        "",
-    ));
+    let report = lint_stats_fold(
+        "// semloc-lint: allow(no-float-in-stats-accumulation): the fold below became a reset\n\
+         pub fn f(s: &mut DbgStats) { s.drift = 0.0; }\n",
+    );
     let f: Vec<_> = report
         .findings
         .iter()
@@ -1159,38 +862,27 @@ fn d11_fires_on_pragma_that_suppresses_nothing() {
     assert_eq!(f.len(), 1, "{:?}", report.findings);
     assert_eq!((f[0].line, f[0].col), (1, 1), "{f:?}");
     assert_eq!(f[0].severity, Severity::Deny);
-    assert!(f[0].message.contains("no-unwrap"), "{}", f[0].message);
+    assert!(
+        f[0].message.contains("no-float-in-stats-accumulation"),
+        "{}",
+        f[0].message
+    );
 }
 
 #[test]
 fn d11_quiet_when_the_pragma_earns_its_keep() {
-    let src = "// semloc-lint: allow(no-unwrap): caller checked\n\
-               pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-    let report = lint(&ws_fixture(
-        vec![fixture("core", FileKind::LibSrc, src)],
-        "",
-        "",
-        "",
+    let report = lint_stats_fold(&format!(
+        "// semloc-lint: allow(no-float-in-stats-accumulation): debug-only, never digested\n{FOLD}"
     ));
-    assert!(
-        report.findings.iter().all(|f| f.rule != "stale-pragma"),
-        "{:?}",
-        report.findings
-    );
-    assert!(report.findings.iter().all(|f| f.rule != "no-unwrap"));
+    assert!(report.findings.is_empty(), "{:?}", report.findings);
 }
 
 #[test]
 fn d11_flags_each_dead_entry_of_a_multi_rule_pragma() {
     // One entry suppresses, the other is stale: only the dead one is
     // flagged, and the live suppression still works.
-    let src = "// semloc-lint: allow(no-unwrap, no-wall-clock): only the unwrap is real\n\
-               pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-    let report = lint(&ws_fixture(
-        vec![fixture("core", FileKind::LibSrc, src)],
-        "",
-        "",
-        "",
+    let report = lint_stats_fold(&format!(
+        "// semloc-lint: allow(no-float-in-stats-accumulation, env-var-registry): only the fold is real\n{FOLD}"
     ));
     let stale: Vec<_> = report
         .findings
@@ -1198,19 +890,17 @@ fn d11_flags_each_dead_entry_of_a_multi_rule_pragma() {
         .filter(|f| f.rule == "stale-pragma")
         .collect();
     assert_eq!(stale.len(), 1, "{:?}", report.findings);
-    assert!(stale[0].message.contains("no-wall-clock"), "{stale:?}");
-    assert!(report.findings.iter().all(|f| f.rule != "no-unwrap"));
+    assert!(stale[0].message.contains("env-var-registry"), "{stale:?}");
+    assert!(report
+        .findings
+        .iter()
+        .all(|f| f.rule != "no-float-in-stats-accumulation"));
 }
 
 #[test]
 fn d11_flags_unknown_rule_names() {
-    let src = "// semloc-lint: allow(no-unwarp): typo in the rule id\n\
-               pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-    let report = lint(&ws_fixture(
-        vec![fixture("core", FileKind::LibSrc, src)],
-        "",
-        "",
-        "",
+    let report = lint_stats_fold(&format!(
+        "// semloc-lint: allow(no-float-in-stats-acumulation): typo in the rule id\n{FOLD}"
     ));
     assert!(
         report
@@ -1220,20 +910,16 @@ fn d11_flags_unknown_rule_names() {
         "{:?}",
         report.findings
     );
-    // The typo'd pragma suppressed nothing, so the unwrap also survives.
-    assert!(report.findings.iter().any(|f| f.rule == "no-unwrap"));
+    // The typo'd pragma suppressed nothing, so the fold also survives.
+    assert_fires(&report.findings, "no-float-in-stats-accumulation", 2);
 }
 
 #[test]
 fn d11_stale_allow_all_is_flagged_and_never_self_excuses() {
-    let src = "// semloc-lint: allow(all): blanket with nothing underneath\n\
-               pub fn f() -> u32 { 7 }\n";
-    let report = lint(&ws_fixture(
-        vec![fixture("core", FileKind::LibSrc, src)],
-        "",
-        "",
-        "",
-    ));
+    let report = lint_stats_fold(
+        "// semloc-lint: allow(all): blanket with nothing underneath\n\
+         pub fn f() -> u32 { 7 }\n",
+    );
     assert!(
         report.findings.iter().any(|f| f.rule == "stale-pragma"),
         "allow(all) must not launder its own staleness: {:?}",
@@ -1245,15 +931,11 @@ fn d11_stale_allow_all_is_flagged_and_never_self_excuses() {
 fn d11_explicit_acknowledgement_suppresses_staleness() {
     // The sanctioned escape hatch: a pragma naming stale-pragma on the
     // line above acknowledges a scan-invisible suppression.
-    let src = "// semloc-lint: allow(stale-pragma): the unwrap is behind cfg(slow_asserts)\n\
-               // semloc-lint: allow(no-unwrap): fires only under cfg(slow_asserts)\n\
-               pub fn f(x: Option<u32>) -> u32 { x.unwrap_or(0) }\n";
-    let report = lint(&ws_fixture(
-        vec![fixture("core", FileKind::LibSrc, src)],
-        "",
-        "",
-        "",
-    ));
+    let report = lint_stats_fold(
+        "// semloc-lint: allow(stale-pragma): the fold is behind cfg(slow_asserts)\n\
+         // semloc-lint: allow(no-float-in-stats-accumulation): fires only under cfg(slow_asserts)\n\
+         pub fn f(s: &mut DbgStats) { s.drift = 0.0; }\n",
+    );
     assert!(
         report.findings.iter().all(|f| f.rule != "stale-pragma"),
         "{:?}",
@@ -1263,24 +945,15 @@ fn d11_explicit_acknowledgement_suppresses_staleness() {
 
 #[test]
 fn d6_pragma_suppresses_a_justified_fold() {
-    let decl = fixture(
-        "cpu",
-        FileKind::LibSrc,
-        "pub struct DbgStats { pub drift: f64 }\n",
+    let report = lint_stats_fold(
+        "fn f(s: &mut DbgStats, d: f64) {\n\
+         \x20   // semloc-lint: allow(no-float-in-stats-accumulation): debug-only, never digested\n\
+         \x20   s.drift += d;\n\
+         }\n",
     );
-    let fold_src = "fn f(s: &mut DbgStats, d: f64) {\n\
-                    \x20   // semloc-lint: allow(no-float-in-stats-accumulation): debug-only, never digested\n\
-                    \x20   s.drift += d;\n\
-                    }\n";
-    let fold = fixture("cpu", FileKind::LibSrc, fold_src);
-    let lexed: Vec<LexData> = [&decl, &fold]
-        .iter()
-        .map(|f| LexData::of(&f.content))
-        .collect();
-    let pairs: Vec<(&SourceFile, &LexData)> =
-        [&decl, &fold].into_iter().zip(lexed.iter()).collect();
-    let raw = semloc_lint::rules::check_float_stats(&analyze(&pairs));
-    assert_eq!(raw.len(), 1, "finding must exist before suppression");
-    let survived = semloc_lint::suppress(raw, &lexed[1]);
-    assert!(survived.is_empty(), "{survived:?}");
+    assert!(report.findings.is_empty(), "{:?}", report.findings);
+    assert_eq!(
+        report.pragmas_honored, 1,
+        "the fold was found, then excused"
+    );
 }

@@ -180,7 +180,10 @@ impl Cache {
     /// Insert the line containing `addr`, becoming ready at `ready_at`.
     /// Returns what was evicted.
     #[inline]
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "associativity is validated > 0 at construction"
+    )]
     pub fn fill(&mut self, addr: Addr, ready_at: Cycle, prefetched: bool, dirty: bool) -> Eviction {
         self.tick += 1;
         let tick = self.tick;
@@ -210,7 +213,6 @@ impl Cache {
         // `min_by_key` the interleaved scan used.
         let victim = base
             + semloc_accel::victim_way(&self.valid[r.clone()], &self.lru[r])
-                // semloc-lint: allow(no-unwrap): associativity is validated > 0 at construction
                 .expect("cache set has at least one way");
         let ev = Eviction {
             valid: self.valid[victim],

@@ -370,7 +370,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::unwrap_used)]
     fn snapshot_roundtrip_is_bit_identical() {
         let mem = MemConfig::default();
         let mut sh = SharedL2::new(mem.l2.clone(), DramConfig::default());

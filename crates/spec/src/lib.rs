@@ -24,8 +24,19 @@
 //! * **Clarity over speed.** Everything is a linear scan; the spec is
 //!   only expected to keep up with test-sized streams.
 
-// Mirror of semloc-lint rule D3 (no-unwrap); D1/D2 are mirrored via clippy.toml.
-#![warn(clippy::unwrap_used, clippy::expect_used)]
+// No panic paths in library code; tests, bins and examples are exempt.
+// `clippy::unreachable` has no in-tests exemption, hence the `cfg_attr`.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod prefetcher;
 pub mod tables;

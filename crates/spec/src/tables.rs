@@ -164,14 +164,16 @@ impl SpecCst {
     }
 
     /// Insert a candidate delta, allocating the entry on a tag miss.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "insert into a full set without a matching slot always evicts"
+    )]
     pub fn add_candidate(&mut self, key: ContextKey, delta: i16) -> SpecAdd {
         let idx = self.slot(key);
         let tag = key.cst_tag();
         match &mut self.entries[idx] {
             Some(e) if e.tag == tag => {
                 if e.links.slots.len() == SPEC_LINKS && e.links.score_of(delta).is_none() {
-                    // semloc-lint: allow(no-unwrap): insert into a full set without a matching slot always evicts
                     let (_, score) = e.links.insert(delta).expect("full entry evicts");
                     SpecAdd::Evicted(score)
                 } else {

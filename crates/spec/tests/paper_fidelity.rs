@@ -1,5 +1,6 @@
 //! Paper-fidelity suite: pins the behaviours the ISCA'15 paper actually
-//! claims — the bell-shaped reward over the timeliness window (Fig 5),
+//! claims — the Table 2 structural constants, the bell-shaped reward over
+//! the timeliness window (Fig 5),
 //! attribute deactivation under CST underload (§4.3 reducer), exploration
 //! rate falling as accuracy rises (§4.4 adaptive ε-greedy), and saturating
 //! link scores in the CST — against both the spec tables and the optimized
@@ -9,6 +10,32 @@ use semloc_bandit::scored::Replacement;
 use semloc_bandit::{AdaptiveEpsilon, BellReward, ExplorationPolicy, RewardFunction};
 use semloc_context::{ContextConfig, ContextStatesTable, FullHash, Reducer};
 use semloc_spec::{SpecCst, SpecPrefetcher, SpecReducer};
+
+// ---------------------------------------------------------------------------
+// Table 2 geometry
+// ---------------------------------------------------------------------------
+
+/// The structural constants Table 2 fixes, which every experiment and doc
+/// assumes: a 2K-entry CST with 4 links in both the core and the spec, a
+/// 16K-entry reducer (8x the CST), a 50-entry history queue, a 128-entry
+/// prefetch queue and the 18-50-access bell window, which must fit inside
+/// the history queue or late hits could never be rewarded.
+#[test]
+fn table2_constants_match_the_paper() {
+    let c = ContextConfig::default();
+    assert_eq!(c.cst_entries, 2048);
+    assert_eq!(c.reducer_entries, 16 * 1024);
+    assert_eq!(c.reducer_entries, 8 * c.cst_entries);
+    assert_eq!(c.history_len, 50);
+    assert_eq!(c.pfq_len, 128);
+    assert_eq!(semloc_context::cst::LINKS, 4);
+    assert_eq!(semloc_spec::tables::SPEC_LINKS, 4);
+
+    let window = BellReward::paper_default().window();
+    assert_eq!(window, (18, 50));
+    assert_eq!(c.reward.window(), window);
+    assert!(window.1 as usize <= c.history_len);
+}
 
 // ---------------------------------------------------------------------------
 // Bell reward (Fig 5)

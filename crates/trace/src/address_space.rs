@@ -64,8 +64,8 @@ pub struct AddressSpace {
     brk: Addr,
     allocated: u64,
     /// Free slots per size class (Scatter). Keyed by size class; a BTreeMap
-    /// keeps any future iteration deterministic (rule D1) — the randomized
-    /// part of scatter placement lives in the seeded shuffle, not the map.
+    /// keeps any future iteration deterministic — the randomized part of
+    /// scatter placement lives in the seeded shuffle, not the map.
     bags: BTreeMap<u64, Vec<Addr>>,
     /// Bump cursor and slab end per size class (Pools).
     pools: BTreeMap<u64, (Addr, Addr)>,
@@ -126,7 +126,10 @@ impl AddressSpace {
         a
     }
 
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "the refill above banked `slots >= 1` addresses"
+    )]
     fn scatter(&mut self, class: u64) -> Addr {
         let bag = self.bags.entry(class).or_default();
         if bag.is_empty() {
@@ -136,7 +139,6 @@ impl AddressSpace {
             bag.extend((0..slots).map(|i| base + i * class));
             bag.shuffle(&mut self.rng);
         }
-        // semloc-lint: allow(no-unwrap): the refill above banked `slots >= 1` addresses
         bag.pop().expect("slab refill produced at least one slot")
     }
 

@@ -187,7 +187,9 @@ impl DecodedTrace {
         #[cfg(target_arch = "x86_64")]
         if start < self.ops.len() {
             use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            // semloc-lint: allow(unsafe-audit): _mm_prefetch is a pure cache hint with no memory-safety obligations; the pointers derive from in-bounds indices into live slices
+            // SAFETY: _mm_prefetch is a pure cache hint with no memory-safety
+            // obligations; the pointers derive from in-bounds indices into
+            // live slices.
             unsafe {
                 _mm_prefetch(self.ops.as_ptr().add(start) as *const i8, _MM_HINT_T0);
                 _mm_prefetch(self.pcs.as_ptr().add(start) as *const i8, _MM_HINT_T0);

@@ -139,7 +139,10 @@ impl LinkedChain {
 /// One sequential/strided scan over an array of `elems` elements of
 /// `elem_size` bytes at `base`: indexed loads with `Index` hints, `work`
 /// filler ops per element.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is one independent dimension of the scan, shared by every caller"
+)]
 pub fn stream(
     s: &mut Session<'_>,
     sites: LoopSites,
@@ -179,7 +182,10 @@ pub fn stream(
 
 /// An indexed gather `data[idx]` for each index produced by `indices`:
 /// loads the index from an index array, then the dependent data element.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is one independent dimension of the gather, shared by every caller"
+)]
 pub fn gather(
     s: &mut Session<'_>,
     sites: LoopSites,

@@ -94,7 +94,10 @@ impl Kernel for Ssca2 {
         }
 
         // Edge storage per layout.
-        #[allow(clippy::type_complexity)]
+        #[expect(
+            clippy::type_complexity,
+            reason = "one layout-dependent tuple, destructured on the spot"
+        )]
         let (csr, linked): (Option<(Addr, Addr, Vec<u64>)>, Option<Vec<Vec<Addr>>>) =
             match self.layout {
                 Layout::Csr => {
