@@ -1,5 +1,6 @@
-//! Kill/resume smoke test for the on-disk `SEMLOC-CKPT` path, driven as
-//! two separate processes so the resume genuinely starts cold:
+//! Kill/resume smoke test for on-disk checkpoints (`SIMC` and `RRES`
+//! frames in a `CkptStore`), driven as two separate processes so the
+//! resume genuinely starts cold:
 //!
 //! ```text
 //! ckpt_smoke interrupted <dir>   # run every golden cell partway, persist
@@ -16,7 +17,7 @@
 
 use std::sync::Arc;
 
-use semloc_harness::{run_resumable, CkptPayload, CkptStore, Engine, PrefetcherKind, SimConfig};
+use semloc_harness::{run_resumable, CkptStore, Engine, PrefetcherKind, SimCheckpoint, SimConfig};
 use semloc_trace::{fnv1a, FNV_OFFSET};
 use semloc_workloads::{capture_kernel, kernel_by_name, ReplayKernel};
 
@@ -57,9 +58,9 @@ fn interrupted(store: &CkptStore, cfg: &SimConfig) {
             e.run_to(INTERRUPT_AT);
             assert_eq!(e.cursor(), INTERRUPT_AT);
             let fp = e.fingerprint();
-            store.save(kernel, fp, &CkptPayload::Mid(e.checkpoint().to_bytes()));
+            store.save(kernel, fp, &e.checkpoint().to_bytes());
             assert!(
-                matches!(store.load(kernel, fp), Some(CkptPayload::Mid(_))),
+                store.load(kernel, fp, SimCheckpoint::from_bytes).is_some(),
                 "{kernel}/{}: mid-run checkpoint must persist",
                 kind.label()
             );

@@ -59,23 +59,22 @@ pub struct SimCheckpoint {
 }
 
 impl SimCheckpoint {
-    /// Serialize to the flat `SIMC` byte encoding.
+    /// Serialize as a `SIMC` frame (see [`semloc_trace::snap`]).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        w.section(*b"SIMC", self.version);
+        let mut w = SnapWriter::framed(*b"SIMC", self.version);
         w.put_u64(self.fingerprint);
         w.put_u64(self.cursor);
         w.put_len(self.payload.len());
         w.put_bytes(&self.payload);
-        w.into_bytes()
+        w.into_frame()
     }
 
-    /// Parse bytes produced by [`SimCheckpoint::to_bytes`]. Rejects foreign
-    /// tags, unknown versions, truncation, and trailing garbage with a
-    /// typed [`io::ErrorKind::InvalidData`] / `UnexpectedEof` error.
+    /// Parse a frame produced by [`SimCheckpoint::to_bytes`]. Rejects
+    /// corrupted frames, foreign kinds, unknown versions, truncation, and
+    /// trailing garbage with a typed [`io::ErrorKind::InvalidData`] /
+    /// `UnexpectedEof` error.
     pub fn from_bytes(bytes: &[u8]) -> io::Result<SimCheckpoint> {
-        let mut r = SnapReader::new(bytes);
-        r.section(*b"SIMC", SIM_CKPT_VERSION)?;
+        let mut r = SnapReader::framed(bytes, *b"SIMC", SIM_CKPT_VERSION)?;
         let fingerprint = r.get_u64()?;
         let cursor = r.get_u64()?;
         let n = r.get_len()?;
@@ -516,7 +515,7 @@ mod tests {
         let mut extra = bytes.clone();
         extra.push(0);
         assert!(SimCheckpoint::from_bytes(&extra).is_err());
-        // A wrong section tag is rejected before anything is interpreted.
+        // A bad magic is rejected before anything is interpreted.
         let mut bad = bytes;
         bad[0] ^= 0xFF;
         assert!(SimCheckpoint::from_bytes(&bad).is_err());

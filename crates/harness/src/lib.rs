@@ -31,7 +31,7 @@ pub mod sweep;
 pub use arena::{
     arena_run, default_cells, ArenaOpts, ArenaReport, CellScore, KernelScore, VerifyMode,
 };
-pub use ckpt::{decode_ckpt, encode_ckpt, CkptPayload, CkptStore, CKPT_MAGIC, CKPT_VERSION};
+pub use ckpt::CkptStore;
 pub use config::SimConfig;
 pub use diff::{diff_kernel, DiffReport, Divergence, TeePrefetcher};
 pub use engine::{Engine, SimCheckpoint, SIM_CKPT_VERSION};

@@ -151,10 +151,9 @@ pub struct McCheckpoint {
 }
 
 impl McCheckpoint {
-    /// Serialize to the flat `MCCK` byte encoding.
+    /// Serialize as an `MCCK` frame (see [`semloc_trace::snap`]).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        w.section(*b"MCCK", self.version);
+        let mut w = SnapWriter::framed(*b"MCCK", self.version);
         w.put_u64(self.fingerprint);
         w.put_u64(self.horizon);
         w.put_len(self.cursors.len());
@@ -163,14 +162,14 @@ impl McCheckpoint {
         }
         w.put_len(self.payload.len());
         w.put_bytes(&self.payload);
-        w.into_bytes()
+        w.into_frame()
     }
 
-    /// Parse bytes produced by [`McCheckpoint::to_bytes`], rejecting foreign
-    /// tags, versions, truncation and trailing garbage.
+    /// Parse a frame produced by [`McCheckpoint::to_bytes`], rejecting
+    /// corrupted frames, foreign kinds, versions, truncation and trailing
+    /// garbage.
     pub fn from_bytes(bytes: &[u8]) -> io::Result<McCheckpoint> {
-        let mut r = SnapReader::new(bytes);
-        r.section(*b"MCCK", MC_CKPT_VERSION)?;
+        let mut r = SnapReader::framed(bytes, *b"MCCK", MC_CKPT_VERSION)?;
         let fingerprint = r.get_u64()?;
         let horizon = r.get_u64()?;
         let n = r.get_len()?;
@@ -595,8 +594,14 @@ mod tests {
         let mut extra = bytes.clone();
         extra.push(0);
         assert!(McCheckpoint::from_bytes(&extra).is_err());
-        let mut flipped = bytes;
-        flipped[0] ^= 0xff;
-        assert!(McCheckpoint::from_bytes(&flipped).is_err());
+        for at in [0, bytes.len() / 2] {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 0x10;
+            assert!(
+                McCheckpoint::from_bytes(&flipped).is_err(),
+                "flip at byte {at} of {} accepted",
+                bytes.len()
+            );
+        }
     }
 }

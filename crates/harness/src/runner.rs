@@ -8,11 +8,15 @@ use semloc_mem::{Hierarchy, MemStats, Prefetcher, PrefetcherStats};
 use semloc_trace::{fnv1a, snap_err, SnapReader, SnapWriter, Snapshot, FNV_OFFSET};
 use semloc_workloads::{Kernel, ReplayKernel};
 
-use crate::ckpt::{CkptPayload, CkptStore};
+use crate::ckpt::CkptStore;
 use crate::config::SimConfig;
 use crate::engine::{Engine, SimCheckpoint};
 use crate::prefetchers::PrefetcherKind;
 use crate::store::TraceStore;
+
+/// Version of the `RRES` frame: a finished cell's engine fingerprint and
+/// result.
+const RESULT_VERSION: u32 = 2;
 
 /// Everything measured in one simulated run.
 #[derive(Clone, Debug)]
@@ -135,35 +139,45 @@ impl RunResult {
         d.finish()
     }
 
-    /// Serialize this result as an `RRES` snapshot section (the payload of
-    /// a *final* on-disk checkpoint — see [`crate::ckpt`]).
-    pub(crate) fn save_snap(&self, w: &mut SnapWriter) {
-        w.section(*b"RRES", 1);
+    /// Serialize this result as an `RRES` frame, the *final* on-disk
+    /// checkpoint of the cell whose engine has `fingerprint` (see
+    /// [`crate::ckpt`]).
+    pub(crate) fn to_frame(&self, fingerprint: u64) -> Vec<u8> {
+        let mut w = SnapWriter::framed(*b"RRES", RESULT_VERSION);
+        w.put_u64(fingerprint);
         w.put_len(self.kernel.len());
         w.put_bytes(self.kernel.as_bytes());
         w.put_len(self.prefetcher.len());
         w.put_bytes(self.prefetcher.as_bytes());
-        self.cpu.save(w);
-        self.mem.save(w);
-        self.pf.save(w);
+        self.cpu.save(&mut w);
+        self.mem.save(&mut w);
+        self.pf.save(&mut w);
         w.put_bool(self.learn.is_some());
         if let Some(l) = &self.learn {
-            l.save(w);
+            l.save(&mut w);
         }
         w.put_u64(self.storage_bytes as u64);
+        w.into_frame()
     }
 
-    /// Parse an `RRES` section written by [`RunResult::save_snap`]. The
-    /// embedded kernel and prefetcher names must match the expected cell
-    /// (names live in the registry as `&'static str`s, so the caller
-    /// supplies the identities it is resuming and the snapshot merely
+    /// Parse an `RRES` frame written by [`RunResult::to_frame`]. The
+    /// embedded fingerprint, kernel and prefetcher names must match the
+    /// expected cell (names live in the registry as `&'static str`s, so the
+    /// caller supplies the identities it is resuming and the frame merely
     /// confirms them).
-    pub(crate) fn restore_snap(
+    pub(crate) fn from_frame(
+        bytes: &[u8],
+        fingerprint: u64,
         kernel: &'static str,
         prefetcher: &'static str,
-        r: &mut SnapReader<'_>,
     ) -> io::Result<RunResult> {
-        r.section(*b"RRES", 1)?;
+        let mut r = SnapReader::framed(bytes, *b"RRES", RESULT_VERSION)?;
+        let fp = r.get_u64()?;
+        if fp != fingerprint {
+            return Err(snap_err(format!(
+                "result frame is for engine {fp:#018x}, not {fingerprint:#018x}"
+            )));
+        }
         let n = r.get_len()?;
         if r.get_bytes(n)? != kernel.as_bytes() {
             return Err(snap_err(format!(
@@ -177,19 +191,20 @@ impl RunResult {
             )));
         }
         let mut cpu = CpuStats::default();
-        cpu.restore(r)?;
+        cpu.restore(&mut r)?;
         let mut mem = MemStats::default();
-        mem.restore(r)?;
+        mem.restore(&mut r)?;
         let mut pf = PrefetcherStats::default();
-        pf.restore(r)?;
+        pf.restore(&mut r)?;
         let learn = if r.get_bool()? {
             let mut l = ContextStats::default();
-            l.restore(r)?;
+            l.restore(&mut r)?;
             Some(l)
         } else {
             None
         };
         let storage_bytes = r.get_u64()? as usize;
+        r.expect_end()?;
         Ok(RunResult {
             kernel,
             prefetcher,
@@ -347,11 +362,12 @@ pub(crate) fn resolve(
 
 /// Run one resolved cell through the [`Engine`], with on-disk
 /// checkpoint/resume when `ckpt` is enabled: a valid *final* checkpoint
-/// short-circuits the run entirely; a valid *mid-run* checkpoint warm-starts
-/// the engine at its cursor; corrupt or foreign checkpoints are counted as
-/// rejects and the cell runs fresh. While running, a mid-run checkpoint is
-/// written every [`CkptStore::interval`] instructions, and the finished
-/// result is persisted as a final checkpoint.
+/// (`RRES`) short-circuits the run entirely; a valid *mid-run* checkpoint
+/// (`SIMC`) warm-starts the engine at its cursor; corrupt or foreign
+/// checkpoints are counted as rejects and the cell runs fresh. While
+/// running, a mid-run checkpoint is written every [`CkptStore::interval`]
+/// instructions, and the finished result is persisted as a final
+/// checkpoint.
 pub fn run_resumable(
     ckpt: &CkptStore,
     replay: ReplayKernel,
@@ -366,25 +382,19 @@ pub fn run_resumable(
     }
     let mut engine = Engine::new(replay.clone(), kind, config);
     let fp = engine.fingerprint();
-    match ckpt.load(kernel_name, fp) {
-        Some(CkptPayload::Final(bytes)) => {
-            let mut r = SnapReader::new(&bytes);
-            let parsed = RunResult::restore_snap(kernel_name, kind.label(), &mut r)
-                .and_then(|res| r.expect_end().map(|()| res));
-            match parsed {
-                Ok(res) => return res,
-                Err(_) => ckpt.note_reject(),
-            }
+    let finished = ckpt.load(kernel_name, fp, |bytes| {
+        if let Ok(r) = RunResult::from_frame(bytes, fp, kernel_name, kind.label()) {
+            return Ok(Some(r));
         }
-        Some(CkptPayload::Mid(bytes)) => {
-            let restored = SimCheckpoint::from_bytes(&bytes).and_then(|c| engine.restore(&c));
-            if restored.is_err() {
-                // A partially-restored engine is unusable; start cold.
-                ckpt.note_reject();
-                engine = Engine::new(replay, kind, config);
-            }
-        }
-        None => {}
+        engine.restore(&SimCheckpoint::from_bytes(bytes)?)?;
+        Ok(None)
+    });
+    match finished {
+        Some(Some(result)) => return result,
+        Some(None) => {} // warm-started at the checkpoint's cursor
+        // A miss leaves the engine cold, but a reject may have restored it
+        // part-way: start from a fresh one either way.
+        None => engine = Engine::new(replay, kind, config),
     }
     let interval = ckpt.interval().max(1);
     while !engine.done() {
@@ -394,17 +404,11 @@ pub fn run_resumable(
             break; // stream exhausted below the budget
         }
         if !engine.done() {
-            ckpt.save(
-                kernel_name,
-                fp,
-                &CkptPayload::Mid(engine.checkpoint().to_bytes()),
-            );
+            ckpt.save(kernel_name, fp, &engine.checkpoint().to_bytes());
         }
     }
     let result = engine.finish();
-    let mut w = SnapWriter::new();
-    result.save_snap(&mut w);
-    ckpt.save(kernel_name, fp, &CkptPayload::Final(w.into_bytes()));
+    ckpt.save(kernel_name, fp, &result.to_frame(fp));
     result
 }
 

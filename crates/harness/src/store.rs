@@ -6,8 +6,9 @@
 //! matrix — `Matrix::run`, `Matrix::run_parallel` workers, the calibration
 //! probe, and all the figure binaries — pays each kernel's generation cost
 //! once per process instead of once per cell. With `SEMLOC_TRACE_DIR` set,
-//! captures also persist in the `SEMLOC02` format so separate processes
-//! (e.g. the individual `fig*` binaries) reuse each other's traces.
+//! captures also persist as `TRCE` frames (the capture's varint buffer, see
+//! [`semloc_trace::TraceBuffer::to_frame`]) so separate processes (e.g. the
+//! individual `fig*` binaries) reuse each other's traces.
 //!
 //! Correctness rests on the prefix property documented in
 //! [`semloc_workloads::replay`]: a capture at budget `B` replays
@@ -21,12 +22,11 @@
 )]
 use std::collections::HashMap;
 use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use semloc_trace::{BufferSink, FaultPlan, ShortWriter};
+use semloc_trace::{write_atomic, FaultPlan, SaveFaults, TraceBuffer};
 use semloc_workloads::{capture_kernel, CapturedTrace, Kernel, ReplayKernel};
 
 use crate::runner::{Digest, RunResult};
@@ -68,17 +68,8 @@ pub struct TraceStore {
     /// fault must either land here (detected) or provably leave no cache
     /// file behind (tolerated) — the fault-injection suite asserts both.
     disk_rejects: AtomicU64,
-    /// Fault injection for the save path (testing only): corruptions applied
-    /// to the serialized bytes before they reach disk, and an optional write
-    /// budget in bytes after which the underlying writer fails.
+    /// Faults the next save injects (testing only).
     save_faults: Mutex<SaveFaults>,
-}
-
-/// Injected failure modes for [`TraceStore::save_to_disk`].
-#[derive(Debug, Default)]
-struct SaveFaults {
-    plan: FaultPlan,
-    short_write: Option<usize>,
 }
 
 impl TraceStore {
@@ -88,7 +79,7 @@ impl TraceStore {
     }
 
     /// A store that also persists captures under `dir` (created on first
-    /// write) in the `SEMLOC02` format.
+    /// write) as `TRCE` frames.
     pub fn with_dir(dir: impl Into<PathBuf>) -> Self {
         TraceStore {
             dir: Some(dir.into()),
@@ -128,9 +119,9 @@ impl TraceStore {
         self.disk_rejects.load(Ordering::Relaxed)
     }
 
-    /// Corrupt every subsequent capture save with `plan` (fault-injection
-    /// harness only): the serialized bytes are mutated in memory just
-    /// before they reach disk, modelling silent media/tooling corruption.
+    /// Corrupt the next capture save with `plan` (fault-injection harness
+    /// only): the serialized bytes are mutated in memory just before they
+    /// reach disk, modelling silent media/tooling corruption.
     pub fn inject_save_faults(&self, plan: FaultPlan) {
         self.save_faults
             .lock()
@@ -138,7 +129,7 @@ impl TraceStore {
             .plan = plan;
     }
 
-    /// Make every subsequent capture save fail after `budget` bytes
+    /// Make the next capture save fail after `budget` bytes
     /// (fault-injection harness only), modelling a full disk or a process
     /// killed mid-write. The interrupted temp file is cleaned up, so no
     /// cache entry appears — the fault is *tolerated* by regeneration.
@@ -267,12 +258,15 @@ impl TraceStore {
     }
 
     /// Look for an on-disk capture of `key` covering `budget`. Any
-    /// unreadable or corrupt file is ignored (the caller regenerates).
+    /// unreadable or corrupt file is ignored (the caller regenerates), and
+    /// so is one whose content disagrees with its name: each file carries
+    /// its own name as its label, and a partial capture holds exactly its
+    /// named budget.
     fn load_from_disk(&self, kernel: &dyn Kernel, key: &str, budget: u64) -> Option<CapturedTrace> {
         let dir = self.dir.as_deref()?;
         let prefix = Self::file_name(kernel.name(), key, 0, true);
         let prefix = &prefix[..prefix.len() - "0-f.trace".len()];
-        let mut best: Option<(u64, bool, PathBuf)> = None;
+        let mut best: Option<(u64, bool, String)> = None;
         for entry in fs::read_dir(dir).ok()?.flatten() {
             let fname = entry.file_name();
             let fname = fname.to_string_lossy();
@@ -296,85 +290,39 @@ impl TraceStore {
                 None => true,
             };
             if covers && better {
-                best = Some((file_budget, complete, entry.path()));
+                best = Some((file_budget, complete, fname.into_owned()));
             }
         }
-        let (file_budget, complete, path) = best?;
-        let read = fs::File::open(&path)
-            .and_then(|f| BufferSink::read_semloc(io::BufReader::new(f), file_budget));
-        let sink = match read {
-            Ok(sink) => sink,
-            Err(_) => {
+        let (file_budget, complete, name) = best?;
+        let loaded = fs::read(dir.join(&name)).and_then(|bytes| TraceBuffer::from_frame(&bytes));
+        match loaded {
+            Ok((label, buf)) if label == name && (complete || buf.len() as u64 == file_budget) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                Some(CapturedTrace::from_buffer(
+                    kernel,
+                    file_budget,
+                    complete,
+                    buf,
+                ))
+            }
+            _ => {
                 self.disk_rejects.fetch_add(1, Ordering::Relaxed);
-                return None;
+                None
             }
-        };
-        // A partial capture contains exactly its named budget of
-        // instructions; anything else means the file name lies about the
-        // payload (e.g. a valid trace renamed to claim more coverage).
-        if !complete && sink.len() as u64 != file_budget {
-            self.disk_rejects.fetch_add(1, Ordering::Relaxed);
-            return None;
         }
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(CapturedTrace::from_sink(
-            kernel,
-            file_budget,
-            complete,
-            sink,
-        ))
     }
 
-    /// Persist a capture (atomically: temp file + rename). Failures are
-    /// silent — the disk cache is an optimization, never a correctness
-    /// dependency.
+    /// Persist a capture atomically, labelled with its own file name.
+    /// Failures are silent — the disk cache is an optimization, never a
+    /// correctness dependency.
     fn save_to_disk(&self, trace: &CapturedTrace) {
         let Some(dir) = self.dir.as_deref() else {
             return;
         };
-        let faults = self.save_faults.lock().expect("no panics hold the lock");
-        let _ = Self::try_save(dir, trace, &faults);
-    }
-
-    fn try_save(dir: &Path, trace: &CapturedTrace, faults: &SaveFaults) -> io::Result<()> {
-        fs::create_dir_all(dir)?;
         let name = Self::file_name(trace.name, &trace.key, trace.budget, trace.complete);
-        let tmp = dir.join(format!("{name}.tmp{}", std::process::id()));
-        let written = Self::write_capture(&tmp, trace, faults);
-        if let Err(e) = written {
-            // An interrupted write must not leave a half-file that a later
-            // rename could resurrect.
-            let _ = fs::remove_file(&tmp);
-            return Err(e);
-        }
-        fs::rename(&tmp, dir.join(name))?;
-        Ok(())
-    }
-
-    fn write_capture(path: &Path, trace: &CapturedTrace, faults: &SaveFaults) -> io::Result<()> {
-        use io::Write as _;
-        if faults.plan.is_empty() && faults.short_write.is_none() {
-            // Fault-free fast path: stream straight to disk.
-            return trace
-                .buf
-                .write_semloc(io::BufWriter::new(fs::File::create(path)?));
-        }
-        let mut bytes = Vec::new();
-        trace.buf.write_semloc(&mut bytes)?;
-        faults.plan.corrupt(&mut bytes);
-        let file = fs::File::create(path)?;
-        match faults.short_write {
-            Some(budget) => {
-                let mut w = ShortWriter::new(io::BufWriter::new(file), budget as u64);
-                w.write_all(&bytes)?;
-                w.flush()
-            }
-            None => {
-                let mut w = io::BufWriter::new(file);
-                w.write_all(&bytes)?;
-                w.flush()
-            }
-        }
+        let faults =
+            std::mem::take(&mut *self.save_faults.lock().expect("no panics hold the lock"));
+        let _ = write_atomic(&dir.join(&name), &trace.buf.to_frame(&name), faults);
     }
 }
 
@@ -459,7 +407,7 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let k = kernel_by_name("list").unwrap();
         let fname = TraceStore::file_name(k.name(), &k.trace_key(), 6_000, false);
-        fs::write(dir.join(fname), b"SEMLOC02garbage").unwrap();
+        fs::write(dir.join(fname), b"SEMLOCFRgarbage").unwrap();
 
         let store = TraceStore::with_dir(&dir);
         let replay = store.replay(k.as_ref(), 6_000);

@@ -10,17 +10,16 @@
 //! fingerprint, so a checkpoint-path regression fails against the same
 //! constant as a simulator regression.
 //!
-//! The second half exercises the on-disk `SEMLOC-CKPT` path end to end:
-//! a killed run's mid-run checkpoint resumes from disk, a finished cell's
-//! final checkpoint short-circuits simulation, and corrupted files of
-//! every flavour are rejected in favour of a fresh (still bit-identical)
-//! run.
+//! The second half exercises on-disk checkpoints end to end: a killed
+//! run's mid-run `SIMC` frame resumes from disk, a finished cell's final
+//! `RRES` frame short-circuits simulation, and corrupted or foreign files
+//! are rejected in favour of a fresh (still bit-identical) run.
 
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use semloc_harness::{
-    run_kernel_uncached, run_resumable, CkptPayload, CkptStore, Engine, PrefetcherKind,
-    SimCheckpoint, SimConfig,
+    run_kernel_uncached, run_resumable, CkptStore, Engine, PrefetcherKind, SimCheckpoint, SimConfig,
 };
 use semloc_trace::{Fault, FaultPlan};
 use semloc_workloads::{capture_kernel, kernel_by_name, ReplayKernel};
@@ -120,11 +119,7 @@ fn disk_checkpoints_resume_and_short_circuit() {
     let mut victim = Engine::new(replay.clone(), &kind, &cfg);
     victim.run_to(cfg.instr_budget / 2);
     let fp = victim.fingerprint();
-    store.save(
-        "list",
-        fp,
-        &CkptPayload::Mid(victim.checkpoint().to_bytes()),
-    );
+    store.save("list", fp, &victim.checkpoint().to_bytes());
     drop(victim);
 
     // A restarted process resumes from disk and matches bit for bit.
@@ -134,13 +129,14 @@ fn disk_checkpoints_resume_and_short_circuit() {
     assert!(loads >= 1, "the mid-run checkpoint must have been loaded");
     assert_eq!(rejects, 0);
 
-    // The finished run left a final checkpoint: the next invocation
-    // short-circuits simulation entirely and still matches.
-    match store.load("list", fp) {
-        Some(CkptPayload::Final(_)) => {}
-        other => panic!("expected a final checkpoint on disk, got {other:?}"),
-    }
+    // The finished run left a final checkpoint (the frame's kind tag sits
+    // after the 8-byte magic): the next invocation short-circuits
+    // simulation entirely and still matches.
+    let file = std::fs::read(new_file(&dir, &[])).unwrap();
+    assert_eq!(&file[8..12], b"RRES", "expected a final checkpoint on disk");
+    let (_, loads, _) = store.stats();
     let shortcut = run_resumable(&store, replay.clone(), &kind, &cfg);
+    assert_eq!(store.stats().1, loads + 1, "the final checkpoint must load");
     assert_eq!(shortcut.stats_digest(), reference.stats_digest());
     assert_eq!(shortcut.cpu, reference.cpu);
     assert_eq!(shortcut.mem, reference.mem);
@@ -173,11 +169,7 @@ fn corrupted_disk_checkpoints_fall_back_to_a_fresh_run() {
         victim.run_to(10_000);
         let fp = victim.fingerprint();
         store.inject_save_faults(FaultPlan::with(fault.clone()));
-        store.save(
-            "array",
-            fp,
-            &CkptPayload::Mid(victim.checkpoint().to_bytes()),
-        );
+        store.save("array", fp, &victim.checkpoint().to_bytes());
         let r = run_resumable(&store, replay.clone(), &kind, &cfg);
         assert_eq!(
             r.stats_digest(),
@@ -195,13 +187,13 @@ fn corrupted_disk_checkpoints_fall_back_to_a_fresh_run() {
 #[test]
 fn on_disk_corruption_matrix_is_rejected() {
     // A real engine checkpoint on disk, bits flipped one at a time: each
-    // mutation must fail validation (magic, version, fingerprint, length,
-    // or FNV-1a checksum — the per-byte fold is bijective, so no flip can
-    // cancel). The envelope-level matrix in `ckpt.rs` flips literally
-    // every bit of a full `SEMLOC-CKPT` file; here a real multi-kilobyte
-    // engine snapshot gets the exhaustive treatment on its header and
-    // trailer plus a dense sample of the payload. Caches are shrunk so
-    // the snapshot stays small enough to hammer.
+    // mutation must fail validation (magic, length, or FNV-1a checksum —
+    // the per-byte fold is bijective, so no flip can cancel). The frame
+    // matrix in `crates/trace/tests/corruption_matrix.rs` flips literally
+    // every bit of a trace frame; here a real multi-kilobyte `SIMC` frame
+    // gets the exhaustive treatment on its header and trailer plus a dense
+    // sample of the payload, through the store. Caches are shrunk so the
+    // snapshot stays small enough to hammer.
     let mut cfg = SimConfig::default().with_budget(2_000);
     cfg.mem.l1 = semloc_mem::CacheConfig {
         size_bytes: 2048,
@@ -226,7 +218,7 @@ fn on_disk_corruption_matrix_is_rejected() {
     let dir = std::env::temp_dir().join(format!("semloc-ckpt-matrix-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = CkptStore::with_dir(&dir);
-    store.save("array", fp, &CkptPayload::Mid(e.checkpoint().to_bytes()));
+    store.save("array", fp, &e.checkpoint().to_bytes());
 
     // Locate the file the store wrote and take its canonical bytes.
     let entries: Vec<_> = std::fs::read_dir(&dir)
@@ -236,14 +228,16 @@ fn on_disk_corruption_matrix_is_rejected() {
     assert_eq!(entries.len(), 1);
     let path = &entries[0];
     let good = std::fs::read(path).unwrap();
-    assert!(store.load("array", fp).is_some(), "canonical file loads");
+    let load = || store.load("array", fp, SimCheckpoint::from_bytes);
+    assert!(load().is_some(), "canonical file loads");
 
     // Exhaustive over the header and trailer; dense coprime-stride sample
     // through the payload so the test stays fast while touching every
     // byte region.
     let total_bits = good.len() * 8;
-    let header_bits = 21 * 8;
-    let trailer_bits = 17 * 8;
+    // Header: magic, kind tag, version. Trailer: body length, checksum.
+    let header_bits = 16 * 8;
+    let trailer_bits = 16 * 8;
     let mut bits: Vec<usize> = (0..header_bits.min(total_bits)).collect();
     bits.extend(total_bits.saturating_sub(trailer_bits)..total_bits);
     bits.extend((header_bits..total_bits.saturating_sub(trailer_bits)).step_by(7));
@@ -251,13 +245,58 @@ fn on_disk_corruption_matrix_is_rejected() {
         let mut bad = good.clone();
         bad[bit / 8] ^= 1 << (bit % 8);
         std::fs::write(path, &bad).unwrap();
-        assert_eq!(
-            store.load("array", fp),
-            None,
-            "flip of bit {bit} was accepted"
-        );
+        assert!(load().is_none(), "flip of bit {bit} was accepted");
     }
     std::fs::write(path, &good).unwrap();
-    assert!(store.load("array", fp).is_some());
+    assert!(load().is_some());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The one file in `dir` that `files_before` does not list.
+fn new_file(dir: &Path, files_before: &[PathBuf]) -> PathBuf {
+    let mut new: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| !files_before.contains(p))
+        .collect();
+    assert_eq!(new.len(), 1, "expected exactly one new checkpoint file");
+    new.remove(0)
+}
+
+#[test]
+fn final_checkpoint_of_another_cell_is_rejected() {
+    // Two cells of the same kernel and prefetcher that differ only in
+    // budget: each RRES frame names the same kernel and prefetcher, so only
+    // its engine fingerprint tells them apart. A final checkpoint copied
+    // under the other cell's fingerprint must be rejected and the cell
+    // rerun to its own result.
+    let long = SimConfig::quick();
+    let short = SimConfig::quick().with_budget(long.instr_budget / 2);
+    let kind = PrefetcherKind::Stride;
+    let replay = replay_of("list", long.instr_budget);
+    let reference = run_kernel_uncached(kernel_by_name("list").unwrap().as_ref(), &kind, &short);
+
+    let dir = std::env::temp_dir().join(format!("semloc-ckpt-foreign-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = CkptStore::with_dir(&dir);
+    run_resumable(&store, replay.clone(), &kind, &long);
+    let long_file = new_file(&dir, &[]);
+    let r = run_resumable(&store, replay.clone(), &kind, &short);
+    assert_eq!(r.stats_digest(), reference.stats_digest());
+    let short_file = new_file(&dir, std::slice::from_ref(&long_file));
+
+    std::fs::copy(&long_file, &short_file).unwrap();
+    let rejects = store.stats().2;
+    let rerun = run_resumable(&store, replay, &kind, &short);
+    assert_eq!(
+        store.stats().2,
+        rejects + 1,
+        "foreign RRES must be rejected"
+    );
+    assert_eq!(
+        rerun.stats_digest(),
+        reference.stats_digest(),
+        "the cell must rerun to its own result"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -11,7 +11,7 @@
 
 use std::fs;
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use semloc_harness::TraceStore;
 use semloc_trace::{BufferSink, Fault, FaultPlan, RecordingSink, TraceBuffer};
@@ -63,8 +63,8 @@ fn cases() -> Vec<Case> {
             expect: Expect::Detected,
         },
         Case {
-            name: "count-skew",
-            plan: FaultPlan::with(Fault::CountSkew { delta: 3 }),
+            name: "length-skew",
+            plan: FaultPlan::with(Fault::LengthSkew { delta: 3 }),
             short_write: None,
             expect: Expect::Detected,
         },
@@ -170,38 +170,60 @@ fn every_fault_kind_is_detected_or_tolerated() {
 
 #[test]
 fn metadata_lie_is_detected() {
-    // Seventh failure mode: a *valid* trace file whose name claims more
-    // coverage than its payload holds (renamed or mixed-up cache entries).
-    // The trailer checksum cannot catch this — the store's metadata
-    // validation must.
+    // Seventh failure mode: a *valid* trace file whose name lies about its
+    // content (renamed or mixed-up cache entries). The frame checksum
+    // cannot catch this; the label check (every file carries its own name)
+    // must. Each lie renames `list`'s 2,000-instruction capture.
     let dir = temp_dir("metadata-lie");
-    let _ = fs::remove_dir_all(&dir);
-    let k = kernel_by_name("list").unwrap();
+    let honest = capture_file(&dir, "list", 2_000);
+    let mcf = capture_file(&temp_dir("metadata-lie-mcf"), "mcf", 2_000);
+    let _ = fs::remove_dir_all(temp_dir("metadata-lie-mcf"));
+    let lies = [
+        (
+            "more budget",
+            honest.replace("-2000-p.trace", "-8000-p.trace"),
+            "list",
+            8_000,
+        ),
+        (
+            "partial claiming complete",
+            honest.replace("-2000-p.trace", "-2000-f.trace"),
+            "list",
+            8_000,
+        ),
+        ("another kernel", mcf, "mcf", 2_000),
+    ];
+    for (what, lying_name, kernel, budget) in lies {
+        assert_ne!(
+            honest, lying_name,
+            "{what}: test premise, the name must change"
+        );
+        capture_file(&dir, "list", 2_000);
+        fs::rename(dir.join(&honest), dir.join(&lying_name)).unwrap();
 
-    let writer = TraceStore::with_dir(&dir);
-    writer.replay(k.as_ref(), 2_000);
-    let entries: Vec<_> = fs::read_dir(&dir).unwrap().flatten().collect();
+        let reader = TraceStore::with_dir(&dir);
+        let replay = reader.replay(kernel_by_name(kernel).unwrap().as_ref(), budget);
+        assert_eq!(reader.disk_rejects(), 1, "{what}: the lie must be rejected");
+        assert_eq!(reader.stats(), (0, 1), "{what}: the reader must regenerate");
+        let mut sink = RecordingSink::with_limit(budget as usize);
+        replay.run(&mut sink);
+        assert_eq!(
+            sink.instrs(),
+            &generated_stream(kernel, budget)[..],
+            "{what}: regenerated stream must match generation"
+        );
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The name of the one cache file a fresh store writes for `kernel` at
+/// `budget` into the emptied `dir`.
+fn capture_file(dir: &Path, kernel: &str, budget: u64) -> String {
+    let _ = fs::remove_dir_all(dir);
+    TraceStore::with_dir(dir).replay(kernel_by_name(kernel).unwrap().as_ref(), budget);
+    let entries: Vec<_> = fs::read_dir(dir).unwrap().flatten().collect();
     assert_eq!(entries.len(), 1);
-    let honest = entries[0].path();
-    let honest_name = honest.file_name().unwrap().to_string_lossy().into_owned();
-    // The honest name ends in "-2000-p.trace"; promote its claim to 8000.
-    let lying_name = honest_name.replace("-2000-p.trace", "-8000-p.trace");
-    assert_ne!(honest_name, lying_name, "test premise: name must change");
-    fs::rename(&honest, dir.join(lying_name)).unwrap();
-
-    let reader = TraceStore::with_dir(&dir);
-    let replay = reader.replay(k.as_ref(), 8_000);
-    assert_eq!(
-        reader.disk_rejects(),
-        1,
-        "a payload shorter than the name claims must be rejected"
-    );
-    assert_eq!(reader.stats(), (0, 1));
-    let mut sink = RecordingSink::with_limit(8_000usize);
-    replay.run(&mut sink);
-    assert_eq!(sink.instrs(), &generated_stream("list", 8_000)[..]);
-
-    let _ = fs::remove_dir_all(&dir);
+    entries[0].file_name().to_string_lossy().into_owned()
 }
 
 #[test]
@@ -235,14 +257,12 @@ fn detection_errors_are_typed_at_the_trace_layer() {
     let k = kernel_by_name("list").unwrap();
     let mut sink = BufferSink::with_limit(500);
     k.run(&mut sink);
-    let buf = sink.into_buffer();
-    let mut clean = Vec::new();
-    buf.write_semloc(&mut clean).unwrap();
+    let clean = sink.into_buffer().to_frame("list");
 
     let kind_of = |plan: FaultPlan| {
         let mut bytes = clean.clone();
         plan.corrupt(&mut bytes);
-        TraceBuffer::read_semloc(&bytes[..])
+        TraceBuffer::from_frame(&bytes)
             .expect_err("corrupted trace must not parse")
             .kind()
     };
@@ -260,16 +280,15 @@ fn detection_errors_are_typed_at_the_trace_layer() {
         "payload flip must fail the trailer checksum"
     );
     assert_eq!(
-        kind_of(FaultPlan::with(Fault::CountSkew { delta: 1 })),
+        kind_of(FaultPlan::with(Fault::LengthSkew { delta: 1 })),
         io::ErrorKind::InvalidData
     );
     assert_eq!(
         kind_of(FaultPlan::with(Fault::Garbage { len: 256 })),
         io::ErrorKind::InvalidData
     );
-    let trunc = kind_of(FaultPlan::with(Fault::Truncate { keep: 600 }));
-    assert!(
-        trunc == io::ErrorKind::UnexpectedEof || trunc == io::ErrorKind::InvalidData,
-        "truncation must surface as EOF (or checksum failure at a record boundary), got {trunc:?}"
+    assert_eq!(
+        kind_of(FaultPlan::with(Fault::Truncate { keep: 600 })),
+        io::ErrorKind::InvalidData
     );
 }

@@ -36,7 +36,7 @@
 
 use std::sync::Arc;
 
-use semloc_harness::{Matrix, PrefetcherKind, SimConfig};
+use semloc_harness::{Matrix, PrefetcherKind, SimConfig, TraceStore};
 use semloc_workloads::{capture_kernel, kernel_by_name, KernelBox, ReplayKernel};
 
 /// Digest of the quick matrix (array/list/mcf × none/stride/context),
@@ -125,4 +125,25 @@ fn replay_matches_golden() {
         .collect();
     let m = Matrix::run(&replayed, &lineup(), &cfg, |_| {});
     assert_golden(&m, "replayed");
+}
+
+#[test]
+fn disk_replay_matches_golden() {
+    // Capture the three kernels into an on-disk trace cache, then run the
+    // matrix through a fresh store on the same directory (as another
+    // process would): every stream must come from disk, none may be
+    // rejected, and the digest must not move.
+    let dir = std::env::temp_dir().join(format!("semloc-golden-disk-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = SimConfig::quick();
+    let writer = TraceStore::with_dir(&dir);
+    for k in kernels() {
+        writer.replay(k.as_ref(), cfg.instr_budget);
+    }
+    let reader = TraceStore::with_dir(&dir);
+    let m = Matrix::run_with_store(&reader, &kernels(), &lineup(), &cfg, |_| {});
+    assert_eq!(reader.stats().1, 0, "every kernel must load from disk");
+    assert_eq!(reader.disk_rejects(), 0);
+    assert_golden(&m, "disk-replayed");
+    let _ = std::fs::remove_dir_all(&dir);
 }

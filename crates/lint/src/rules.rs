@@ -89,8 +89,8 @@ never reaches a digest or report may be kept with a pragma:
 Rule D4 proves a state struct *has* a Snapshot impl; it says nothing
 about whether the impl is *complete*. The failure mode D8 closes: a new
 field is added to a manifested struct, `save`/`restore` are not updated,
-the struct still round-trips without error — and every SEMLOC-CKPT /
-MCCK checkpoint silently resumes with the new field reset to its
+the struct still round-trips without error — and every SIMC / MCCK
+frame silently resumes with the new field reset to its
 constructed value, diverging from an uninterrupted run. The rule walks
 the item model: for every snapshot-mechanism manifest entry whose
 declaration is a named-field struct, each field identifier must be
@@ -602,7 +602,7 @@ pub fn check_snapshot_field_coverage(
                 message: format!(
                     "field `{}` of manifested struct {}/{} is never referenced in the {} of its \
                      Snapshot impl ({}:{}) — an unserialized field silently corrupts \
-                     SEMLOC-CKPT/MCCK round-trips; wire it into save+restore, or pragma this \
+                     SIMC / MCCK frames; wire it into save+restore, or pragma this \
                      declaration if it is construction-time config or derived state",
                     field.name, e.crate_dir, e.name, missing, impl_ctx.file.rel_path, imp.line
                 ),

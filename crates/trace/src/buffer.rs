@@ -3,10 +3,10 @@
 //! [`TraceBuffer`] stores a captured instruction stream in struct-of-arrays
 //! form with delta-encoded program counters and data addresses, so a
 //! 400k-instruction trace costs a few megabytes and decodes with purely
-//! sequential reads. It is the in-memory twin of the `SEMLOC02` on-disk
-//! format in [`record`](crate::record): both round-trip every [`Instr`]
-//! field bit-exactly, and [`TraceBuffer::write_semloc`] /
-//! [`TraceBuffer::read_semloc`] convert between them.
+//! sequential reads. It round-trips every [`Instr`] field bit-exactly and is
+//! also the on-disk trace: [`TraceBuffer::to_frame`] writes its columns as a
+//! `TRCE` frame (see [`snap`](crate::snap)) and
+//! [`TraceBuffer::from_frame`] reads them back.
 //!
 //! Layout per instruction:
 //!
@@ -29,7 +29,12 @@ use crate::decoded::{DecodedTrace, LaneWriter};
 use crate::hints::SemanticHints;
 use crate::instr::{Instr, InstrKind, Reg};
 use crate::sink::TraceSink;
-use std::io::{self, Read, Write};
+use crate::snap::{snap_err, SnapReader, SnapWriter};
+use std::io;
+
+/// Version of the `TRCE` frame payload: the label, then the five columns,
+/// each length-prefixed.
+const TRACE_VERSION: u32 = 1;
 
 /// Kind tag in the low three bits of the op byte.
 pub(crate) const KIND_MASK: u8 = 0b0000_0111;
@@ -105,19 +110,20 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// Read one varint at `pos`, or `None` if the column ends first or the
+/// varint runs past the 10 bytes a `u64` needs.
 #[inline]
-fn get_varint(bytes: &[u8], pos: &mut usize) -> u64 {
+fn get_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
     let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = bytes[*pos];
+    for shift in (0..64).step_by(7) {
+        let b = *bytes.get(*pos)?;
         *pos += 1;
         v |= ((b & 0x7f) as u64) << shift;
         if b & 0x80 == 0 {
-            return v;
+            return Some(v);
         }
-        shift += 7;
     }
+    None
 }
 
 /// A captured dynamic instruction stream in compact struct-of-arrays form.
@@ -225,35 +231,59 @@ impl TraceBuffer {
         }
     }
 
-    /// Serialize to the `SEMLOC02` on-disk format.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from the writer; a short write is reported as
-    /// [`io::ErrorKind::WriteZero`].
-    pub fn write_semloc<W: Write>(&self, out: W) -> io::Result<()> {
-        let mut w = crate::record::TraceWriter::new(out, 0)?;
-        for i in self.iter() {
-            w.instr(i);
+    /// Serialize as a `TRCE` frame carrying `label` (the trace store uses
+    /// the file's own name, the CLI the kernel's trace key).
+    pub fn to_frame(&self, label: &str) -> Vec<u8> {
+        let mut w = SnapWriter::framed(*b"TRCE", TRACE_VERSION);
+        for col in [
+            label.as_bytes(),
+            &self.ops,
+            &self.pcs,
+            &self.addrs,
+            &self.regs,
+            &self.aux,
+        ] {
+            w.put_len(col.len());
+            w.put_bytes(col);
         }
-        if w.count() != self.len() as u64 {
-            return Err(io::Error::new(
-                io::ErrorKind::WriteZero,
-                "trace serialization stopped early",
-            ));
-        }
-        w.finish()?;
-        Ok(())
+        w.into_frame()
     }
 
-    /// Deserialize a buffer from the `SEMLOC02` on-disk format, validating
-    /// the trailer.
+    /// Parse a `TRCE` frame written by [`TraceBuffer::to_frame`], returning
+    /// its label and buffer.
     ///
     /// # Errors
     ///
-    /// Returns any decoding error from [`TraceReader`](crate::TraceReader).
-    pub fn read_semloc<R: Read>(input: R) -> io::Result<Self> {
-        BufferSink::read_semloc(input, 0).map(BufferSink::into_buffer)
+    /// [`io::ErrorKind::InvalidData`] for a frame that fails validation, a
+    /// label that is not UTF-8, or columns that do not decode to exactly
+    /// one instruction per op byte with no bytes left over.
+    pub fn from_frame(bytes: &[u8]) -> io::Result<(String, TraceBuffer)> {
+        let mut r = SnapReader::framed(bytes, *b"TRCE", TRACE_VERSION)?;
+        let mut col = || -> io::Result<Vec<u8>> {
+            let n = r.get_len()?;
+            Ok(r.get_bytes(n)?.to_vec())
+        };
+        let label = String::from_utf8(col()?).map_err(|_| snap_err("trace label is not UTF-8"))?;
+        let mut buf = TraceBuffer {
+            ops: col()?,
+            pcs: col()?,
+            addrs: col()?,
+            regs: col()?,
+            aux: col()?,
+            prev_pc: 0,
+            prev_addr: 0,
+        };
+        r.expect_end()?;
+        let mut it = buf.iter();
+        let decoded = it.by_ref().count();
+        if decoded != buf.len() || !it.consumed_every_column() {
+            return Err(snap_err(format!(
+                "trace columns do not decode: {decoded} of {} instructions",
+                buf.len()
+            )));
+        }
+        (buf.prev_pc, buf.prev_addr) = (it.prev_pc, it.prev_addr);
+        Ok((label, buf))
     }
 }
 
@@ -266,7 +296,10 @@ impl std::fmt::Debug for TraceBuffer {
     }
 }
 
-/// Sequential decoder over a [`TraceBuffer`].
+/// Sequential decoder over a [`TraceBuffer`]. Every column read is
+/// checked, so columns that do not decode (a kind tag outside 0–4, a
+/// column that runs out, an overlong varint) end the iteration instead of
+/// panicking.
 #[derive(Clone, Debug)]
 pub struct TraceIter<'a> {
     buf: &'a TraceBuffer,
@@ -280,76 +313,77 @@ pub struct TraceIter<'a> {
 }
 
 impl TraceIter<'_> {
+    /// The next register operand if `present` (`Some(None)` if not), or
+    /// `None` if the column ran out.
     #[inline]
-    fn reg(&mut self, present: bool) -> Option<Reg> {
-        if present {
-            let r = self.buf.regs[self.p_regs];
-            self.p_regs += 1;
-            Some(Reg(r))
-        } else {
-            None
+    fn reg(&mut self, present: bool) -> Option<Option<Reg>> {
+        if !present {
+            return Some(None);
         }
+        let r = *self.buf.regs.get(self.p_regs)?;
+        self.p_regs += 1;
+        Some(Some(Reg(r)))
     }
 
     #[inline]
-    fn mem_operand(&mut self) -> (u64, u8) {
-        let delta = unzigzag(get_varint(&self.buf.addrs, &mut self.p_addrs));
+    fn mem_operand(&mut self) -> Option<(u64, u8)> {
+        let delta = unzigzag(get_varint(&self.buf.addrs, &mut self.p_addrs)?);
         let addr = self.prev_addr.wrapping_add(delta as u64);
         self.prev_addr = addr;
-        let size = self.buf.addrs[self.p_addrs];
+        let size = *self.buf.addrs.get(self.p_addrs)?;
         self.p_addrs += 1;
-        (addr, size)
+        Some((addr, size))
     }
-}
 
-impl Iterator for TraceIter<'_> {
-    type Item = Instr;
+    #[inline]
+    fn aux(&mut self) -> Option<u64> {
+        get_varint(&self.buf.aux, &mut self.p_aux)
+    }
 
-    fn next(&mut self) -> Option<Instr> {
-        if self.i >= self.buf.ops.len() {
-            return None;
-        }
-        let op = self.buf.ops[self.i];
-        self.i += 1;
+    /// An aux varint holding a `u32` (ALU latency, packed hints); `None`
+    /// if it does not fit.
+    #[inline]
+    fn aux_u32(&mut self) -> Option<u32> {
+        u32::try_from(self.aux()?).ok()
+    }
 
-        let delta = unzigzag(get_varint(&self.buf.pcs, &mut self.p_pcs));
+    /// Decode the instruction whose op byte is `op`.
+    #[inline]
+    fn decode(&mut self, op: u8) -> Option<Instr> {
+        let delta = unzigzag(get_varint(&self.buf.pcs, &mut self.p_pcs)?);
         let pc = self.prev_pc.wrapping_add(delta as u64);
         self.prev_pc = pc;
 
-        let src1 = self.reg(op & F_SRC1 != 0);
-        let src2 = self.reg(op & F_SRC2 != 0);
-        let dst = self.reg(op & F_DST != 0);
+        let src1 = self.reg(op & F_SRC1 != 0)?;
+        let src2 = self.reg(op & F_SRC2 != 0)?;
+        let dst = self.reg(op & F_DST != 0)?;
 
         let kind = match op & KIND_MASK {
             K_ALU => InstrKind::Alu {
-                latency: get_varint(&self.buf.aux, &mut self.p_aux) as u32,
+                latency: self.aux_u32()?,
             },
             K_LOAD => {
-                let (addr, size) = self.mem_operand();
-                let hints = (op & F_AUX != 0).then(|| {
-                    SemanticHints::unpack(get_varint(&self.buf.aux, &mut self.p_aux) as u32)
-                });
+                let (addr, size) = self.mem_operand()?;
+                let hints = if op & F_AUX != 0 {
+                    Some(SemanticHints::unpack(self.aux_u32()?))
+                } else {
+                    None
+                };
                 InstrKind::Load { addr, size, hints }
             }
             K_STORE => {
-                let (addr, size) = self.mem_operand();
+                let (addr, size) = self.mem_operand()?;
                 InstrKind::Store { addr, size }
             }
-            K_BRANCH => {
-                let tdelta = unzigzag(get_varint(&self.buf.aux, &mut self.p_aux));
-                InstrKind::Branch {
-                    taken: op & F_AUX != 0,
-                    target: pc.wrapping_add(tdelta as u64),
-                }
-            }
-            _ => InstrKind::Nop,
+            K_BRANCH => InstrKind::Branch {
+                taken: op & F_AUX != 0,
+                target: pc.wrapping_add(unzigzag(self.aux()?) as u64),
+            },
+            K_NOP => InstrKind::Nop,
+            _ => return None,
         };
 
-        let result = if op & F_RESULT != 0 {
-            get_varint(&self.buf.aux, &mut self.p_aux)
-        } else {
-            0
-        };
+        let result = if op & F_RESULT != 0 { self.aux()? } else { 0 };
 
         Some(Instr {
             pc,
@@ -359,6 +393,28 @@ impl Iterator for TraceIter<'_> {
             dst,
             result,
         })
+    }
+
+    /// Whether iteration consumed every byte of the operand columns.
+    fn consumed_every_column(&self) -> bool {
+        let b = self.buf;
+        [self.p_pcs, self.p_addrs, self.p_regs, self.p_aux]
+            == [b.pcs.len(), b.addrs.len(), b.regs.len(), b.aux.len()]
+    }
+}
+
+impl Iterator for TraceIter<'_> {
+    type Item = Instr;
+
+    fn next(&mut self) -> Option<Instr> {
+        let op = *self.buf.ops.get(self.i)?;
+        self.i += 1;
+        let instr = self.decode(op);
+        if instr.is_none() {
+            // Columns that do not decode end the stream for good.
+            self.i = self.buf.ops.len();
+        }
+        instr
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -391,33 +447,10 @@ impl BufferSink {
     /// pre-sized for the limit.
     pub fn with_limit(limit: u64) -> Self {
         BufferSink {
-            limit,
-            ..Self::presized(limit)
-        }
-    }
-
-    /// An unbounded sink with lanes reserved for `expected` instructions.
-    fn presized(expected: u64) -> Self {
-        BufferSink {
             buf: TraceBuffer::new(),
-            lanes: LaneWriter::with_capacity(expected.min(PRESIZE_MAX) as usize),
-            limit: 0,
+            lanes: LaneWriter::with_capacity(limit.min(PRESIZE_MAX) as usize),
+            limit,
         }
-    }
-
-    /// Read a `SEMLOC02` stream into a fresh unbounded sink, validating the
-    /// trailer. `expected` (0 = unknown) pre-sizes the lanes.
-    ///
-    /// # Errors
-    ///
-    /// Returns any decoding error from [`TraceReader`](crate::TraceReader).
-    pub fn read_semloc<R: Read>(input: R, expected: u64) -> io::Result<Self> {
-        let mut r = crate::record::TraceReader::new(input)?;
-        let mut sink = Self::presized(expected);
-        while let Some(i) = r.next_instr()? {
-            sink.instr(i);
-        }
-        Ok(sink)
     }
 
     /// Instructions captured so far.
@@ -457,7 +490,6 @@ impl TraceSink for BufferSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::RecordingSink;
 
     fn sample() -> Vec<Instr> {
         vec![
@@ -554,7 +586,7 @@ mod tests {
             ));
         }
         // op 1 + pc-delta 1 + addr-delta 2 + size 1 + dst reg 1 = 6 bytes,
-        // vs ~34 for the flat struct and ~30 for SEMLOC02.
+        // vs ~34 for the flat struct.
         let per_instr = buf.encoded_bytes() as f64 / buf.len() as f64;
         assert!(
             per_instr < 6.5,
@@ -563,28 +595,77 @@ mod tests {
     }
 
     #[test]
-    fn semloc_format_roundtrip_matches() {
+    fn frame_round_trips_and_resumes_encoding() {
         let mut buf = TraceBuffer::new();
-        for i in sample() {
-            buf.push(&i);
+        for i in &sample()[..4] {
+            buf.push(i);
         }
-        let mut bytes = Vec::new();
-        buf.write_semloc(&mut bytes).unwrap();
-        // The serialized form is a valid SEMLOC02 trace...
-        let mut sink = RecordingSink::new();
-        crate::record::TraceReader::new(&bytes[..])
-            .unwrap()
-            .replay(&mut sink)
-            .unwrap();
-        assert_eq!(sink.instrs(), sample().as_slice());
-        // ...and reading it back into a buffer preserves the stream.
-        let back = TraceBuffer::read_semloc(&bytes[..]).unwrap();
+        let (label, mut back) = TraceBuffer::from_frame(&buf.to_frame("mcf-x")).unwrap();
+        assert_eq!(label, "mcf-x");
+        // The delta encoder state comes back too: pushing onto the loaded
+        // buffer continues the stream exactly.
+        for i in &sample()[4..] {
+            back.push(i);
+        }
         assert_eq!(back.iter().collect::<Vec<_>>(), sample());
     }
 
+    /// A `TRCE` frame over arbitrary columns (checksum and all valid).
+    fn frame_of(cols: [&[u8]; 5]) -> Vec<u8> {
+        let mut w = SnapWriter::framed(*b"TRCE", TRACE_VERSION);
+        w.put_len(1);
+        w.put_bytes(b"t");
+        for col in cols {
+            w.put_len(col.len());
+            w.put_bytes(col);
+        }
+        w.into_frame()
+    }
+
     #[test]
-    fn read_semloc_rejects_garbage() {
-        assert!(TraceBuffer::read_semloc(&b"NOTATRACE"[..]).is_err());
+    fn columns_that_do_not_decode_are_invalid_data() {
+        let nop = [K_NOP];
+        let past_u32 = [0x80, 0x80, 0x80, 0x80, 0x10]; // 1 << 32
+        let cases: [(&str, [&[u8]; 5]); 7] = [
+            ("kind tag 5", [&[5], &[0], &[], &[], &[]]),
+            ("kind tag 7", [&[7], &[0], &[], &[], &[]]),
+            ("pc column short", [&[K_NOP, K_NOP], &[0], &[], &[], &[]]),
+            ("overlong varint", [&nop, &[0xff; 11], &[], &[], &[]]),
+            ("missing register", [&[K_NOP | F_DST], &[0], &[], &[], &[]]),
+            ("bytes left over", [&nop, &[0], &[], &[], &[1]]),
+            ("latency past u32", [&[K_ALU], &[0], &[], &[], &past_u32]),
+        ];
+        for (what, cols) in cases {
+            let err = TraceBuffer::from_frame(&frame_of(cols)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
+        }
+        assert_eq!(
+            TraceBuffer::from_frame(&frame_of([&nop, &[0], &[], &[], &[]]))
+                .unwrap()
+                .1
+                .iter()
+                .collect::<Vec<_>>(),
+            vec![Instr::nop(0)],
+            "control: the same frame with sound columns loads"
+        );
+    }
+
+    #[test]
+    fn random_columns_never_panic() {
+        let mut state = 0x00c0_ffee_u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            state >> 33
+        };
+        for _ in 0..2_000 {
+            let cols: Vec<Vec<u8>> = (0..5)
+                .map(|_| (0..next() % 12).map(|_| next() as u8).collect())
+                .collect();
+            let framed = frame_of([&cols[0], &cols[1], &cols[2], &cols[3], &cols[4]]);
+            if let Err(e) = TraceBuffer::from_frame(&framed) {
+                assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+            }
+        }
     }
 
     #[test]
@@ -616,22 +697,6 @@ mod tests {
     }
 
     #[test]
-    fn read_semloc_builds_lanes_in_the_same_pass() {
-        let mut buf = TraceBuffer::new();
-        for i in sample() {
-            buf.push(&i);
-        }
-        let mut bytes = Vec::new();
-        buf.write_semloc(&mut bytes).unwrap();
-        let (back, lanes) = BufferSink::read_semloc(&bytes[..], 2).unwrap().into_parts();
-        assert_eq!(back.iter().collect::<Vec<_>>(), sample());
-        assert_eq!(
-            (0..lanes.len()).map(|n| lanes.instr(n)).collect::<Vec<_>>(),
-            sample()
-        );
-    }
-
-    #[test]
     fn unbounded_sink_captures_everything() {
         let mut s = BufferSink::with_limit(0);
         for i in sample() {
@@ -649,7 +714,7 @@ mod tests {
         let mut bytes = Vec::new();
         put_varint(&mut bytes, u64::MAX);
         let mut pos = 0;
-        assert_eq!(get_varint(&bytes, &mut pos), u64::MAX);
+        assert_eq!(get_varint(&bytes, &mut pos), Some(u64::MAX));
         assert_eq!(pos, bytes.len());
     }
 }

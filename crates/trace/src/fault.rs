@@ -1,18 +1,19 @@
-//! Deterministic fault injection for trace serialization and storage.
+//! Deterministic fault injection for persisted frames.
 //!
 //! The differential/fault harness needs to prove that every way a stored
-//! trace can go bad — flipped bits, truncated files, interrupted writes,
-//! outright garbage — is either *detected* (a typed [`std::io::Error`]
-//! surfaces at the trace layer) or *tolerated* (the consumer provably falls
-//! back to regenerating the stream), never silently replayed as a wrong
-//! answer. This module provides the vocabulary for injecting those faults
-//! deterministically: a [`FaultPlan`] mutates serialized bytes in place,
-//! and [`ShortWriter`] simulates an I/O sink that dies mid-write (disk
-//! full, killed process).
+//! frame (trace or checkpoint) can go bad — flipped bits, truncated files,
+//! interrupted writes, outright garbage — is either *detected* (a typed
+//! [`std::io::Error`] surfaces where the frame is read) or *tolerated* (the
+//! consumer provably falls back to regenerating or rerunning), never
+//! silently used as a wrong answer. This module provides the vocabulary for
+//! injecting those faults deterministically: a [`FaultPlan`] mutates
+//! serialized bytes in place, [`ShortWriter`] simulates an I/O sink that
+//! dies mid-write (disk full, killed process), and [`SaveFaults`] hands
+//! both to one [`write_atomic`](crate::snap::write_atomic) call.
 
 use std::io::{self, Write};
 
-/// A single deterministic corruption of a serialized trace.
+/// A single deterministic corruption of a serialized frame.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Fault {
     /// XOR bit `bit` (0–7) of the byte at `offset`. Out-of-range offsets
@@ -23,10 +24,10 @@ pub enum Fault {
     Truncate { keep: usize },
     /// Overwrite the 8-byte magic header with an unrelated tag.
     BadMagic,
-    /// Add `delta` to the first byte of the trailer's little-endian
-    /// instruction count, making the trailer lie about the payload.
-    CountSkew { delta: u8 },
-    /// Replace the entire buffer with `len` bytes of non-trace garbage
+    /// Add `delta` to the low byte of the frame's body length (16 bytes
+    /// from the end), making the trailer lie about the payload.
+    LengthSkew { delta: u8 },
+    /// Replace the entire buffer with `len` bytes of non-frame garbage
     /// (a poisoned cache file written by something else entirely).
     Garbage { len: usize },
 }
@@ -50,10 +51,9 @@ impl Fault {
                     }
                 }
             }
-            Fault::CountSkew { delta } => {
-                // Trailer layout: 0xFF marker, count u64 LE, checksum u64
-                // LE — the count's low byte sits 16 bytes from the end.
-                if bytes.len() >= 17 {
+            Fault::LengthSkew { delta } => {
+                // Trailer layout: body length u64 LE, checksum u64 LE.
+                if bytes.len() >= 16 {
                     let i = bytes.len() - 16;
                     bytes[i] = bytes[i].wrapping_add(delta);
                 }
@@ -66,7 +66,7 @@ impl Fault {
     }
 }
 
-/// An ordered list of [`Fault`]s applied to serialized trace bytes.
+/// An ordered list of [`Fault`]s applied to serialized frame bytes.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     faults: Vec<Fault>,
@@ -101,6 +101,17 @@ impl FaultPlan {
             f.apply(bytes);
         }
     }
+}
+
+/// Faults injected into one [`write_atomic`](crate::snap::write_atomic)
+/// call (testing only); the default injects nothing. Stores hold one and
+/// take it, so each injection hits exactly the next save.
+#[derive(Debug, Default)]
+pub struct SaveFaults {
+    /// Corrupt the bytes with this plan before they reach disk.
+    pub plan: FaultPlan,
+    /// Fail the write after this many bytes, abandoning the temp file.
+    pub short_write: Option<usize>,
 }
 
 /// A writer that fails after accepting `budget` bytes, simulating a disk
@@ -149,14 +160,13 @@ impl<W: Write> Write for ShortWriter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::TraceBuffer;
     use crate::instr::{Instr, Reg};
-    use crate::record::{TraceReader, TraceWriter};
-    use crate::sink::{RecordingSink, TraceSink};
 
     fn valid_trace(n: u64) -> Vec<u8> {
-        let mut w = TraceWriter::new(Vec::new(), 0).unwrap();
+        let mut buf = TraceBuffer::new();
         for i in 0..n {
-            w.instr(Instr::load(
+            buf.push(&Instr::load(
                 0x400 + i * 4,
                 0x1000 + i * 64,
                 8,
@@ -166,12 +176,11 @@ mod tests {
                 i,
             ));
         }
-        w.finish().unwrap()
+        buf.to_frame("t")
     }
 
-    fn replay(bytes: &[u8]) -> io::Result<u64> {
-        let mut sink = RecordingSink::new();
-        TraceReader::new(bytes)?.replay(&mut sink)
+    fn replay(bytes: &[u8]) -> io::Result<usize> {
+        TraceBuffer::from_frame(bytes).map(|(_, buf)| buf.len())
     }
 
     #[test]
@@ -180,7 +189,7 @@ mod tests {
             Fault::BitFlip { offset: 40, bit: 3 },
             Fault::Truncate { keep: 25 },
             Fault::BadMagic,
-            Fault::CountSkew { delta: 1 },
+            Fault::LengthSkew { delta: 1 },
             Fault::Garbage { len: 64 },
         ];
         for fault in faults {
@@ -216,23 +225,14 @@ mod tests {
 
     #[test]
     fn short_writer_fails_with_write_zero() {
-        let mut w = TraceWriter::new(ShortWriter::new(Vec::new(), 40), 0).unwrap();
-        for i in 0..100u64 {
-            w.instr(Instr::load(
-                0x400,
-                0x1000 + i * 64,
-                8,
-                Reg(1),
-                None,
-                None,
-                i,
-            ));
-        }
-        // The byte budget dies mid-payload: the writer poisons itself and
-        // records fewer instructions than were offered.
-        assert!(w.count() < 100, "short write must poison the writer");
-        let err = w.finish().unwrap_err();
+        let frame = valid_trace(100);
+        let mut w = ShortWriter::new(Vec::new(), 40);
+        let err = w.write_all(&frame).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+        // The byte budget died mid-frame: what got through does not parse.
+        let prefix = w.into_inner();
+        assert_eq!(prefix.len(), 40);
+        assert!(replay(&prefix).is_err());
     }
 
     #[test]

@@ -54,7 +54,6 @@ pub mod emit;
 pub mod fault;
 pub mod hints;
 pub mod instr;
-pub mod record;
 pub mod sink;
 pub mod snap;
 
@@ -63,12 +62,11 @@ pub use buffer::{BufferSink, TraceBuffer, BLOCK_LEN};
 pub use context::{AccessContext, RECENT_ADDRS};
 pub use decoded::{DecodedTrace, InstrBlock};
 pub use emit::{Emitter, PcAlloc};
-pub use fault::{Fault, FaultPlan, ShortWriter};
+pub use fault::{Fault, FaultPlan, SaveFaults, ShortWriter};
 pub use hints::{RefForm, SemanticHints};
 pub use instr::{Instr, InstrKind, Reg};
-pub use record::{fnv1a, TraceReader, TraceWriter, FNV_OFFSET};
 pub use sink::{CountingSink, RecordingSink, TraceSink};
-pub use snap::{snap_err, SnapReader, SnapWriter, Snapshot};
+pub use snap::{fnv1a, snap_err, write_atomic, SnapReader, SnapWriter, Snapshot, FNV_OFFSET};
 
 /// A virtual address in the simulated machine.
 pub type Addr = u64;

@@ -18,8 +18,65 @@
 //! restore target is always built from the same configuration, and restore
 //! implementations validate structural parameters (table lengths, entry
 //! counts) against their own.
+//!
+//! # Frames
+//!
+//! Everything the simulator persists is one *frame*: a section whose tag
+//! names its kind (`TRCE` traces, `SIMC` and `RRES` checkpoints, `MCCK`
+//! multi-core checkpoints), wrapped with a magic and a checksum trailer.
+//!
+//! ```text
+//! offset  size  field
+//! 0       8     magic  b"SEMLOCFR"
+//! 8       4     kind tag       } the section header of
+//! 12      4     kind version   } SnapWriter::section
+//! 16      n     payload
+//! 16+n    8     body length n + 8 (tag + version + payload), u64 LE
+//! 24+n    8     FNV-1a of bytes [0, 24+n), u64 LE
+//! ```
+//!
+//! [`SnapReader::framed`] validates magic, length and checksum before it
+//! reads a payload byte. The fold is bijective per byte, so any single-bit
+//! corruption anywhere in a frame is rejected. Each kind versions its own
+//! payload through the section header; a change to the frame layout itself
+//! gets a new magic. [`write_atomic`] is the one way a frame reaches disk.
 
-use std::io;
+use std::fs;
+use std::io::{self, Write as _};
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::fault::{SaveFaults, ShortWriter};
+
+/// Magic bytes opening every frame.
+const FRAME_MAGIC: [u8; 8] = *b"SEMLOCFR";
+
+/// FNV-1a offset basis; every FNV-1a accumulator starts here.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0100_0000_01b3;
+
+/// Fold `bytes` into an FNV-1a accumulator. Every step is a bijection of
+/// the accumulator state, so two streams differing in any byte keep
+/// differing hashes no matter what identical suffix follows.
+///
+/// Frame checksums, stats digests and engine fingerprints all fold
+/// through this function.
+///
+/// ```rust
+/// use semloc_trace::{fnv1a, FNV_OFFSET};
+///
+/// // Folding in pieces equals folding the concatenation.
+/// assert_eq!(fnv1a(fnv1a(FNV_OFFSET, b"sem"), b"loc"), fnv1a(FNV_OFFSET, b"semloc"));
+/// assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+/// ```
+#[inline]
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
 
 /// Versioned save/restore of a component's complete run state.
 pub trait Snapshot {
@@ -51,6 +108,16 @@ impl SnapWriter {
         SnapWriter::default()
     }
 
+    /// Open a frame of kind `tag` at `version`; seal it with
+    /// [`SnapWriter::into_frame`].
+    pub fn framed(tag: [u8; 4], version: u32) -> Self {
+        let mut w = SnapWriter {
+            buf: FRAME_MAGIC.to_vec(),
+        };
+        w.section(tag, version);
+        w
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -63,6 +130,15 @@ impl SnapWriter {
 
     /// Consume the writer, yielding the serialized snapshot.
     pub fn into_bytes(self) -> Vec<u8> {
+        self.buf
+    }
+
+    /// Seal a frame opened by [`SnapWriter::framed`]: append the body
+    /// length and the checksum of every preceding byte.
+    pub fn into_frame(mut self) -> Vec<u8> {
+        self.put_len(self.buf.len() - FRAME_MAGIC.len());
+        let checksum = fnv1a(FNV_OFFSET, &self.buf);
+        self.put_u64(checksum);
         self.buf
     }
 
@@ -139,6 +215,43 @@ impl<'a> SnapReader<'a> {
     /// Read from the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
         SnapReader { buf, pos: 0 }
+    }
+
+    /// Validate a frame written by [`SnapWriter::into_frame`] — magic, body
+    /// length and checksum, then its section header — and return a reader
+    /// over its payload.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidData`] for a frame that is truncated,
+    /// extended, corrupted, or of another kind or version.
+    pub fn framed(bytes: &'a [u8], tag: [u8; 4], version: u32) -> io::Result<Self> {
+        const TRAILER: usize = 16;
+        if bytes.len() < FRAME_MAGIC.len() + 8 + TRAILER {
+            return Err(snap_err(format!("frame too short: {} bytes", bytes.len())));
+        }
+        if bytes[..FRAME_MAGIC.len()] != FRAME_MAGIC {
+            return Err(snap_err("not a semloc frame (bad magic)"));
+        }
+        let (framed, trailer) = bytes.split_at(bytes.len() - TRAILER);
+        let mut t = SnapReader::new(trailer);
+        let (body_len, checksum) = (t.get_u64()?, t.get_u64()?);
+        let body = &framed[FRAME_MAGIC.len()..];
+        if body_len != body.len() as u64 {
+            return Err(snap_err(format!(
+                "frame length mismatch: trailer says {body_len}, body has {}",
+                body.len()
+            )));
+        }
+        let computed = fnv1a(FNV_OFFSET, &bytes[..bytes.len() - 8]);
+        if computed != checksum {
+            return Err(snap_err(format!(
+                "frame checksum mismatch: trailer {checksum:#018x}, computed {computed:#018x}"
+            )));
+        }
+        let mut r = SnapReader::new(body);
+        r.section(tag, version)?;
+        Ok(r)
     }
 
     /// Bytes not yet consumed.
@@ -271,6 +384,54 @@ impl<'a> SnapReader<'a> {
     }
 }
 
+/// Write `bytes` to `path` atomically: into a temp file beside it, synced,
+/// then renamed over `path` and the directory synced, so a reader sees the
+/// old file or the new one, never a torn mix. On any failure the temp file
+/// is removed and `path` is untouched. `faults` (testing only) corrupts the
+/// bytes first or fails the write part-way.
+///
+/// # Errors
+///
+/// Any I/O error, including the `WriteZero` of an injected short write.
+pub fn write_atomic(path: &Path, bytes: &[u8], faults: SaveFaults) -> io::Result<()> {
+    // Distinct per call, so concurrent writers of one path never share a
+    // temp file.
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    fs::create_dir_all(dir)?;
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(
+        ".tmp{}-{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let corrupted;
+    let bytes = if faults.plan.is_empty() {
+        bytes
+    } else {
+        let mut b = bytes.to_vec();
+        faults.plan.corrupt(&mut b);
+        corrupted = b;
+        &corrupted
+    };
+    let budget = faults.short_write.map_or(u64::MAX, |n| n as u64);
+    let written = fs::File::create(&tmp)
+        .and_then(|f| {
+            let mut w = ShortWriter::new(f, budget);
+            w.write_all(bytes)?;
+            w.into_inner().sync_all()
+        })
+        .and_then(|()| fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    written?;
+    fs::File::open(dir)?.sync_all()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,5 +536,17 @@ mod tests {
         assert!(r.expect_end().is_err());
         r.get_u8().unwrap();
         r.expect_end().unwrap();
+    }
+
+    #[test]
+    fn frame_of_another_kind_or_version_is_rejected() {
+        let mut w = SnapWriter::framed(*b"TST0", 3);
+        w.put_u64(0xDEAD_BEEF);
+        let bytes = w.into_frame();
+        assert!(SnapReader::framed(&bytes, *b"TST0", 3).is_ok());
+        for (tag, version) in [(*b"TST1", 3), (*b"TST0", 4)] {
+            let err = SnapReader::framed(&bytes, tag, version).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
     }
 }

@@ -1,7 +1,8 @@
-//! Exhaustive corruption matrix for the `SEMLOC02` encoding: every
-//! single-bit mutation of every byte of a valid serialized trace must
-//! either fail to parse with a typed `io::Error` or — were the format ever
-//! to grow don't-care bytes — decode to a buffer whose canonical re-encode
+//! Exhaustive corruption matrix for the frame every persisted kind shares
+//! (`TRCE` traces, `SIMC`/`RRES`/`MCCK` checkpoints), run on a trace
+//! frame: every single-bit mutation of every byte must either fail to
+//! parse with a typed `io::Error` or — were the frame ever to grow
+//! don't-care bytes — decode to a buffer whose canonical re-encode
 //! reproduces the mutated bytes exactly. Nothing may parse into a
 //! *different* instruction stream, and nothing may panic.
 //!
@@ -54,16 +55,12 @@ fn valid_bytes() -> Vec<u8> {
             _ => sink.instr(Instr::branch(pc, i % 3 == 0, pc + 8, Some(Reg(9)))),
         }
     }
-    let buf = sink.into_buffer();
-    let mut bytes = Vec::new();
-    buf.write_semloc(&mut bytes).unwrap();
-    bytes
+    sink.into_buffer().to_frame("matrix")
 }
 
-/// Decode every instruction (forcing full trailer validation) or report
-/// the typed error.
-fn parse(bytes: &[u8]) -> std::io::Result<TraceBuffer> {
-    TraceBuffer::read_semloc(bytes)
+/// Validate the frame and decode its columns, or report the typed error.
+fn parse(bytes: &[u8]) -> std::io::Result<(String, TraceBuffer)> {
+    TraceBuffer::from_frame(bytes)
 }
 
 #[test]
@@ -71,10 +68,8 @@ fn every_single_bit_mutation_is_rejected_or_canonical() {
     let clean = valid_bytes();
     // Sanity: the unmutated bytes round-trip.
     let round = {
-        let buf = parse(&clean).expect("clean trace must parse");
-        let mut out = Vec::new();
-        buf.write_semloc(&mut out).unwrap();
-        out
+        let (label, buf) = parse(&clean).expect("clean trace must parse");
+        buf.to_frame(&label)
     };
     assert_eq!(round, clean, "canonical re-encode must be stable");
 
@@ -86,11 +81,10 @@ fn every_single_bit_mutation_is_rejected_or_canonical() {
             mutated[i] ^= 1 << bit;
             match parse(&mutated) {
                 Err(_) => rejected += 1,
-                Ok(buf) => {
+                Ok((label, buf)) => {
                     // The only acceptable parse is one that owns every
                     // mutated byte: re-encoding must reproduce them.
-                    let mut out = Vec::new();
-                    buf.write_semloc(&mut out).unwrap();
+                    let out = buf.to_frame(&label);
                     assert_eq!(
                         out, mutated,
                         "byte {i} bit {bit}: mutation parsed into a stream \
@@ -103,7 +97,7 @@ fn every_single_bit_mutation_is_rejected_or_canonical() {
     }
     let total = (clean.len() * 8) as u64;
     assert_eq!(rejected + canonical, total);
-    // The checksum covers every byte (magic, payload, trailer), so today
+    // The checksum covers every byte (magic, header, payload, length), so
     // the matrix must be 100% rejection. If this assertion fires after an
     // intentional format change, some byte is no longer validated — decide
     // deliberately whether that's acceptable before relaxing it.

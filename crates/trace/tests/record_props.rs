@@ -1,17 +1,12 @@
-//! Property tests over the trace encodings: the `SEMLOC02` stream format
-//! (`record.rs`) and the struct-of-arrays [`TraceBuffer`] must round-trip
-//! every [`InstrKind`] variant — including absent registers and
-//! `SemanticHints` edge values — bit-exactly, and the reader must reject
-//! malformed inputs (bad magic, truncation, count mismatch) cleanly.
-
-use std::io::ErrorKind;
+//! Property tests over the trace encoding: the struct-of-arrays
+//! [`TraceBuffer`] and its `TRCE` frame must round-trip every
+//! [`InstrKind`] variant — including absent registers and `SemanticHints`
+//! edge values — bit-exactly, and the frame reader must reject truncation
+//! cleanly.
 
 use proptest::prelude::*;
 
-use semloc_trace::{
-    Instr, InstrKind, RecordingSink, RefForm, Reg, SemanticHints, TraceBuffer, TraceReader,
-    TraceSink, TraceWriter,
-};
+use semloc_trace::{Instr, InstrKind, RefForm, Reg, SemanticHints, TraceBuffer};
 
 /// Build one instruction from raw entropy, covering every variant and the
 /// interesting boundary values (absent registers, zero/huge results,
@@ -31,7 +26,7 @@ fn instr_from(raw: (u64, u64, u64, u64)) -> Instr {
         _ => misc,
     };
     let hints = (sel >> 16 & 1 == 1).then(|| {
-        let mut h = SemanticHints {
+        SemanticHints {
             type_id: match sel >> 20 & 0b11 {
                 0 => 0,
                 1 => u16::MAX,
@@ -46,14 +41,7 @@ fn instr_from(raw: (u64, u64, u64, u64)) -> Instr {
                 _ => (misc % 0x4000) as u16,
             },
             ref_form: RefForm::ALL[(sel >> 28 & 0b11) as usize],
-        };
-        // The all-ones packing is SEMLOC02's "no hints" sentinel (see
-        // `reserved_hint_packing_decodes_as_none`); representable hints
-        // must avoid it.
-        if h.pack() == u32::MAX {
-            h.link_offset = 0;
         }
-        h
     });
     let size = 1u8 << (sel >> 4 & 0b11); // 1/2/4/8 bytes
     match sel % 5 {
@@ -112,120 +100,53 @@ fn instr_from(raw: (u64, u64, u64, u64)) -> Instr {
     }
 }
 
-fn encode(instrs: &[Instr]) -> Vec<u8> {
-    let mut w = TraceWriter::new(Vec::new(), 0).expect("vec write");
-    for &i in instrs {
-        w.instr(i);
+fn buffer(instrs: &[Instr]) -> TraceBuffer {
+    let mut buf = TraceBuffer::new();
+    for i in instrs {
+        buf.push(i);
     }
-    w.finish().expect("vec write")
+    buf
 }
 
 proptest! {
-    /// SEMLOC02 round-trips arbitrary streams field-for-field.
-    #[test]
-    fn semloc_format_roundtrips(raws in proptest::collection::vec(
-        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()), 0..200))
-    {
-        let instrs: Vec<Instr> = raws.into_iter().map(instr_from).collect();
-        let bytes = encode(&instrs);
-        let mut sink = RecordingSink::new();
-        let n = TraceReader::new(&bytes[..]).expect("valid header")
-            .replay(&mut sink).expect("valid stream");
-        prop_assert_eq!(n, instrs.len() as u64);
-        prop_assert_eq!(sink.instrs(), instrs.as_slice());
-    }
-
-    /// The SoA buffer round-trips the same streams, and converting through
-    /// the SEMLOC02 format preserves them too.
+    /// The SoA buffer round-trips arbitrary streams field-for-field, and so
+    /// does its frame.
     #[test]
     fn trace_buffer_roundtrips(raws in proptest::collection::vec(
         (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()), 0..200))
     {
         let instrs: Vec<Instr> = raws.into_iter().map(instr_from).collect();
-        let mut buf = TraceBuffer::new();
-        for i in &instrs {
-            buf.push(i);
-        }
+        let buf = buffer(&instrs);
         prop_assert_eq!(buf.len(), instrs.len());
         prop_assert_eq!(buf.iter().collect::<Vec<_>>(), instrs.clone());
 
-        let mut bytes = Vec::new();
-        buf.write_semloc(&mut bytes).expect("vec write");
-        let back = TraceBuffer::read_semloc(&bytes[..]).expect("own output");
+        let (label, back) = TraceBuffer::from_frame(&buf.to_frame("k")).expect("own output");
+        prop_assert_eq!(label, "k");
         prop_assert_eq!(back.iter().collect::<Vec<_>>(), instrs);
     }
 
-    /// Truncating a valid stream anywhere inside the payload fails cleanly
-    /// (an I/O or data error — never a panic, never silent success).
+    /// Truncating a valid frame anywhere fails cleanly (a typed error —
+    /// never a panic, never silent success).
     #[test]
     fn truncation_is_detected(raws in proptest::collection::vec(
         (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()), 1..40),
         cut in any::<u64>())
     {
         let instrs: Vec<Instr> = raws.into_iter().map(instr_from).collect();
-        let bytes = encode(&instrs);
-        // Cut somewhere after the header but before the final trailer byte.
-        let cut = 8 + (cut as usize) % (bytes.len() - 8 - 1);
-        let mut sink = RecordingSink::new();
-        let res = TraceReader::new(&bytes[..cut]).and_then(|mut r| r.replay(&mut sink));
-        prop_assert!(res.is_err(), "truncation at {cut}/{} must error", bytes.len());
-    }
-}
-
-#[test]
-fn bad_magic_is_invalid_data() {
-    for junk in [
-        &b"SEMLOC00"[..],
-        &b"\0\0\0\0\0\0\0\0"[..],
-        &b"SEMLOC02"[..8 - 1],
-    ] {
-        let err = TraceReader::new(junk).unwrap_err();
-        assert!(
-            err.kind() == ErrorKind::InvalidData || err.kind() == ErrorKind::UnexpectedEof,
-            "got {err:?}"
+        let bytes = buffer(&instrs).to_frame("k");
+        let cut = (cut as usize) % bytes.len();
+        prop_assert!(
+            TraceBuffer::from_frame(&bytes[..cut]).is_err(),
+            "truncation at {}/{} must error", cut, bytes.len()
         );
     }
 }
 
 #[test]
-fn trailer_count_mismatch_is_invalid_data() {
-    let instrs: Vec<Instr> = (0..5u64)
-        .map(|i| instr_from((i, i * 8, i * 64, i)))
-        .collect();
-    let mut bytes = encode(&instrs);
-    // The trailer is MAX marker + little-endian count + checksum: the
-    // count's low byte sits 16 bytes from the end. Tamper it.
-    let n = bytes.len();
-    bytes[n - 16] = bytes[n - 16].wrapping_add(1);
-    let mut sink = RecordingSink::new();
-    let err = TraceReader::new(&bytes[..])
-        .unwrap()
-        .replay(&mut sink)
-        .unwrap_err();
-    assert_eq!(err.kind(), ErrorKind::InvalidData);
-    assert!(err.to_string().contains("count mismatch"), "got {err}");
-}
-
-#[test]
-fn unknown_record_kind_is_invalid_data() {
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(b"SEMLOC02");
-    bytes.push(0x7b); // neither a kind tag nor the trailer marker
-    let err = TraceReader::new(&bytes[..])
-        .unwrap()
-        .next_instr()
-        .unwrap_err();
-    assert_eq!(err.kind(), ErrorKind::InvalidData);
-    assert!(err.to_string().contains("bad record kind"), "got {err}");
-}
-
-#[test]
-fn reserved_hint_packing_decodes_as_none() {
-    // SEMLOC02 encodes "no hints" as an all-ones u32; the one hint value
-    // that packs to the same bits (type 0xffff, link 0x3fff, Index) is
-    // therefore unrepresentable in the stream format and reads back as
-    // `None`. The SoA `TraceBuffer` uses a presence flag instead and
-    // round-trips it exactly.
+fn all_ones_hint_round_trips_exactly() {
+    // The one hint value whose packing is all ones (type 0xffff, link
+    // 0x3fff, Index): hint presence is a flag bit, not a sentinel value, so
+    // it survives the buffer and the frame like any other.
     let edge = SemanticHints {
         type_id: u16::MAX,
         link_offset: 0x3fff,
@@ -233,32 +154,17 @@ fn reserved_hint_packing_decodes_as_none() {
     };
     assert_eq!(edge.pack(), u32::MAX);
     let i = Instr::load(0x400, 0x1000, 8, Reg(1), None, Some(edge), 7);
-
-    let bytes = encode(&[i]);
-    let mut sink = RecordingSink::new();
-    TraceReader::new(&bytes[..])
-        .unwrap()
-        .replay(&mut sink)
-        .unwrap();
-    match sink.instrs()[0].kind {
-        InstrKind::Load { hints, .. } => assert_eq!(hints, None, "sentinel collision"),
-        _ => unreachable!(),
-    }
-
-    let mut buf = TraceBuffer::new();
-    buf.push(&i);
-    assert_eq!(buf.iter().next().unwrap(), i, "SoA buffer is exact");
+    let buf = buffer(&[i]);
+    let (_, back) = TraceBuffer::from_frame(&buf.to_frame("k")).unwrap();
+    let got = back.iter().next().unwrap();
+    assert_eq!(got, i);
+    assert!(matches!(got.kind, InstrKind::Load { hints: Some(h), .. } if h == edge));
 }
 
 #[test]
 fn empty_trace_roundtrips() {
-    let bytes = encode(&[]);
-    let mut sink = RecordingSink::new();
-    let n = TraceReader::new(&bytes[..])
-        .unwrap()
-        .replay(&mut sink)
-        .unwrap();
-    assert_eq!(n, 0);
-    assert!(sink.instrs().is_empty());
-    assert!(TraceBuffer::read_semloc(&bytes[..]).unwrap().is_empty());
+    let (label, back) = TraceBuffer::from_frame(&TraceBuffer::new().to_frame("")).unwrap();
+    assert_eq!(label, "");
+    assert!(back.is_empty());
+    assert_eq!(back.iter().count(), 0);
 }

@@ -63,6 +63,20 @@ impl CapturedTrace {
             lanes: Arc::new(lanes),
         }
     }
+
+    /// A capture of `kernel` under `budget` from a buffer read back from
+    /// disk, its lanes decoded once here.
+    pub fn from_buffer(kernel: &dyn Kernel, budget: u64, complete: bool, buf: TraceBuffer) -> Self {
+        CapturedTrace {
+            name: kernel.name(),
+            suite: kernel.suite(),
+            key: kernel.trace_key(),
+            budget,
+            complete,
+            lanes: Arc::new(DecodedTrace::decode(&buf)),
+            buf,
+        }
+    }
 }
 
 /// Run `kernel` once against a [`BufferSink`] with the given instruction

@@ -12,16 +12,16 @@
 //! semloc table2                       print the machine configuration
 //! ```
 
-use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::fs;
+use std::path::Path;
 use std::process::ExitCode;
 
 use semloc::context::{Attr, ContextConfig, ContextPrefetcher};
 use semloc::cpu::{Cpu, CpuConfig};
 use semloc::harness::{parse_knob, run_kernel, PrefetcherKind, RunResult, SimConfig};
 use semloc::mem::{AccessClass, Hierarchy, MemConfig};
-use semloc::trace::{TraceReader, TraceWriter};
-use semloc::workloads::{all_kernels, kernel_by_name};
+use semloc::trace::{write_atomic, SaveFaults, TraceBuffer, TraceSink};
+use semloc::workloads::{all_kernels, capture_kernel, kernel_by_name};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -227,29 +227,16 @@ fn cmd_record(kernel: &str, path: &str, instrs: u64) -> ExitCode {
         eprintln!("unknown workload `{kernel}`");
         return ExitCode::FAILURE;
     };
-    let file = match File::create(path) {
-        Ok(f) => BufWriter::new(f),
-        Err(e) => {
-            eprintln!("cannot create {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut writer = match TraceWriter::new(file, instrs) {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("cannot write trace header: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    k.run(&mut writer);
-    let n = writer.count();
-    match writer.finish() {
-        Ok(_) => {
+    let trace = capture_kernel(k.as_ref(), instrs);
+    let frame = trace.buf.to_frame(&trace.key);
+    match write_atomic(Path::new(path), &frame, SaveFaults::default()) {
+        Ok(()) => {
+            let n = trace.buf.len();
             println!("recorded {n} instructions of `{kernel}` to {path}");
             ExitCode::SUCCESS
         }
         Err(e) => {
-            eprintln!("failed to finish trace: {e}");
+            eprintln!("cannot write {path}: {e}");
             ExitCode::FAILURE
         }
     }
@@ -260,15 +247,15 @@ fn cmd_replay(path: &str, pf: &str) -> ExitCode {
         eprintln!("unknown prefetcher `{pf}`");
         return ExitCode::FAILURE;
     };
-    let file = match File::open(path) {
-        Ok(f) => BufReader::new(f),
+    let bytes = match fs::read(path) {
+        Ok(b) => b,
         Err(e) => {
             eprintln!("cannot open {path}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let mut reader = match TraceReader::new(file) {
-        Ok(r) => r,
+    let buf = match TraceBuffer::from_frame(&bytes) {
+        Ok((_, buf)) => buf,
         Err(e) => {
             eprintln!("not a semloc trace: {e}");
             return ExitCode::FAILURE;
@@ -276,23 +263,18 @@ fn cmd_replay(path: &str, pf: &str) -> ExitCode {
     };
     let hierarchy = Hierarchy::new(MemConfig::default(), pf.build());
     let mut cpu = Cpu::new(CpuConfig::default(), hierarchy, 0);
-    match reader.replay(&mut cpu) {
-        Ok(n) => {
-            let (stats, mem) = cpu.finish();
-            println!("replayed {n} instructions from {path}");
-            println!(
-                "IPC: {:.3}   L1 MPKI: {:.2}   L2 MPKI: {:.2}",
-                stats.ipc(),
-                mem.stats().l1_mpki(stats.instructions),
-                mem.stats().l2_mpki(stats.instructions)
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("replay failed: {e}");
-            ExitCode::FAILURE
-        }
+    for i in buf.iter() {
+        cpu.instr(i);
     }
+    let (stats, mem) = cpu.finish();
+    println!("replayed {} instructions from {path}", buf.len());
+    println!(
+        "IPC: {:.3}   L1 MPKI: {:.2}   L2 MPKI: {:.2}",
+        stats.ipc(),
+        mem.stats().l1_mpki(stats.instructions),
+        mem.stats().l2_mpki(stats.instructions)
+    );
+    ExitCode::SUCCESS
 }
 
 fn cmd_inspect(kernel: &str, budget: u64) -> ExitCode {

@@ -162,3 +162,49 @@ fn cli_rejects_a_malformed_budget() {
         "nothing may run on a malformed budget"
     );
 }
+
+#[test]
+fn cli_record_then_replay_matches_run() {
+    let semloc = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_semloc"))
+            .args(args)
+            .output()
+            .expect("run the semloc binary");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        (out.status.code(), stdout)
+    };
+    // The three figures both commands print, as text.
+    let figures = |out: &str| -> Vec<String> {
+        let after = |label: &str| {
+            let rest = &out[out.find(label).expect(label) + label.len()..];
+            rest.split_whitespace().next().unwrap().to_string()
+        };
+        vec![after("IPC:"), after("L1 MPKI:"), after("L2 MPKI:")]
+    };
+    let path = std::env::temp_dir().join(format!("semloc-cli-{}.trace", std::process::id()));
+    let file = path.to_str().unwrap();
+
+    let (code, _) = semloc(&["record", "list", file, "20000"]);
+    assert_eq!(code, Some(0), "record must succeed");
+    let (code, replayed) = semloc(&["replay", file, "none"]);
+    assert_eq!(code, Some(0), "replay must succeed: {replayed}");
+    assert!(
+        replayed.contains("replayed 20000 instructions"),
+        "{replayed}"
+    );
+    let (code, ran) = semloc(&["run", "list", "none", "20000"]);
+    assert_eq!(code, Some(0));
+    assert_eq!(
+        figures(&replayed),
+        figures(&ran),
+        "replay:\n{replayed}\nrun:\n{ran}"
+    );
+
+    // A byte appended to the frame makes it invalid.
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes.push(0);
+    std::fs::write(&path, bytes).unwrap();
+    let (code, _) = semloc(&["replay", file, "none"]);
+    assert_eq!(code, Some(1), "an extended trace must be refused");
+    let _ = std::fs::remove_file(&path);
+}
