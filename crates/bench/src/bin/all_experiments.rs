@@ -1,249 +1,75 @@
-//! Run the complete evaluation — every table and figure — in one sitting,
-//! sharing the main run matrix across Figs 9/10/11/12.
+//! Regenerate the paper comparison: every section of [`semloc_bench`], or
+//! the one `--only` names.
 //!
-//! This is the binary behind `EXPERIMENTS.md`; expect ~10–20 minutes at the
-//! default budget (`SEMLOC_BUDGET` scales it).
+//! ```text
+//! all_experiments [--only <id>] [<file.md>]
+//! ```
+//!
+//! Without a file, each section prints to stdout between its
+//! `<!-- semloc:begin <id> -->` and `<!-- semloc:end <id> -->` markers.
+//! With a file, the text between each printed section's markers is
+//! replaced in place. If a section's markers are missing, a marker names
+//! no section or a block is unterminated, the file is left untouched and
+//! the exit status is 1; the markers are checked before any simulation.
+//! `SEMLOC_BUDGET` sets the instructions per run (default 400 000); the
+//! full run takes about 20 s on a 2-vCPU host.
 
-use semloc_bench::{banner, full_lineup, geomean, run_matrix};
-use semloc_harness::{
-    ablation_variants, run_kernel, storage_sweep, PrefetcherKind, SimConfig, Table,
-};
-use semloc_mem::AccessClass;
-use semloc_workloads::{all_kernels, kernel_by_name, Suite};
+use std::process::exit;
+
+use semloc_bench::{block, fenced, section, splice, SECTIONS};
+use semloc_harness::SimConfig;
+
+fn usage() -> ! {
+    eprintln!("usage: all_experiments [--only <id>] [<file.md>]");
+    exit(2);
+}
+
+fn fail(msg: &str) -> ! {
+    eprintln!("all_experiments: {msg}");
+    exit(1);
+}
 
 fn main() {
-    let cfg = SimConfig::default();
-    println!(
-        "semloc full evaluation (budget {} instructions per run)\n",
-        cfg.instr_budget
-    );
-
-    // ---- shared main matrix ----
-    let kernels = all_kernels();
-    let suites: Vec<Suite> = kernels.iter().map(|k| k.suite()).collect();
-    let m = run_matrix(&kernels, &full_lineup(), &cfg);
-
-    // ---- Fig 12 ----
-    banner(
-        "Fig 12",
-        "Speedups over no prefetching",
-        "32% avg all / 20% avg SPEC / 4.3x max / +76% vs best",
-    );
-    let mut t = Table::new(
-        ["workload".to_string(), "suite".to_string()]
-            .into_iter()
-            .chain(m.prefetchers().iter().skip(1).map(|p| p.to_string())),
-    );
-    for (k, suite) in m.kernels().to_vec().iter().zip(&suites) {
-        let mut row = vec![k.to_string(), suite.label().to_string()];
-        for p in m.prefetchers().iter().skip(1) {
-            row.push(match m.speedup(k, p) {
-                Ok(s) => format!("{s:.2}x"),
-                Err(_) => "n/a".to_string(),
-            });
+    let (mut only, mut path) = (None, None);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--only" if only.is_none() => only = Some(args.next().unwrap_or_else(|| usage())),
+            a if a.starts_with('-') => usage(),
+            _ if path.is_none() => path = Some(arg),
+            _ => usage(),
         }
-        t.row(row);
     }
-    println!("{}", t.render());
-    let spec: Vec<&str> = m
-        .kernels()
-        .iter()
-        .zip(&suites)
-        .filter(|&(_, s)| *s == Suite::Spec)
-        .map(|(&k, _)| k)
-        .collect();
-    let all: Vec<&str> = m.kernels().to_vec();
-    println!("\ngeomean speedups:");
-    for p in m.prefetchers().iter().skip(1) {
-        let max = all
-            .iter()
-            .filter_map(|k| m.speedup(k, p).ok())
-            .fold(0.0f64, f64::max);
-        println!(
-            "  {:<10} all {:.2}x  spec {:.2}x  max {:.2}x",
-            p,
-            m.geomean_speedup(p, &all).unwrap_or(f64::NAN),
-            m.geomean_speedup(p, &spec).unwrap_or(f64::NAN),
-            max
-        );
-    }
-
-    // ---- Fig 10 / Fig 11 ----
-    for (id, l2, thresh) in [("Fig 10", false, 5.0), ("Fig 11", true, 1.0)] {
-        banner(
-            id,
-            if l2 { "L2 MPKI" } else { "L1 MPKI" },
-            "context lowest; avg L2 MPKI ~4x below baseline",
-        );
-        let heavy = m.memory_intensive(thresh, l2);
-        let mut t = Table::new(
-            ["workload".to_string()]
-                .into_iter()
-                .chain(m.prefetchers().iter().map(|p| p.to_string())),
-        );
-        for k in &heavy {
-            let mut row = vec![k.to_string()];
-            for p in m.prefetchers() {
-                let v = m
-                    .get(k, p)
-                    .map(|r| if l2 { r.l2_mpki() } else { r.l1_mpki() })
-                    .unwrap_or(0.0);
-                row.push(format!("{v:.2}"));
-            }
-            t.row(row);
+    let ids: Vec<&str> = match only.as_deref() {
+        Some(id) if section(id).is_none() => {
+            let known = SECTIONS.map(|(s, _)| s).join(", ");
+            fail(&format!("unknown section {id:?}; one of {known}"))
         }
-        let mut avg = vec!["AVERAGE(all)".to_string()];
-        for p in m.prefetchers() {
-            let s: f64 = m
-                .kernels()
-                .iter()
-                .filter_map(|k| m.get(k, p))
-                .map(|r| if l2 { r.l2_mpki() } else { r.l1_mpki() })
-                .sum();
-            avg.push(format!("{:.2}", s / m.kernels().len() as f64));
+        Some(id) => vec![id],
+        None => SECTIONS.iter().map(|(s, _)| *s).collect(),
+    };
+    let doc = path.as_ref().map(|path| {
+        let doc = std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
+        let empty: Vec<_> = ids.iter().map(|&id| (id, String::new())).collect();
+        if let Err(e) = splice(&doc, &empty) {
+            fail(&format!("{path}: {e}"));
         }
-        t.row(avg);
-        println!("{}", t.render());
-    }
-
-    // ---- Fig 9 (aggregate view) ----
-    banner(
-        "Fig 9",
-        "Access classification (all-workload averages)",
-        "context has the largest useful share",
-    );
-    let mut t = Table::new([
-        "prefetcher",
-        "hit-pf",
-        "shorter",
-        "nontimely",
-        "miss",
-        "hit-old",
-        "wrong",
-    ]);
-    for p in m.prefetchers().iter().skip(1) {
-        let mut acc = [0.0f64; 6];
-        let mut n = 0;
-        for k in m.kernels() {
-            if let Some(r) = m.get(k, p) {
-                let c = &r.mem.classes;
-                acc[0] += c.fraction(AccessClass::HitPrefetchedLine);
-                acc[1] += c.fraction(AccessClass::ShorterWait);
-                acc[2] += c.fraction(AccessClass::NonTimely);
-                acc[3] += c.fraction(AccessClass::MissNotPrefetched);
-                acc[4] += c.fraction(AccessClass::HitOlderDemand);
-                acc[5] += c.wrong_fraction();
-                n += 1;
-            }
-        }
-        let mut row = vec![p.to_string()];
-        row.extend(acc.iter().map(|v| format!("{:.1}%", v / n as f64 * 100.0)));
-        t.row(row);
-    }
-    println!("{}", t.render());
-
-    // ---- Fig 8 ----
-    banner(
-        "Fig 8",
-        "Hit-depth CDF checkpoints (context)",
-        "step at 18; late<=35%; early splits groups",
-    );
-    println!(
-        "{:<14} {:>8} {:>8} {:>8}",
-        "workload", "late<18", "window", "early>50"
-    );
-    for name in [
-        "array", "list", "listsort", "bst", "prim", "hashtest", "maptest", "ssca_lds", "mcf",
-        "hmmer",
-    ] {
-        let k = kernel_by_name(name).expect("kernel");
-        let r = run_kernel(k.as_ref(), &PrefetcherKind::context(), &cfg);
-        let l = r.learn.expect("learn stats");
-        println!(
-            "{name:<14} {:>7.1}% {:>7.1}% {:>7.1}%",
-            l.depth_cdf.cdf_at(17) * 100.0,
-            l.depth_cdf.fraction_in_window(18, 50) * 100.0,
-            (1.0 - l.depth_cdf.cdf_at(50)) * 100.0
-        );
-    }
-
-    // ---- Fig 13 ----
-    banner("Fig 13", "CST storage sweep", "peaks at a moderate size");
-    let pts = storage_sweep(&kernels, &[256, 512, 1024, 2048, 4096, 8192], &cfg, |s| {
-        eprintln!("[sweep] {s}")
+        doc
     });
-    println!("{:>8} {:>9} {:>8} {:>8}", "CST", "storage", "Top10", "All");
-    for p in &pts {
-        println!(
-            "{:>8} {:>8.1}k {:>7.2}x {:>7.2}x",
-            p.cst_entries,
-            p.storage_bytes as f64 / 1024.0,
-            p.top10,
-            p.all
-        );
-    }
 
-    // ---- Fig 14 ----
-    banner(
-        "Fig 14",
-        "Layout-agnostic programming (CPI)",
-        "context closes the naive-vs-optimized gap",
-    );
-    let mut lineup = vec![PrefetcherKind::None];
-    lineup.extend(full_lineup());
-    for (fig, csr, linked) in [
-        ("SSCA2", "ssca2", "ssca2-list"),
-        ("Graph500", "graph500", "graph500-list"),
-    ] {
-        println!("\n{fig}:");
-        println!("{:<11} {:>9} {:>11}", "prefetcher", "CSR cpi", "linked cpi");
-        for pf in &lineup {
-            let rc = run_kernel(kernel_by_name(csr).unwrap().as_ref(), pf, &cfg);
-            let rl = run_kernel(kernel_by_name(linked).unwrap().as_ref(), pf, &cfg);
-            println!(
-                "{:<11} {:>9.2} {:>11.2}",
-                pf.label(),
-                rc.cpu.cpi(),
-                rl.cpu.cpi()
-            );
+    let cfg = SimConfig::default();
+    eprintln!("budget {} instructions per run", cfg.instr_budget);
+    let mut bodies = Vec::new();
+    for id in ids {
+        eprintln!("[section] {id}");
+        let body = fenced(&section(id).expect("a listed section")(&cfg));
+        if doc.is_none() {
+            print!("{}", block(id, &body));
         }
+        bodies.push((id, body));
     }
-
-    // ---- Ablations ----
-    banner(
-        "Ablation",
-        "Design-decision ablations (geomean over prefetcher-friendly subset)",
-        "DESIGN.md #6",
-    );
-    let names = [
-        "list", "mcf", "omnetpp", "hmmer", "h264ref", "ssca_lds", "astar", "milc", "bst",
-        "hashtest", "KNN", "bzip2",
-    ];
-    let ks: Vec<_> = names
-        .iter()
-        .map(|n| kernel_by_name(n).expect("kernel"))
-        .collect();
-    let bases: Vec<_> = ks
-        .iter()
-        .map(|k| run_kernel(k.as_ref(), &PrefetcherKind::None, &cfg))
-        .collect();
-    for v in ablation_variants() {
-        let geo = geomean(ks.iter().zip(&bases).filter_map(|(k, b)| {
-            run_kernel(k.as_ref(), &PrefetcherKind::Context(v.config.clone()), &cfg)
-                .speedup_over(b)
-                .ok()
-        }));
-        println!("  {:<16} {:.2}x  ({})", v.name, geo, v.description);
+    if let (Some(path), Some(doc)) = (path, doc) {
+        let out = splice(&doc, &bodies).expect("markers checked before the run");
+        std::fs::write(&path, out).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
     }
-    let geo = geomean(ks.iter().zip(&bases).filter_map(|(k, b)| {
-        run_kernel(k.as_ref(), &PrefetcherKind::context_calibrated(), &cfg)
-            .speedup_over(b)
-            .ok()
-    }));
-    println!(
-        "  {:<16} {geo:.2}x  (EXTENSION: per-workload #4.3 reward calibration)",
-        "calibrated"
-    );
-
-    println!("\nall experiments complete.");
 }

@@ -1,7 +1,7 @@
 //! On-disk checkpoint store.
 //!
-//! Long experiment drivers (`all_experiments`, the figure binaries) can be
-//! killed mid-run; with a checkpoint directory configured
+//! A long experiment run such as `all_experiments` can be killed
+//! mid-run; with a checkpoint directory configured
 //! (`SEMLOC_CKPT_DIR`) every simulation cell periodically persists its
 //! complete engine state and, on completion, its final result. A restarted
 //! process finds the valid checkpoint for each cell and resumes from it —

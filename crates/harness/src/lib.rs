@@ -1,5 +1,5 @@
 //! Experiment harness: assembles core + hierarchy + prefetcher + workload,
-//! runs the paper's evaluation matrix and formats every table and figure.
+//! runs the paper's evaluation matrix, storage sweep and ablations.
 //!
 //! The flow mirrors the paper's methodology (§6–§7):
 //!
@@ -8,9 +8,10 @@
 //! 3. pick prefetchers via [`PrefetcherKind`] (the §7 competitors),
 //! 4. [`run_kernel`] each combination and aggregate [`RunResult`]s into a
 //!    [`Matrix`],
-//! 5. print with [`report`] — speedups (Fig 12), MPKI (Figs 10/11), access
-//!    classes (Fig 9), hit-depth CDFs (Fig 8), storage sweeps (Fig 13) and
-//!    layout comparisons (Fig 14).
+//! 5. render with [`report::Table`]; `semloc-bench` turns the results into
+//!    the paper's tables and figures (speedups for Fig 12, MPKI for Figs
+//!    10/11, access classes for Fig 9, hit-depth CDFs for Fig 8, the storage
+//!    sweep for Fig 13 and layout comparisons for Fig 14).
 
 pub mod arena;
 pub mod ckpt;
@@ -50,6 +51,6 @@ pub use runner::{
 };
 pub use store::TraceStore;
 pub use sweep::{
-    ablation_variants, storage_sweep, storage_sweep_parallel, storage_sweep_parallel_with_store,
-    storage_sweep_with_store, AblationVariant, SweepPoint,
+    ablation_variants, geomean, storage_sweep, storage_sweep_with_store, AblationVariant,
+    SweepPoint, ABLATION_KERNELS,
 };

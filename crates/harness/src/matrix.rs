@@ -75,15 +75,9 @@ impl Matrix {
     }
 
     /// Run every kernel under the baseline plus each given prefetcher.
-    /// `progress` is invoked after each run completes (for CLI feedback).
     /// See [`Matrix::prepare`]'s panic contract for lineup constraints.
-    pub fn run(
-        kernels: &[KernelBox],
-        prefetchers: &[PrefetcherKind],
-        config: &SimConfig,
-        progress: impl FnMut(&RunResult),
-    ) -> Self {
-        Self::run_with_store(TraceStore::global(), kernels, prefetchers, config, progress)
+    pub fn run(kernels: &[KernelBox], prefetchers: &[PrefetcherKind], config: &SimConfig) -> Self {
+        Self::run_with_store(TraceStore::global(), kernels, prefetchers, config)
     }
 
     /// [`Matrix::run`] against an explicit [`TraceStore`]. When the lineup
@@ -97,7 +91,6 @@ impl Matrix {
         kernels: &[KernelBox],
         prefetchers: &[PrefetcherKind],
         config: &SimConfig,
-        mut progress: impl FnMut(&RunResult),
     ) -> Self {
         let (mut m, lineup) = Self::prepare(kernels, prefetchers);
         let wants_probe = lineup
@@ -106,7 +99,6 @@ impl Matrix {
         for k in kernels {
             for pf in &lineup {
                 let r = Self::run_cell(store, k.as_ref(), pf, wants_probe, config);
-                progress(&r);
                 m.results
                     .entry(k.name())
                     .or_default()
@@ -128,16 +120,8 @@ impl Matrix {
         prefetchers: &[PrefetcherKind],
         config: &SimConfig,
         threads: usize,
-        progress: impl Fn(&RunResult) + Sync,
     ) -> Self {
-        Self::run_parallel_with_store(
-            TraceStore::global(),
-            kernels,
-            prefetchers,
-            config,
-            threads,
-            progress,
-        )
+        Self::run_parallel_with_store(TraceStore::global(), kernels, prefetchers, config, threads)
     }
 
     /// [`Matrix::run_parallel`] against an explicit [`TraceStore`]; see
@@ -148,7 +132,6 @@ impl Matrix {
         prefetchers: &[PrefetcherKind],
         config: &SimConfig,
         threads: usize,
-        progress: impl Fn(&RunResult) + Sync,
     ) -> Self {
         let (mut m, lineup) = Self::prepare(kernels, prefetchers);
         let wants_probe = lineup
@@ -161,15 +144,13 @@ impl Matrix {
             .flat_map(|ki| (0..lineup.len()).map(move |pi| (ki, pi)))
             .collect();
         let results = crate::pool::run_sharded(threads, jobs, |(ki, pi)| {
-            let r = Self::run_cell(
+            Self::run_cell(
                 store,
                 kernels[ki].as_ref(),
                 &lineup[pi],
                 wants_probe,
                 config,
-            );
-            progress(&r);
-            r
+            )
         });
         for r in results {
             m.results
@@ -232,8 +213,8 @@ impl Matrix {
         pairs.into_iter().take(n).map(|(k, _)| k).collect()
     }
 
-    /// Kernels whose baseline L1 MPKI exceeds `threshold` (Figs 10/11
-    /// filter to the memory-intensive subset).
+    /// Kernels whose baseline L1 MPKI (L2 MPKI if `l2`) exceeds
+    /// `threshold` (Figs 10/11 filter to the memory-intensive subset).
     pub fn memory_intensive(&self, threshold: f64, l2: bool) -> Vec<&'static str> {
         self.kernel_order
             .iter()
@@ -264,42 +245,6 @@ impl Matrix {
             .iter()
             .flat_map(move |k| self.pf_order.iter().filter_map(move |p| self.get(k, p)))
     }
-
-    /// Export the full matrix as CSV (one row per kernel × prefetcher)
-    /// with the metrics every figure draws on — suitable for external
-    /// plotting tools.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "kernel,prefetcher,instructions,cycles,ipc,speedup,l1_mpki,l2_mpki,prefetches_issued,prefetches_rejected,hit_prefetched,shorter_wait,non_timely,miss_not_prefetched,hit_older_demand,prefetch_never_hit\n",
-        );
-        for r in self.iter() {
-            // NaN marks an uncomputable speedup in the export (never a
-            // silent 0.0, which would plot as a plausible slowdown).
-            let speedup = self.speedup(r.kernel, r.prefetcher).map_or(f64::NAN, |s| s);
-            let c = &r.mem.classes;
-            out.push_str(&format!(
-                "{},{},{},{},{:.4},{:.4},{:.3},{:.3},{},{},{},{},{},{},{},{}
-",
-                r.kernel,
-                r.prefetcher,
-                r.cpu.instructions,
-                r.cpu.cycles,
-                r.cpu.ipc(),
-                speedup,
-                r.l1_mpki(),
-                r.l2_mpki(),
-                r.mem.prefetches_issued,
-                r.mem.prefetches_rejected,
-                c.hit_prefetched,
-                c.shorter_wait,
-                c.non_timely,
-                c.miss_not_prefetched,
-                c.hit_older_demand,
-                c.prefetch_never_hit,
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -312,12 +257,7 @@ mod tests {
             kernel_by_name("array").unwrap(),
             kernel_by_name("list").unwrap(),
         ];
-        Matrix::run(
-            &kernels,
-            &[PrefetcherKind::Stride],
-            &SimConfig::quick(),
-            |_| {},
-        )
+        Matrix::run(&kernels, &[PrefetcherKind::Stride], &SimConfig::quick())
     }
 
     #[test]
@@ -368,7 +308,6 @@ mod tests {
                 PrefetcherKind::context_calibrated(),
             ],
             &SimConfig::quick(),
-            |_| {},
         );
     }
 
@@ -382,24 +321,14 @@ mod tests {
     }
 
     #[test]
-    fn csv_has_one_row_per_cell() {
-        let m = tiny_matrix();
-        let csv = m.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 1 + 2 * 2, "header + kernels x prefetchers");
-        assert!(lines[0].starts_with("kernel,prefetcher"));
-        assert!(lines.iter().skip(1).all(|l| l.split(',').count() == 16));
-    }
-
-    #[test]
     fn parallel_matches_sequential() {
         let kernels = vec![
             kernel_by_name("array").unwrap(),
             kernel_by_name("list").unwrap(),
         ];
         let cfg = SimConfig::quick();
-        let seq = Matrix::run(&kernels, &[PrefetcherKind::Stride], &cfg, |_| {});
-        let par = Matrix::run_parallel(&kernels, &[PrefetcherKind::Stride], &cfg, 4, |_| {});
+        let seq = Matrix::run(&kernels, &[PrefetcherKind::Stride], &cfg);
+        let par = Matrix::run_parallel(&kernels, &[PrefetcherKind::Stride], &cfg, 4);
         for k in seq.kernels() {
             for p in seq.prefetchers() {
                 let a = seq.get(k, p).unwrap();
@@ -423,7 +352,6 @@ mod tests {
             &kernels,
             &[PrefetcherKind::context_calibrated()],
             &cfg,
-            |_| {},
         );
         for pf in [PrefetcherKind::None, PrefetcherKind::context_calibrated()] {
             let standalone = crate::runner::run_kernel_uncached(kernels[0].as_ref(), &pf, &cfg);

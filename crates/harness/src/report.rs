@@ -1,4 +1,4 @@
-//! Plain-text table and chart rendering for the figure/table binaries.
+//! Plain-text table rendering for the paper sections and the arena.
 
 /// A fixed-width text table.
 #[derive(Clone, Debug, Default)]
@@ -28,16 +28,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Render with aligned columns.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
@@ -65,42 +55,6 @@ impl Table {
         }
         out
     }
-
-    /// Render as CSV.
-    pub fn to_csv(&self) -> String {
-        let esc = |s: &String| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.clone()
-            }
-        };
-        let mut out = self.headers.iter().map(esc).collect::<Vec<_>>().join(",");
-        for row in &self.rows {
-            out.push('\n');
-            out.push_str(&row.iter().map(esc).collect::<Vec<_>>().join(","));
-        }
-        out
-    }
-}
-
-/// A horizontal ASCII bar scaled to `max` over `width` characters.
-pub fn bar(value: f64, max: f64, width: usize) -> String {
-    if max <= 0.0 || value <= 0.0 {
-        return String::new();
-    }
-    let n = ((value / max) * width as f64).round() as usize;
-    "#".repeat(n.min(width))
-}
-
-/// Format a ratio as `1.23x`.
-pub fn ratio(v: f64) -> String {
-    format!("{v:.2}x")
-}
-
-/// Format a fraction as a percentage.
-pub fn pct(v: f64) -> String {
-    format!("{:.1}%", v * 100.0)
 }
 
 #[cfg(test)]
@@ -123,28 +77,8 @@ mod tests {
     }
 
     #[test]
-    fn csv_escapes_commas() {
-        let mut t = Table::new(["a", "b"]);
-        t.row(["x,y", "plain"]);
-        assert_eq!(t.to_csv(), "a,b\n\"x,y\",plain");
-    }
-
-    #[test]
     #[should_panic(expected = "row width mismatch")]
     fn row_width_checked() {
         Table::new(["a", "b"]).row(["only one"]);
-    }
-
-    #[test]
-    fn bar_scales() {
-        assert_eq!(bar(5.0, 10.0, 10), "#####");
-        assert_eq!(bar(20.0, 10.0, 10), "##########", "clamped at width");
-        assert_eq!(bar(0.0, 10.0, 10), "");
-    }
-
-    #[test]
-    fn formatters() {
-        assert_eq!(ratio(1.234), "1.23x");
-        assert_eq!(pct(0.2), "20.0%");
     }
 }

@@ -40,7 +40,7 @@ pub struct RunResult {
 
 /// Why a speedup could not be computed. Speedups are IPC ratios; a zero or
 /// non-finite IPC would silently poison every aggregate built on top
-/// (geomeans, Top-N rankings, CSV exports), so the accessors surface the
+/// (geomeans, Top-N rankings), so the accessors surface the
 /// degenerate cases as typed errors instead of returning `0.0`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SpeedupError {

@@ -1,14 +1,15 @@
 //! The shared trace store: record each kernel's instruction stream once,
-//! replay it for every prefetcher column, sweep point, and figure binary.
+//! replay it for every prefetcher column, sweep point, and paper section.
 //!
 //! Every run funneled through [`run_kernel`](crate::run_kernel) consults the
 //! process-global store ([`TraceStore::global`]), so the whole experiment
 //! matrix — `Matrix::run`, `Matrix::run_parallel` workers, the calibration
-//! probe, and all the figure binaries — pays each kernel's generation cost
-//! once per process instead of once per cell. With `SEMLOC_TRACE_DIR` set,
-//! captures also persist as `TRCE` frames (the capture's varint buffer, see
-//! [`semloc_trace::TraceBuffer::to_frame`]) so separate processes (e.g. the
-//! individual `fig*` binaries) reuse each other's traces.
+//! probe, and every section of `all_experiments` — pays each kernel's
+//! generation cost once per process instead of once per cell. With
+//! `SEMLOC_TRACE_DIR` set, captures also persist as `TRCE` frames (the
+//! capture's varint buffer, see [`semloc_trace::TraceBuffer::to_frame`]) so
+//! separate processes (e.g. two `all_experiments --only <id>` runs) reuse
+//! each other's traces.
 //!
 //! Correctness rests on the prefix property documented in
 //! [`semloc_workloads::replay`]: a capture at budget `B` replays

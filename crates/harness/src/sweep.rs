@@ -6,29 +6,26 @@ use semloc_context::ContextConfig;
 use semloc_workloads::KernelBox;
 
 use crate::config::SimConfig;
+use crate::matrix::Matrix;
+use crate::pool::{pool_threads, run_sharded};
 use crate::prefetchers::PrefetcherKind;
-use crate::runner::{run_kernel_with_store, RunResult};
+use crate::runner::run_kernel_with_store;
 use crate::store::TraceStore;
-use semloc_workloads::Kernel;
 
-/// Simulate one kernel's (no-prefetch baseline, context) pair against the
-/// store's result memo. The shared setup block of both storage sweeps and
-/// the arena tournament: keeping the pair in one helper keeps the memo
-/// keys — and therefore the cross-runner sharing — aligned.
-pub(crate) fn baseline_context_pair(
-    store: &TraceStore,
-    kernel: &dyn Kernel,
-    config: &SimConfig,
-    ctx_cfg: &ContextConfig,
-) -> (RunResult, RunResult) {
-    let base = run_kernel_with_store(store, kernel, &PrefetcherKind::None, config);
-    let ctx = run_kernel_with_store(
-        store,
-        kernel,
-        &PrefetcherKind::Context(ctx_cfg.clone()),
-        config,
-    );
-    (base, ctx)
+/// Geometric mean of the positive values in `vals` (0.0 if there are
+/// none). Every valid speedup is finite and positive.
+pub fn geomean(vals: impl IntoIterator<Item = f64>) -> f64 {
+    let mut sum = 0.0;
+    let mut n = 0usize;
+    for v in vals.into_iter().filter(|&v| v > 0.0) {
+        sum += v.ln();
+        n += 1;
+    }
+    if n == 0 {
+        0.0
+    } else {
+        (sum / n as f64).exp()
+    }
 }
 
 /// One point of the Fig 13 storage sweep.
@@ -47,167 +44,59 @@ pub struct SweepPoint {
 /// Run the Fig 13 storage sweep: scale the CST (with the reducer at 8×)
 /// over `sizes` and measure geomean speedups for all kernels and the
 /// Top-10 subset (selected at the default size, as the paper does).
-/// Uses the process-global [`TraceStore`].
+/// Uses the process-global [`TraceStore`] and [`pool_threads`] workers.
 pub fn storage_sweep(
     kernels: &[KernelBox],
     sizes: &[usize],
     config: &SimConfig,
-    progress: impl FnMut(usize),
 ) -> Vec<SweepPoint> {
-    storage_sweep_with_store(TraceStore::global(), kernels, sizes, config, progress)
+    storage_sweep_with_store(TraceStore::global(), kernels, sizes, config, pool_threads())
 }
 
-/// [`storage_sweep`] against an explicit [`TraceStore`]. Each kernel's
-/// no-prefetch baseline is simulated once and memoized in the store's
-/// full-run result memo — every sweep size reuses it (and a matrix run
-/// over the same store contributes its cells too, and vice versa).
+/// [`storage_sweep`] against an explicit [`TraceStore`], fanned out over
+/// `threads` workers of the shard pool (see [`crate::pool`]). Every cell
+/// goes through the store's full-run result memo, so each kernel's
+/// no-prefetch baseline is simulated once for every size, and a matrix run
+/// over the same store shares its cells with the sweep both ways. Cells
+/// are deterministic and aggregated in job order, so the points are
+/// bit-identical for any thread count.
 pub fn storage_sweep_with_store(
     store: &TraceStore,
     kernels: &[KernelBox],
     sizes: &[usize],
     config: &SimConfig,
-    mut progress: impl FnMut(usize),
-) -> Vec<SweepPoint> {
-    // Baselines and Top-10 selection from the default configuration.
-    // Kernels with a degenerate speedup (zero/non-finite IPC) are dropped
-    // from the ranking instead of poisoning the sort.
-    let default_cfg = ContextConfig::default();
-    let mut bases = Vec::new();
-    let mut default_speedups = Vec::new();
-    for k in kernels {
-        let (base, ctx) = baseline_context_pair(store, k.as_ref(), config, &default_cfg);
-        if let Ok(s) = ctx.speedup_over(&base) {
-            default_speedups.push((k.name(), s));
-        }
-        bases.push(base);
-    }
-    let mut ranked = default_speedups;
-    ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
-    let top10: Vec<&str> = ranked.iter().take(10).map(|&(n, _)| n).collect();
-
-    let geomean = |vals: &[f64]| -> f64 {
-        let n = vals.len();
-        if n == 0 {
-            return 0.0;
-        }
-        (vals.iter().map(|v| v.ln()).sum::<f64>() / n as f64).exp()
-    };
-
-    let mut points = Vec::new();
-    for &size in sizes {
-        let cfg = ContextConfig::default().with_cst_entries(size);
-        let storage = cfg.storage_bytes();
-        let mut all = Vec::new();
-        let mut top = Vec::new();
-        for (i, k) in kernels.iter().enumerate() {
-            let ctx = run_kernel_with_store(
-                store,
-                k.as_ref(),
-                &PrefetcherKind::Context(cfg.clone()),
-                config,
-            );
-            let Ok(s) = ctx.speedup_over(&bases[i]) else {
-                continue;
-            };
-            all.push(s);
-            if top10.contains(&k.name()) {
-                top.push(s);
-            }
-        }
-        points.push(SweepPoint {
-            cst_entries: size,
-            storage_bytes: storage,
-            top10: geomean(&top),
-            all: geomean(&all),
-        });
-        progress(size);
-    }
-    points
-}
-
-/// [`storage_sweep`] fanned out over the work-stealing shard pool
-/// (see [`crate::pool`]): every independent cell — per-kernel baseline +
-/// default-context pair, then every (size, kernel) context run — becomes a
-/// pool job. Bit-identical to the sequential sweep: cells are
-/// deterministic and the aggregation below walks them in the same order.
-pub fn storage_sweep_parallel(
-    kernels: &[KernelBox],
-    sizes: &[usize],
-    config: &SimConfig,
     threads: usize,
-    progress: impl Fn(usize) + Sync,
 ) -> Vec<SweepPoint> {
-    storage_sweep_parallel_with_store(
-        TraceStore::global(),
+    // Phase 1: baselines and the Top-10 selection at the default size, as
+    // a (none, context) matrix over the same store. Kernels with a
+    // degenerate speedup (zero/non-finite IPC) drop out of the ranking.
+    let base = Matrix::run_parallel_with_store(
+        store,
         kernels,
-        sizes,
+        &[PrefetcherKind::context()],
         config,
         threads,
-        progress,
-    )
-}
-
-/// [`storage_sweep_parallel`] against an explicit [`TraceStore`]; see
-/// [`storage_sweep_with_store`] for the memoization contract (shared with
-/// matrix runs over the same store).
-pub fn storage_sweep_parallel_with_store(
-    store: &TraceStore,
-    kernels: &[KernelBox],
-    sizes: &[usize],
-    config: &SimConfig,
-    threads: usize,
-    progress: impl Fn(usize) + Sync,
-) -> Vec<SweepPoint> {
-    // Phase 1: per-kernel (baseline, default-context) pairs for the Top-10
-    // selection. One job per kernel keeps the pair on one warm trace.
-    let default_cfg = ContextConfig::default();
-    let pairs = crate::pool::run_sharded(threads, (0..kernels.len()).collect(), |ki| {
-        baseline_context_pair(store, kernels[ki].as_ref(), config, &default_cfg)
-    });
-    let mut bases = Vec::new();
-    let mut ranked = Vec::new();
-    for (k, (base, ctx)) in kernels.iter().zip(pairs) {
-        if let Ok(s) = ctx.speedup_over(&base) {
-            ranked.push((k.name(), s));
-        }
-        bases.push(base);
-    }
-    ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
-    let top10: Vec<&str> = ranked.iter().take(10).map(|&(n, _)| n).collect();
+    );
+    let top10 = base.top_n("context", 10);
 
     // Phase 2: the full (size, kernel) grid, size-major so the aggregation
     // below can consume whole rows in job order.
     let grid: Vec<(usize, usize)> = (0..sizes.len())
         .flat_map(|si| (0..kernels.len()).map(move |ki| (si, ki)))
         .collect();
-    let cells = crate::pool::run_sharded(threads, grid, |(si, ki)| {
-        let cfg = ContextConfig::default().with_cst_entries(sizes[si]);
-        run_kernel_with_store(
-            store,
-            kernels[ki].as_ref(),
-            &PrefetcherKind::Context(cfg),
-            config,
-        )
+    let cells = run_sharded(threads, grid, |(si, ki)| {
+        let pf = PrefetcherKind::Context(ContextConfig::default().with_cst_entries(sizes[si]));
+        run_kernel_with_store(store, kernels[ki].as_ref(), &pf, config)
     });
 
-    let geomean = |vals: &[f64]| -> f64 {
-        let n = vals.len();
-        if n == 0 {
-            return 0.0;
-        }
-        (vals.iter().map(|v| v.ln()).sum::<f64>() / n as f64).exp()
-    };
-
+    let n = kernels.len();
     let mut points = Vec::new();
     for (si, &size) in sizes.iter().enumerate() {
-        let storage = ContextConfig::default()
-            .with_cst_entries(size)
-            .storage_bytes();
         let mut all = Vec::new();
         let mut top = Vec::new();
-        for (ki, k) in kernels.iter().enumerate() {
-            let ctx = &cells[si * kernels.len() + ki];
-            let Ok(s) = ctx.speedup_over(&bases[ki]) else {
+        for (k, ctx) in kernels.iter().zip(&cells[si * n..(si + 1) * n]) {
+            let none = base.get(k.name(), "none").expect("a baseline per kernel");
+            let Ok(s) = ctx.speedup_over(none) else {
                 continue;
             };
             all.push(s);
@@ -217,14 +106,22 @@ pub fn storage_sweep_parallel_with_store(
         }
         points.push(SweepPoint {
             cst_entries: size,
-            storage_bytes: storage,
-            top10: geomean(&top),
-            all: geomean(&all),
+            storage_bytes: ContextConfig::default()
+                .with_cst_entries(size)
+                .storage_bytes(),
+            top10: geomean(top),
+            all: geomean(all),
         });
-        progress(size);
     }
     points
 }
+
+/// The workloads the ablations are measured on: a fixed mix of
+/// prefetcher-friendly and noisy workloads.
+pub const ABLATION_KERNELS: [&str; 12] = [
+    "list", "mcf", "omnetpp", "hmmer", "h264ref", "ssca_lds", "astar", "milc", "bst", "hashtest",
+    "KNN", "bzip2",
+];
 
 /// A named ablation of the context prefetcher (the design decisions
 /// DESIGN.md §6 calls out).
@@ -314,14 +211,13 @@ pub fn ablation_variants() -> Vec<AblationVariant> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::Matrix;
     use semloc_workloads::kernel_by_name;
 
     #[test]
     fn sweep_produces_monotone_storage() {
         let kernels = vec![kernel_by_name("list").unwrap()];
         let cfg = SimConfig::quick();
-        let pts = storage_sweep(&kernels, &[256, 1024], &cfg, |_| {});
+        let pts = storage_sweep(&kernels, &[256, 1024], &cfg);
         assert_eq!(pts.len(), 2);
         assert!(pts[1].storage_bytes > pts[0].storage_bytes);
         assert!(pts.iter().all(|p| p.all > 0.0 && p.top10 > 0.0));
@@ -334,13 +230,13 @@ mod tests {
         let sizes = [256, 1024];
         // A fresh store: every cell the sweep needs simulates.
         let cold = TraceStore::new();
-        let pts_cold = storage_sweep_with_store(&cold, &kernels, &sizes, &cfg, |_| {});
+        let pts_cold = storage_sweep_with_store(&cold, &kernels, &sizes, &cfg, 1);
         // A store where the matrix already ran the baseline and default
         // context cells: the sweep takes both from the memo, bit for bit...
         let warm = TraceStore::new();
-        Matrix::run_with_store(&warm, &kernels, &[PrefetcherKind::context()], &cfg, |_| {});
+        Matrix::run_with_store(&warm, &kernels, &[PrefetcherKind::context()], &cfg);
         let (hits_before, _) = warm.result_stats();
-        let pts_warm = storage_sweep_with_store(&warm, &kernels, &sizes, &cfg, |_| {});
+        let pts_warm = storage_sweep_with_store(&warm, &kernels, &sizes, &cfg, 1);
         let (hits_after, _) = warm.result_stats();
         assert_eq!(
             hits_after - hits_before,
@@ -358,7 +254,7 @@ mod tests {
         }
         // ...and a second sweep over the same store simulates nothing new.
         let (_, misses_before) = warm.result_stats();
-        storage_sweep_with_store(&warm, &kernels, &sizes, &cfg, |_| {});
+        storage_sweep_with_store(&warm, &kernels, &sizes, &cfg, 1);
         let (hits, misses_after) = warm.result_stats();
         assert_eq!(
             misses_after, misses_before,
@@ -371,26 +267,21 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_matches_sequential_bitwise() {
+    fn sweep_is_invariant_across_thread_counts() {
         let kernels = vec![
             kernel_by_name("array").unwrap(),
             kernel_by_name("list").unwrap(),
         ];
         let cfg = SimConfig::quick();
-        let seq_store = TraceStore::new();
-        let seq = storage_sweep_with_store(&seq_store, &kernels, &[256, 1024], &cfg, |_| {});
-        for threads in [1, 4] {
-            let par_store = TraceStore::new();
-            let par = storage_sweep_parallel_with_store(
-                &par_store,
-                &kernels,
-                &[256, 1024],
-                &cfg,
-                threads,
-                |_| {},
-            );
-            assert_eq!(seq.len(), par.len());
-            for (a, b) in seq.iter().zip(&par) {
+        let sweep = |threads| {
+            let store = TraceStore::new();
+            storage_sweep_with_store(&store, &kernels, &[256, 1024], &cfg, threads)
+        };
+        let one = sweep(1);
+        for threads in [2, 4] {
+            let many = sweep(threads);
+            assert_eq!(one.len(), many.len());
+            for (a, b) in one.iter().zip(&many) {
                 assert_eq!(a.cst_entries, b.cst_entries);
                 assert_eq!(a.storage_bytes, b.storage_bytes);
                 assert_eq!(
@@ -401,6 +292,17 @@ mod tests {
                 assert_eq!(a.top10.to_bits(), b.top10.to_bits());
             }
         }
+    }
+
+    #[test]
+    fn geomean_of_positive_values() {
+        assert!((geomean([1.0, 1.0, 1.0]) - 1.0).abs() < 1e-12);
+        assert!((geomean([2.0, 8.0]) - 4.0).abs() < 1e-12);
+        assert!(
+            (geomean([2.0, 0.0, 8.0]) - 4.0).abs() < 1e-12,
+            "non-positive values are skipped"
+        );
+        assert_eq!(geomean([]), 0.0);
     }
 
     #[test]

@@ -81,13 +81,13 @@ fn assert_golden(m: &Matrix, what: &str) {
 
 #[test]
 fn sequential_matches_golden() {
-    let m = Matrix::run(&kernels(), &lineup(), &SimConfig::quick(), |_| {});
+    let m = Matrix::run(&kernels(), &lineup(), &SimConfig::quick());
     assert_golden(&m, "sequential");
 }
 
 #[test]
 fn parallel_matches_golden() {
-    let m = Matrix::run_parallel(&kernels(), &lineup(), &SimConfig::quick(), 4, |_| {});
+    let m = Matrix::run_parallel(&kernels(), &lineup(), &SimConfig::quick(), 4);
     assert_golden(&m, "parallel");
 }
 
@@ -104,7 +104,6 @@ fn default_pipeline_composition_matches_golden() {
         &kernels(),
         &[PrefetcherKind::Stride, PrefetcherKind::Context(composed)],
         &SimConfig::quick(),
-        |_| {},
     );
     assert_golden(&m, "pipeline-composed");
 }
@@ -123,7 +122,7 @@ fn replay_matches_golden() {
             Box::new(ReplayKernel::new(Arc::new(trace))) as KernelBox
         })
         .collect();
-    let m = Matrix::run(&replayed, &lineup(), &cfg, |_| {});
+    let m = Matrix::run(&replayed, &lineup(), &cfg);
     assert_golden(&m, "replayed");
 }
 
@@ -141,7 +140,7 @@ fn disk_replay_matches_golden() {
         writer.replay(k.as_ref(), cfg.instr_budget);
     }
     let reader = TraceStore::with_dir(&dir);
-    let m = Matrix::run_with_store(&reader, &kernels(), &lineup(), &cfg, |_| {});
+    let m = Matrix::run_with_store(&reader, &kernels(), &lineup(), &cfg);
     assert_eq!(reader.stats().1, 0, "every kernel must load from disk");
     assert_eq!(reader.disk_rejects(), 0);
     assert_golden(&m, "disk-replayed");

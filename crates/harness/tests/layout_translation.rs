@@ -12,16 +12,22 @@
 //! Both captures replay through the uncached runner, and their stats
 //! digests must be bit-identical.
 //!
+//! `context` is checked under the `pc` and `pc+deltas` feature sets, whose
+//! contexts see only the PC and block deltas, the directest test of Fig
+//! 14's claim that the learned prefetcher does not care where data sits.
+//!
 //! Out of scope, on purpose:
 //! * `ghb-g/ac` and `markov` correlate absolute addresses, so their
 //!   hashed tables legitimately collide differently after a shift (they
 //!   differ on `hashtest`);
-//! * `context`'s Table-1 features include register values and loaded
-//!   data, which carry absolute pointers, so its decisions legitimately
-//!   change (it differs on `graph500`, `bst` and `hashtest`).
+//! * `context` with the Table-1 feature set: its features include register
+//!   values and loaded data, which carry absolute pointers, so its
+//!   decisions legitimately change (it differs on `graph500`, `bst` and
+//!   `hashtest`).
 
 use std::sync::Arc;
 
+use semloc_context::{ContextConfig, FeatureSet};
 use semloc_harness::{run_kernel_uncached, PrefetcherKind, SimConfig};
 use semloc_trace::{BufferSink, Instr, InstrKind, TraceSink};
 use semloc_workloads::{capture_kernel, kernel_by_name, CapturedTrace, Kernel, ReplayKernel};
@@ -69,6 +75,14 @@ fn translating_by_the_l2_set_span_changes_no_stats() {
         PrefetcherKind::GhbPcdc,
         PrefetcherKind::Sms,
         PrefetcherKind::NextLine,
+        PrefetcherKind::Context(ContextConfig {
+            features: FeatureSet::PcOnly,
+            ..Default::default()
+        }),
+        PrefetcherKind::Context(ContextConfig {
+            features: FeatureSet::PcDeltas,
+            ..Default::default()
+        }),
     ];
     for name in ["array", "list", "mcf", "bst", "graph500", "hashtest"] {
         let kernel = kernel_by_name(name).expect("registry kernel");
@@ -86,7 +100,10 @@ fn translating_by_the_l2_set_span_changes_no_stats() {
                     got,
                     want,
                     "{name} under {}: translating by {k} x {l2_span} B changed the stats",
-                    pf.label()
+                    match pf {
+                        PrefetcherKind::Context(c) => format!("context {:?}", c.features),
+                        _ => pf.label().to_string(),
+                    }
                 );
             }
         }

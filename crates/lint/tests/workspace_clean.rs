@@ -117,7 +117,7 @@ fn d8_catches_a_dropped_save_field() {
 fn env_registry_is_populated_and_live() {
     let ws = load_workspace(&workspace_root()).expect("workspace loads");
     assert!(
-        ws.env_registry.len() >= 14,
+        ws.env_registry.len() >= 13,
         "env registry lost entries: {}",
         ws.env_registry.len()
     );

@@ -92,7 +92,6 @@ fn matrix_runs_share_one_baseline() {
         &kernels,
         &[PrefetcherKind::Sms, PrefetcherKind::context()],
         &quick(),
-        |_| {},
     );
     assert_eq!(m.prefetchers(), &["none", "sms", "context"]);
     let s_none = m.speedup("list", "none").unwrap();

@@ -1,42 +1,76 @@
-//! The paper's headline claims, asserted as (scaled-down) integration
-//! tests. These use reduced instruction budgets, so thresholds are looser
-//! than the full-budget numbers recorded in `EXPERIMENTS.md`; the *shape*
-//! (who wins, direction of effects) is what is locked in.
+//! The claims `EXPERIMENTS.md`'s verdict keeps, one test each, asserted at
+//! a reduced budget (200k instructions per run). The thresholds are looser
+//! than the full-budget numbers in the generated blocks; the *shape* (who
+//! wins, the direction of each effect) is what is locked in.
+//!
+//! The full 31 × 6 matrix takes about 30 s in a debug build on a 2-vCPU
+//! host, so the matrix claims run on a fixed subset: the ablation study's
+//! workloads ([`ABLATION_KERNELS`]), which mix prefetcher-friendly and noisy
+//! code. The tests share one matrix over them; the full-set numbers are
+//! the generated blocks.
 
-use semloc::harness::{run_kernel, PrefetcherKind, SimConfig};
-use semloc::mem::Prefetcher;
+use std::sync::OnceLock;
+
+use semloc::harness::{
+    ablation_variants, pool_threads, run_kernel, run_sharded, Matrix, PrefetcherKind, RunResult,
+    SimConfig, ABLATION_KERNELS,
+};
+use semloc::mem::{AccessClass, Prefetcher};
 use semloc::workloads::kernel_by_name;
+
+/// The spatio-temporal competitors, in the paper's ranking order.
+const COMPETITORS: [&str; 4] = ["sms", "ghb-g/dc", "ghb-pc/dc", "stride"];
 
 fn cfg() -> SimConfig {
     SimConfig::default().with_budget(200_000)
 }
 
-/// §1/§7.3: the context prefetcher outperforms spatio-temporal prefetchers
-/// on irregular workloads.
-#[test]
-fn context_beats_spatio_temporal_on_irregular_workloads() {
-    let c = cfg();
-    let mut ctx_wins = 0;
-    let names = ["mcf", "omnetpp", "list", "ssca_lds"];
-    for name in names {
-        let k = kernel_by_name(name).unwrap();
-        let base = run_kernel(k.as_ref(), &PrefetcherKind::None, &c);
-        let ctx = run_kernel(k.as_ref(), &PrefetcherKind::context(), &c)
-            .speedup_over(&base)
-            .expect("finite IPCs");
-        let best_other = [
+/// The ablation's workloads under no prefetching and the Fig 12 lineup, simulated once.
+fn matrix() -> &'static Matrix {
+    static MATRIX: OnceLock<Matrix> = OnceLock::new();
+    MATRIX.get_or_init(|| {
+        let kernels: Vec<_> = ABLATION_KERNELS
+            .iter()
+            .map(|n| kernel_by_name(n).unwrap())
+            .collect();
+        let lineup = [
             PrefetcherKind::Stride,
             PrefetcherKind::GhbGdc,
             PrefetcherKind::GhbPcdc,
             PrefetcherKind::Sms,
-        ]
+            PrefetcherKind::context(),
+        ];
+        Matrix::run_parallel(&kernels, &lineup, &cfg(), pool_threads())
+    })
+}
+
+fn cell(kernel: &str, prefetcher: &str) -> &'static RunResult {
+    matrix()
+        .get(kernel, prefetcher)
+        .expect("cell in the matrix")
+}
+
+/// Mean of `f` over the subset's cells of `prefetcher`.
+fn mean(prefetcher: &str, f: impl Fn(&RunResult) -> f64) -> f64 {
+    ABLATION_KERNELS
         .iter()
-        .map(|pf| {
-            run_kernel(k.as_ref(), pf, &c)
-                .speedup_over(&base)
-                .expect("finite IPCs")
-        })
-        .fold(0.0f64, f64::max);
+        .map(|k| f(cell(k, prefetcher)))
+        .sum::<f64>()
+        / ABLATION_KERNELS.len() as f64
+}
+
+/// §1/§7.3, Fig 12: the context prefetcher outperforms the spatio-temporal
+/// prefetchers on irregular workloads.
+#[test]
+fn context_beats_spatio_temporal_on_irregular_workloads() {
+    let m = matrix();
+    let mut ctx_wins = 0;
+    for name in ["mcf", "omnetpp", "list", "ssca_lds"] {
+        let ctx = m.speedup(name, "context").expect("finite IPCs");
+        let best_other = COMPETITORS
+            .iter()
+            .map(|p| m.speedup(name, p).expect("finite IPCs"))
+            .fold(0.0f64, f64::max);
         if ctx > best_other {
             ctx_wins += 1;
         }
@@ -51,13 +85,56 @@ fn context_beats_spatio_temporal_on_irregular_workloads() {
     );
 }
 
-/// §7.2: the context prefetcher sharply reduces L2 MPKI on memory-bound
-/// irregular code.
+/// Fig 12: by geomean speedup the ranking is the paper's: context far
+/// ahead, then SMS, then both GHB variants, then stride.
+#[test]
+fn competitor_ranking_by_geomean_speedup() {
+    let m = matrix();
+    let geo = |p: &str| {
+        m.geomean_speedup(p, &ABLATION_KERNELS)
+            .expect("finite IPCs")
+    };
+    let [sms, gdc, pcdc, stride] = COMPETITORS.map(geo);
+    let ctx = geo("context");
+    assert!(
+        ctx > 1.2 * sms && sms > gdc.max(pcdc) && gdc.min(pcdc) > stride,
+        "context {ctx:.3}, sms {sms:.3}, ghb-g/dc {gdc:.3}, ghb-pc/dc {pcdc:.3}, stride {stride:.3}"
+    );
+}
+
+/// Fig 9: context has the largest average `hit prefetched` share of all
+/// demand accesses.
+#[test]
+fn context_has_the_largest_hit_prefetched_share() {
+    let share = |p: &str| {
+        mean(p, |r| {
+            r.mem.classes.fraction(AccessClass::HitPrefetchedLine)
+        })
+    };
+    let ctx = share("context");
+    for p in COMPETITORS {
+        assert!(ctx > share(p), "context {ctx:.4} vs {p} {:.4}", share(p));
+    }
+}
+
+/// Figs 10/11: context has the lowest average L1 and L2 MPKI, and cuts
+/// L2 MPKI severalfold on memory-bound irregular code (mcf).
 #[test]
 fn context_reduces_l2_mpki_severalfold() {
-    let k = kernel_by_name("mcf").unwrap();
-    let base = run_kernel(k.as_ref(), &PrefetcherKind::None, &cfg());
-    let ctx = run_kernel(k.as_ref(), &PrefetcherKind::context(), &cfg());
+    for (level, mpki) in [
+        ("L1", RunResult::l1_mpki as fn(&RunResult) -> f64),
+        ("L2", RunResult::l2_mpki),
+    ] {
+        let ctx = mean("context", mpki);
+        for p in ["none"].into_iter().chain(COMPETITORS) {
+            assert!(
+                ctx < mean(p, mpki),
+                "average {level} MPKI: context {ctx:.2} vs {p} {:.2}",
+                mean(p, mpki)
+            );
+        }
+    }
+    let (base, ctx) = (cell("mcf", "none"), cell("mcf", "context"));
     assert!(
         ctx.l2_mpki() < base.l2_mpki() / 2.0,
         "L2 MPKI {} -> {} is not a substantial reduction",
@@ -66,17 +143,36 @@ fn context_reduces_l2_mpki_severalfold() {
     );
 }
 
-/// §7.1: the prefetcher's hit depths concentrate in/after the reward
+/// §7.1/Fig 8: the prefetcher's hit depths concentrate in/after the reward
 /// window start rather than below it.
 #[test]
 fn hit_depths_respond_to_the_reward_window() {
-    let k = kernel_by_name("list").unwrap();
-    let r = run_kernel(k.as_ref(), &PrefetcherKind::context(), &cfg());
-    let learn = r.learn.unwrap();
+    let learn = cell("list", "context").learn.as_ref().unwrap();
     let in_or_after_window = 1.0 - learn.depth_cdf.cdf_at(17);
     assert!(
         in_or_after_window > 0.5,
         "only {in_or_after_window:.2} of hits at depth >= 18"
+    );
+}
+
+/// §7.1: the learning loop converges within the first phase: `list`'s
+/// interval IPC after its first 50k instructions far exceeds the first
+/// interval's.
+#[test]
+fn context_converges_within_a_phase() {
+    let list = kernel_by_name("list").unwrap();
+    let early = run_kernel(
+        list.as_ref(),
+        &PrefetcherKind::context(),
+        &cfg().with_budget(50_000),
+    );
+    let full = cell("list", "context");
+    let late_ipc = (full.cpu.instructions - early.cpu.instructions) as f64
+        / (full.cpu.cycles - early.cpu.cycles) as f64;
+    assert!(
+        late_ipc > 1.5 * early.cpu.ipc(),
+        "interval IPC {:.3} -> {late_ipc:.3}",
+        early.cpu.ipc()
     );
 }
 
@@ -104,16 +200,11 @@ fn storage_budgets_match_table2() {
 /// the list traversal is far more spatially regular.
 #[test]
 fn layout_twins_differ_spatially() {
-    let c = cfg();
-    let list = run_kernel(
-        kernel_by_name("list").unwrap().as_ref(),
-        &PrefetcherKind::Stride,
-        &c,
-    );
+    let list = cell("list", "stride");
     let array = run_kernel(
         kernel_by_name("array").unwrap().as_ref(),
         &PrefetcherKind::Stride,
-        &c,
+        &cfg(),
     );
     // Stride prefetching covers the array but is helpless on the list.
     let array_cover = array.mem.classes.hit_prefetched + array.mem.classes.shorter_wait;
@@ -125,7 +216,8 @@ fn layout_twins_differ_spatially() {
 }
 
 /// §7.5/Fig 14: the context prefetcher improves the naive linked layout
-/// without touching the code (layout-agnostic programming).
+/// without touching the code, though it does not close the gap to the
+/// optimized layout.
 #[test]
 fn context_helps_naive_linked_layouts() {
     let c = cfg();
@@ -136,27 +228,28 @@ fn context_helps_naive_linked_layouts() {
     assert!(s > 1.05, "got {s:.3}");
 }
 
-/// The reducer's dynamic feature selection matters (DESIGN ablation A2):
-/// with it frozen, irregular chains must not be learned better.
+/// Ablation: freezing the reducer's dynamic feature selection (the
+/// ablation's `frozen-reducer` row) does not beat the adaptive reducer,
+/// and costs only a few percent of geomean speedup, not the ~9% an earlier
+/// version of the verdict reported.
 #[test]
 fn frozen_reducer_does_not_beat_adaptive() {
-    use semloc::context::ContextConfig;
-    let c = cfg();
-    let k = kernel_by_name("list").unwrap();
-    let base = run_kernel(k.as_ref(), &PrefetcherKind::None, &c);
-    let adaptive = run_kernel(k.as_ref(), &PrefetcherKind::context(), &c)
-        .speedup_over(&base)
-        .expect("finite IPCs");
-    let frozen_cfg = ContextConfig {
-        freeze_reducer: true,
-        initial_active: 1, // IP only, fixed
-        ..ContextConfig::default()
-    };
-    let frozen = run_kernel(k.as_ref(), &PrefetcherKind::Context(frozen_cfg), &c)
-        .speedup_over(&base)
-        .expect("finite IPCs");
+    let frozen = ablation_variants()
+        .into_iter()
+        .find(|v| v.name == "frozen-reducer")
+        .expect("the ablation has a frozen-reducer row");
+    let frozen = PrefetcherKind::Context(frozen.config);
+    let runs = run_sharded(pool_threads(), ABLATION_KERNELS.to_vec(), |name| {
+        run_kernel(kernel_by_name(name).unwrap().as_ref(), &frozen, &cfg())
+    });
+    let log_ratio: f64 = ABLATION_KERNELS
+        .iter()
+        .zip(&runs)
+        .map(|(name, r)| (r.cpu.ipc() / cell(name, "context").cpu.ipc()).ln())
+        .sum();
+    let ratio = (log_ratio / ABLATION_KERNELS.len() as f64).exp();
     assert!(
-        adaptive >= frozen * 0.95,
-        "adaptive {adaptive:.2} must not lose to frozen-IP-only {frozen:.2}"
+        (0.95..=1.0).contains(&ratio),
+        "frozen / adaptive geomean speedup {ratio:.3}"
     );
 }
