@@ -10,8 +10,7 @@
 //! * **cache tag probes** — [`find_valid_tag`] and [`victim_way`] over a
 //!   set-major SoA cache array;
 //! * **reward gathers** — [`gather_i32`], batch evaluation of the
-//!   precomputed bell-reward table, plus [`find_pair_i64`], the GHB
-//!   delta-correlation pair scan.
+//!   precomputed bell-reward table.
 //!
 //! Every kernel is plain scalar Rust, small enough to inline into its
 //! caller. Tie-breaks follow the `Iterator` conventions of the scans they
@@ -157,17 +156,6 @@ pub fn gather_i32(table: &[i32], idxs: &[u32], out: &mut [i32]) {
     }
 }
 
-/// First `i` in `1..deltas.len()-1` with `deltas[i] == d1 &&
-/// deltas[i+1] == d2` — the GHB delta-correlation scan (its search starts
-/// at 1 because index 0 is the pair being correlated).
-#[inline]
-pub fn find_pair_i64(deltas: &[i64], d1: i64, d2: i64) -> Option<usize> {
-    if deltas.len() < 3 {
-        return None;
-    }
-    (1..deltas.len() - 1).find(|&i| deltas[i] == d1 && deltas[i + 1] == d2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,16 +190,6 @@ mod tests {
         let mut out = [0i32; 5];
         gather_i32(&table, &[0, 2, 3, 4, 1000], &mut out);
         assert_eq!(out, [10, 30, 0, 0, 0]);
-    }
-
-    #[test]
-    fn pair_scan_skips_index_zero_and_needs_a_successor() {
-        let d = [7i64, 7, 7, 9];
-        // i=0 excluded; i=1 matches (7,7)? deltas[1]=7, deltas[2]=7.
-        assert_eq!(find_pair_i64(&d, 7, 7), Some(1));
-        assert_eq!(find_pair_i64(&d, 7, 9), Some(2));
-        assert_eq!(find_pair_i64(&d, 9, 7), None);
-        assert_eq!(find_pair_i64(&[1, 2], 1, 2), None, "too short");
     }
 
     #[test]

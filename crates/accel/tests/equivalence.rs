@@ -37,15 +37,6 @@ fn gather_i32_ref(table: &[i32], idxs: &[u32]) -> Vec<i32> {
         .collect()
 }
 
-fn find_pair_i64_ref(deltas: &[i64], d1: i64, d2: i64) -> Option<usize> {
-    deltas
-        .windows(2)
-        .enumerate()
-        .skip(1)
-        .find(|(_, w)| w[0] == d1 && w[1] == d2)
-        .map(|(i, _)| i)
-}
-
 proptest! {
     #[test]
     fn min_index_i8_matches_min_by_key(v in collection::vec(score_i8(), 0..72)) {
@@ -101,23 +92,11 @@ proptest! {
         semloc_accel::gather_i32(&table, &idxs, &mut got);
         prop_assert_eq!(got, gather_i32_ref(&table, &idxs));
     }
-
-    #[test]
-    fn find_pair_i64_matches_a_windows_scan_from_one(
-        deltas in collection::vec(-2i64..3, 0..40),
-        d1 in -2i64..3,
-        d2 in -2i64..3,
-    ) {
-        prop_assert_eq!(
-            semloc_accel::find_pair_i64(&deltas, d1, d2),
-            find_pair_i64_ref(&deltas, d1, d2)
-        );
-    }
 }
 
 /// The edge lengths the random vectors may under-sample, including the
-/// production shapes (4-link CST entries, 8- and 16-way sets, 64-deep GHB
-/// walks) and one either side of each.
+/// production shapes (4-link CST entries, 8- and 16-way sets) and one
+/// either side of each, up to 65 lanes.
 #[test]
 fn boundary_lengths_match_the_references() {
     for n in [
@@ -126,7 +105,6 @@ fn boundary_lengths_match_the_references() {
         let i8s: Vec<i8> = (0..n).map(|i| ((i * 37) % 11) as i8 - 5).collect();
         let u32s: Vec<u32> = (0..n).map(|i| ((i * 29) % 7) as u32).collect();
         let u64s: Vec<u64> = (0..n).map(|i| ((i * 13) % 5) as u64).collect();
-        let i64s: Vec<i64> = (0..n).map(|i| ((i * 11) % 3) as i64 - 1).collect();
         let valid: Vec<bool> = (0..n).map(|i| i % 3 != 0).collect();
         let idxs: Vec<u32> = (0..n).map(|i| (i * 3) as u32).collect();
         let table: Vec<i32> = (0..17).map(|i| i * 10 - 80).collect();
@@ -158,13 +136,6 @@ fn boundary_lengths_match_the_references() {
                 semloc_accel::find_valid_tag(&u64s, &valid, needle),
                 find_valid_tag_ref(&u64s, &valid, needle),
                 "find_valid_tag len {n} needle {needle}"
-            );
-        }
-        for (d1, d2) in [(-1, 0), (0, 1), (1, -1), (1, 1), (-1, -1)] {
-            assert_eq!(
-                semloc_accel::find_pair_i64(&i64s, d1, d2),
-                find_pair_i64_ref(&i64s, d1, d2),
-                "find_pair_i64 len {n} pair ({d1}, {d2})"
             );
         }
     }

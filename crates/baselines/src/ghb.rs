@@ -70,16 +70,13 @@ pub struct GhbPrefetcher {
     max_walk: u32,
     stats: PrefetcherStats,
     /// Per-index-table-slot memo of the key chain, newest first, as
-    /// `(absolute position, block)` pairs — exactly what walking the ring
-    /// through `prev` links from the slot's head would visit. The walk is
-    /// up to `max_walk` *dependent* loads per access; the memo makes chain
-    /// maintenance O(1) per push. Derived state: rebuilt from the ring on
-    /// restore, never snapshotted, and provably equal to the walk (the
-    /// chain and the index-table slot only ever change together, and
-    /// liveness is re-checked positionally at use).
-    chains: Vec<VecDeque<(u64, u64)>>,
-    /// Reusable delta scratch (transient; not snapshotted).
-    delta_buf: Vec<i64>,
+    /// `(absolute position, delta)` links: `delta` is the link's block
+    /// minus the next-older link's (the oldest link's is never read).
+    /// After a push to a slot, its links are exactly those the walk
+    /// through `prev` links from the slot's head would visit, without its
+    /// up to `max_walk` dependent loads. Derived state: rebuilt from the
+    /// ring on restore, never snapshotted.
+    chains: Vec<VecDeque<(u64, i64)>>,
 }
 
 impl GhbPrefetcher {
@@ -101,7 +98,6 @@ impl GhbPrefetcher {
             max_walk: 64,
             stats: PrefetcherStats::default(),
             chains: vec![VecDeque::new(); it_entries],
-            delta_buf: Vec::with_capacity(64),
         }
     }
 
@@ -145,11 +141,13 @@ impl GhbPrefetcher {
             let mut pos = slot.head;
             while self.live(pos) && memo.len() < self.max_walk as usize {
                 let e = self.at(pos);
-                memo.push_back((pos, e.block));
-                if e.prev >= pos {
-                    break; // end of chain (or wrap-around reuse)
-                }
-                pos = e.prev;
+                // Made a delta below; the oldest link keeps its block.
+                memo.push_back((pos, e.block as i64));
+                // `prev >= pos` ends the chain (`u64::MAX` is never live).
+                pos = if e.prev < pos { e.prev } else { u64::MAX };
+            }
+            for k in 1..memo.len() {
+                memo[k - 1].1 -= memo[k].1;
             }
         }
         self.chains = chains;
@@ -179,6 +177,13 @@ impl Prefetcher for GhbPrefetcher {
             } else {
                 u64::MAX
             }
+        };
+        // The new link's delta, read before the push below can overwrite
+        // `prev`'s ring slot (`pos - prev` may equal the ring length).
+        let delta = if prev == u64::MAX {
+            0
+        } else {
+            block as i64 - self.at(prev).block as i64
         };
         let pos = self.pushes;
         let slot = (pos % self.ghb.len() as u64) as usize;
@@ -210,53 +215,41 @@ impl Prefetcher for GhbPrefetcher {
             return;
         }
 
-        // Delta correlation. Maintain the memoized chain for this slot:
-        // a reset push (no live same-tag head) starts a fresh chain, any
-        // other push extends the front, and the walk's `max_walk` cap
-        // bounds the depth. Entries the ring has since overwritten are
-        // cut positionally at use below, so the live prefix of the memo
-        // is exactly what walking the ring from the new head would visit.
+        // Delta correlation. Maintain the memoized chain for this slot: a
+        // reset push (no live same-tag head) starts a fresh chain, any
+        // other push extends the front, `max_walk` bounds the depth, and
+        // links the ring has overwritten since form a suffix (positions
+        // strictly decrease along a chain) that is dropped.
         let ring = self.ghb.len() as u64;
         let pushes = self.pushes;
         let chain = &mut self.chains[it_idx];
         if prev == u64::MAX {
             chain.clear();
         }
-        chain.push_front((pos, block));
+        chain.push_front((pos, delta));
         chain.truncate(self.max_walk as usize);
-
-        // Newest-first blocks -> deltas (d[0] is the most recent delta).
-        // The scratch vector persists across accesses.
-        let mut deltas = std::mem::take(&mut self.delta_buf);
-        deltas.clear();
-        let mut newer: Option<u64> = None;
-        for &(p, b) in chain.iter() {
-            if pushes - p > ring {
-                break; // overwritten; everything older is gone too
-            }
-            if let Some(nb) = newer {
-                deltas.push(nb as i64 - b as i64);
-            }
-            newer = Some(b);
+        while chain.back().is_some_and(|&(p, _)| pushes - p > ring) {
+            chain.pop_back();
         }
-        if deltas.len() < 3 {
-            self.delta_buf = deltas;
+
+        // Every link but the oldest carries a usable delta, newest first.
+        let usable = chain.len().saturating_sub(1);
+        if usable < 3 {
             return;
         }
-        let (d1, d2) = (deltas[0], deltas[1]);
-        // Find an earlier occurrence of the pair (d2, d1) in time order,
-        // i.e. the first (older) position i in 1..len-1 where
-        // deltas[i] == d1 && deltas[i+1] == d2 — exactly the accel kernel.
-        let found = semloc_accel::find_pair_i64(&deltas, d1, d2);
-        self.delta_buf = deltas;
-        let Some(i) = found else { return };
-        let deltas = &self.delta_buf;
+        let d = |k: usize| chain[k].1;
+        let (d1, d2) = (d(0), d(1));
+        // Find an earlier occurrence of the pair (d2, d1) in time order:
+        // the first (older) i >= 1 with d(i) == d1 && d(i + 1) == d2.
+        let Some(i) = (1..usable - 1).find(|&i| d(i) == d1 && d(i + 1) == d2) else {
+            return;
+        };
         // Replay the deltas that followed the earlier occurrence: in
-        // newest-first indexing those are deltas[i-1], deltas[i-2], ...
+        // newest-first indexing those are d(i - 1), d(i - 2), ...
         let mut target = block as i64;
         let mut k = 0u64;
         for j in (0..i).rev().take(self.degree as usize) {
-            target += deltas[j];
+            target += d(j);
             if target > 0 {
                 k += 1;
                 out.push(PrefetchReq::real((target as u64) << self.line_shift, k));
@@ -470,10 +463,40 @@ mod tests {
         }
     }
 
-    /// The chain memos must stay bit-equal to walking the ring through
-    /// `prev` links — the definitionally correct (pre-memo) formulation —
-    /// on every slot after every access, including once the small ring
-    /// has wrapped and expired entries mid-chain.
+    /// The chain of slot `idx` as walking the ring through `prev` links
+    /// from the slot's head finds it (the pre-memo formulation): its
+    /// blocks and deltas, newest first.
+    fn ring_walk(p: &GhbPrefetcher, idx: usize) -> (Vec<u64>, Vec<i64>) {
+        let mut blocks = Vec::new();
+        let mut pos = if p.it[idx].valid {
+            p.it[idx].head
+        } else {
+            u64::MAX
+        };
+        while p.live(pos) && blocks.len() < p.max_walk as usize {
+            let e = p.at(pos);
+            blocks.push(e.block);
+            pos = if e.prev < pos { e.prev } else { u64::MAX };
+        }
+        let deltas = blocks
+            .windows(2)
+            .map(|w| w[0] as i64 - w[1] as i64)
+            .collect();
+        (blocks, deltas)
+    }
+
+    /// A slot memo's live length and usable deltas (all but the oldest
+    /// live link's). A memo may keep expired links until its slot's next
+    /// push; only the live prefix is ever read.
+    fn memo_view(p: &GhbPrefetcher, idx: usize) -> (usize, Vec<i64>) {
+        let live = p.chains[idx].iter().take_while(|l| p.live(l.0)).count();
+        let usable = p.chains[idx].iter().take(live.saturating_sub(1));
+        (live, usable.map(|l| l.1).collect())
+    }
+
+    /// After every access, on every slot, the memo's live links must
+    /// match the ring walk in length and deltas, including once the small
+    /// ring has wrapped and expired entries mid-chain.
     #[test]
     fn chain_memo_matches_ring_walk_under_wraparound() {
         for flavor in [GhbFlavor::GlobalDc, GhbFlavor::PcDc] {
@@ -486,43 +509,85 @@ mod tests {
                     .wrapping_add(1442695040888963407);
                 let pc = 0x400 + (state >> 60) * 8; // 16 distinct PCs
                 let addr = 0x10_0000 + ((state >> 40) & 0xFFF) * 64 + i * 64;
-                out.clear();
                 p.on_access(&ctx(pc, addr), pressure(), &mut out);
-                for (idx, slot) in p.it.iter().enumerate() {
-                    let mut walk = Vec::new();
-                    if slot.valid {
-                        let mut pos = slot.head;
-                        while p.live(pos) && walk.len() < p.max_walk as usize {
-                            let e = p.at(pos);
-                            walk.push(e.block);
-                            if e.prev >= pos {
-                                break;
-                            }
-                            pos = e.prev;
-                        }
-                    }
-                    let memo: Vec<u64> = p.chains[idx]
-                        .iter()
-                        .take_while(|&&(q, _)| p.live(q))
-                        .map(|&(_, b)| b)
-                        .collect();
-                    assert_eq!(memo, walk, "{flavor:?} slot {idx} diverged at access {i}");
+                for idx in 0..p.it.len() {
+                    let (blocks, deltas) = ring_walk(&p, idx);
+                    let want = (blocks.len(), deltas);
+                    assert_eq!(
+                        memo_view(&p, idx),
+                        want,
+                        "{flavor:?} slot {idx}, access {i}"
+                    );
                 }
             }
         }
     }
 
+    /// What the pre-memo prefetcher emits for the access that just
+    /// pushed to slot `idx`: walk the ring, find the first earlier
+    /// occurrence of the newest delta pair, replay what followed it.
+    fn walk_predictions(p: &GhbPrefetcher, idx: usize) -> Vec<PrefetchReq> {
+        let (blocks, d) = ring_walk(p, idx);
+        let found = (1..d.len().saturating_sub(1)).find(|&i| d[i] == d[0] && d[i + 1] == d[1]);
+        let mut out = Vec::new();
+        let mut target = blocks[0] as i64;
+        for &delta in d[..found.unwrap_or(0)].iter().rev().take(p.degree as usize) {
+            target += delta;
+            if target > 0 {
+                let k = out.len() as u64 + 1;
+                out.push(PrefetchReq::real((target as u64) << p.line_shift, k));
+            }
+        }
+        out
+    }
+
+    /// Every access's requests must equal the ring-walk reference's. The
+    /// small ring strands live-headed chains with expired tails, so the
+    /// memo's back-pruning is on the tested path; the hot PCs' recurring
+    /// deltas make the correlation fire.
+    #[test]
+    fn predictions_match_a_ring_walk_reference() {
+        for flavor in [GhbFlavor::GlobalDc, GhbFlavor::PcDc] {
+            let mut p = GhbPrefetcher::new(flavor, 32, 8, 3);
+            let mut out = Vec::new();
+            let mut cursor = [0x10_0000u64, 0x40_0000, 0x70_0000];
+            let mut state = 0x0bad_5eed_u64;
+            let mut predicted = 0usize;
+            for i in 0..20_000u64 {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let r = state >> 33;
+                let (pc, addr) = if r.is_multiple_of(8) {
+                    // One of 64 cold PCs, touching a random line.
+                    (0x8000 + (r >> 3) % 64 * 4, (r >> 9) % 4096 * 64)
+                } else {
+                    // One of 3 hot PCs, each stepping +1, +2, +3 lines.
+                    let h = (r >> 3) as usize % 3;
+                    cursor[h] += (i % 3 + 1) * 64;
+                    (0x400 + h as u64 * 4, cursor[h])
+                };
+                out.clear();
+                p.on_access(&ctx(pc, addr), pressure(), &mut out);
+                let (idx, _) = p.it_slot(p.key(&ctx(pc, addr)));
+                assert_eq!(out, walk_predictions(&p, idx), "{flavor:?} access {i}");
+                predicted += out.len();
+            }
+            assert!(predicted > 1000, "{flavor:?} predicted only {predicted}");
+        }
+    }
+
     /// A restored prefetcher must predict identically to the original:
     /// `rebuild_chains` has to reconstruct the memos the live instance
-    /// accumulated incrementally.
+    /// accumulated incrementally. The five PCs, 0x200 apart, sit in five
+    /// slots, so each keeps a correlatable chain.
     #[test]
     fn restore_rebuilds_chain_memos() {
+        let c = |i: u64| ctx(0x400 + (i % 5) * 0x200, 0x10_0000 + i * 64);
         let mut p = GhbPrefetcher::new(GhbFlavor::PcDc, 32, 8, 3);
         let mut out = Vec::new();
         for i in 0..300u64 {
-            out.clear();
-            let pc = 0x400 + (i % 5) * 8;
-            p.on_access(&ctx(pc, 0x10_0000 + i * 64), pressure(), &mut out);
+            p.on_access(&c(i), pressure(), &mut out);
         }
         let mut w = SnapWriter::new();
         p.save_state(&mut w);
@@ -530,23 +595,22 @@ mod tests {
         let mut q = GhbPrefetcher::new(GhbFlavor::PcDc, 32, 8, 3);
         let mut r = SnapReader::new(&bytes);
         q.restore_state(&mut r).expect("restore");
-        for (idx, (a, b)) in p.chains.iter().zip(q.chains.iter()).enumerate() {
-            let live_a: Vec<_> = a.iter().take_while(|&&(x, _)| p.live(x)).collect();
-            let live_b: Vec<_> = b.iter().take_while(|&&(x, _)| q.live(x)).collect();
-            assert_eq!(live_a, live_b, "slot {idx}");
+        let chains = (0..p.it.len()).filter(|&idx| memo_view(&p, idx).1.len() >= 3);
+        assert_eq!(chains.count(), 5);
+        for idx in 0..p.it.len() {
+            assert_eq!(memo_view(&p, idx), memo_view(&q, idx), "slot {idx}");
         }
         // And the two must keep predicting identically afterwards.
         let mut oa = Vec::new();
         let mut ob = Vec::new();
         for i in 300..600u64 {
-            let pc = 0x400 + (i % 5) * 8;
-            let c = ctx(pc, 0x10_0000 + i * 64);
             oa.clear();
             ob.clear();
-            p.on_access(&c, pressure(), &mut oa);
-            q.on_access(&c, pressure(), &mut ob);
+            p.on_access(&c(i), pressure(), &mut oa);
+            q.on_access(&c(i), pressure(), &mut ob);
             assert_eq!(oa, ob, "post-restore divergence at access {i}");
         }
+        assert!(!oa.is_empty());
     }
 
     #[test]

@@ -60,8 +60,9 @@ pub struct ContextConfig {
     pub disable_shadow: bool,
     /// Bits per stored address delta. The paper uses 8 (1-byte deltas,
     /// ±4 kB reach at 32-byte blocks — the §7.3 range limitation); 16 is
-    /// the wide-delta *extension* evaluated in the ablation binary, at the
-    /// cost of one extra byte per link.
+    /// the wide-delta *extension* evaluated in the `ablation` section of
+    /// `all_experiments` (`all_experiments --only ablation`), at the cost
+    /// of one extra byte per link.
     pub delta_bits: u8,
     /// Best-candidate score below which a context counts as *weak* for the
     /// shared-and-weak (ref-count) overload signal: shared contexts whose

@@ -19,11 +19,15 @@
 //!   entry sits at position `id - front_id` — an O(1) lookup that replaces
 //!   the linear id search in [`PrefetchQueue::demote_to_shadow`].
 //! * A block → ids map covers exactly the *un-hit* entries, so
-//!   [`PrefetchQueue::record_access`], [`PrefetchQueue::predicts`] and
-//!   [`PrefetchQueue::predicts_real`] cost O(matches) instead of a full
-//!   O(capacity) scan. Each id list is kept in ascending (= deque) order,
-//!   so hits are emitted in exactly the order the scan produced them.
-//!   Freed id lists are pooled to keep the hot path allocation-free.
+//!   [`PrefetchQueue::record_access`] costs O(matches) instead of a full
+//!   O(capacity) scan and [`PrefetchQueue::predicts`] is a key-presence
+//!   test. Each id list is kept in ascending (= deque) order, so hits are
+//!   emitted in exactly the order the scan produced them, and an expiring
+//!   un-hit entry (the oldest live one) is always its list's front. Freed
+//!   id lists are pooled to keep the hot path allocation-free.
+//! * Each block's index value also counts its un-hit *real* (non-shadow)
+//!   entries, kept current by push, expiry and demotion, so
+//!   [`PrefetchQueue::predicts_real`] is one lookup.
 
 #[expect(
     clippy::disallowed_types,
@@ -91,8 +95,17 @@ impl Hasher for BlockHasher {
     }
 }
 
-/// Hot-path block → id index. A std HashMap is allowed here because the
-/// hasher is the fixed-seed [`BlockHasher`] (no per-process
+/// A block's un-hit entries.
+#[derive(Clone, Debug, Default)]
+struct Unhit {
+    /// Their ids, ascending.
+    ids: VecDeque<u64>,
+    /// How many of them are real (not shadow).
+    real: u32,
+}
+
+/// Hot-path block → un-hit entries index. A std HashMap is allowed here
+/// because the hasher is the fixed-seed [`BlockHasher`] (no per-process
 /// randomization), every read is keyed, the index is rebuilt from the
 /// deque on restore rather than serialized, and the only iteration
 /// ([`PrefetchQueue::drain`]) recycles cleared buffers whose order is
@@ -101,7 +114,7 @@ impl Hasher for BlockHasher {
     clippy::disallowed_types,
     reason = "fixed-seed hasher, keyed access, order never observable"
 )]
-type BlockIndex = HashMap<u64, Vec<u64>, BuildHasherDefault<BlockHasher>>;
+type BlockIndex = HashMap<u64, Unhit, BuildHasherDefault<BlockHasher>>;
 
 /// Fixed-capacity queue of outstanding predictions (Table 2: 128 entries).
 #[derive(Clone, Debug)]
@@ -110,14 +123,14 @@ pub struct PrefetchQueue {
     // semloc-lint: allow(snapshot-field-coverage): queue capacity is construction-time config; restore validates the entry count against it
     capacity: usize,
     next_id: u64,
-    /// block → ascending ids of *un-hit* entries predicting it. Lists are
-    /// never left empty (the key is removed instead), so `predicts` is a
-    /// key-presence test.
+    /// block → ascending ids of *un-hit* entries predicting it, and their
+    /// real count. Lists are never left empty (the key is removed
+    /// instead), so `predicts` is a key-presence test.
     // semloc-lint: allow(snapshot-field-coverage): derived — rebuilt from the deque on restore, exactly as documented in save
     index: BlockIndex,
     /// Recycled id lists (allocation-free steady state).
     // semloc-lint: allow(snapshot-field-coverage): allocation-recycling free list; its contents are never observable state
-    pool: Vec<Vec<u64>>,
+    pool: Vec<VecDeque<u64>>,
 }
 
 impl PrefetchQueue {
@@ -135,18 +148,6 @@ impl PrefetchQueue {
             index: BlockIndex::default(),
             pool: Vec::new(),
         }
-    }
-
-    /// Deque position of a live entry (ids are contiguous and ascending).
-    #[inline]
-    fn position(&self, id: u64) -> Option<usize> {
-        let front = self.entries.front()?.id;
-        if id < front {
-            return None; // already expired
-        }
-        let pos = (id - front) as usize;
-        debug_assert!(self.entries.get(pos).is_none_or(|e| e.id == id));
-        (pos < self.entries.len()).then_some(pos)
     }
 
     /// Record a new prediction. Returns its id and, when the queue
@@ -173,10 +174,7 @@ impl PrefetchQueue {
             shadow,
             hit: false,
         });
-        self.index
-            .entry(block)
-            .or_insert_with(|| self.pool.pop().unwrap_or_default())
-            .push(id);
+        self.index_unhit(block, id, shadow);
         let expired = if self.entries.len() > self.capacity {
             self.entries.pop_front()
         } else {
@@ -184,24 +182,35 @@ impl PrefetchQueue {
         };
         if let Some(e) = &expired {
             if !e.hit {
-                self.unindex(e.block, e.id);
+                self.unindex_oldest(e);
             }
         }
         (id, expired)
     }
 
-    /// Remove `id` from `block`'s index list, retiring the list when empty.
-    fn unindex(&mut self, block: u64, id: u64) {
-        let Some(list) = self.index.get_mut(&block) else {
+    /// Append the un-hit entry `id` to `block`'s list (ids only grow).
+    fn index_unhit(&mut self, block: u64, id: u64, shadow: bool) {
+        let list = self.index.entry(block).or_insert_with(|| Unhit {
+            ids: self.pool.pop().unwrap_or_default(),
+            real: 0,
+        });
+        list.ids.push_back(id);
+        list.real += u32::from(!shadow);
+    }
+
+    /// Drop the expired un-hit entry `e` from its block's list, retiring
+    /// the list when empty. `e` was the oldest live entry, so it is the
+    /// list's front.
+    fn unindex_oldest(&mut self, e: &PfqEntry) {
+        let Some(list) = self.index.get_mut(&e.block) else {
             return;
         };
-        if let Some(pos) = list.iter().position(|&x| x == id) {
-            list.remove(pos);
-        }
-        if list.is_empty() {
-            if let Some(mut freed) = self.index.remove(&block) {
-                freed.clear();
-                self.pool.push(freed);
+        debug_assert_eq!(list.ids.front(), Some(&e.id));
+        list.ids.pop_front();
+        list.real -= u32::from(!e.shadow);
+        if list.ids.is_empty() {
+            if let Some(freed) = self.index.remove(&e.block) {
+                self.pool.push(freed.ids);
             }
         }
     }
@@ -214,7 +223,7 @@ impl PrefetchQueue {
                   non-empty deque; silent divergence here would be worse than the panic"
     )]
     pub fn record_access(&mut self, block: u64, seq: Seq, out: &mut Vec<PfqHit>) {
-        let Some(mut ids) = self.index.remove(&block) else {
+        let Some(Unhit { mut ids, .. }) = self.index.remove(&block) else {
             return;
         };
         let front = self
@@ -242,36 +251,36 @@ impl PrefetchQueue {
     /// Whether an un-hit *real* (dispatched) prefetch covers `block` —
     /// the dedup check before issuing another real prefetch. Shadow
     /// entries must not suppress a real dispatch.
-    #[expect(
-        clippy::expect_used,
-        reason = "same index-covers-live-entries invariant as record_access"
-    )]
     pub fn predicts_real(&self, block: u64) -> bool {
-        let Some(ids) = self.index.get(&block) else {
-            return false;
-        };
-        let front = self
-            .entries
-            .front()
-            .expect("indexed entry implies non-empty queue")
-            .id;
-        ids.iter()
-            .any(|&id| !self.entries[(id - front) as usize].shadow)
+        self.index.get(&block).is_some_and(|list| list.real > 0)
     }
 
     /// Demote the entry `id` to a shadow operation (the memory system
     /// rejected its dispatch).
     pub fn demote_to_shadow(&mut self, id: u64) {
-        if let Some(pos) = self.position(id) {
-            self.entries[pos].shadow = true;
+        // Ids are contiguous and ascending, so a live entry sits at
+        // `id - front`; an expired or never-issued id finds nothing.
+        let front = self.entries.front().map_or(0, |e| e.id);
+        let Some(e) = id
+            .checked_sub(front)
+            .and_then(|k| self.entries.get_mut(k as usize))
+        else {
+            return;
+        };
+        debug_assert_eq!(e.id, id);
+        if !e.shadow && !e.hit {
+            if let Some(list) = self.index.get_mut(&e.block) {
+                list.real -= 1;
+            }
         }
+        e.shadow = true;
     }
 
     /// Drain every remaining entry (end of run); un-hit ones are expiries.
     pub fn drain(&mut self) -> impl Iterator<Item = PfqEntry> + '_ {
-        self.pool.extend(self.index.drain().map(|(_, mut ids)| {
-            ids.clear();
-            ids
+        self.pool.extend(self.index.drain().map(|(_, mut list)| {
+            list.ids.clear();
+            list.ids
         }));
         self.entries.drain(..)
     }
@@ -341,16 +350,11 @@ impl Snapshot for PrefetchQueue {
             entries.push_back(e);
         }
         self.next_id = next_id;
-        self.entries = entries;
         self.index.clear();
-        for e in &self.entries {
-            if !e.hit {
-                self.index
-                    .entry(e.block)
-                    .or_insert_with(|| self.pool.pop().unwrap_or_default())
-                    .push(e.id);
-            }
+        for e in entries.iter().filter(|e| !e.hit) {
+            self.index_unhit(e.block, e.id, e.shadow);
         }
+        self.entries = entries;
         Ok(())
     }
 }
@@ -542,11 +546,16 @@ mod tests {
         }
     }
 
-    #[test]
-    fn indexed_queue_matches_linear_reference_on_random_ops() {
-        let mut q = PrefetchQueue::new(16);
+    /// Drive the indexed queue and [`LinearQueue`] through one random op
+    /// mix: pushes (real and shadow), demand accesses, demotes of any id
+    /// (pending, hit, expired or never issued) and `predicts` /
+    /// `predicts_real` probes, over a small block space so blocks alias
+    /// heavily. At step `restore_at`, the queue is saved and restored
+    /// into a fresh one, which from then on must answer like the others.
+    fn random_ops_match_linear_reference(seed: u64, restore_at: Option<u64>) {
+        let mut qs = vec![PrefetchQueue::new(16)];
         let mut r = LinearQueue::new(16);
-        let mut state = 0xdead_beef_u64;
+        let mut state = seed;
         let mut next = move || {
             state ^= state << 13;
             state ^= state >> 7;
@@ -554,46 +563,65 @@ mod tests {
             state
         };
         for seq in 0..5000u64 {
-            let block = next() % 24; // small space → heavy aliasing
+            if restore_at == Some(seq) {
+                let mut w = SnapWriter::new();
+                qs[0].save(&mut w);
+                let mut fresh = PrefetchQueue::new(16);
+                fresh
+                    .restore(&mut SnapReader::new(&w.into_bytes()))
+                    .unwrap();
+                qs.push(fresh);
+            }
+            let block = next() % 24;
             match next() % 5 {
                 0 | 1 => {
-                    let (id_a, ex_a) = q.push(
-                        block,
-                        key(),
-                        full(),
-                        (next() % 32) as i16,
-                        seq,
-                        next() % 2 == 0,
-                    );
-                    let (id_b, ex_b) = r.push(
-                        block,
-                        q.entries.back().unwrap().delta,
-                        seq,
-                        q.entries.back().unwrap().shadow,
-                    );
-                    assert_eq!(id_a, id_b);
-                    assert_eq!(ex_a, ex_b);
+                    let delta = (next() % 32) as i16;
+                    let shadow = next() % 2 == 0;
+                    let want = r.push(block, delta, seq, shadow);
+                    for q in &mut qs {
+                        assert_eq!(q.push(block, key(), full(), delta, seq, shadow), want);
+                    }
                 }
                 2 => {
-                    let (mut ha, mut hb) = (Vec::new(), Vec::new());
-                    q.record_access(block, seq, &mut ha);
-                    r.record_access(block, seq, &mut hb);
-                    assert_eq!(ha, hb, "hit sets (and their order) must match");
+                    let mut want = Vec::new();
+                    r.record_access(block, seq, &mut want);
+                    for q in &mut qs {
+                        let mut got = Vec::new();
+                        q.record_access(block, seq, &mut got);
+                        assert_eq!(got, want, "hit sets (and their order) must match");
+                    }
                 }
                 3 => {
-                    let id = next() % q.next_id.max(1);
-                    q.demote_to_shadow(id);
+                    let id = next() % (r.next_id + 4);
                     r.demote_to_shadow(id);
+                    for q in &mut qs {
+                        q.demote_to_shadow(id);
+                    }
                 }
                 _ => {
-                    assert_eq!(q.predicts(block), r.predicts(block));
-                    assert_eq!(q.predicts_real(block), r.predicts_real(block));
+                    for q in &qs {
+                        assert_eq!(q.predicts(block), r.predicts(block), "step {seq}");
+                        assert_eq!(q.predicts_real(block), r.predicts_real(block), "step {seq}");
+                    }
                 }
             }
         }
-        assert_eq!(
-            q.drain().collect::<Vec<_>>(),
-            r.entries.drain(..).collect::<Vec<_>>()
-        );
+        let want: Vec<_> = r.entries.drain(..).collect();
+        for q in &mut qs {
+            assert_eq!(q.drain().collect::<Vec<_>>(), want);
+        }
+    }
+
+    #[test]
+    fn indexed_queue_matches_linear_reference_on_random_ops() {
+        random_ops_match_linear_reference(0xdead_beef, None);
+    }
+
+    /// The index (lists and real counts) is rebuilt from the deque on
+    /// restore; a restored queue must keep answering like one that never
+    /// stopped.
+    #[test]
+    fn restored_queue_matches_linear_reference_on_random_ops() {
+        random_ops_match_linear_reference(0x5eed_f00d, Some(2500));
     }
 }
