@@ -133,35 +133,47 @@ impl ExplorationPolicy for AdaptiveEpsilon {
 
 impl Snapshot for AdaptiveEpsilon {
     fn save(&self, w: &mut SnapWriter) {
+        let Self {
+            eps_min,
+            eps_max,
+            accuracy,
+            alpha,
+        } = self;
         w.section(*b"EPSL", 1);
-        w.put_f64(self.eps_min);
-        w.put_f64(self.eps_max);
-        w.put_f64(self.accuracy);
-        w.put_f64(self.alpha);
+        w.put_f64(*eps_min);
+        w.put_f64(*eps_max);
+        w.put_f64(*accuracy);
+        w.put_f64(*alpha);
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
+        let Self {
+            eps_min,
+            eps_max,
+            accuracy,
+            alpha,
+        } = self;
         r.section(*b"EPSL", 1)?;
-        let eps_min = r.get_f64()?;
-        let eps_max = r.get_f64()?;
-        let accuracy = r.get_f64()?;
-        let alpha = r.get_f64()?;
-        let bounds_ok = (0.0..=1.0).contains(&eps_min)
-            && (0.0..=1.0).contains(&eps_max)
-            && eps_min <= eps_max
-            && (0.0..=1.0).contains(&accuracy)
-            && alpha > 0.0
-            && alpha <= 1.0;
+        let saved_min = r.get_f64()?;
+        let saved_max = r.get_f64()?;
+        let saved_accuracy = r.get_f64()?;
+        let saved_alpha = r.get_f64()?;
+        let bounds_ok = (0.0..=1.0).contains(&saved_min)
+            && (0.0..=1.0).contains(&saved_max)
+            && saved_min <= saved_max
+            && (0.0..=1.0).contains(&saved_accuracy)
+            && saved_alpha > 0.0
+            && saved_alpha <= 1.0;
         if !bounds_ok {
             return Err(snap_err(format!(
-                "adaptive-epsilon snapshot out of bounds: \
-                 eps_min={eps_min}, eps_max={eps_max}, accuracy={accuracy}, alpha={alpha}"
+                "adaptive-epsilon snapshot out of bounds: eps_min={saved_min}, \
+                 eps_max={saved_max}, accuracy={saved_accuracy}, alpha={saved_alpha}"
             )));
         }
-        self.eps_min = eps_min;
-        self.eps_max = eps_max;
-        self.accuracy = accuracy;
-        self.alpha = alpha;
+        *eps_min = saved_min;
+        *eps_max = saved_max;
+        *accuracy = saved_accuracy;
+        *alpha = saved_alpha;
         Ok(())
     }
 }

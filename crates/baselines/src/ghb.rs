@@ -274,16 +274,27 @@ impl Prefetcher for GhbPrefetcher {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
+        let Self {
+            flavor: _, // construction-time config
+            ghb,
+            pushes,
+            it,
+            degree: _,     // construction-time config
+            line_shift: _, // construction-time config
+            max_walk: _,   // construction-time config
+            stats,
+            chains: _, // derived: restore rebuilds it from the ring
+        } = self;
         w.section(*b"GHB0", 1);
-        self.stats.save(w);
-        w.put_u64(self.pushes);
-        w.put_len(self.ghb.len());
-        for e in &self.ghb {
+        stats.save(w);
+        w.put_u64(*pushes);
+        w.put_len(ghb.len());
+        for e in ghb {
             w.put_u64(e.block);
             w.put_u64(e.prev);
         }
-        w.put_len(self.it.len());
-        for e in &self.it {
+        w.put_len(it.len());
+        for e in it {
             w.put_u16(e.tag);
             w.put_u64(e.head);
             w.put_bool(e.valid);
@@ -291,41 +302,52 @@ impl Prefetcher for GhbPrefetcher {
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
+        let Self {
+            flavor: _, // construction-time config
+            ghb,
+            pushes,
+            it,
+            degree: _,     // construction-time config
+            line_shift: _, // construction-time config
+            max_walk: _,   // construction-time config
+            stats,
+            chains: _, // derived: rebuilt from the ring below
+        } = self;
         r.section(*b"GHB0", 1)?;
-        self.stats.restore(r)?;
-        let pushes = r.get_u64()?;
+        stats.restore(r)?;
+        let saved_pushes = r.get_u64()?;
         let n = r.get_len()?;
-        if n != self.ghb.len() {
+        if n != ghb.len() {
             return Err(snap_err(format!(
                 "GHB snapshot has {n} buffer entries, expected {}",
-                self.ghb.len()
+                ghb.len()
             )));
         }
-        let mut ghb = Vec::with_capacity(n);
+        let mut saved_ghb = Vec::with_capacity(n);
         for _ in 0..n {
-            ghb.push(GhbEntry {
+            saved_ghb.push(GhbEntry {
                 block: r.get_u64()?,
                 prev: r.get_u64()?,
             });
         }
         let m = r.get_len()?;
-        if m != self.it.len() {
+        if m != it.len() {
             return Err(snap_err(format!(
                 "GHB snapshot has {m} index entries, expected {}",
-                self.it.len()
+                it.len()
             )));
         }
-        let mut it = Vec::with_capacity(m);
+        let mut saved_it = Vec::with_capacity(m);
         for _ in 0..m {
-            it.push(ItEntry {
+            saved_it.push(ItEntry {
                 tag: r.get_u16()?,
                 head: r.get_u64()?,
                 valid: r.get_bool()?,
             });
         }
-        self.pushes = pushes;
-        self.ghb = ghb;
-        self.it = it;
+        *pushes = saved_pushes;
+        *ghb = saved_ghb;
+        *it = saved_it;
         self.rebuild_chains();
         Ok(())
     }

@@ -138,12 +138,19 @@ impl Prefetcher for MarkovPrefetcher {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
+        let Self {
+            table,
+            last_block,
+            line_shift: _, // construction-time config
+            degree: _,     // construction-time config
+            stats,
+        } = self;
         w.section(*b"MRKV", 1);
-        self.stats.save(w);
-        w.put_bool(self.last_block.is_some());
-        w.put_u64(self.last_block.unwrap_or(0));
-        w.put_len(self.table.len());
-        for e in &self.table {
+        stats.save(w);
+        w.put_bool(last_block.is_some());
+        w.put_u64(last_block.unwrap_or(0));
+        w.put_len(table.len());
+        for e in table {
             w.put_u16(e.tag);
             for i in 0..SUCCESSORS {
                 w.put_u64(e.succ[i]);
@@ -154,18 +161,25 @@ impl Prefetcher for MarkovPrefetcher {
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
+        let Self {
+            table,
+            last_block,
+            line_shift: _, // construction-time config
+            degree: _,     // construction-time config
+            stats,
+        } = self;
         r.section(*b"MRKV", 1)?;
-        self.stats.restore(r)?;
+        stats.restore(r)?;
         let has_last = r.get_bool()?;
         let last = r.get_u64()?;
         let n = r.get_len()?;
-        if n != self.table.len() {
+        if n != table.len() {
             return Err(snap_err(format!(
                 "markov snapshot has {n} entries, table expects {}",
-                self.table.len()
+                table.len()
             )));
         }
-        for e in &mut self.table {
+        for e in table {
             e.tag = r.get_u16()?;
             for i in 0..SUCCESSORS {
                 e.succ[i] = r.get_u64()?;
@@ -173,7 +187,7 @@ impl Prefetcher for MarkovPrefetcher {
             }
             e.valid = r.get_bool()?;
         }
-        self.last_block = has_last.then_some(last);
+        *last_block = has_last.then_some(last);
         Ok(())
     }
 }

@@ -68,13 +68,23 @@ impl Prefetcher for NextLinePrefetcher {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
+        let Self {
+            degree: _, // construction-time config
+            line: _,   // construction-time config
+            stats,
+        } = self;
         w.section(*b"NXTL", 1);
-        self.stats.save(w);
+        stats.save(w);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
+        let Self {
+            degree: _, // construction-time config
+            line: _,   // construction-time config
+            stats,
+        } = self;
         r.section(*b"NXTL", 1)?;
-        self.stats.restore(r)
+        stats.restore(r)
     }
 }
 

@@ -200,12 +200,22 @@ impl Prefetcher for SmsPrefetcher {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
+        let Self {
+            region_bytes: _, // construction-time config
+            agt,
+            agt_capacity: _, // construction-time config
+            filter,
+            filter_capacity: _, // construction-time config
+            pht,
+            tick,
+            stats,
+        } = self;
         w.section(*b"SMS0", 1);
-        self.stats.save(w);
-        w.put_u64(self.tick);
+        stats.save(w);
+        w.put_u64(*tick);
         // AGT/filter order matters (swap_remove reshuffles it), so the live
         // vectors are serialized verbatim.
-        for gens in [&self.agt, &self.filter] {
+        for gens in [agt, filter] {
             w.put_len(gens.len());
             for g in gens.iter() {
                 w.put_u64(g.region);
@@ -214,8 +224,8 @@ impl Prefetcher for SmsPrefetcher {
                 w.put_u64(g.last_use);
             }
         }
-        w.put_len(self.pht.len());
-        for e in &self.pht {
+        w.put_len(pht.len());
+        for e in pht {
             w.put_u16(e.tag);
             w.put_u32(e.pattern);
             w.put_bool(e.valid);
@@ -223,14 +233,21 @@ impl Prefetcher for SmsPrefetcher {
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
+        let Self {
+            region_bytes: _, // construction-time config
+            agt,
+            agt_capacity,
+            filter,
+            filter_capacity,
+            pht,
+            tick,
+            stats,
+        } = self;
         r.section(*b"SMS0", 1)?;
-        self.stats.restore(r)?;
-        let tick = r.get_u64()?;
+        stats.restore(r)?;
+        let saved_tick = r.get_u64()?;
         let mut tables: [Vec<Generation>; 2] = [Vec::new(), Vec::new()];
-        for (t, cap) in tables
-            .iter_mut()
-            .zip([self.agt_capacity, self.filter_capacity])
-        {
+        for (t, cap) in tables.iter_mut().zip([*agt_capacity, *filter_capacity]) {
             let n = r.get_len()?;
             if n > cap {
                 return Err(snap_err(format!(
@@ -247,25 +264,23 @@ impl Prefetcher for SmsPrefetcher {
             }
         }
         let m = r.get_len()?;
-        if m != self.pht.len() {
+        if m != pht.len() {
             return Err(snap_err(format!(
                 "SMS snapshot has {m} PHT entries, expected {}",
-                self.pht.len()
+                pht.len()
             )));
         }
-        let mut pht = Vec::with_capacity(m);
+        let mut saved_pht = Vec::with_capacity(m);
         for _ in 0..m {
-            pht.push(PhtEntry {
+            saved_pht.push(PhtEntry {
                 tag: r.get_u16()?,
                 pattern: r.get_u32()?,
                 valid: r.get_bool()?,
             });
         }
-        self.tick = tick;
-        let [agt, filter] = tables;
-        self.agt = agt;
-        self.filter = filter;
-        self.pht = pht;
+        *tick = saved_tick;
+        [*agt, *filter] = tables;
+        *pht = saved_pht;
         Ok(())
     }
 }

@@ -134,10 +134,17 @@ impl Prefetcher for StridePrefetcher {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
+        let Self {
+            table,
+            mask: _,   // derived from the table size at construction
+            degree: _, // construction-time config
+            line: _,   // construction-time config
+            stats,
+        } = self;
         w.section(*b"STRD", 1);
-        self.stats.save(w);
-        w.put_len(self.table.len());
-        for e in &self.table {
+        stats.save(w);
+        w.put_len(table.len());
+        for e in table {
             w.put_u16(e.tag);
             w.put_u64(e.last_addr);
             w.put_i64(e.stride);
@@ -147,16 +154,23 @@ impl Prefetcher for StridePrefetcher {
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
+        let Self {
+            table,
+            mask: _,   // derived from the table size at construction
+            degree: _, // construction-time config
+            line: _,   // construction-time config
+            stats,
+        } = self;
         r.section(*b"STRD", 1)?;
-        self.stats.restore(r)?;
+        stats.restore(r)?;
         let n = r.get_len()?;
-        if n != self.table.len() {
+        if n != table.len() {
             return Err(snap_err(format!(
                 "stride snapshot has {n} entries, table expects {}",
-                self.table.len()
+                table.len()
             )));
         }
-        for e in &mut self.table {
+        for e in table {
             e.tag = r.get_u16()?;
             e.last_addr = r.get_u64()?;
             e.stride = r.get_i64()?;

@@ -24,8 +24,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use semloc_harness::{
-    adversarial_search, coverage, env_knob, mc_digest, AdvBench, AdvParams, Engine, McConfig,
-    McEngine, PrefetcherKind, RunResult, SearchConfig, SimConfig,
+    adversarial_search, coverage, mc_digest, AdvBench, AdvParams, Engine, McConfig, McEngine,
+    PrefetcherKind, RunResult, SearchConfig, SimConfig,
 };
 use semloc_workloads::{
     capture_kernel, kernel_by_name, pinned_collapse_points, CapturedTrace, Composer, ReplayKernel,
@@ -36,9 +36,9 @@ use semloc_workloads::{
 const SEED: u64 = 42;
 
 fn budget() -> u64 {
-    env_knob("SEMLOC_BUDGET", 1..=u64::MAX)
-        .unwrap_or_else(|e| panic!("{e}"))
-        .unwrap_or(120_000)
+    let b = SimConfig::env_budget().unwrap_or(120_000);
+    assert!(b > 0, "SEMLOC_BUDGET must be an integer >= 1, got \"0\"");
+    b
 }
 
 fn capture(name: &str, b: u64) -> Arc<CapturedTrace> {

@@ -12,7 +12,6 @@ use crate::features::FeatureSet;
 /// queue, 32-byte operating granularity (§7.3) and the 18–50-access reward
 /// window.
 #[derive(Clone, Debug)]
-// semloc-lint: allow(snapshot-coverage): configuration template only — cloned into the live prefetcher, whose exploration state is covered via bandit/AdaptiveEpsilon
 pub struct ContextConfig {
     /// Context-states-table entries (power of two). Table 2: 2K.
     pub cst_entries: usize,

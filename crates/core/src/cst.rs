@@ -46,9 +46,7 @@ struct Entry {
 #[derive(Clone, Debug)]
 pub struct ContextStatesTable {
     entries: Vec<Entry>,
-    // semloc-lint: allow(snapshot-field-coverage): slot count is construction-time config; save derives it from entries.len(), restore validates against it
     count: usize,
-    // semloc-lint: allow(snapshot-field-coverage): link replacement policy is construction-time config, not run state
     replacement: Replacement,
 }
 
@@ -183,9 +181,14 @@ impl ContextStatesTable {
 
 impl Snapshot for ContextStatesTable {
     fn save(&self, w: &mut SnapWriter) {
+        let Self {
+            entries,
+            count: _,       // construction-time config, equal to entries.len()
+            replacement: _, // construction-time config, not run state
+        } = self;
         w.section(*b"CST0", 1);
-        w.put_len(self.entries.len());
-        for e in &self.entries {
+        w.put_len(entries.len());
+        for e in entries {
             w.put_u8(e.tag);
             w.put_bool(e.valid);
             w.put_u16(e.last_full);
@@ -200,16 +203,20 @@ impl Snapshot for ContextStatesTable {
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
+        let Self {
+            entries,
+            count,
+            replacement: _, // construction-time config, not run state
+        } = self;
         r.section(*b"CST0", 1)?;
         let n = r.get_len()?;
-        if n != self.count {
+        if n != *count {
             return Err(snap_err(format!(
-                "CST snapshot has {n} entries, table expects {}",
-                self.count
+                "CST snapshot has {n} entries, table expects {count}"
             )));
         }
         let mut slots: Vec<(i16, i8, u32)> = Vec::with_capacity(LINKS);
-        for e in &mut self.entries {
+        for e in entries {
             e.tag = r.get_u8()?;
             e.valid = r.get_bool()?;
             e.last_full = r.get_u16()?;

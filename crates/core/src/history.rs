@@ -26,7 +26,6 @@ pub struct HistoryEntry {
 #[derive(Clone, Debug)]
 pub struct HistoryQueue {
     entries: VecDeque<HistoryEntry>,
-    // semloc-lint: allow(snapshot-field-coverage): queue depth is construction-time config; restore validates the entry count against it
     capacity: usize,
 }
 
@@ -84,9 +83,13 @@ impl HistoryQueue {
 
 impl Snapshot for HistoryQueue {
     fn save(&self, w: &mut SnapWriter) {
+        let Self {
+            entries,
+            capacity: _, // construction-time config; restore validates the entry count against it
+        } = self;
         w.section(*b"HIST", 1);
-        w.put_len(self.entries.len());
-        for e in &self.entries {
+        w.put_len(entries.len());
+        for e in entries {
             w.put_u32(e.key.0);
             w.put_u16(e.full.0);
             w.put_u64(e.block);
@@ -94,23 +97,23 @@ impl Snapshot for HistoryQueue {
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
+        let Self { entries, capacity } = self;
         r.section(*b"HIST", 1)?;
         let n = r.get_len()?;
-        if n > self.capacity {
+        if n > *capacity {
             return Err(snap_err(format!(
-                "history snapshot has {n} entries, capacity is {}",
-                self.capacity
+                "history snapshot has {n} entries, capacity is {capacity}"
             )));
         }
-        let mut entries = VecDeque::with_capacity(self.capacity + 1);
+        let mut saved = VecDeque::with_capacity(*capacity + 1);
         for _ in 0..n {
-            entries.push_back(HistoryEntry {
+            saved.push_back(HistoryEntry {
                 key: ContextKey(r.get_u32()?),
                 full: FullHash(r.get_u16()?),
                 block: r.get_u64()?,
             });
         }
-        self.entries = entries;
+        *entries = saved;
         Ok(())
     }
 }

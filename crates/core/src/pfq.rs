@@ -120,16 +120,13 @@ type BlockIndex = HashMap<u64, Unhit, BuildHasherDefault<BlockHasher>>;
 #[derive(Clone, Debug)]
 pub struct PrefetchQueue {
     entries: VecDeque<PfqEntry>,
-    // semloc-lint: allow(snapshot-field-coverage): queue capacity is construction-time config; restore validates the entry count against it
     capacity: usize,
     next_id: u64,
     /// block → ascending ids of *un-hit* entries predicting it, and their
     /// real count. Lists are never left empty (the key is removed
     /// instead), so `predicts` is a key-presence test.
-    // semloc-lint: allow(snapshot-field-coverage): derived — rebuilt from the deque on restore, exactly as documented in save
     index: BlockIndex,
     /// Recycled id lists (allocation-free steady state).
-    // semloc-lint: allow(snapshot-field-coverage): allocation-recycling free list; its contents are never observable state
     pool: Vec<VecDeque<u64>>,
 }
 
@@ -174,7 +171,7 @@ impl PrefetchQueue {
             shadow,
             hit: false,
         });
-        self.index_unhit(block, id, shadow);
+        Self::index_unhit(&mut self.index, &mut self.pool, block, id, shadow);
         let expired = if self.entries.len() > self.capacity {
             self.entries.pop_front()
         } else {
@@ -188,10 +185,17 @@ impl PrefetchQueue {
         (id, expired)
     }
 
-    /// Append the un-hit entry `id` to `block`'s list (ids only grow).
-    fn index_unhit(&mut self, block: u64, id: u64, shadow: bool) {
-        let list = self.index.entry(block).or_insert_with(|| Unhit {
-            ids: self.pool.pop().unwrap_or_default(),
+    /// Append the un-hit entry `id` to `block`'s list in `index` (ids only
+    /// grow), taking a new list from `pool`.
+    fn index_unhit(
+        index: &mut BlockIndex,
+        pool: &mut Vec<VecDeque<u64>>,
+        block: u64,
+        id: u64,
+        shadow: bool,
+    ) {
+        let list = index.entry(block).or_insert_with(|| Unhit {
+            ids: pool.pop().unwrap_or_default(),
             real: 0,
         });
         list.ids.push_back(id);
@@ -298,13 +302,19 @@ impl PrefetchQueue {
 
 impl Snapshot for PrefetchQueue {
     fn save(&self, w: &mut SnapWriter) {
+        let Self {
+            entries,
+            capacity: _, // construction-time config; restore validates the entry count against it
+            next_id,
+            // Derived: it covers exactly the un-hit entries in deque order,
+            // so restore rebuilds it from the deque.
+            index: _,
+            pool: _, // allocation-recycling free list; its contents are never observable
+        } = self;
         w.section(*b"PFQ0", 1);
-        w.put_u64(self.next_id);
-        w.put_len(self.entries.len());
-        // The block → ids index is derivable (it covers exactly the un-hit
-        // entries in deque order), so only the deque is serialized and the
-        // index is rebuilt on restore.
-        for e in &self.entries {
+        w.put_u64(*next_id);
+        w.put_len(entries.len());
+        for e in entries {
             w.put_u64(e.id);
             w.put_u64(e.block);
             w.put_u32(e.key.0);
@@ -317,16 +327,22 @@ impl Snapshot for PrefetchQueue {
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
+        let Self {
+            entries,
+            capacity,
+            next_id,
+            index,
+            pool,
+        } = self;
         r.section(*b"PFQ0", 1)?;
-        let next_id = r.get_u64()?;
+        let saved_next_id = r.get_u64()?;
         let n = r.get_len()?;
-        if n > self.capacity {
+        if n > *capacity {
             return Err(snap_err(format!(
-                "prefetch-queue snapshot has {n} entries, capacity is {}",
-                self.capacity
+                "prefetch-queue snapshot has {n} entries, capacity is {capacity}"
             )));
         }
-        let mut entries = VecDeque::with_capacity(self.capacity + 1);
+        let mut saved = VecDeque::with_capacity(*capacity + 1);
         for i in 0..n {
             let e = PfqEntry {
                 id: r.get_u64()?,
@@ -340,21 +356,21 @@ impl Snapshot for PrefetchQueue {
             };
             // Position lookups assume contiguous ascending ids ending just
             // before next_id; a snapshot violating that is corrupt.
-            let expect = next_id - (n - i) as u64;
+            let expect = saved_next_id - (n - i) as u64;
             if e.id != expect {
                 return Err(snap_err(format!(
                     "prefetch-queue snapshot id {} out of sequence (expected {expect})",
                     e.id
                 )));
             }
-            entries.push_back(e);
+            saved.push_back(e);
         }
-        self.next_id = next_id;
-        self.index.clear();
-        for e in entries.iter().filter(|e| !e.hit) {
-            self.index_unhit(e.block, e.id, e.shadow);
+        *next_id = saved_next_id;
+        index.clear();
+        for e in saved.iter().filter(|e| !e.hit) {
+            Self::index_unhit(index, pool, e.block, e.id, e.shadow);
         }
-        self.entries = entries;
+        *entries = saved;
         Ok(())
     }
 }

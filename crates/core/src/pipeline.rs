@@ -14,7 +14,6 @@ use crate::prefetcher::ContextPrefetcher;
 
 /// One composition of the configurable pipeline axes.
 #[derive(Clone, Debug, Default, PartialEq)]
-// semloc-lint: allow(snapshot-coverage): composition template only — applied onto ContextConfig, whose live copies checkpoint via core/ContextPrefetcher
 pub struct PipelineConfig {
     /// Which features form the context.
     pub features: FeatureSet,

@@ -411,61 +411,88 @@ impl Prefetcher for ContextPrefetcher {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
+        let Self {
+            cfg,
+            cst,
+            reducer,
+            history,
+            pfq,
+            rng,
+            stats,
+            hit_buf: _,    // scratch, cleared before each use and restored empty
+            rank_buf: _,   // scratch, cleared before each use and restored empty
+            reward_lut: _, // derived from cfg.reward at construction
+            depth_buf: _,  // scratch, cleared before each use
+            reward_buf: _, // scratch, cleared before each use
+            mem_stats,
+        } = self;
         // v2: the composition axes (feature set, reward shape) are stamped
         // ahead of the payload so a checkpoint can never silently restore
         // into a differently-composed pipeline.
         w.section(*b"CTXP", 2);
-        self.cfg.features.save(w);
-        self.cfg.reward.save(w);
+        cfg.features.save(w);
+        cfg.reward.save(w);
         // The exploration policy lives inside the config but is mutated run
         // state (observe() anneals ε), so it snapshots with everything else.
-        // hit_buf/rank_buf are scratch cleared before each use and are
-        // restored empty.
-        self.cfg.exploration.save(w);
-        self.cst.save(w);
-        self.reducer.save(w);
-        self.history.save(w);
-        self.pfq.save(w);
-        let s = self.rng.state();
-        for word in s {
+        cfg.exploration.save(w);
+        cst.save(w);
+        reducer.save(w);
+        history.save(w);
+        pfq.save(w);
+        for word in rng.state() {
             w.put_u64(word);
         }
-        self.stats.save(w);
-        self.mem_stats.save(w);
+        stats.save(w);
+        mem_stats.save(w);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
+        let Self {
+            cfg,
+            cst,
+            reducer,
+            history,
+            pfq,
+            rng,
+            stats,
+            hit_buf,
+            rank_buf,
+            reward_lut: _, // derived from cfg.reward at construction
+            depth_buf: _,  // scratch, cleared before each use
+            reward_buf: _, // scratch, cleared before each use
+            mem_stats,
+        } = self;
         r.section(*b"CTXP", 2)?;
-        let mut features = self.cfg.features;
+        let mut features = cfg.features;
         features.restore(r)?;
-        if features != self.cfg.features {
+        if features != cfg.features {
             return Err(snap_err(format!(
                 "checkpoint composed with feature set {:?}, this pipeline uses {:?}",
-                features, self.cfg.features
+                features, cfg.features
             )));
         }
-        let mut reward = self.cfg.reward.clone();
+        let mut reward = cfg.reward.clone();
         reward.restore(r)?;
-        if reward != self.cfg.reward {
+        if reward != cfg.reward {
             return Err(snap_err(format!(
                 "checkpoint composed with reward shape {:?}, this pipeline uses {:?}",
-                reward, self.cfg.reward
+                reward, cfg.reward
             )));
         }
-        self.cfg.exploration.restore(r)?;
-        self.cst.restore(r)?;
-        self.reducer.restore(r)?;
-        self.history.restore(r)?;
-        self.pfq.restore(r)?;
+        cfg.exploration.restore(r)?;
+        cst.restore(r)?;
+        reducer.restore(r)?;
+        history.restore(r)?;
+        pfq.restore(r)?;
         let mut s = [0u64; 4];
         for word in &mut s {
             *word = r.get_u64()?;
         }
-        self.rng = StdRng::from_state(s);
-        self.stats.restore(r)?;
-        self.mem_stats.restore(r)?;
-        self.hit_buf.clear();
-        self.rank_buf.clear();
+        *rng = StdRng::from_state(s);
+        stats.restore(r)?;
+        mem_stats.restore(r)?;
+        hit_buf.clear();
+        rank_buf.clear();
         Ok(())
     }
 }

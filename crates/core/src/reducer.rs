@@ -28,15 +28,10 @@ struct Entry {
 #[derive(Clone, Debug)]
 pub struct Reducer {
     entries: Vec<Entry>,
-    // semloc-lint: allow(snapshot-field-coverage): index mask derived from the table size at construction
     mask: usize,
-    // semloc-lint: allow(snapshot-field-coverage): construction-time config (initial active-feature count)
     initial_active: u8,
-    // semloc-lint: allow(snapshot-field-coverage): construction-time config (overload pressure threshold)
     overload_threshold: i8,
-    // semloc-lint: allow(snapshot-field-coverage): construction-time config (underload pressure threshold)
     underload_threshold: i8,
-    // semloc-lint: allow(snapshot-field-coverage): set once from cfg.freeze_reducer at construction, never mutated
     frozen: bool,
     activations: u64,
     deactivations: u64,
@@ -166,11 +161,21 @@ impl Reducer {
 
 impl Snapshot for Reducer {
     fn save(&self, w: &mut SnapWriter) {
+        let Self {
+            entries,
+            mask: _,                // derived from the table size at construction
+            initial_active: _,      // construction-time config
+            overload_threshold: _,  // construction-time config
+            underload_threshold: _, // construction-time config
+            frozen: _,              // set once from cfg.freeze_reducer, never mutated
+            activations,
+            deactivations,
+        } = self;
         w.section(*b"REDU", 1);
-        w.put_u64(self.activations);
-        w.put_u64(self.deactivations);
-        w.put_len(self.entries.len());
-        for e in &self.entries {
+        w.put_u64(*activations);
+        w.put_u64(*deactivations);
+        w.put_len(entries.len());
+        for e in entries {
             w.put_u8(e.tag);
             w.put_u8(e.active);
             w.put_i8(e.pressure);
@@ -179,17 +184,27 @@ impl Snapshot for Reducer {
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
+        let Self {
+            entries,
+            mask: _,                // derived from the table size at construction
+            initial_active: _,      // construction-time config
+            overload_threshold: _,  // construction-time config
+            underload_threshold: _, // construction-time config
+            frozen: _,              // set once from cfg.freeze_reducer, never mutated
+            activations,
+            deactivations,
+        } = self;
         r.section(*b"REDU", 1)?;
-        let activations = r.get_u64()?;
-        let deactivations = r.get_u64()?;
+        let saved_activations = r.get_u64()?;
+        let saved_deactivations = r.get_u64()?;
         let n = r.get_len()?;
-        if n != self.entries.len() {
+        if n != entries.len() {
             return Err(snap_err(format!(
                 "reducer snapshot has {n} entries, table expects {}",
-                self.entries.len()
+                entries.len()
             )));
         }
-        let mut entries = Vec::with_capacity(n);
+        let mut saved = Vec::with_capacity(n);
         for _ in 0..n {
             let e = Entry {
                 tag: r.get_u8()?,
@@ -203,11 +218,11 @@ impl Snapshot for Reducer {
                     e.active
                 )));
             }
-            entries.push(e);
+            saved.push(e);
         }
-        self.activations = activations;
-        self.deactivations = deactivations;
-        self.entries = entries;
+        *activations = saved_activations;
+        *deactivations = saved_deactivations;
+        *entries = saved;
         Ok(())
     }
 }

@@ -4,7 +4,7 @@
 use semloc_trace::{snap_err, SnapReader, SnapWriter, Snapshot};
 
 /// Histogram of prediction hit depths, cumulable into the Fig 8 CDF.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HitDepthCdf {
     buckets: Vec<u64>,
     total: u64,
@@ -84,7 +84,7 @@ impl HitDepthCdf {
 }
 
 /// Learning/convergence counters for the context prefetcher.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ContextStats {
     /// Real prefetches dispatched to the memory system.
     pub real_issued: u64,
@@ -125,53 +125,79 @@ impl ContextStats {
 
 impl Snapshot for ContextStats {
     fn save(&self, w: &mut SnapWriter) {
+        let Self {
+            real_issued,
+            shadow_issued,
+            demoted,
+            hits,
+            expired,
+            timely_hits,
+            late_hits,
+            early_hits,
+            collected,
+            delta_overflow,
+            depth_cdf: HitDepthCdf { buckets, total },
+        } = self;
         w.section(*b"CSTS", 1);
-        w.put_u64(self.real_issued);
-        w.put_u64(self.shadow_issued);
-        w.put_u64(self.demoted);
-        w.put_u64(self.hits);
-        w.put_u64(self.expired);
-        w.put_u64(self.timely_hits);
-        w.put_u64(self.late_hits);
-        w.put_u64(self.early_hits);
-        w.put_u64(self.collected);
-        w.put_u64(self.delta_overflow);
-        w.put_u64(self.depth_cdf.total);
-        w.put_len(self.depth_cdf.buckets.len());
-        for &b in &self.depth_cdf.buckets {
+        w.put_u64(*real_issued);
+        w.put_u64(*shadow_issued);
+        w.put_u64(*demoted);
+        w.put_u64(*hits);
+        w.put_u64(*expired);
+        w.put_u64(*timely_hits);
+        w.put_u64(*late_hits);
+        w.put_u64(*early_hits);
+        w.put_u64(*collected);
+        w.put_u64(*delta_overflow);
+        w.put_u64(*total);
+        w.put_len(buckets.len());
+        for &b in buckets {
             w.put_u64(b);
         }
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
+        let Self {
+            real_issued,
+            shadow_issued,
+            demoted,
+            hits,
+            expired,
+            timely_hits,
+            late_hits,
+            early_hits,
+            collected,
+            delta_overflow,
+            depth_cdf: HitDepthCdf { buckets, total },
+        } = self;
         r.section(*b"CSTS", 1)?;
-        self.real_issued = r.get_u64()?;
-        self.shadow_issued = r.get_u64()?;
-        self.demoted = r.get_u64()?;
-        self.hits = r.get_u64()?;
-        self.expired = r.get_u64()?;
-        self.timely_hits = r.get_u64()?;
-        self.late_hits = r.get_u64()?;
-        self.early_hits = r.get_u64()?;
-        self.collected = r.get_u64()?;
-        self.delta_overflow = r.get_u64()?;
-        let total = r.get_u64()?;
+        *real_issued = r.get_u64()?;
+        *shadow_issued = r.get_u64()?;
+        *demoted = r.get_u64()?;
+        *hits = r.get_u64()?;
+        *expired = r.get_u64()?;
+        *timely_hits = r.get_u64()?;
+        *late_hits = r.get_u64()?;
+        *early_hits = r.get_u64()?;
+        *collected = r.get_u64()?;
+        *delta_overflow = r.get_u64()?;
+        let saved_total = r.get_u64()?;
         let n = r.get_len()?;
-        if n != self.depth_cdf.buckets.len() {
+        if n != buckets.len() {
             return Err(snap_err(format!(
                 "hit-depth CDF snapshot has {n} buckets, expected {}",
-                self.depth_cdf.buckets.len()
+                buckets.len()
             )));
         }
-        let mut buckets = Vec::with_capacity(n);
+        let mut saved = Vec::with_capacity(n);
         for _ in 0..n {
-            buckets.push(r.get_u64()?);
+            saved.push(r.get_u64()?);
         }
-        if buckets.iter().sum::<u64>() != total {
+        if saved.iter().sum::<u64>() != saved_total {
             return Err(snap_err("hit-depth CDF total disagrees with buckets"));
         }
-        self.depth_cdf.buckets = buckets;
-        self.depth_cdf.total = total;
+        *buckets = saved;
+        *total = saved_total;
         Ok(())
     }
 }

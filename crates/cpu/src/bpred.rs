@@ -22,7 +22,6 @@ use semloc_trace::{snap_err, Addr, SnapReader, SnapWriter, Snapshot};
 #[derive(Debug, Clone)]
 pub struct Gshare {
     table: Vec<u8>,
-    // semloc-lint: allow(snapshot-field-coverage): index mask derived from the table size at construction
     mask: u64,
     history: u16,
 }
@@ -67,28 +66,38 @@ impl Gshare {
 
 impl Snapshot for Gshare {
     fn save(&self, w: &mut SnapWriter) {
+        let Self {
+            table,
+            mask: _, // derived from the table size at construction
+            history,
+        } = self;
         w.section(*b"BPRD", 1);
-        w.put_u16(self.history);
-        w.put_len(self.table.len());
-        w.put_bytes(&self.table);
+        w.put_u16(*history);
+        w.put_len(table.len());
+        w.put_bytes(table);
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
+        let Self {
+            table,
+            mask: _, // derived from the table size at construction
+            history,
+        } = self;
         r.section(*b"BPRD", 1)?;
-        let history = r.get_u16()?;
+        let saved_history = r.get_u16()?;
         let n = r.get_len()?;
-        if n != self.table.len() {
+        if n != table.len() {
             return Err(snap_err(format!(
                 "gshare snapshot has {n} counters, predictor expects {}",
-                self.table.len()
+                table.len()
             )));
         }
-        let table = r.get_bytes(n)?;
-        if let Some(bad) = table.iter().find(|&&c| c > 3) {
+        let saved = r.get_bytes(n)?;
+        if let Some(bad) = saved.iter().find(|&&c| c > 3) {
             return Err(snap_err(format!("gshare counter {bad} out of 2-bit range")));
         }
-        self.history = history;
-        self.table.copy_from_slice(table);
+        *history = saved_history;
+        table.copy_from_slice(saved);
         Ok(())
     }
 }

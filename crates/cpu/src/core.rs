@@ -24,7 +24,6 @@ use crate::stats::CpuStats;
 #[derive(Debug, Default)]
 struct Occupancy {
     free_times: BinaryHeap<Reverse<Cycle>>,
-    // semloc-lint: allow(snapshot-field-coverage): structural width is construction-time config; restore validates occupancy against it
     capacity: usize,
 }
 
@@ -69,10 +68,14 @@ impl Occupancy {
 
 impl Snapshot for Occupancy {
     fn save(&self, w: &mut SnapWriter) {
+        let Self {
+            free_times,
+            capacity: _, // construction-time config; restore validates occupancy against it
+        } = self;
         w.section(*b"OCCU", 1);
         // A binary heap has no canonical iteration order; serializing the
         // multiset sorted makes save → restore → save byte-identical.
-        let mut v: Vec<Cycle> = self.free_times.iter().map(|&Reverse(t)| t).collect();
+        let mut v: Vec<Cycle> = free_times.iter().map(|&Reverse(t)| t).collect();
         v.sort_unstable();
         w.put_len(v.len());
         for t in v {
@@ -81,26 +84,28 @@ impl Snapshot for Occupancy {
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
+        let Self {
+            free_times,
+            capacity,
+        } = self;
         r.section(*b"OCCU", 1)?;
         let n = r.get_len()?;
-        if n > self.capacity {
+        if n > *capacity {
             return Err(snap_err(format!(
-                "occupancy snapshot has {n} entries, capacity is {}",
-                self.capacity
+                "occupancy snapshot has {n} entries, capacity is {capacity}"
             )));
         }
-        let mut heap = BinaryHeap::with_capacity(self.capacity + 1);
+        let mut heap = BinaryHeap::with_capacity(*capacity + 1);
         for _ in 0..n {
             heap.push(Reverse(r.get_u64()?));
         }
-        self.free_times = heap;
+        *free_times = heap;
         Ok(())
     }
 }
 
 /// The simulated out-of-order core, owning the memory hierarchy.
 pub struct Cpu<P: Prefetcher> {
-    // semloc-lint: allow(snapshot-field-coverage): construction-time config; behavior parameters, not run state
     cfg: CpuConfig,
     mem: Hierarchy<P>,
     stats: CpuStats,
@@ -378,74 +383,118 @@ impl<P: Prefetcher> Cpu<P> {
 
 impl<P: Prefetcher> Snapshot for Cpu<P> {
     fn save(&self, w: &mut SnapWriter) {
+        let Self {
+            cfg: _, // construction-time config, not run state
+            mem,
+            stats,
+            budget,
+            dispatch_cycle,
+            dispatched_in_cycle,
+            fetch_resume,
+            bpred,
+            rob,
+            iq,
+            lq,
+            sq,
+            last_retire,
+            retired_in_cycle,
+            last_issue,
+            reg_ready,
+            reg_vals,
+            recent_addrs,
+            last_loaded,
+            mem_seq,
+        } = self;
         w.section(*b"CPU0", 1);
-        w.put_u64(self.budget);
-        self.stats.save(w);
-        w.put_u64(self.dispatch_cycle);
-        w.put_u32(self.dispatched_in_cycle);
-        w.put_u64(self.fetch_resume);
-        self.bpred.save(w);
-        w.put_len(self.rob.len());
-        for &t in &self.rob {
+        w.put_u64(*budget);
+        stats.save(w);
+        w.put_u64(*dispatch_cycle);
+        w.put_u32(*dispatched_in_cycle);
+        w.put_u64(*fetch_resume);
+        bpred.save(w);
+        w.put_len(rob.len());
+        for &t in rob {
             w.put_u64(t);
         }
-        self.iq.save(w);
-        self.lq.save(w);
-        self.sq.save(w);
-        w.put_u64(self.last_retire);
-        w.put_u32(self.retired_in_cycle);
-        w.put_u64(self.last_issue);
-        for &t in self.reg_ready.iter() {
+        iq.save(w);
+        lq.save(w);
+        sq.save(w);
+        w.put_u64(*last_retire);
+        w.put_u32(*retired_in_cycle);
+        w.put_u64(*last_issue);
+        for &t in reg_ready {
             w.put_u64(t);
         }
-        for &v in self.reg_vals.iter() {
+        for &v in reg_vals {
             w.put_u64(v);
         }
-        for &a in self.recent_addrs.iter() {
+        for &a in recent_addrs {
             w.put_u64(a);
         }
-        w.put_u64(self.last_loaded);
-        w.put_u64(self.mem_seq);
-        self.mem.save(w);
+        w.put_u64(*last_loaded);
+        w.put_u64(*mem_seq);
+        mem.save(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
+        let Self {
+            cfg,
+            mem,
+            stats,
+            budget,
+            dispatch_cycle,
+            dispatched_in_cycle,
+            fetch_resume,
+            bpred,
+            rob,
+            iq,
+            lq,
+            sq,
+            last_retire,
+            retired_in_cycle,
+            last_issue,
+            reg_ready,
+            reg_vals,
+            recent_addrs,
+            last_loaded,
+            mem_seq,
+        } = self;
         r.section(*b"CPU0", 1)?;
-        self.budget = r.get_u64()?;
-        self.stats.restore(r)?;
-        self.dispatch_cycle = r.get_u64()?;
-        self.dispatched_in_cycle = r.get_u32()?;
-        self.fetch_resume = r.get_u64()?;
-        self.bpred.restore(r)?;
+        *budget = r.get_u64()?;
+        stats.restore(r)?;
+        *dispatch_cycle = r.get_u64()?;
+        *dispatched_in_cycle = r.get_u32()?;
+        *fetch_resume = r.get_u64()?;
+        bpred.restore(r)?;
         let n = r.get_len()?;
-        if n > self.cfg.rob_size {
+        if n > cfg.rob_size {
             return Err(snap_err(format!(
                 "ROB snapshot has {n} entries, capacity is {}",
-                self.cfg.rob_size
+                cfg.rob_size
             )));
         }
-        self.rob.clear();
+        rob.clear();
         for _ in 0..n {
-            self.rob.push_back(r.get_u64()?);
+            rob.push_back(r.get_u64()?);
         }
-        self.iq.restore(r)?;
-        self.lq.restore(r)?;
-        self.sq.restore(r)?;
-        self.last_retire = r.get_u64()?;
-        self.retired_in_cycle = r.get_u32()?;
-        self.last_issue = r.get_u64()?;
-        for t in self.reg_ready.iter_mut() {
+        iq.restore(r)?;
+        lq.restore(r)?;
+        sq.restore(r)?;
+        *last_retire = r.get_u64()?;
+        *retired_in_cycle = r.get_u32()?;
+        *last_issue = r.get_u64()?;
+        for t in reg_ready {
             *t = r.get_u64()?;
         }
-        for v in self.reg_vals.iter_mut() {
+        for v in reg_vals {
             *v = r.get_u64()?;
         }
-        for a in self.recent_addrs.iter_mut() {
+        for a in recent_addrs {
             *a = r.get_u64()?;
         }
-        self.last_loaded = r.get_u64()?;
-        self.mem_seq = r.get_u64()?;
-        self.mem.restore(r)
+        *last_loaded = r.get_u64()?;
+        *mem_seq = r.get_u64()?;
+        mem.restore(r)
     }
 }
 

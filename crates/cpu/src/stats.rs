@@ -51,23 +51,39 @@ impl CpuStats {
 
 impl Snapshot for CpuStats {
     fn save(&self, w: &mut SnapWriter) {
+        let Self {
+            instructions,
+            cycles,
+            loads,
+            stores,
+            branches,
+            mispredicts,
+        } = self;
         w.section(*b"CPUS", 1);
-        w.put_u64(self.instructions);
-        w.put_u64(self.cycles);
-        w.put_u64(self.loads);
-        w.put_u64(self.stores);
-        w.put_u64(self.branches);
-        w.put_u64(self.mispredicts);
+        w.put_u64(*instructions);
+        w.put_u64(*cycles);
+        w.put_u64(*loads);
+        w.put_u64(*stores);
+        w.put_u64(*branches);
+        w.put_u64(*mispredicts);
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
+        let Self {
+            instructions,
+            cycles,
+            loads,
+            stores,
+            branches,
+            mispredicts,
+        } = self;
         r.section(*b"CPUS", 1)?;
-        self.instructions = r.get_u64()?;
-        self.cycles = r.get_u64()?;
-        self.loads = r.get_u64()?;
-        self.stores = r.get_u64()?;
-        self.branches = r.get_u64()?;
-        self.mispredicts = r.get_u64()?;
+        *instructions = r.get_u64()?;
+        *cycles = r.get_u64()?;
+        *loads = r.get_u64()?;
+        *stores = r.get_u64()?;
+        *branches = r.get_u64()?;
+        *mispredicts = r.get_u64()?;
         Ok(())
     }
 }

@@ -23,11 +23,12 @@
 use std::fmt::Write as _;
 
 use semloc_context::{ContextConfig, FeatureSet, PipelineConfig};
-use semloc_workloads::KernelBox;
+use semloc_workloads::{kernel_by_name, KernelBox};
 
 use crate::config::SimConfig;
 use crate::engine::Engine;
 use crate::interfere::coverage;
+use crate::knob::Knob;
 use crate::prefetchers::PrefetcherKind;
 use crate::report::Table;
 use crate::runner::{run_kernel_with_store, RunResult};
@@ -86,6 +87,54 @@ impl Default for ArenaOpts {
             threads: crate::pool::pool_threads(),
             verify: VerifyMode::default(),
         }
+    }
+}
+
+impl ArenaOpts {
+    /// The `semloc-arena` binary's options and workloads, from
+    /// `SEMLOC_ARENA_BUDGET` (default 120 000), `SEMLOC_ARENA_WARM`
+    /// (default budget / 6), `SEMLOC_ARENA_THREADS` (default
+    /// [`crate::pool::pool_threads`]), `SEMLOC_ARENA_VERIFY` (default
+    /// [`VerifyMode::First`]) and `SEMLOC_ARENA_KERNELS` (comma-separated,
+    /// default `array,list,mcf`).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a malformed knob, an unknown workload or an empty
+    /// workload list.
+    pub fn from_env() -> (ArenaOpts, Vec<KernelBox>) {
+        let positive = |knob: Knob, default: u64| {
+            knob.int(1..=u64::MAX)
+                .unwrap_or_else(|e| panic!("{e}"))
+                .unwrap_or(default)
+        };
+        let budget = positive(Knob::ArenaBudget, 120_000);
+        let opts = ArenaOpts {
+            budget,
+            warm: positive(Knob::ArenaWarm, budget / 6),
+            threads: Knob::ArenaThreads
+                .int(1..=u64::from(u32::MAX))
+                .unwrap_or_else(|e| panic!("{e}"))
+                .map_or_else(crate::pool::pool_threads, |t| t as usize),
+            verify: Knob::ArenaVerify
+                .text()
+                .map_or_else(VerifyMode::default, |v| {
+                    VerifyMode::parse(&v).unwrap_or_else(|| {
+                        panic!("SEMLOC_ARENA_VERIFY must be off|first|all, got {v:?}")
+                    })
+                }),
+        };
+        let names = Knob::ArenaKernels
+            .text()
+            .unwrap_or_else(|| "array,list,mcf".into());
+        let kernels: Vec<KernelBox> = names
+            .split(',')
+            .map(str::trim)
+            .filter(|n| !n.is_empty())
+            .map(|n| kernel_by_name(n).unwrap_or_else(|| panic!("unknown kernel {n:?}")))
+            .collect();
+        assert!(!kernels.is_empty(), "SEMLOC_ARENA_KERNELS selected nothing");
+        (opts, kernels)
     }
 }
 

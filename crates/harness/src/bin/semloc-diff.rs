@@ -3,14 +3,14 @@
 //! (exit 1) on the first divergence, writing both state dumps to
 //! `$DIFF_DUMP_DIR` (default `./diff-dumps`) for the artifact upload.
 //!
-//! Usage: `semloc-diff [instr_budget]` (default 60 000 per cell).
+//! Usage: `semloc-diff [instr_budget]` (default 60 000 per cell). A
+//! malformed budget exits 2 before anything runs.
 
 use std::fs;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 use semloc_context::ContextConfig;
-use semloc_harness::{diff_kernel, SimConfig, TraceStore};
+use semloc_harness::{diff_dump_dir, diff_kernel, parse_knob, SimConfig, TraceStore};
 use semloc_workloads::kernel_by_name;
 
 fn variant_config() -> ContextConfig {
@@ -25,12 +25,17 @@ fn variant_config() -> ContextConfig {
 }
 
 fn main() -> ExitCode {
-    let budget: u64 = std::env::args()
-        .nth(1)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(60_000);
-    let dump_dir =
-        PathBuf::from(std::env::var("DIFF_DUMP_DIR").unwrap_or_else(|_| "diff-dumps".into()));
+    let budget = match std::env::args().nth(1) {
+        None => 60_000,
+        Some(arg) => match parse_knob("budget", &arg, 0..=u64::MAX) {
+            Ok(b) => b,
+            Err(e) => {
+                eprintln!("{e}");
+                return ExitCode::from(2);
+            }
+        },
+    };
+    let dump_dir = diff_dump_dir();
 
     let store = TraceStore::new();
     let sim = SimConfig::default().with_budget(budget);

@@ -28,7 +28,7 @@ use std::sync::{Mutex, OnceLock};
 
 use semloc_trace::{write_atomic, FaultPlan, SaveFaults};
 
-use crate::knob::env_knob;
+use crate::knob::Knob;
 
 /// Persistent checkpoint store for resumable simulation cells.
 ///
@@ -80,12 +80,10 @@ impl CkptStore {
     /// Panics if `SEMLOC_CKPT_INTERVAL` is set but not a non-negative
     /// integer.
     pub fn from_env() -> Self {
-        let mut store = match std::env::var_os("SEMLOC_CKPT_DIR") {
-            Some(dir) if !dir.is_empty() => Self::with_dir(PathBuf::from(dir)),
-            _ => Self::new(),
-        };
-        if let Some(v) =
-            env_knob("SEMLOC_CKPT_INTERVAL", 0..=u64::MAX).unwrap_or_else(|e| panic!("{e}"))
+        let mut store = Knob::CkptDir.os().map_or_else(Self::new, Self::with_dir);
+        if let Some(v) = Knob::CkptInterval
+            .int(0..=u64::MAX)
+            .unwrap_or_else(|e| panic!("{e}"))
         {
             store.interval = v.max(1);
         }

@@ -3,7 +3,7 @@
 use semloc_cpu::CpuConfig;
 use semloc_mem::MemConfig;
 
-use crate::knob::env_knob;
+use crate::knob::Knob;
 
 /// Everything needed to reproduce one simulated run.
 #[derive(Clone, Debug)]
@@ -27,18 +27,26 @@ impl Default for SimConfig {
     ///
     /// Panics if `SEMLOC_BUDGET` is set but not a non-negative integer.
     fn default() -> Self {
-        let instr_budget = env_knob("SEMLOC_BUDGET", 0..=u64::MAX)
-            .unwrap_or_else(|e| panic!("{e}"))
-            .unwrap_or(400_000);
         SimConfig {
             cpu: CpuConfig::default(),
             mem: MemConfig::default(),
-            instr_budget,
+            instr_budget: SimConfig::env_budget().unwrap_or(400_000),
         }
     }
 }
 
 impl SimConfig {
+    /// The `SEMLOC_BUDGET` environment variable, when set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `SEMLOC_BUDGET` is set but not a non-negative integer.
+    pub fn env_budget() -> Option<u64> {
+        Knob::Budget
+            .int(0..=u64::MAX)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
     /// A fast configuration for tests (small instruction budget).
     pub fn quick() -> Self {
         SimConfig {

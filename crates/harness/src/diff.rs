@@ -17,6 +17,7 @@
 
 use std::cell::Cell;
 use std::fmt;
+use std::path::PathBuf;
 
 use semloc_bandit::ExplorationPolicy;
 use semloc_context::{ContextConfig, ContextPrefetcher, ContextStats};
@@ -27,6 +28,7 @@ use semloc_trace::{AccessContext, Addr, SnapReader, SnapWriter};
 use semloc_workloads::Kernel;
 
 use crate::config::SimConfig;
+use crate::knob::Knob;
 use crate::store::TraceStore;
 
 /// The first observable difference between the two implementations.
@@ -467,24 +469,49 @@ impl Prefetcher for TeePrefetcher {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
+        let Self {
+            core,
+            spec,
+            accesses,
+            // A tee is only checkpointed while clean, so these are empty.
+            divergence: _,
+            spec_out: _,
+            was_pred_mismatch: _,
+        } = self;
         w.section(*b"TEE0", 1);
-        w.put_u64(self.accesses);
-        self.core.save_state(w);
-        self.spec.save_state(w);
+        w.put_u64(*accesses);
+        core.save_state(w);
+        spec.save_state(w);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
+        let Self {
+            core,
+            spec,
+            accesses,
+            divergence,
+            spec_out,
+            was_pred_mismatch,
+        } = self;
         r.section(*b"TEE0", 1)?;
-        self.accesses = r.get_u64()?;
-        self.core.restore_state(r)?;
-        self.spec.restore_state(r)?;
+        *accesses = r.get_u64()?;
+        core.restore_state(r)?;
+        spec.restore_state(r)?;
         // A tee is only checkpointed while clean; transient probe state
         // does not survive a restore.
-        self.divergence = None;
-        self.was_pred_mismatch.set(None);
-        self.spec_out.clear();
+        *divergence = None;
+        was_pred_mismatch.set(None);
+        spec_out.clear();
         Ok(())
     }
+}
+
+/// Where `semloc-diff` writes divergence dumps: `DIFF_DUMP_DIR`, default
+/// `diff-dumps`.
+pub fn diff_dump_dir() -> PathBuf {
+    Knob::DiffDumpDir
+        .os()
+        .map_or_else(|| PathBuf::from("diff-dumps"), PathBuf::from)
 }
 
 /// Run `kernel` through the store-replayed simulator with both prefetcher
@@ -577,6 +604,45 @@ mod tests {
             .cloned()
             .expect("a seeded discrepancy under gauss-pen must be detected");
         assert!(d.access > 0);
+    }
+
+    /// A tee checkpointed mid-run restores into a fresh tee that continues
+    /// exactly like the original, both sides still in lockstep.
+    #[test]
+    fn tee_checkpoint_continues_bit_identically() {
+        let pressure = MemPressure {
+            l1_mshr_free: 4,
+            l2_mshr_free: 20,
+        };
+        let drive = |tee: &mut TeePrefetcher, seqs: std::ops::Range<u64>| {
+            let (mut all, mut out) = (Vec::new(), Vec::new());
+            for seq in seqs {
+                let addr = match seq % 3 {
+                    0 => 0x10_0000 + seq * 64,
+                    1 => 0x80_0000 + (seq % 97) * 160,
+                    _ => 0x40_0000 + (seq * 7919 % 4096) * 32,
+                };
+                let ctx = AccessContext::bare(seq, 0x400 + (seq % 3) * 0x10, addr, false);
+                out.clear();
+                tee.on_access(&ctx, pressure, &mut out);
+                all.extend_from_slice(&out);
+            }
+            all
+        };
+        let mut p = TeePrefetcher::new(ContextConfig::default());
+        drive(&mut p, 0..4_000);
+
+        let mut w = SnapWriter::new();
+        p.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut q = TeePrefetcher::new(ContextConfig::default());
+        let mut r = SnapReader::new(&bytes);
+        q.restore_state(&mut r).expect("restore succeeds");
+        r.expect_end().expect("snapshot fully consumed");
+
+        assert_eq!(drive(&mut p, 4_000..6_000), drive(&mut q, 4_000..6_000));
+        assert_eq!((p.accesses(), p.stats()), (q.accesses(), q.stats()));
+        assert!(p.divergence().is_none() && q.divergence().is_none());
     }
 
     #[test]

@@ -1,15 +1,100 @@
-//! Numeric knobs: `SEMLOC_*` environment variables and CLI budget
-//! arguments.
+//! Knobs: the environment variables the workspace reads, and the parser
+//! numeric knobs and CLI budget arguments share.
+//!
+//! `Knob` lists every environment variable, and this module holds the
+//! workspace's one environment read (clippy's `disallowed-methods` rejects
+//! `std::env::var` and friends anywhere else). Each knob has exactly one
+//! typed reader: `SimConfig::env_budget`, `pool_threads`,
+//! `CkptStore::from_env`, `TraceStore::from_env`, `ArenaOpts::from_env` and
+//! `diff_dump_dir`. `Knob` is crate-private, so a variant nothing reads is
+//! a dead-code error, and a test holds README's knob table to the enum.
 //!
 //! Every numeric knob goes through [`parse_knob`], which rejects malformed
 //! or out-of-range input with a typed [`KnobError`] naming the knob and
 //! the bad value. A typo such as `SEMLOC_BUDGET=100k` therefore stops the
-//! run (callers panic or exit 1 with the error) instead of quietly running
-//! the default.
+//! run (callers panic or exit with the error) instead of quietly running
+//! the default. An empty variable counts as unset.
 
-use std::env::VarError;
+use std::ffi::OsString;
 use std::fmt;
 use std::ops::RangeInclusive;
+
+/// Declares [`Knob`] with its names, and (for the README test) the list of
+/// every variant, from one table.
+macro_rules! knobs {
+    ($($(#[doc = $about:literal])+ $variant:ident = $name:literal,)+) => {
+        /// An environment variable the workspace reads.
+        #[derive(Clone, Copy, Debug)]
+        pub(crate) enum Knob {
+            $($(#[doc = $about])+ $variant,)+
+        }
+
+        impl Knob {
+            #[cfg(test)]
+            const ALL: &[Knob] = &[$(Knob::$variant),+];
+
+            /// The variable's name.
+            pub(crate) fn name(self) -> &'static str {
+                match self {
+                    $(Knob::$variant => $name,)+
+                }
+            }
+        }
+    };
+}
+
+knobs! {
+    /// `semloc-arena`: instructions per tournament run (default 120 000).
+    ArenaBudget = "SEMLOC_ARENA_BUDGET",
+    /// `semloc-arena`: comma-separated workloads (default `array,list,mcf`).
+    ArenaKernels = "SEMLOC_ARENA_KERNELS",
+    /// `semloc-arena`: shard-pool width (default host parallelism).
+    ArenaThreads = "SEMLOC_ARENA_THREADS",
+    /// `semloc-arena`: warm-vs-cold digest checks, `off`/`first`/`all`.
+    ArenaVerify = "SEMLOC_ARENA_VERIFY",
+    /// `semloc-arena`: warm-prefix length before the fork (default budget/6).
+    ArenaWarm = "SEMLOC_ARENA_WARM",
+    /// Dynamic-instruction budget per experiment run (default 400 000).
+    Budget = "SEMLOC_BUDGET",
+    /// Checkpoint directory; setting it enables mid-run checkpointing.
+    CkptDir = "SEMLOC_CKPT_DIR",
+    /// Instructions between mid-run checkpoint saves (default 100 000).
+    CkptInterval = "SEMLOC_CKPT_INTERVAL",
+    /// Shard-pool worker threads (default host parallelism).
+    PoolThreads = "SEMLOC_POOL_THREADS",
+    /// On-disk trace cache directory; unset keeps traces in memory.
+    TraceDir = "SEMLOC_TRACE_DIR",
+    /// `semloc-diff`: where divergence dumps go (default `diff-dumps`).
+    DiffDumpDir = "DIFF_DUMP_DIR",
+}
+
+impl Knob {
+    /// The variable's value; `None` when it is unset or empty.
+    pub(crate) fn os(self) -> Option<OsString> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the workspace's one environment read; every variable is a Knob"
+        )]
+        let value = std::env::var_os(self.name());
+        value.filter(|v| !v.is_empty())
+    }
+
+    /// The value as text (invalid UTF-8 replaced, so it fails to parse
+    /// rather than reading as unset).
+    pub(crate) fn text(self) -> Option<String> {
+        self.os().map(|v| v.to_string_lossy().into_owned())
+    }
+
+    /// A numeric knob: `Ok(None)` when unset or blank, its value when it
+    /// parses in `range`.
+    ///
+    /// # Errors
+    ///
+    /// A [`KnobError`] when the variable is set to anything else.
+    pub(crate) fn int(self, range: RangeInclusive<u64>) -> Result<Option<u64>, KnobError> {
+        parse_env(self.name(), self.os(), range)
+    }
+}
 
 /// A numeric knob set to something that is not an integer in its range.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -63,20 +148,22 @@ pub fn parse_knob(name: &str, value: &str, range: RangeInclusive<u64>) -> Result
     }
 }
 
-/// Read environment knob `name` through [`parse_knob`]: `Ok(None)` when it
-/// is unset or empty, its value when it parses.
-///
-/// # Errors
-///
-/// A [`KnobError`] when the variable is set to anything else.
-pub fn env_knob(name: &str, range: RangeInclusive<u64>) -> Result<Option<u64>, KnobError> {
-    match std::env::var(name) {
-        Ok(v) if v.trim().is_empty() => Ok(None),
-        Ok(v) => parse_knob(name, &v, range).map(Some),
-        Err(VarError::NotPresent) => Ok(None),
-        Err(VarError::NotUnicode(v)) => Err(KnobError {
+/// [`parse_knob`] over an environment value: `Ok(None)` when unset or
+/// blank.
+fn parse_env(
+    name: &str,
+    value: Option<OsString>,
+    range: RangeInclusive<u64>,
+) -> Result<Option<u64>, KnobError> {
+    let Some(value) = value else {
+        return Ok(None);
+    };
+    match value.to_str() {
+        Some(v) if v.trim().is_empty() => Ok(None),
+        Some(v) => parse_knob(name, v, range).map(Some),
+        None => Err(KnobError {
             name: name.to_string(),
-            value: v.to_string_lossy().into_owned(),
+            value: value.to_string_lossy().into_owned(),
             range,
         }),
     }
@@ -108,31 +195,45 @@ mod tests {
             assert_eq!(e.name, "SEMLOC_BUDGET");
             assert_eq!(e.value, bad);
         }
-        let e = parse_knob("SEMLOC_MC_QUANTUM", "0", 1..=u64::MAX).unwrap_err();
+        let e = parse_knob("SEMLOC_ARENA_WARM", "0", 1..=u64::MAX).unwrap_err();
         assert_eq!(
             e.to_string(),
-            "SEMLOC_MC_QUANTUM must be an integer >= 1, got \"0\""
+            "SEMLOC_ARENA_WARM must be an integer >= 1, got \"0\""
         );
-        let e = parse_knob("SEMLOC_MC_DRAM_CHANNELS", "5000000000", 1..=4_294_967_295).unwrap_err();
+        let e = parse_knob("SEMLOC_POOL_THREADS", "5000000000", 1..=4_294_967_295).unwrap_err();
         assert_eq!(
             e.to_string(),
-            "SEMLOC_MC_DRAM_CHANNELS must be an integer in 1..=4294967295, got \"5000000000\""
+            "SEMLOC_POOL_THREADS must be an integer in 1..=4294967295, got \"5000000000\""
         );
     }
 
     #[test]
-    fn env_knobs_read_unset_empty_good_and_bad_values() {
-        // A name nothing else reads, so setting it cannot disturb other tests.
-        const VAR: &str = "KNOB_TEST_ENV_4F2A";
-        std::env::remove_var(VAR);
-        assert_eq!(env_knob(VAR, 0..=u64::MAX), Ok(None));
-        std::env::set_var(VAR, " ");
-        assert_eq!(env_knob(VAR, 0..=u64::MAX), Ok(None));
-        std::env::set_var(VAR, "60000");
-        assert_eq!(env_knob(VAR, 0..=u64::MAX), Ok(Some(60_000)));
-        std::env::set_var(VAR, "100k");
-        let e = env_knob(VAR, 0..=u64::MAX).unwrap_err();
-        assert_eq!((e.name.as_str(), e.value.as_str()), (VAR, "100k"));
-        std::env::remove_var(VAR);
+    fn env_values_read_unset_blank_good_and_bad() {
+        let parse = |v: Option<&str>| parse_env("K", v.map(OsString::from), 0..=u64::MAX);
+        assert_eq!(parse(None), Ok(None));
+        assert_eq!(parse(Some(" ")), Ok(None));
+        assert_eq!(parse(Some("60000")), Ok(Some(60_000)));
+        let e = parse(Some("100k")).unwrap_err();
+        assert_eq!((e.name.as_str(), e.value.as_str()), ("K", "100k"));
+    }
+
+    /// README's knob table lists exactly the variables [`Knob`] declares.
+    #[test]
+    fn readme_documents_every_knob() {
+        let readme = concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md");
+        let readme = std::fs::read_to_string(readme).expect("README.md beside the workspace");
+        let table = readme
+            .split("\n## Environment knobs\n")
+            .nth(1)
+            .expect("README has an `## Environment knobs` section");
+        let table = table.split("\n## ").next().unwrap_or(table);
+        let mut listed: Vec<&str> = table
+            .lines()
+            .filter_map(|line| line.strip_prefix("| `")?.split('`').next())
+            .collect();
+        let mut declared: Vec<&str> = Knob::ALL.iter().map(|k| k.name()).collect();
+        listed.sort_unstable();
+        declared.sort_unstable();
+        assert_eq!(listed, declared, "README's knob table vs the Knob enum");
     }
 }

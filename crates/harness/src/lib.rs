@@ -34,13 +34,13 @@ pub use arena::{
 };
 pub use ckpt::CkptStore;
 pub use config::SimConfig;
-pub use diff::{diff_kernel, DiffReport, Divergence, TeePrefetcher};
+pub use diff::{diff_dump_dir, diff_kernel, DiffReport, Divergence, TeePrefetcher};
 pub use engine::{Engine, SimCheckpoint, SIM_CKPT_VERSION};
 pub use interfere::{
     adversarial_search, coverage, AdvBench, AdvFinding, AdvParams, AdvScore, SearchConfig,
     BASELINES,
 };
-pub use knob::{env_knob, parse_knob, KnobError};
+pub use knob::{parse_knob, KnobError};
 pub use matrix::Matrix;
 pub use mc::{mc_digest, McCheckpoint, McConfig, McCore, McEngine, MC_CKPT_VERSION};
 pub use pool::{pool_threads, run_sharded};

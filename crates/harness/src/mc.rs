@@ -17,6 +17,10 @@
 //! instruction on the quantum horizon, so block stepping leaves the
 //! interleaving a pure function of simulated time.
 //!
+//! The engine owns the shared level and lends it to each core for that
+//! core's slice of the quantum ([`Hierarchy::attach_shared`]), so one core
+//! at a time holds it and no runtime borrow check is needed.
+//!
 //! Checkpointing follows the single-core engine's contract: an
 //! [`McCheckpoint`] snapshots the shared level once plus every core, is
 //! fingerprinted against the full engine identity, and restore/fork
@@ -25,17 +29,18 @@
 use std::io;
 
 use semloc_cpu::Cpu;
-use semloc_mem::{DramConfig, Hierarchy, Prefetcher, SharedL2, SharedL2Handle, SharedL2Stats};
+use semloc_mem::{DramConfig, Hierarchy, Prefetcher, SharedL2, SharedL2Stats};
 use semloc_trace::{snap_err, Cycle, SnapReader, SnapWriter, Snapshot};
 use semloc_workloads::{Kernel, ReplayKernel};
 
 use crate::config::SimConfig;
-use crate::knob::{env_knob, KnobError};
 use crate::prefetchers::PrefetcherKind;
 use crate::runner::{collect_result, Digest, RunResult};
 
 /// Version of the [`McCheckpoint`] encoding (the `MCCK` section version).
 pub const MC_CKPT_VERSION: u32 = 1;
+
+const SHARED_HOME: &str = "every slice hands the shared level back to the engine";
 
 /// Interference-mode parameters on top of a [`SimConfig`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -52,28 +57,6 @@ impl Default for McConfig {
             quantum: 2_000,
             dram: DramConfig::default(),
         }
-    }
-}
-
-impl McConfig {
-    /// Defaults overridden by `SEMLOC_MC_QUANTUM`, `SEMLOC_MC_DRAM_CHANNELS`
-    /// and `SEMLOC_MC_DRAM_INTERVAL`, each a positive integer when set.
-    ///
-    /// # Errors
-    ///
-    /// A [`KnobError`] naming the first variable set to anything else.
-    pub fn from_env() -> Result<Self, KnobError> {
-        let mut mc = McConfig::default();
-        if let Some(q) = env_knob("SEMLOC_MC_QUANTUM", 1..=u64::MAX)? {
-            mc.quantum = q;
-        }
-        if let Some(c) = env_knob("SEMLOC_MC_DRAM_CHANNELS", 1..=u64::from(u32::MAX))? {
-            mc.dram.channels = c as u32;
-        }
-        if let Some(i) = env_knob("SEMLOC_MC_DRAM_INTERVAL", 1..=u64::MAX)? {
-            mc.dram.service_interval = i;
-        }
-        Ok(mc)
     }
 }
 
@@ -114,13 +97,23 @@ impl McCore {
 
 impl Snapshot for McCore {
     fn save(&self, w: &mut SnapWriter) {
+        let Self {
+            replay: _, // identity, in the engine fingerprint; the cursor is in the cpu
+            kind: _,   // identity, in the engine fingerprint
+            cpu,
+        } = self;
         w.section(*b"MCOR", 1);
-        self.cpu.save(w);
+        cpu.save(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> io::Result<()> {
+        let Self {
+            replay: _, // identity, in the engine fingerprint; the cursor is in the cpu
+            kind: _,   // identity, in the engine fingerprint
+            cpu,
+        } = self;
         r.section(*b"MCOR", 1)?;
-        self.cpu.restore(r)
+        cpu.restore(r)
     }
 }
 
@@ -192,7 +185,9 @@ impl McCheckpoint {
 
 /// The multi-core engine: N cores round-robin over a shared L2.
 pub struct McEngine {
-    shared: SharedL2Handle,
+    /// The shared level. Lent to one core during its slice of a quantum,
+    /// back here between quanta.
+    shared: Option<Box<SharedL2>>,
     cores: Vec<McCore>,
     config: SimConfig,
     mc: McConfig,
@@ -210,18 +205,17 @@ impl McEngine {
         mc: &McConfig,
     ) -> McEngine {
         assert!(!specs.is_empty(), "a multi-core engine needs >= 1 core");
-        let shared = SharedL2::handle(config.mem.l2.clone(), mc.dram.clone());
+        let shared = SharedL2::new(config.mem.l2.clone(), mc.dram.clone());
         let cores = specs
             .into_iter()
             .map(|(replay, kind)| {
-                let hierarchy =
-                    Hierarchy::new_shared(config.mem.clone(), kind.build(), shared.clone());
+                let hierarchy = Hierarchy::new(config.mem.clone(), kind.build());
                 let cpu = Cpu::new(config.cpu.clone(), hierarchy, config.instr_budget);
                 McCore { replay, kind, cpu }
             })
             .collect();
         McEngine {
-            shared,
+            shared: Some(Box::new(shared)),
             cores,
             config: config.clone(),
             mc: mc.clone(),
@@ -234,9 +228,13 @@ impl McEngine {
         &self.cores
     }
 
-    /// The shared level's aggregate statistics so far.
-    pub fn shared_stats(&self) -> SharedL2Stats {
-        *self.shared.borrow().stats()
+    /// The shared level, which is back in the engine between quanta.
+    fn shared(&self) -> &SharedL2 {
+        self.shared.as_deref().expect(SHARED_HOME)
+    }
+
+    fn shared_mut(&mut self) -> &mut SharedL2 {
+        self.shared.as_deref_mut().expect(SHARED_HOME)
     }
 
     /// Identity fingerprint over core count, every core's trace key and
@@ -260,16 +258,20 @@ impl McEngine {
     }
 
     /// Advance the horizon by one quantum and run each core (in index
-    /// order) until its clock reaches the horizon. Cores step their
-    /// capture's decoded lanes block by block through
-    /// [`Cpu::step_block_until`], which checks the horizon before every
-    /// instruction, so a quantum may end, and the next resume, inside a
-    /// block.
+    /// order) until its clock reaches the horizon, with the shared level
+    /// attached to it. Cores step their capture's decoded lanes block by
+    /// block through [`Cpu::step_block_until`], which checks the horizon
+    /// before every instruction, so a quantum may end, and the next resume,
+    /// inside a block.
     pub fn step_quantum(&mut self) {
         const BLOCK: usize = semloc_trace::BLOCK_LEN;
         self.horizon += self.mc.quantum;
         let budget = self.config.instr_budget;
+        let mut shared = self.shared.take();
         for core in &mut self.cores {
+            if let Some(sh) = shared {
+                core.cpu.mem_mut().attach_shared(sh);
+            }
             let lanes = &core.replay.trace().lanes;
             let end = match budget {
                 0 => lanes.len(),
@@ -286,7 +288,9 @@ impl McEngine {
                     break;
                 }
             }
+            shared = core.cpu.mem_mut().detach_shared();
         }
+        self.shared = shared;
     }
 
     /// Run to completion (every core's budget or schedule exhausted).
@@ -300,7 +304,7 @@ impl McEngine {
     /// every core) at the current horizon.
     pub fn checkpoint(&self) -> McCheckpoint {
         let mut w = SnapWriter::new();
-        self.shared.borrow().save(&mut w);
+        self.shared().save(&mut w);
         for core in &self.cores {
             core.save(&mut w);
         }
@@ -339,7 +343,7 @@ impl McEngine {
             )));
         }
         let mut r = SnapReader::new(&ckpt.payload);
-        self.shared.borrow_mut().restore(&mut r)?;
+        self.shared_mut().restore(&mut r)?;
         for core in &mut self.cores {
             core.restore(&mut r)?;
         }
@@ -376,12 +380,12 @@ impl McEngine {
     /// single-core [`crate::Engine::finish`] would produce), plus the
     /// shared level's aggregate counters.
     pub fn finish(self) -> (Vec<RunResult>, SharedL2Stats) {
+        let shared = *self.shared().stats();
         let results = self
             .cores
             .into_iter()
             .map(|c| collect_result(c.replay.name(), c.kind.label(), c.cpu))
             .collect();
-        let shared = *self.shared.borrow().stats();
         (results, shared)
     }
 }

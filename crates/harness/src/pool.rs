@@ -22,7 +22,7 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-use crate::knob::env_knob;
+use crate::knob::Knob;
 
 /// Worker-thread count for the shard pool: the `SEMLOC_POOL_THREADS`
 /// environment variable if set, else the host's available parallelism.
@@ -32,7 +32,7 @@ use crate::knob::env_knob;
 /// Panics if `SEMLOC_POOL_THREADS` is set but is not a positive integer —
 /// a typo'd knob should fail loudly, not silently serialise the run.
 pub fn pool_threads() -> usize {
-    match env_knob("SEMLOC_POOL_THREADS", 1..=u64::from(u32::MAX)) {
+    match Knob::PoolThreads.int(1..=u64::from(u32::MAX)) {
         Ok(Some(n)) => n as usize,
         Ok(None) => std::thread::available_parallelism().map_or(1, |n| n.get()),
         Err(e) => panic!("{e} (unset it to size the pool to the host)"),
@@ -177,7 +177,7 @@ mod tests {
     fn pool_threads_reads_the_env_knob() {
         // Env mutation is process-global: keep it inside one test and
         // restore the prior state before asserting the default path.
-        let prior = std::env::var("SEMLOC_POOL_THREADS").ok();
+        let prior = Knob::PoolThreads.os();
         std::env::set_var("SEMLOC_POOL_THREADS", "3");
         assert_eq!(pool_threads(), 3);
         match prior {

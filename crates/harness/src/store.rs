@@ -30,6 +30,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use semloc_trace::{write_atomic, FaultPlan, SaveFaults, TraceBuffer};
 use semloc_workloads::{capture_kernel, CapturedTrace, Kernel, ReplayKernel};
 
+use crate::knob::Knob;
 use crate::runner::{Digest, RunResult};
 
 type Slot = Arc<Mutex<Option<Arc<CapturedTrace>>>>;
@@ -91,10 +92,7 @@ impl TraceStore {
     /// A store configured from the environment: on-disk caching under
     /// `SEMLOC_TRACE_DIR` when set, in-memory only otherwise.
     pub fn from_env() -> Self {
-        match std::env::var_os("SEMLOC_TRACE_DIR") {
-            Some(d) if !d.is_empty() => Self::with_dir(PathBuf::from(d)),
-            _ => Self::new(),
-        }
+        Knob::TraceDir.os().map_or_else(Self::new, Self::with_dir)
     }
 
     /// The process-global store every [`run_kernel`](crate::run_kernel)

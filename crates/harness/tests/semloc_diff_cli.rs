@@ -1,0 +1,22 @@
+//! The `semloc-diff` binary's argument handling.
+
+use std::process::Command;
+
+#[test]
+fn malformed_budget_fails_before_any_simulation() {
+    let out = Command::new(env!("CARGO_BIN_EXE_semloc-diff"))
+        .arg("100k")
+        .output()
+        .expect("semloc-diff runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains("budget must be an integer >= 0, got \"100k\""),
+        "stderr: {stderr}"
+    );
+    assert!(
+        out.stdout.is_empty(),
+        "nothing may run: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}

@@ -56,7 +56,6 @@ pub struct Eviction {
 /// ```
 #[derive(Debug)]
 pub struct Cache {
-    // semloc-lint: allow(snapshot-field-coverage): construction-time config; the geometry fields below are derived from it
     cfg: CacheConfig,
     /// Line metadata in parallel arrays, set-major: set `s`, way `w` lives
     /// at index `s * ways + w` of each array. Splitting by field keeps the
@@ -75,11 +74,8 @@ pub struct Cache {
     lru: Box<[u64]>,
     /// Cycle at which each fill completes; before it the line is in flight.
     ready_at: Box<[Cycle]>,
-    // semloc-lint: allow(snapshot-field-coverage): geometry derived from cfg at construction
     ways: usize,
-    // semloc-lint: allow(snapshot-field-coverage): geometry derived from cfg at construction
     set_mask: u64,
-    // semloc-lint: allow(snapshot-field-coverage): geometry derived from cfg at construction
     line_shift: u32,
     tick: u64,
 }
@@ -247,58 +243,86 @@ impl Cache {
 
 impl Snapshot for Cache {
     fn save(&self, w: &mut SnapWriter) {
+        let Self {
+            cfg: _, // construction-time config
+            tags,
+            valid,
+            dirty,
+            prefetched,
+            touched,
+            lru,
+            ready_at,
+            ways: _,       // derived from cfg at construction
+            set_mask: _,   // derived from cfg at construction
+            line_shift: _, // derived from cfg at construction
+            tick,
+        } = self;
         // Byte-identical to the interleaved-line format: per line index,
         // tag / flags / lru / ready_at, in set-major order.
         w.section(*b"CACH", 1);
-        w.put_u64(self.tick);
-        w.put_len(self.tags.len());
-        for i in 0..self.tags.len() {
-            w.put_u64(self.tags[i]);
-            let flags = self.valid[i] as u8
-                | (self.dirty[i] as u8) << 1
-                | (self.prefetched[i] as u8) << 2
-                | (self.touched[i] as u8) << 3;
+        w.put_u64(*tick);
+        w.put_len(tags.len());
+        for i in 0..tags.len() {
+            w.put_u64(tags[i]);
+            let flags = valid[i] as u8
+                | (dirty[i] as u8) << 1
+                | (prefetched[i] as u8) << 2
+                | (touched[i] as u8) << 3;
             w.put_u8(flags);
-            w.put_u64(self.lru[i]);
-            w.put_u64(self.ready_at[i]);
+            w.put_u64(lru[i]);
+            w.put_u64(ready_at[i]);
         }
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
+        let Self {
+            cfg: _, // construction-time config
+            tags,
+            valid,
+            dirty,
+            prefetched,
+            touched,
+            lru,
+            ready_at,
+            ways: _,       // derived from cfg at construction
+            set_mask: _,   // derived from cfg at construction
+            line_shift: _, // derived from cfg at construction
+            tick,
+        } = self;
         r.section(*b"CACH", 1)?;
-        let tick = r.get_u64()?;
+        let saved_tick = r.get_u64()?;
         let n = r.get_len()?;
-        if n != self.tags.len() {
+        if n != tags.len() {
             return Err(snap_err(format!(
                 "cache snapshot has {n} lines, geometry expects {}",
-                self.tags.len()
+                tags.len()
             )));
         }
         // Parse into scratch first so a malformed snapshot leaves the
         // cache untouched.
-        let mut tags = vec![0u64; n];
+        let mut saved_tags = vec![0u64; n];
         let mut packed_flags = vec![0u8; n];
-        let mut lru = vec![0u64; n];
-        let mut ready_at = vec![0u64; n];
+        let mut saved_lru = vec![0u64; n];
+        let mut saved_ready_at = vec![0u64; n];
         for i in 0..n {
-            tags[i] = r.get_u64()?;
+            saved_tags[i] = r.get_u64()?;
             let flags = r.get_u8()?;
             if flags & !0x0F != 0 {
                 return Err(snap_err(format!("cache line flags {flags:#04x} invalid")));
             }
             packed_flags[i] = flags;
-            lru[i] = r.get_u64()?;
-            ready_at[i] = r.get_u64()?;
+            saved_lru[i] = r.get_u64()?;
+            saved_ready_at[i] = r.get_u64()?;
         }
-        self.tick = tick;
+        *tick = saved_tick;
         for i in 0..n {
-            self.tags[i] = tags[i];
-            self.valid[i] = packed_flags[i] & 1 != 0;
-            self.dirty[i] = packed_flags[i] & 2 != 0;
-            self.prefetched[i] = packed_flags[i] & 4 != 0;
-            self.touched[i] = packed_flags[i] & 8 != 0;
-            self.lru[i] = lru[i];
-            self.ready_at[i] = ready_at[i];
+            tags[i] = saved_tags[i];
+            valid[i] = packed_flags[i] & 1 != 0;
+            dirty[i] = packed_flags[i] & 2 != 0;
+            prefetched[i] = packed_flags[i] & 4 != 0;
+            touched[i] = packed_flags[i] & 8 != 0;
+            lru[i] = saved_lru[i];
+            ready_at[i] = saved_ready_at[i];
         }
         Ok(())
     }

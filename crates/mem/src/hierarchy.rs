@@ -11,7 +11,7 @@ use crate::classify::AccessClass;
 use crate::config::MemConfig;
 use crate::mshr::{MshrFile, MshrKind};
 use crate::prefetcher::{MemPressure, PrefetchReq, Prefetcher};
-use crate::shared_l2::SharedL2Handle;
+use crate::shared_l2::SharedL2;
 use crate::stats::MemStats;
 use semloc_trace::{AccessContext, Addr, Cycle, SnapReader, SnapWriter, Snapshot};
 
@@ -38,7 +38,6 @@ pub struct DemandResult {
 /// assert_eq!(warm.ready_at, 402); // L1 hit
 /// ```
 pub struct Hierarchy<P: Prefetcher> {
-    // semloc-lint: allow(snapshot-field-coverage): construction-time config (latencies/geometry), not run state
     cfg: MemConfig,
     l1: Cache,
     l2: Cache,
@@ -46,12 +45,11 @@ pub struct Hierarchy<P: Prefetcher> {
     l2_mshrs: MshrFile,
     prefetcher: P,
     stats: MemStats,
-    // semloc-lint: allow(snapshot-field-coverage): allocation-reuse scratch, cleared before every use in demand_access
     req_buf: Vec<PrefetchReq>,
     /// In interference mode the L2/DRAM legs go through the shared level
-    /// instead of the private `l2`/`l2_mshrs` (which then stay empty).
-    // semloc-lint: allow(snapshot-field-coverage): handle only — mem/SharedL2 is manifested and snapshotted once by the owning multi-core harness
-    shared: Option<SharedL2Handle>,
+    /// instead of the private `l2`/`l2_mshrs` (which then stay empty). It is
+    /// attached only while this core steps; its owner snapshots it.
+    shared: Option<Box<SharedL2>>,
 }
 
 impl<P: Prefetcher> Hierarchy<P> {
@@ -71,14 +69,18 @@ impl<P: Prefetcher> Hierarchy<P> {
         }
     }
 
-    /// Build a hierarchy whose L2/DRAM legs go through `shared` — the
-    /// private-L1 half of one core in the multi-core interference mode. The
-    /// `cfg.l2` geometry is ignored (the shared level carries its own); only
-    /// the L1 and `prefetch_mshr_reserve` fields matter.
-    pub fn new_shared(cfg: MemConfig, prefetcher: P, shared: SharedL2Handle) -> Self {
-        let mut h = Hierarchy::new(cfg, prefetcher);
-        h.shared = Some(shared);
-        h
+    /// Route the L2/DRAM legs through `shared` until
+    /// [`Hierarchy::detach_shared`]: this core's slice of a multi-core
+    /// quantum. The private L2 sits unused meanwhile (the shared level
+    /// carries its own geometry); only the L1 and `prefetch_mshr_reserve`
+    /// fields of the configuration matter.
+    pub fn attach_shared(&mut self, shared: Box<SharedL2>) {
+        self.shared = Some(shared);
+    }
+
+    /// Hand the shared level back to its owner (`None` if none is attached).
+    pub fn detach_shared(&mut self) -> Option<Box<SharedL2>> {
+        self.shared.take()
     }
 
     /// The attached prefetcher.
@@ -105,8 +107,8 @@ impl<P: Prefetcher> Hierarchy<P> {
     /// reflects the contended shared file, so prefetchers back off when
     /// *other* cores saturate it.
     pub fn pressure(&mut self, now: Cycle) -> MemPressure {
-        let l2_mshr_free = match &self.shared {
-            Some(sh) => sh.borrow_mut().mshr_free(now),
+        let l2_mshr_free = match &mut self.shared {
+            Some(sh) => sh.mshr_free(now),
             None => self.l2_mshrs.free(now),
         };
         MemPressure {
@@ -209,11 +211,9 @@ impl<P: Prefetcher> Hierarchy<P> {
             }
         }
 
-        let l2_ready = match &self.shared {
+        let l2_ready = match &mut self.shared {
             Some(sh) => {
-                let (ready, missed) = sh
-                    .borrow_mut()
-                    .demand_leg(addr, start + l1_lat, kind, dirty);
+                let (ready, missed) = sh.demand_leg(addr, start + l1_lat, kind, dirty);
                 if missed {
                     self.stats.l2_misses += 1;
                 }
@@ -274,17 +274,14 @@ impl<P: Prefetcher> Hierarchy<P> {
         // Prefetches that miss the L2 ride the L2's MSHRs for the DRAM leg;
         // the L1 MSHR is only held for the final L2→L1 transfer window, so
         // the 4-entry L1 file does not serialize deep prefetching.
-        let (fill, l1_window_start) = match &self.shared {
-            Some(sh) => {
-                let leg = sh.borrow_mut().prefetch_leg(addr, now + l1_lat, now);
-                match leg {
-                    Some(fill_window) => fill_window,
-                    None => {
-                        self.stats.prefetches_rejected += 1;
-                        return false;
-                    }
+        let (fill, l1_window_start) = match &mut self.shared {
+            Some(sh) => match sh.prefetch_leg(addr, now + l1_lat, now) {
+                Some(fill_window) => fill_window,
+                None => {
+                    self.stats.prefetches_rejected += 1;
+                    return false;
                 }
-            }
+            },
             None => match self.l2.lookup_demand(addr, now + l1_lat, false) {
                 LookupResult::Hit { .. } => (now + l1_lat + l2_lat, now),
                 LookupResult::InFlight { ready_at, .. } => {
@@ -333,23 +330,45 @@ impl<P: Prefetcher> Hierarchy<P> {
 
 impl<P: Prefetcher> Snapshot for Hierarchy<P> {
     fn save(&self, w: &mut SnapWriter) {
+        let Self {
+            cfg: _, // construction-time config
+            l1,
+            l2,
+            l1_mshrs,
+            l2_mshrs,
+            prefetcher,
+            stats,
+            req_buf: _, // scratch, cleared before every use
+            shared: _,  // attached only while a multi-core quantum steps; its owner saves it
+        } = self;
         w.section(*b"HIER", 1);
-        self.l1.save(w);
-        self.l2.save(w);
-        self.l1_mshrs.save(w);
-        self.l2_mshrs.save(w);
-        self.stats.save(w);
-        self.prefetcher.save_state(w);
+        l1.save(w);
+        l2.save(w);
+        l1_mshrs.save(w);
+        l2_mshrs.save(w);
+        stats.save(w);
+        prefetcher.save_state(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
+        let Self {
+            cfg: _, // construction-time config
+            l1,
+            l2,
+            l1_mshrs,
+            l2_mshrs,
+            prefetcher,
+            stats,
+            req_buf: _, // scratch, cleared before every use
+            shared: _,  // attached only while a multi-core quantum steps; its owner restores it
+        } = self;
         r.section(*b"HIER", 1)?;
-        self.l1.restore(r)?;
-        self.l2.restore(r)?;
-        self.l1_mshrs.restore(r)?;
-        self.l2_mshrs.restore(r)?;
-        self.stats.restore(r)?;
-        self.prefetcher.restore_state(r)
+        l1.restore(r)?;
+        l2.restore(r)?;
+        l1_mshrs.restore(r)?;
+        l2_mshrs.restore(r)?;
+        stats.restore(r)?;
+        prefetcher.restore_state(r)
     }
 }
 

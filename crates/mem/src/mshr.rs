@@ -49,9 +49,7 @@ impl Entry {
 #[derive(Debug)]
 pub struct MshrFile {
     entries: Vec<Entry>,
-    // semloc-lint: allow(snapshot-field-coverage): file size is construction-time config; restore validates the entry count against it
     capacity: usize,
-    // semloc-lint: allow(snapshot-field-coverage): geometry derived from cfg at construction
     line_shift: u32,
 }
 
@@ -174,9 +172,14 @@ impl MshrFile {
 
 impl Snapshot for MshrFile {
     fn save(&self, w: &mut SnapWriter) {
+        let Self {
+            entries,
+            capacity: _,   // construction-time config
+            line_shift: _, // derived from the line size at construction
+        } = self;
         w.section(*b"MSHR", 1);
-        w.put_len(self.entries.len());
-        for e in &self.entries {
+        w.put_len(entries.len());
+        for e in entries {
             w.put_u64(e.block);
             w.put_u64(e.start);
             w.put_u64(e.fill_at);
@@ -188,9 +191,14 @@ impl Snapshot for MshrFile {
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
+        let Self {
+            entries,
+            capacity,
+            line_shift: _, // derived from the line size at construction
+        } = self;
         r.section(*b"MSHR", 1)?;
         let n = r.get_len()?;
-        let mut entries = Vec::with_capacity(n.max(self.capacity));
+        let mut saved = Vec::with_capacity(n.max(*capacity));
         for _ in 0..n {
             let block = r.get_u64()?;
             let start = r.get_u64()?;
@@ -200,14 +208,14 @@ impl Snapshot for MshrFile {
                 1 => MshrKind::Prefetch,
                 k => return Err(snap_err(format!("MSHR kind byte {k} invalid"))),
             };
-            entries.push(Entry {
+            saved.push(Entry {
                 block,
                 start,
                 fill_at,
                 kind,
             });
         }
-        self.entries = entries;
+        *entries = saved;
         Ok(())
     }
 }

@@ -80,19 +80,31 @@ impl PrefetcherStats {
 
 impl Snapshot for PrefetcherStats {
     fn save(&self, w: &mut SnapWriter) {
+        let Self {
+            issued,
+            rejected,
+            shadow,
+            useful,
+        } = self;
         w.section(*b"PFST", 1);
-        w.put_u64(self.issued);
-        w.put_u64(self.rejected);
-        w.put_u64(self.shadow);
-        w.put_u64(self.useful);
+        w.put_u64(*issued);
+        w.put_u64(*rejected);
+        w.put_u64(*shadow);
+        w.put_u64(*useful);
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
+        let Self {
+            issued,
+            rejected,
+            shadow,
+            useful,
+        } = self;
         r.section(*b"PFST", 1)?;
-        self.issued = r.get_u64()?;
-        self.rejected = r.get_u64()?;
-        self.shadow = r.get_u64()?;
-        self.useful = r.get_u64()?;
+        *issued = r.get_u64()?;
+        *rejected = r.get_u64()?;
+        *shadow = r.get_u64()?;
+        *useful = r.get_u64()?;
         Ok(())
     }
 }

@@ -1,11 +1,14 @@
 //! Shared L2 + DRAM bandwidth model for the multi-core interference mode.
 //!
 //! In single-core runs every [`crate::Hierarchy`] owns a private L2 and a
-//! flat-latency DRAM. The interference mode instead hands N hierarchies one
-//! [`SharedL2`]: a single L2 array + MSHR file whose DRAM leg goes through a
-//! finite-bandwidth channel model, so co-running cores contend for capacity
-//! (evicting each other's lines), for L2 MSHRs (throttling each other's
-//! prefetchers) and for DRAM service slots (queueing each other's misses).
+//! flat-latency DRAM. The interference mode instead passes one
+//! [`SharedL2`] from hierarchy to hierarchy: a single L2 array + MSHR file
+//! whose DRAM leg goes through a finite-bandwidth channel model, so
+//! co-running cores contend for capacity (evicting each other's lines), for
+//! L2 MSHRs (throttling each other's prefetchers) and for DRAM service
+//! slots (queueing each other's misses). Cores step one at a time, so the
+//! level is owned, never shared: the engine attaches it to the core that is
+//! stepping ([`crate::Hierarchy::attach_shared`]) and takes it back after.
 //!
 //! The model stays latency-computed and event-free like the rest of the
 //! memory system: cores hand in *arrival cycles* and get back completion
@@ -17,11 +20,6 @@ use crate::cache::{Cache, LookupResult};
 use crate::config::CacheConfig;
 use crate::mshr::{MshrFile, MshrKind};
 use semloc_trace::{Addr, Cycle, SnapReader, SnapWriter, Snapshot};
-use std::cell::RefCell;
-use std::rc::Rc;
-
-/// Shared handle through which per-core hierarchies reach the one L2.
-pub type SharedL2Handle = Rc<RefCell<SharedL2>>;
 
 /// DRAM bandwidth model configuration.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -49,7 +47,6 @@ impl Default for DramConfig {
 /// queues behind its outstanding transfers.
 #[derive(Debug)]
 pub struct DramModel {
-    // semloc-lint: allow(snapshot-field-coverage): construction-time config (latency/channels/interval), not run state
     cfg: DramConfig,
     next_free: Vec<Cycle>,
 }
@@ -87,21 +84,29 @@ impl DramModel {
 
 impl Snapshot for DramModel {
     fn save(&self, w: &mut SnapWriter) {
+        let Self {
+            cfg: _, // construction-time config, not run state
+            next_free,
+        } = self;
         w.section(*b"DRAM", 1);
-        w.put_len(self.next_free.len());
-        for &t in &self.next_free {
+        w.put_len(next_free.len());
+        for &t in next_free {
             w.put_u64(t);
         }
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
+        let Self {
+            cfg: _, // construction-time config, not run state
+            next_free,
+        } = self;
         r.section(*b"DRAM", 1)?;
         let n = r.get_len()?;
-        let mut next_free = Vec::with_capacity(n);
+        let mut saved = Vec::with_capacity(n);
         for _ in 0..n {
-            next_free.push(r.get_u64()?);
+            saved.push(r.get_u64()?);
         }
-        self.next_free = next_free;
+        *next_free = saved;
         Ok(())
     }
 }
@@ -126,23 +131,39 @@ pub struct SharedL2Stats {
 
 impl Snapshot for SharedL2Stats {
     fn save(&self, w: &mut SnapWriter) {
+        let Self {
+            demand_lookups,
+            demand_hits,
+            demand_misses,
+            prefetch_fills,
+            writebacks,
+            dram_queue_cycles,
+        } = self;
         w.section(*b"SLST", 1);
-        w.put_u64(self.demand_lookups);
-        w.put_u64(self.demand_hits);
-        w.put_u64(self.demand_misses);
-        w.put_u64(self.prefetch_fills);
-        w.put_u64(self.writebacks);
-        w.put_u64(self.dram_queue_cycles);
+        w.put_u64(*demand_lookups);
+        w.put_u64(*demand_hits);
+        w.put_u64(*demand_misses);
+        w.put_u64(*prefetch_fills);
+        w.put_u64(*writebacks);
+        w.put_u64(*dram_queue_cycles);
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
+        let Self {
+            demand_lookups,
+            demand_hits,
+            demand_misses,
+            prefetch_fills,
+            writebacks,
+            dram_queue_cycles,
+        } = self;
         r.section(*b"SLST", 1)?;
-        self.demand_lookups = r.get_u64()?;
-        self.demand_hits = r.get_u64()?;
-        self.demand_misses = r.get_u64()?;
-        self.prefetch_fills = r.get_u64()?;
-        self.writebacks = r.get_u64()?;
-        self.dram_queue_cycles = r.get_u64()?;
+        *demand_lookups = r.get_u64()?;
+        *demand_hits = r.get_u64()?;
+        *demand_misses = r.get_u64()?;
+        *prefetch_fills = r.get_u64()?;
+        *writebacks = r.get_u64()?;
+        *dram_queue_cycles = r.get_u64()?;
         Ok(())
     }
 }
@@ -154,7 +175,6 @@ impl Snapshot for SharedL2Stats {
 /// [`DramModel::schedule`], so a miss behind a saturated channel completes
 /// later than an identical miss on an idle machine.
 pub struct SharedL2 {
-    // semloc-lint: allow(snapshot-field-coverage): construction-time geometry config, not run state
     cfg: CacheConfig,
     l2: Cache,
     mshrs: MshrFile,
@@ -172,11 +192,6 @@ impl SharedL2 {
             cfg: l2,
             stats: SharedL2Stats::default(),
         }
-    }
-
-    /// Wrap a fresh shared level in the handle cores hold.
-    pub fn handle(l2: CacheConfig, dram: DramConfig) -> SharedL2Handle {
-        Rc::new(RefCell::new(SharedL2::new(l2, dram)))
     }
 
     /// Accumulated shared-level statistics.
@@ -270,19 +285,33 @@ impl SharedL2 {
 
 impl Snapshot for SharedL2 {
     fn save(&self, w: &mut SnapWriter) {
+        let Self {
+            cfg: _, // construction-time geometry, not run state
+            l2,
+            mshrs,
+            dram,
+            stats,
+        } = self;
         w.section(*b"SHL2", 1);
-        self.l2.save(w);
-        self.mshrs.save(w);
-        self.dram.save(w);
-        self.stats.save(w);
+        l2.save(w);
+        mshrs.save(w);
+        dram.save(w);
+        stats.save(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
+        let Self {
+            cfg: _, // construction-time geometry, not run state
+            l2,
+            mshrs,
+            dram,
+            stats,
+        } = self;
         r.section(*b"SHL2", 1)?;
-        self.l2.restore(r)?;
-        self.mshrs.restore(r)?;
-        self.dram.restore(r)?;
-        self.stats.restore(r)
+        l2.restore(r)?;
+        mshrs.restore(r)?;
+        dram.restore(r)?;
+        stats.restore(r)
     }
 }
 

@@ -53,39 +53,77 @@ impl MemStats {
 
 impl Snapshot for MemStats {
     fn save(&self, w: &mut SnapWriter) {
+        let Self {
+            demand_accesses,
+            l1_misses,
+            l1_mshr_merges,
+            l2_misses,
+            prefetches_issued,
+            prefetches_rejected,
+            prefetches_filtered,
+            writebacks,
+            classes:
+                ClassCounts {
+                    hit_prefetched,
+                    shorter_wait,
+                    non_timely,
+                    miss_not_prefetched,
+                    hit_older_demand,
+                    prefetch_never_hit,
+                },
+        } = self;
         w.section(*b"MEMS", 1);
-        w.put_u64(self.demand_accesses);
-        w.put_u64(self.l1_misses);
-        w.put_u64(self.l1_mshr_merges);
-        w.put_u64(self.l2_misses);
-        w.put_u64(self.prefetches_issued);
-        w.put_u64(self.prefetches_rejected);
-        w.put_u64(self.prefetches_filtered);
-        w.put_u64(self.writebacks);
-        w.put_u64(self.classes.hit_prefetched);
-        w.put_u64(self.classes.shorter_wait);
-        w.put_u64(self.classes.non_timely);
-        w.put_u64(self.classes.miss_not_prefetched);
-        w.put_u64(self.classes.hit_older_demand);
-        w.put_u64(self.classes.prefetch_never_hit);
+        w.put_u64(*demand_accesses);
+        w.put_u64(*l1_misses);
+        w.put_u64(*l1_mshr_merges);
+        w.put_u64(*l2_misses);
+        w.put_u64(*prefetches_issued);
+        w.put_u64(*prefetches_rejected);
+        w.put_u64(*prefetches_filtered);
+        w.put_u64(*writebacks);
+        w.put_u64(*hit_prefetched);
+        w.put_u64(*shorter_wait);
+        w.put_u64(*non_timely);
+        w.put_u64(*miss_not_prefetched);
+        w.put_u64(*hit_older_demand);
+        w.put_u64(*prefetch_never_hit);
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
+        let Self {
+            demand_accesses,
+            l1_misses,
+            l1_mshr_merges,
+            l2_misses,
+            prefetches_issued,
+            prefetches_rejected,
+            prefetches_filtered,
+            writebacks,
+            classes:
+                ClassCounts {
+                    hit_prefetched,
+                    shorter_wait,
+                    non_timely,
+                    miss_not_prefetched,
+                    hit_older_demand,
+                    prefetch_never_hit,
+                },
+        } = self;
         r.section(*b"MEMS", 1)?;
-        self.demand_accesses = r.get_u64()?;
-        self.l1_misses = r.get_u64()?;
-        self.l1_mshr_merges = r.get_u64()?;
-        self.l2_misses = r.get_u64()?;
-        self.prefetches_issued = r.get_u64()?;
-        self.prefetches_rejected = r.get_u64()?;
-        self.prefetches_filtered = r.get_u64()?;
-        self.writebacks = r.get_u64()?;
-        self.classes.hit_prefetched = r.get_u64()?;
-        self.classes.shorter_wait = r.get_u64()?;
-        self.classes.non_timely = r.get_u64()?;
-        self.classes.miss_not_prefetched = r.get_u64()?;
-        self.classes.hit_older_demand = r.get_u64()?;
-        self.classes.prefetch_never_hit = r.get_u64()?;
+        *demand_accesses = r.get_u64()?;
+        *l1_misses = r.get_u64()?;
+        *l1_mshr_merges = r.get_u64()?;
+        *l2_misses = r.get_u64()?;
+        *prefetches_issued = r.get_u64()?;
+        *prefetches_rejected = r.get_u64()?;
+        *prefetches_filtered = r.get_u64()?;
+        *writebacks = r.get_u64()?;
+        *hit_prefetched = r.get_u64()?;
+        *shorter_wait = r.get_u64()?;
+        *non_timely = r.get_u64()?;
+        *miss_not_prefetched = r.get_u64()?;
+        *hit_older_demand = r.get_u64()?;
+        *prefetch_never_hit = r.get_u64()?;
         Ok(())
     }
 }

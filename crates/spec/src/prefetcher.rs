@@ -609,39 +609,63 @@ impl Prefetcher for SpecPrefetcher {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
+        let Self {
+            cfg: _,  // construction-time config
+            bell: _, // construction-time config, read out of cfg.reward
+            eps,
+            cst,
+            reducer,
+            history,
+            pfq,
+            rng,
+            stats,
+            mem_stats,
+        } = self;
         w.section(*b"SPEC", 1);
         // Of the ε state only the EWMA accuracy is mutated at run time; the
         // bounds are construction config.
-        w.put_f64(self.eps.accuracy);
-        self.cst.save(w);
-        self.reducer.save(w);
-        self.history.save(w);
-        self.pfq.save(w);
-        for word in self.rng.state() {
+        w.put_f64(eps.accuracy);
+        cst.save(w);
+        reducer.save(w);
+        history.save(w);
+        pfq.save(w);
+        for word in rng.state() {
             w.put_u64(word);
         }
-        self.stats.save(w);
-        self.mem_stats.save(w);
+        stats.save(w);
+        mem_stats.save(w);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
+        let Self {
+            cfg: _,  // construction-time config
+            bell: _, // construction-time config, read out of cfg.reward
+            eps,
+            cst,
+            reducer,
+            history,
+            pfq,
+            rng,
+            stats,
+            mem_stats,
+        } = self;
         r.section(*b"SPEC", 1)?;
         let accuracy = r.get_f64()?;
         if !(0.0..=1.0).contains(&accuracy) {
             return Err(snap_err(format!("spec accuracy {accuracy} out of range")));
         }
-        self.eps.accuracy = accuracy;
-        self.cst.restore(r)?;
-        self.reducer.restore(r)?;
-        self.history.restore(r)?;
-        self.pfq.restore(r)?;
+        eps.accuracy = accuracy;
+        cst.restore(r)?;
+        reducer.restore(r)?;
+        history.restore(r)?;
+        pfq.restore(r)?;
         let mut s = [0u64; 4];
         for word in &mut s {
             *word = r.get_u64()?;
         }
-        self.rng = StdRng::from_state(s);
-        self.stats.restore(r)?;
-        self.mem_stats.restore(r)
+        *rng = StdRng::from_state(s);
+        stats.restore(r)?;
+        mem_stats.restore(r)
     }
 }
 

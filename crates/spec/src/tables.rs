@@ -145,7 +145,6 @@ struct SpecCstEntry {
 #[derive(Clone, Debug)]
 pub struct SpecCst {
     entries: Vec<Option<SpecCstEntry>>,
-    // semloc-lint: allow(snapshot-field-coverage): link replacement policy is construction-time config, not run state
     replacement: Replacement,
 }
 
@@ -256,9 +255,13 @@ impl SpecCst {
 
 impl Snapshot for SpecCst {
     fn save(&self, w: &mut SnapWriter) {
+        let Self {
+            entries,
+            replacement: _, // construction-time config, not run state
+        } = self;
         w.section(*b"SCST", 1);
-        w.put_len(self.entries.len());
-        for e in &self.entries {
+        w.put_len(entries.len());
+        for e in entries {
             w.put_bool(e.is_some());
             let Some(e) = e else { continue };
             w.put_u8(e.tag);
@@ -274,15 +277,19 @@ impl Snapshot for SpecCst {
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
+        let Self {
+            entries,
+            replacement,
+        } = self;
         r.section(*b"SCST", 1)?;
         let n = r.get_len()?;
-        if n != self.entries.len() {
+        if n != entries.len() {
             return Err(snap_err(format!(
                 "spec CST snapshot has {n} entries, table expects {}",
-                self.entries.len()
+                entries.len()
             )));
         }
-        for slot in &mut self.entries {
+        for slot in entries {
             if !r.get_bool()? {
                 *slot = None;
                 continue;
@@ -294,7 +301,7 @@ impl Snapshot for SpecCst {
             if links > SPEC_LINKS {
                 return Err(snap_err(format!("spec CST entry has {links} links")));
             }
-            let mut set = SpecScoredSet::new(self.replacement);
+            let mut set = SpecScoredSet::new(*replacement);
             set.clock = clock;
             for _ in 0..links {
                 set.slots.push(SpecSlot {
@@ -315,11 +322,20 @@ impl Snapshot for SpecCst {
 
 impl Snapshot for SpecReducer {
     fn save(&self, w: &mut SnapWriter) {
+        let Self {
+            entries,
+            initial_active: _,      // construction-time config
+            overload_threshold: _,  // construction-time config
+            underload_threshold: _, // construction-time config
+            frozen: _,              // set once at construction, never mutated
+            activations,
+            deactivations,
+        } = self;
         w.section(*b"SRED", 1);
-        w.put_u64(self.activations);
-        w.put_u64(self.deactivations);
-        w.put_len(self.entries.len());
-        for e in &self.entries {
+        w.put_u64(*activations);
+        w.put_u64(*deactivations);
+        w.put_len(entries.len());
+        for e in entries {
             w.put_bool(e.is_some());
             let Some(e) = e else { continue };
             w.put_u8(e.tag);
@@ -329,17 +345,26 @@ impl Snapshot for SpecReducer {
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
+        let Self {
+            entries,
+            initial_active: _,      // construction-time config
+            overload_threshold: _,  // construction-time config
+            underload_threshold: _, // construction-time config
+            frozen: _,              // set once at construction, never mutated
+            activations,
+            deactivations,
+        } = self;
         r.section(*b"SRED", 1)?;
-        self.activations = r.get_u64()?;
-        self.deactivations = r.get_u64()?;
+        *activations = r.get_u64()?;
+        *deactivations = r.get_u64()?;
         let n = r.get_len()?;
-        if n != self.entries.len() {
+        if n != entries.len() {
             return Err(snap_err(format!(
                 "spec reducer snapshot has {n} entries, table expects {}",
-                self.entries.len()
+                entries.len()
             )));
         }
-        for slot in &mut self.entries {
+        for slot in entries {
             if !r.get_bool()? {
                 *slot = None;
                 continue;
@@ -356,9 +381,13 @@ impl Snapshot for SpecReducer {
 
 impl Snapshot for SpecHistory {
     fn save(&self, w: &mut SnapWriter) {
+        let Self {
+            entries,
+            capacity: _, // construction-time config; restore validates the entry count against it
+        } = self;
         w.section(*b"SHIS", 1);
-        w.put_len(self.entries.len());
-        for e in &self.entries {
+        w.put_len(entries.len());
+        for e in entries {
             w.put_u32(e.key.0);
             w.put_u16(e.full.0);
             w.put_u64(e.block);
@@ -366,17 +395,17 @@ impl Snapshot for SpecHistory {
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
+        let Self { entries, capacity } = self;
         r.section(*b"SHIS", 1)?;
         let n = r.get_len()?;
-        if n > self.capacity {
+        if n > *capacity {
             return Err(snap_err(format!(
-                "spec history snapshot has {n} entries, capacity is {}",
-                self.capacity
+                "spec history snapshot has {n} entries, capacity is {capacity}"
             )));
         }
-        self.entries.clear();
+        entries.clear();
         for _ in 0..n {
-            self.entries.push(SpecHistEntry {
+            entries.push(SpecHistEntry {
                 key: ContextKey(r.get_u32()?),
                 full: FullHash(r.get_u16()?),
                 block: r.get_u64()?,
@@ -388,10 +417,15 @@ impl Snapshot for SpecHistory {
 
 impl Snapshot for SpecPfq {
     fn save(&self, w: &mut SnapWriter) {
+        let Self {
+            entries,
+            capacity: _, // construction-time config; restore validates the entry count against it
+            next_id,
+        } = self;
         w.section(*b"SPFQ", 1);
-        w.put_u64(self.next_id);
-        w.put_len(self.entries.len());
-        for e in &self.entries {
+        w.put_u64(*next_id);
+        w.put_len(entries.len());
+        for e in entries {
             w.put_u64(e.id);
             w.put_u64(e.block);
             w.put_u32(e.key.0);
@@ -404,18 +438,22 @@ impl Snapshot for SpecPfq {
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
+        let Self {
+            entries,
+            capacity,
+            next_id,
+        } = self;
         r.section(*b"SPFQ", 1)?;
-        self.next_id = r.get_u64()?;
+        *next_id = r.get_u64()?;
         let n = r.get_len()?;
-        if n > self.capacity {
+        if n > *capacity {
             return Err(snap_err(format!(
-                "spec prefetch-queue snapshot has {n} entries, capacity is {}",
-                self.capacity
+                "spec prefetch-queue snapshot has {n} entries, capacity is {capacity}"
             )));
         }
-        self.entries.clear();
+        entries.clear();
         for _ in 0..n {
-            self.entries.push(SpecPfqEntry {
+            entries.push(SpecPfqEntry {
                 id: r.get_u64()?,
                 block: r.get_u64()?,
                 key: ContextKey(r.get_u32()?),
@@ -441,13 +479,9 @@ struct SpecReducerEntry {
 #[derive(Clone, Debug)]
 pub struct SpecReducer {
     entries: Vec<Option<SpecReducerEntry>>,
-    // semloc-lint: allow(snapshot-field-coverage): construction-time config mirroring core's Reducer
     initial_active: u8,
-    // semloc-lint: allow(snapshot-field-coverage): construction-time config mirroring core's Reducer
     overload_threshold: i8,
-    // semloc-lint: allow(snapshot-field-coverage): construction-time config mirroring core's Reducer
     underload_threshold: i8,
-    // semloc-lint: allow(snapshot-field-coverage): set once at construction, never mutated — mirrors core's Reducer
     frozen: bool,
     activations: u64,
     deactivations: u64,
@@ -577,7 +611,6 @@ pub struct SpecHistEntry {
 #[derive(Clone, Debug)]
 pub struct SpecHistory {
     entries: Vec<SpecHistEntry>,
-    // semloc-lint: allow(snapshot-field-coverage): queue depth is construction-time config; restore validates the entry count against it
     capacity: usize,
 }
 
@@ -647,7 +680,6 @@ pub struct SpecPfqHit {
 #[derive(Clone, Debug)]
 pub struct SpecPfq {
     entries: Vec<SpecPfqEntry>,
-    // semloc-lint: allow(snapshot-field-coverage): queue depth is construction-time config; restore validates the entry count against it
     capacity: usize,
     next_id: u64,
 }

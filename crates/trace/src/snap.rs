@@ -79,6 +79,44 @@ pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 }
 
 /// Versioned save/restore of a component's complete run state.
+///
+/// Both bodies of an implementation over a named-field struct open by
+/// destructuring `self` without `..`, writing `field: _, // <why>` for a
+/// field that is not run state. A field added later then fails to compile
+/// until it is checkpointed or excused, and a bound field the body never
+/// uses fails `unused_variables` under `-D warnings`. The same holds for
+/// the prefetchers' `save_state`/`restore_state`.
+///
+/// ```compile_fail,E0027
+/// use semloc_trace::{SnapReader, SnapWriter, Snapshot};
+///
+/// struct Counter {
+///     hits: u64,
+///     capacity: usize,
+///     misses: u64, // added later, not yet checkpointed
+/// }
+///
+/// impl Snapshot for Counter {
+///     fn save(&self, w: &mut SnapWriter) {
+///         let Self {
+///             hits,
+///             capacity: _, // construction-time config
+///         } = self;
+///         w.section(*b"CNTR", 1);
+///         w.put_u64(*hits);
+///     }
+///
+///     fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
+///         let Self {
+///             hits,
+///             capacity: _, // construction-time config
+///         } = self;
+///         r.section(*b"CNTR", 1)?;
+///         *hits = r.get_u64()?;
+///         Ok(())
+///     }
+/// }
+/// ```
 pub trait Snapshot {
     /// Append this component's state to `w` as one or more tagged sections.
     fn save(&self, w: &mut SnapWriter);

@@ -3,11 +3,10 @@
 //! than the full-budget numbers in the generated blocks; the *shape* (who
 //! wins, the direction of each effect) is what is locked in.
 //!
-//! The full 31 × 6 matrix takes about 30 s in a debug build on a 2-vCPU
-//! host, so the matrix claims run on a fixed subset: the ablation study's
-//! workloads ([`ABLATION_KERNELS`]), which mix prefetcher-friendly and noisy
-//! code. The tests share one matrix over them; the full-set numbers are
-//! the generated blocks.
+//! The tests share one matrix: every registered workload under no
+//! prefetching and the Fig 12 lineup, about 4 s on a 2-vCPU host with the
+//! workspace's optimized test profile. The ablation claim runs on the
+//! ablation's own workloads ([`ABLATION_KERNELS`]).
 
 use std::sync::OnceLock;
 
@@ -16,7 +15,7 @@ use semloc::harness::{
     SimConfig, ABLATION_KERNELS,
 };
 use semloc::mem::{AccessClass, Prefetcher};
-use semloc::workloads::kernel_by_name;
+use semloc::workloads::{all_kernels, kernel_by_name};
 
 /// The spatio-temporal competitors, in the paper's ranking order.
 const COMPETITORS: [&str; 4] = ["sms", "ghb-g/dc", "ghb-pc/dc", "stride"];
@@ -25,14 +24,11 @@ fn cfg() -> SimConfig {
     SimConfig::default().with_budget(200_000)
 }
 
-/// The ablation's workloads under no prefetching and the Fig 12 lineup, simulated once.
+/// Every workload under no prefetching and the Fig 12 lineup, simulated once.
 fn matrix() -> &'static Matrix {
     static MATRIX: OnceLock<Matrix> = OnceLock::new();
     MATRIX.get_or_init(|| {
-        let kernels: Vec<_> = ABLATION_KERNELS
-            .iter()
-            .map(|n| kernel_by_name(n).unwrap())
-            .collect();
+        let kernels = all_kernels();
         let lineup = [
             PrefetcherKind::Stride,
             PrefetcherKind::GhbGdc,
@@ -50,13 +46,10 @@ fn cell(kernel: &str, prefetcher: &str) -> &'static RunResult {
         .expect("cell in the matrix")
 }
 
-/// Mean of `f` over the subset's cells of `prefetcher`.
+/// Mean of `f` over every workload's cell of `prefetcher`.
 fn mean(prefetcher: &str, f: impl Fn(&RunResult) -> f64) -> f64 {
-    ABLATION_KERNELS
-        .iter()
-        .map(|k| f(cell(k, prefetcher)))
-        .sum::<f64>()
-        / ABLATION_KERNELS.len() as f64
+    let kernels = matrix().kernels();
+    kernels.iter().map(|k| f(cell(k, prefetcher))).sum::<f64>() / kernels.len() as f64
 }
 
 /// §1/§7.3, Fig 12: the context prefetcher outperforms the spatio-temporal
@@ -90,10 +83,7 @@ fn context_beats_spatio_temporal_on_irregular_workloads() {
 #[test]
 fn competitor_ranking_by_geomean_speedup() {
     let m = matrix();
-    let geo = |p: &str| {
-        m.geomean_speedup(p, &ABLATION_KERNELS)
-            .expect("finite IPCs")
-    };
+    let geo = |p: &str| m.geomean_speedup(p, m.kernels()).expect("finite IPCs");
     let [sms, gdc, pcdc, stride] = COMPETITORS.map(geo);
     let ctx = geo("context");
     assert!(
