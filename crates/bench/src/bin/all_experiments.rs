@@ -12,7 +12,7 @@
 //! no section or a block is unterminated, the file is left untouched and
 //! the exit status is 1; the markers are checked before any simulation.
 //! `SEMLOC_BUDGET` sets the instructions per run (default 400 000); the
-//! full run takes about 20 s on a 2-vCPU host.
+//! full run takes about 26 s on a 2-vCPU host.
 
 use std::process::exit;
 

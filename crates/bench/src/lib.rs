@@ -14,30 +14,38 @@
 //! `<!-- semloc:end <id> -->` markers ([`splice`]). `EXPERIMENTS.md` is the
 //! one committed copy of the numbers; CI regenerates it and fails on any
 //! diff. `SEMLOC_BUDGET` sets the instruction budget per run
-//! ([`SimConfig::default`]).
+//! ([`SimConfig::default`]); only `convergence` and `interference` fix
+//! their own.
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write};
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use semloc_bandit::{BellReward, RewardFunction, StepReward};
-use semloc_context::ContextConfig;
+use semloc_bandit::{
+    BellReward, GaussianPenaltyReward, PythiaLevelReward, RewardFunction, RewardShape, StepReward,
+};
+use semloc_context::{ContextConfig, FeatureSet, PipelineConfig};
 use semloc_cpu::CpuConfig;
 use semloc_harness::{
-    ablation_variants, geomean, pool_threads, run_kernel, run_sharded, storage_sweep, Matrix,
-    PrefetcherKind, RunResult, SimConfig, SpeedupError, Table, ABLATION_KERNELS,
+    ablation_variants, adversarial_search, coverage, geomean, mc_digest, pool_threads, run_kernel,
+    run_sharded, storage_sweep, Engine, Matrix, McConfig, McEngine, PrefetcherKind, RunResult,
+    SearchConfig, SimConfig, SpeedupError, Table, ABLATION_KERNELS,
 };
 use semloc_mem::AccessClass;
 use semloc_trace::{AddressSpace, Placement};
 use semloc_workloads::registry::table3 as table3_workloads;
-use semloc_workloads::{all_kernels, kernel_by_name, KernelBox, Suite};
+use semloc_workloads::{
+    all_kernels, capture_kernel, kernel_by_name, CapturedTrace, Composer, KernelBox, ReplayKernel,
+    Suite,
+};
 
 /// A section generator: the section's text at one configuration.
 pub type Section = fn(&SimConfig) -> String;
 
 /// Every section by id, in the order `all_experiments` prints them.
-pub const SECTIONS: [(&str, Section); 14] = [
+pub const SECTIONS: [(&str, Section); 16] = [
     ("table2", table2),
     ("table3", table3),
     ("fig01", fig01),
@@ -52,6 +60,8 @@ pub const SECTIONS: [(&str, Section); 14] = [
     ("ablation", ablation),
     ("convergence", convergence),
     ("core-sensitivity", in_order_core),
+    ("arena", arena),
+    ("interference", interference),
 ];
 
 const BEGIN: &str = "<!-- semloc:begin ";
@@ -778,9 +788,288 @@ fn in_order_core(cfg: &SimConfig) -> String {
     out + &t.render() + "\n"
 }
 
+/// The arena's grid: every feature set crossed with the three
+/// qualitatively distinct reward shapes at the paper's Table-2 geometry,
+/// plus the default composition at halved and doubled CST capacity. 14
+/// cells; the first is exactly [`PipelineConfig::default`], so the ranking
+/// always carries the paper's own pipeline as the reference row.
+fn default_cells() -> Vec<PipelineConfig> {
+    let features = [
+        FeatureSet::FullTable1,
+        FeatureSet::PcOnly,
+        FeatureSet::PcDeltas,
+        FeatureSet::PythiaProgram,
+    ];
+    let rewards: [RewardShape; 3] = [
+        BellReward::paper_default().into(),
+        GaussianPenaltyReward::snippet_default().into(),
+        PythiaLevelReward::pythia_default().into(),
+    ];
+    let mut cells = Vec::new();
+    for f in features {
+        for r in &rewards {
+            cells.push(PipelineConfig {
+                features: f,
+                reward: r.clone(),
+                ..PipelineConfig::default()
+            });
+        }
+    }
+    for entries in [1024usize, 4096] {
+        cells.push(PipelineConfig {
+            cst_entries: Some(entries),
+            ..PipelineConfig::default()
+        });
+    }
+    cells
+}
+
+/// Extension: every [`default_cells`] composition on every workload,
+/// ranked by geomean speedup over no prefetching (ties broken by label),
+/// then each workload's speedup, accuracy and coverage under each cell.
+fn arena(cfg: &SimConfig) -> String {
+    let mut out = banner(
+        "Arena",
+        "Pipeline compositions ranked by geomean speedup over no prefetching (extension)",
+        "the paper's pipeline is one cell: Table 1 features, the Fig 5 bell, a 2K-entry CST",
+    );
+    let kernels = all_kernels();
+    let cells = default_cells();
+    let kinds = std::iter::once(PrefetcherKind::None).chain(
+        cells
+            .iter()
+            .map(|c| PrefetcherKind::Context(c.apply(ContextConfig::default()))),
+    );
+    let mut jobs = Vec::new();
+    for pf in kinds {
+        jobs.extend(kernels.iter().map(|k| (k.name(), pf.clone(), cfg.clone())));
+    }
+    let runs = run_cells(jobs);
+    let (bases, runs) = runs.split_at(kernels.len());
+    // Per cell: its label and each kernel's (speedup, accuracy, coverage).
+    let mut scored: Vec<(String, Vec<[f64; 3]>)> = cells
+        .iter()
+        .zip(runs.chunks(kernels.len()))
+        .map(|(cell, runs)| {
+            let metrics = runs
+                .iter()
+                .zip(bases)
+                .map(|(r, base)| {
+                    [
+                        r.speedup_over(base)
+                            .expect("every workload retires instructions, so IPCs are finite"),
+                        r.learn.as_ref().map_or(0.0, |s| s.prediction_accuracy()),
+                        coverage(r),
+                    ]
+                })
+                .collect();
+            (cell.label(), metrics)
+        })
+        .collect();
+    let geo = |m: &[[f64; 3]]| geomean(m.iter().map(|k| k[0]));
+    scored.sort_by(|a, b| geo(&b.1).total_cmp(&geo(&a.1)).then_with(|| a.0.cmp(&b.0)));
+
+    let mean = |m: &[[f64; 3]], i: usize| m.iter().map(|k| k[i]).sum::<f64>() / m.len() as f64;
+    let mut board = Table::new([
+        "rank",
+        "cell",
+        "geomean speedup",
+        "mean accuracy",
+        "mean coverage",
+    ]);
+    for (rank, (label, m)) in scored.iter().enumerate() {
+        board.row([
+            (rank + 1).to_string(),
+            label.clone(),
+            format!("{:.4}x", geo(m)),
+            format!("{:.4}", mean(m, 1)),
+            format!("{:.4}", mean(m, 2)),
+        ]);
+    }
+    let _ = writeln!(out, "{}\n", board.render());
+    for (i, metric) in ["speedup", "accuracy", "coverage"].into_iter().enumerate() {
+        let ranks = (1..=scored.len()).map(|r| r.to_string());
+        let mut t = Table::new(std::iter::once("workload".to_string()).chain(ranks));
+        for (k, kernel) in kernels.iter().enumerate() {
+            let cells = scored.iter().map(|(_, m)| format!("{:.4}", m[k][i]));
+            t.row(std::iter::once(kernel.name().to_string()).chain(cells));
+        }
+        let _ = writeln!(
+            out,
+            "-- {metric} per workload (columns: rank) --\n{}\n",
+            t.render()
+        );
+    }
+    out.pop();
+    out
+}
+
+/// The interference schedules' scale: phases of `scale/8` to `scale/3`
+/// instructions drawn from `scale/2`-instruction captures. Fixed, like
+/// `convergence`'s budgets, rather than read from the section's config.
+const INTERFERENCE_SCALE: u64 = 120_000;
+
+/// Seed of every composed schedule and of the adversarial search. The
+/// collapse points `tests/adversarial_regressions.rs` pins are the ones
+/// this seed finds at [`SearchConfig::default`].
+const INTERFERENCE_SEED: u64 = 42;
+
+/// Extension (DESIGN §15): context against GHB G/DC and SMS on a seeded
+/// mcf/lbm/hashtest phase-shift schedule, alone, beside a streaming
+/// antagonist and in a 4-core mix over the shared L2 and DRAM queue; then
+/// the seeded search for schedules on which context's coverage collapses.
+fn interference(cfg: &SimConfig) -> String {
+    let mut out = banner(
+        "Interference",
+        "Learned vs table prefetchers under phase shifts, shared-L2 contention and adversarial tails (extension)",
+        "the paper simulates one core on stationary phases",
+    );
+    let (b, seed) = (INTERFERENCE_SCALE, INTERFERENCE_SEED);
+    let capture = |name: &str, budget: u64| {
+        let k = kernel_by_name(name).expect("registered workload");
+        Arc::new(capture_kernel(k.as_ref(), budget))
+    };
+    let menu: Vec<Arc<CapturedTrace>> = ["mcf", "lbm", "hashtest"]
+        .iter()
+        .map(|n| capture(n, b / 2))
+        .collect();
+    let sched = Composer::new(seed).phase_shift("bench-sched", &menu, 4, b / 8, b / 3);
+    let sched = Arc::new(capture_kernel(&sched, 0));
+    let sched_b = Composer::new(seed ^ 0x4c).phase_shift("bench-sched-b", &menu, 3, b / 8, b / 4);
+    let antagonist = capture("array", b / 2);
+    // Every schedule runs to its end.
+    let cfg = cfg.clone().with_budget(0);
+    let kinds = [
+        PrefetcherKind::context(),
+        PrefetcherKind::GhbGdc,
+        PrefetcherKind::Sms,
+    ];
+
+    let mut rows: Vec<(&str, RunResult)> = Vec::new();
+    for kind in &kinds {
+        let mut e = Engine::new(ReplayKernel::new(sched.clone()), kind, &cfg);
+        e.run_to_end();
+        rows.push(("phase-shift-1core", e.finish()));
+    }
+    let mut digest2 = 0;
+    for kind in &kinds {
+        let mut e = McEngine::new(
+            vec![
+                (ReplayKernel::new(sched.clone()), kind.clone()),
+                (
+                    ReplayKernel::new(antagonist.clone()),
+                    PrefetcherKind::Stride,
+                ),
+            ],
+            &cfg,
+            &McConfig::default(),
+        );
+        e.run_to_end();
+        let (results, shared) = e.finish();
+        if matches!(kind, PrefetcherKind::Context(_)) {
+            digest2 = mc_digest(&results, &shared);
+        }
+        let victim = results.into_iter().next().expect("two cores");
+        rows.push(("2core-antagonist", victim));
+    }
+    let mut e4 = McEngine::new(
+        vec![
+            (ReplayKernel::new(sched), PrefetcherKind::context()),
+            (
+                ReplayKernel::new(Arc::new(capture_kernel(&sched_b, 0))),
+                PrefetcherKind::GhbGdc,
+            ),
+            (
+                ReplayKernel::new(capture("list", b / 4)),
+                PrefetcherKind::Sms,
+            ),
+            (
+                ReplayKernel::new(capture("array", b / 4)),
+                PrefetcherKind::Stride,
+            ),
+        ],
+        &cfg,
+        &McConfig::default(),
+    );
+    e4.run_to_end();
+    let (results4, shared4) = e4.finish();
+    let digest4 = mc_digest(&results4, &shared4);
+    rows.extend(results4.into_iter().map(|r| ("4core-mix", r)));
+
+    let mut t = Table::new([
+        "scenario",
+        "workload",
+        "prefetcher",
+        "accuracy",
+        "coverage",
+        "L1 MPKI",
+        "IPC",
+    ]);
+    for (scenario, r) in &rows {
+        t.row([
+            scenario.to_string(),
+            r.kernel.to_string(),
+            r.prefetcher.to_string(),
+            format!("{:.4}", r.pf.accuracy()),
+            format!("{:.4}", coverage(r)),
+            format!("{:.3}", r.l1_mpki()),
+            format!("{:.4}", r.cpu.ipc()),
+        ]);
+    }
+    let _ = writeln!(
+        out,
+        "schedule: mcf/lbm/hashtest phase shifts drawn with seed {seed} at scale {b}; \
+         the 2-core antagonist is array on stride\n{}\n\n\
+         4core-mix shared L2: {} demand lookups, {} demand hits, {} prefetch fills, \
+         {} DRAM queue cycles\n\
+         multi-core digests: 2-core with context {digest2:#018x}, 4-core {digest4:#018x}\n",
+        t.render(),
+        shared4.demand_lookups,
+        shared4.demand_hits,
+        shared4.prefetch_fills,
+        shared4.dram_queue_cycles,
+    );
+
+    let search = SearchConfig::default();
+    let findings = adversarial_search(seed, &search, &cfg).expect("adversarial search");
+    let mut t = Table::new([
+        "family",
+        "context acc",
+        "context cov",
+        "best baseline",
+        "baseline cov",
+        "gap",
+        "evals",
+        "collapse point",
+    ]);
+    for f in &findings {
+        t.row([
+            f.family.to_string(),
+            format!("{:.4}", f.learned_accuracy),
+            format!("{:.4}", f.learned_coverage),
+            f.best_baseline.to_string(),
+            format!("{:.4}", f.best_baseline_coverage),
+            format!("{:.4}", f.gap),
+            f.evals.to_string(),
+            f.params.clone(),
+        ]);
+    }
+    let _ = writeln!(
+        out,
+        "seeded search (seed {seed}): {} instructions of mcf warmup, then {} of an \
+         adversarial tail; {} proposals per family; metrics over the tail only\n{}",
+        search.warmup,
+        search.tail,
+        search.iters,
+        t.render(),
+    );
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use semloc_harness::TraceStore;
 
     const DOC: &str = "# title\n\
         <!-- semloc:begin fig05 -->\nold five\n<!-- semloc:end fig05 -->\n\
@@ -867,5 +1156,53 @@ mod tests {
     #[test]
     fn lineup_has_five_prefetchers() {
         assert_eq!(full_lineup().len(), 5);
+    }
+
+    #[test]
+    fn default_cells_cover_the_design_space() {
+        let labels: Vec<String> = default_cells().iter().map(|c| c.label()).collect();
+        assert_eq!(labels.len(), 14);
+        let mut dedup = labels.clone();
+        dedup.sort();
+        dedup.dedup();
+        assert_eq!(dedup.len(), labels.len(), "cell labels must be unique");
+        assert_eq!(
+            labels[0],
+            PipelineConfig::default().label(),
+            "the first cell is the paper's own composition"
+        );
+    }
+
+    /// Every composition's CTXP snapshot round-trips: a run warmed for 20k
+    /// instructions and moved onto a fresh replay by [`Engine::fork_onto`]
+    /// (checkpoint, then restore) ends with the digest of a cold run.
+    #[test]
+    fn every_cell_forks_warm_state_bit_identically() {
+        let cfg = SimConfig::default().with_budget(120_000);
+        let store = TraceStore::new();
+        let mut jobs = Vec::new();
+        for cell in default_cells() {
+            jobs.extend(["array", "list", "mcf"].map(|k| (cell.clone(), k)));
+        }
+        let checked = run_sharded(pool_threads(), jobs, |(cell, name)| {
+            let kernel = kernel_by_name(name).expect("registered workload");
+            let kind = PrefetcherKind::Context(cell.apply(ContextConfig::default()));
+            let replay = || store.replay(kernel.as_ref(), cfg.instr_budget);
+            let mut warm = Engine::new(replay(), &kind, &cfg);
+            warm.run_to(20_000);
+            let mut forked = warm
+                .fork_onto(replay())
+                .expect("the fork target replays the same capture");
+            forked.run_to_end();
+            let mut cold = Engine::new(replay(), &kind, &cfg);
+            cold.run_to_end();
+            assert_eq!(
+                forked.finish().stats_digest(),
+                cold.finish().stats_digest(),
+                "{}/{name}: the warm fork diverged from the cold run",
+                cell.label()
+            );
+        });
+        assert_eq!(checked.len(), 42);
     }
 }

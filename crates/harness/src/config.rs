@@ -30,23 +30,15 @@ impl Default for SimConfig {
         SimConfig {
             cpu: CpuConfig::default(),
             mem: MemConfig::default(),
-            instr_budget: SimConfig::env_budget().unwrap_or(400_000),
+            instr_budget: Knob::Budget
+                .int(0..=u64::MAX)
+                .unwrap_or_else(|e| panic!("{e}"))
+                .unwrap_or(400_000),
         }
     }
 }
 
 impl SimConfig {
-    /// The `SEMLOC_BUDGET` environment variable, when set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `SEMLOC_BUDGET` is set but not a non-negative integer.
-    pub fn env_budget() -> Option<u64> {
-        Knob::Budget
-            .int(0..=u64::MAX)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// A fast configuration for tests (small instruction budget).
     pub fn quick() -> Self {
         SimConfig {

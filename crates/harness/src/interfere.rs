@@ -194,8 +194,8 @@ fn tail_accuracy(warm: &RunResult, done: &RunResult) -> f64 {
 /// The fixed evaluation bench: one warmed engine per prefetcher kind over
 /// the shared `mcf` warmup prefix. Building the bench simulates the warmup
 /// once per kind; every subsequent [`AdvBench::eval`] only pays for its
-/// own tail (via [`Engine::fork_onto`]). Shared by the search driver, the
-/// pinned regression suite, and `bench_interfere`.
+/// own tail (via [`Engine::fork_onto`]). Shared by the search driver and
+/// the pinned regression suite.
 pub struct AdvBench {
     warmup_capture: Arc<CapturedTrace>,
     search: SearchConfig,

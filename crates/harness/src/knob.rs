@@ -4,10 +4,10 @@
 //! `Knob` lists every environment variable, and this module holds the
 //! workspace's one environment read (clippy's `disallowed-methods` rejects
 //! `std::env::var` and friends anywhere else). Each knob has exactly one
-//! typed reader: `SimConfig::env_budget`, `pool_threads`,
-//! `CkptStore::from_env`, `TraceStore::from_env`, `ArenaOpts::from_env` and
-//! `diff_dump_dir`. `Knob` is crate-private, so a variant nothing reads is
-//! a dead-code error, and a test holds README's knob table to the enum.
+//! typed reader: `SimConfig::default`, `pool_threads`,
+//! `CkptStore::from_env`, `TraceStore::from_env` and `diff_dump_dir`.
+//! `Knob` is crate-private, so a variant nothing reads is a dead-code
+//! error, and a test holds README's knob table to the enum.
 //!
 //! Every numeric knob goes through [`parse_knob`], which rejects malformed
 //! or out-of-range input with a typed [`KnobError`] naming the knob and
@@ -44,16 +44,6 @@ macro_rules! knobs {
 }
 
 knobs! {
-    /// `semloc-arena`: instructions per tournament run (default 120 000).
-    ArenaBudget = "SEMLOC_ARENA_BUDGET",
-    /// `semloc-arena`: comma-separated workloads (default `array,list,mcf`).
-    ArenaKernels = "SEMLOC_ARENA_KERNELS",
-    /// `semloc-arena`: shard-pool width (default host parallelism).
-    ArenaThreads = "SEMLOC_ARENA_THREADS",
-    /// `semloc-arena`: warm-vs-cold digest checks, `off`/`first`/`all`.
-    ArenaVerify = "SEMLOC_ARENA_VERIFY",
-    /// `semloc-arena`: warm-prefix length before the fork (default budget/6).
-    ArenaWarm = "SEMLOC_ARENA_WARM",
     /// Dynamic-instruction budget per experiment run (default 400 000).
     Budget = "SEMLOC_BUDGET",
     /// Checkpoint directory; setting it enables mid-run checkpointing.
@@ -77,12 +67,6 @@ impl Knob {
         )]
         let value = std::env::var_os(self.name());
         value.filter(|v| !v.is_empty())
-    }
-
-    /// The value as text (invalid UTF-8 replaced, so it fails to parse
-    /// rather than reading as unset).
-    pub(crate) fn text(self) -> Option<String> {
-        self.os().map(|v| v.to_string_lossy().into_owned())
     }
 
     /// A numeric knob: `Ok(None)` when unset or blank, its value when it
@@ -195,10 +179,15 @@ mod tests {
             assert_eq!(e.name, "SEMLOC_BUDGET");
             assert_eq!(e.value, bad);
         }
-        let e = parse_knob("SEMLOC_ARENA_WARM", "0", 1..=u64::MAX).unwrap_err();
+        let e = parse_knob("SEMLOC_BUDGET", "-1", 0..=u64::MAX).unwrap_err();
         assert_eq!(
             e.to_string(),
-            "SEMLOC_ARENA_WARM must be an integer >= 1, got \"0\""
+            "SEMLOC_BUDGET must be an integer >= 0, got \"-1\""
+        );
+        let e = parse_knob("SEMLOC_POOL_THREADS", "0", 1..=4_294_967_295).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "SEMLOC_POOL_THREADS must be an integer in 1..=4294967295, got \"0\""
         );
         let e = parse_knob("SEMLOC_POOL_THREADS", "5000000000", 1..=4_294_967_295).unwrap_err();
         assert_eq!(

@@ -13,7 +13,6 @@
 //!    10/11, access classes for Fig 9, hit-depth CDFs for Fig 8, the storage
 //!    sweep for Fig 13 and layout comparisons for Fig 14).
 
-pub mod arena;
 pub mod ckpt;
 pub mod config;
 pub mod diff;
@@ -29,9 +28,6 @@ pub mod runner;
 pub mod store;
 pub mod sweep;
 
-pub use arena::{
-    arena_run, default_cells, ArenaOpts, ArenaReport, CellScore, KernelScore, VerifyMode,
-};
 pub use ckpt::CkptStore;
 pub use config::SimConfig;
 pub use diff::{diff_dump_dir, diff_kernel, DiffReport, Divergence, TeePrefetcher};

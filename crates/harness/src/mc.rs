@@ -12,7 +12,9 @@
 //! schedules and configuration (never of wall-clock or thread timing), the
 //! per-core clock skew is bounded by one quantum, and the golden-digest
 //! discipline extends to multi-core runs: the same composed scenario pins
-//! the same digest across every `SEMLOC_POOL_THREADS` pool size. Cores
+//! the same digest. The engine runs every core on the calling thread and
+//! never uses the shard pool, so the digest does not depend on
+//! `SEMLOC_POOL_THREADS`. Cores
 //! step decoded blocks like the single-core engine, but gate every
 //! instruction on the quantum horizon, so block stepping leaves the
 //! interleaving a pure function of simulated time.

@@ -172,18 +172,4 @@ mod tests {
             );
         }
     }
-
-    #[test]
-    fn pool_threads_reads_the_env_knob() {
-        // Env mutation is process-global: keep it inside one test and
-        // restore the prior state before asserting the default path.
-        let prior = Knob::PoolThreads.os();
-        std::env::set_var("SEMLOC_POOL_THREADS", "3");
-        assert_eq!(pool_threads(), 3);
-        match prior {
-            Some(v) => std::env::set_var("SEMLOC_POOL_THREADS", v),
-            None => std::env::remove_var("SEMLOC_POOL_THREADS"),
-        }
-        assert!(pool_threads() >= 1);
-    }
 }

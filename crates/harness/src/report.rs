@@ -1,4 +1,4 @@
-//! Plain-text table rendering for the paper sections and the arena.
+//! Plain-text table rendering for the `semloc-bench` sections.
 
 /// A fixed-width text table.
 #[derive(Clone, Debug, Default)]

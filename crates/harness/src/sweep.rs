@@ -185,7 +185,7 @@ pub fn ablation_variants() -> Vec<AblationVariant> {
         },
         AblationVariant {
             name: "single-depth",
-            description: "history sampled at one depth instead of twelve",
+            description: "history sampled at depth 30 only instead of six depths",
             config: sparse,
         },
         AblationVariant {

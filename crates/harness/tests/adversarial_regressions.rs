@@ -1,10 +1,11 @@
 //! Pinned adversarial collapse kernels.
 //!
 //! The seeded search (`adversarial_search(42, SearchConfig::default(), …)`,
-//! re-run by `bench_interfere`) discovered one parameter point per family
-//! where the learned context prefetcher's tail coverage collapses while a
-//! table baseline stays healthy. Those three points are pinned here as
-//! named regression kernels with explicit accuracy/coverage bounds:
+//! re-run by semloc-bench's `interference` section) discovered one
+//! parameter point per family where the learned context prefetcher's tail
+//! coverage collapses while a table baseline stays healthy. Those three
+//! points are pinned here as named regression kernels with explicit
+//! accuracy/coverage bounds:
 //!
 //! * `adv-straddle` @ `cold_work: 9` — the hot/cold filler alternation
 //!   straddles the 18–50 cycle bell-reward window on a stride-2 scan:

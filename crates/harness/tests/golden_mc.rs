@@ -6,12 +6,12 @@
 //! core's full [`RunResult`] digest plus every shared-L2/DRAM counter.
 //!
 //! The multi-core engine steps cores round-robin over a fixed cycle
-//! quantum, gating every instruction on the horizon, so these digests must
-//! be identical across `SEMLOC_POOL_THREADS` pool sizes — the CI
-//! `interference` job re-runs this test with 1 and 8 pool threads to prove
-//! it. If a future change *intends* to alter multi-core behaviour, update
-//! the constants with the values printed by the failing assertion and
-//! record why in CHANGES.md.
+//! quantum on the calling thread, gating every instruction on the horizon,
+//! so these digests are a pure function of the schedules and the config.
+//! The engine never uses the shard pool, so `SEMLOC_POOL_THREADS` cannot
+//! move them. If a future change *intends* to alter multi-core behaviour,
+//! update the constants with the values printed by the failing assertion
+//! and record why in CHANGES.md.
 
 use std::sync::Arc;
 

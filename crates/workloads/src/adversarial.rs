@@ -304,7 +304,8 @@ pub fn adversarial_kernels() -> Vec<KernelBox> {
 /// (`adversarial_search(42, SearchConfig::default(), …)` in the harness)
 /// discovers from the defaults: `adv-straddle` at `cold_work: 9`,
 /// `adv-alias` at `nodes: 501`, and `adv-phaseflip` at its default point.
-/// The regression suite and `bench_interfere` both evaluate these.
+/// The regression suite evaluates these, and semloc-bench's `interference`
+/// section prints the search that finds them.
 pub fn pinned_collapse_points() -> (RewardStraddle, AliasChains, PhaseFlip) {
     (
         RewardStraddle {
