@@ -7,8 +7,7 @@
 //! instructions through the [`TraceSink`] interface — and is the component
 //! that assembles the per-access [`AccessContext`] consumed by prefetchers.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use semloc_mem::{Hierarchy, Prefetcher};
 use semloc_trace::{
@@ -21,61 +20,86 @@ use crate::config::CpuConfig;
 use crate::stats::CpuStats;
 
 /// A bounded structural resource whose entries free at known cycles.
-#[derive(Debug, Default)]
+///
+/// The entries that occupy it are those freeing after the last admitted
+/// cycle `at`, plus the `fresh` ones occupied at `at` since that admission.
+/// `held` keeps them unordered, together with stale entries that freed at
+/// or before `at`. Stale entries are swept out only when an admission finds
+/// `held` at capacity; below capacity the occupying subset is below capacity
+/// too, so admission is a length check.
+///
+/// This is exact because admission cycles never decrease and no entry frees
+/// before the admission ahead of it: `Cpu::step_with` admits at
+/// `max(dispatch_cycle, fetch_resume, ROB head)` or later, each of which
+/// never decreases, and occupies until `issue` or `ready_at`, both at or
+/// after dispatch. So a stale entry frees at or before every later
+/// admission, whose sweep drops it. The two `debug_assert!`s check this
+/// order.
+#[derive(Debug)]
 struct Occupancy {
-    free_times: BinaryHeap<Reverse<Cycle>>,
+    held: Vec<Cycle>,
+    at: Cycle,
+    fresh: usize,
     capacity: usize,
 }
 
 impl Occupancy {
     fn new(capacity: usize) -> Self {
         Occupancy {
-            free_times: BinaryHeap::with_capacity(capacity + 1),
+            // `held.len() <= capacity` between calls: this never reallocates.
+            held: Vec::with_capacity(capacity + 1),
+            at: 0,
+            fresh: 0,
             capacity,
         }
     }
 
-    /// Earliest cycle ≥ `at` when a slot is free; drains freed entries.
+    /// Earliest cycle ≥ `at` when a slot is free.
     #[expect(clippy::expect_used, reason = "len >= capacity >= 1 was just checked")]
     fn admit(&mut self, mut at: Cycle) -> Cycle {
-        while let Some(&Reverse(t)) = self.free_times.peek() {
-            if t <= at {
-                self.free_times.pop();
-            } else {
-                break;
+        debug_assert!(
+            at >= self.at,
+            "admission at {at} follows one at {}",
+            self.at
+        );
+        if self.held.len() >= self.capacity {
+            self.held.retain(|&t| t > at);
+            if self.held.len() >= self.capacity {
+                at = *self.held.iter().min().expect("non-empty at capacity");
+                self.held.retain(|&t| t > at);
             }
         }
-        if self.free_times.len() >= self.capacity {
-            let Reverse(t) = self.free_times.pop().expect("non-empty at capacity");
-            at = at.max(t);
-            // Entries freed between the old `at` and the new one.
-            while let Some(&Reverse(t2)) = self.free_times.peek() {
-                if t2 <= at {
-                    self.free_times.pop();
-                } else {
-                    break;
-                }
-            }
-        }
+        self.at = at;
+        self.fresh = 0;
         at
     }
 
     /// Occupy one slot until `until`.
     fn occupy(&mut self, until: Cycle) {
-        self.free_times.push(Reverse(until));
+        debug_assert!(
+            until >= self.at,
+            "frees at {until}, admitted at {}",
+            self.at
+        );
+        self.fresh += usize::from(until == self.at);
+        self.held.push(until);
     }
 }
 
 impl Snapshot for Occupancy {
     fn save(&self, w: &mut SnapWriter) {
         let Self {
-            free_times,
+            held,
+            at,
+            fresh,
             capacity: _, // construction-time config; restore validates occupancy against it
         } = self;
         w.section(*b"OCCU", 1);
-        // A binary heap has no canonical iteration order; serializing the
-        // multiset sorted makes save → restore → save byte-identical.
-        let mut v: Vec<Cycle> = free_times.iter().map(|&Reverse(t)| t).collect();
+        // The occupying multiset, sorted, so save → restore → save is
+        // byte-identical and the bytes do not depend on when sweeps ran.
+        let mut v: Vec<Cycle> = std::iter::repeat_n(*at, *fresh)
+            .chain(held.iter().copied().filter(|&t| t > *at))
+            .collect();
         v.sort_unstable();
         w.put_len(v.len());
         for t in v {
@@ -85,7 +109,9 @@ impl Snapshot for Occupancy {
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
         let Self {
-            free_times,
+            held,
+            at,
+            fresh,
             capacity,
         } = self;
         r.section(*b"OCCU", 1)?;
@@ -95,11 +121,14 @@ impl Snapshot for Occupancy {
                 "occupancy snapshot has {n} entries, capacity is {capacity}"
             )));
         }
-        let mut heap = BinaryHeap::with_capacity(*capacity + 1);
+        held.clear();
         for _ in 0..n {
-            heap.push(Reverse(r.get_u64()?));
+            held.push(r.get_u64()?);
         }
-        *free_times = heap;
+        // Every saved entry occupies: with `at = 0`, the saved zeros are
+        // the fresh entries and the rest lie after `at`.
+        *at = 0;
+        *fresh = held.iter().filter(|&&t| t == 0).count();
         Ok(())
     }
 }
@@ -821,32 +850,142 @@ mod tests {
 
     #[test]
     fn snapshot_round_trip_is_bit_identical() {
-        let mut warm = cpu();
-        for i in 0..5000 {
-            warm.instr(mixed_instr(i));
+        // After one instruction the IQ holds an entry admitted and freeing
+        // at cycle 0, which restore must count as occupying; the in-order
+        // core issues in program order, so its queues hold other entries.
+        for (warmup, in_order) in [(1, false), (5000, false), (5000, true)] {
+            let new_cpu = || {
+                let cfg = CpuConfig {
+                    in_order,
+                    ..CpuConfig::default()
+                };
+                Cpu::new(cfg, Hierarchy::new(MemConfig::default(), NoPrefetch), 0)
+            };
+            let mut warm = new_cpu();
+            for i in 0..warmup {
+                warm.instr(mixed_instr(i));
+            }
+            let bytes = saved(&warm);
+
+            let mut restored = new_cpu();
+            let mut r = SnapReader::new(&bytes);
+            restored.restore(&mut r).unwrap();
+            r.expect_end().unwrap();
+
+            // Re-saving the restored core must reproduce the exact bytes.
+            assert_eq!(bytes, saved(&restored), "save-restore-save must be stable");
+
+            // Continuing both cores over the same suffix must stay identical.
+            for i in warmup..warmup + 3000 {
+                warm.instr(mixed_instr(i));
+                restored.instr(mixed_instr(i));
+            }
+            assert_eq!(warm.stats(), restored.stats());
+            assert_eq!(warm.mem().stats(), restored.mem().stats());
+            assert_eq!(warm.mem_accesses(), restored.mem_accesses());
+            assert_eq!(saved(&warm), saved(&restored));
         }
+    }
+
+    fn saved<S: Snapshot>(s: &S) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        warm.save(&mut w);
-        let bytes = w.into_bytes();
+        s.save(&mut w);
+        w.into_bytes()
+    }
 
-        let mut restored = cpu();
-        let mut r = SnapReader::new(&bytes);
-        restored.restore(&mut r).unwrap();
-        r.expect_end().unwrap();
+    /// The min-heap `Occupancy` this crate used before the lazily swept
+    /// one, kept as the reference it must match.
+    struct HeapOccupancy {
+        free_times: std::collections::BinaryHeap<std::cmp::Reverse<Cycle>>,
+        capacity: usize,
+    }
 
-        // Re-saving the restored core must reproduce the exact bytes.
-        let mut w2 = SnapWriter::new();
-        restored.save(&mut w2);
-        assert_eq!(bytes, w2.into_bytes(), "save-restore-save must be stable");
-
-        // Continuing both cores over the same suffix must stay identical.
-        for i in 5000..8000 {
-            warm.instr(mixed_instr(i));
-            restored.instr(mixed_instr(i));
+    impl HeapOccupancy {
+        fn admit(&mut self, mut at: Cycle) -> Cycle {
+            use std::cmp::Reverse;
+            while let Some(&Reverse(t)) = self.free_times.peek() {
+                if t <= at {
+                    self.free_times.pop();
+                } else {
+                    break;
+                }
+            }
+            if self.free_times.len() >= self.capacity {
+                let Reverse(t) = self.free_times.pop().unwrap();
+                at = at.max(t);
+                while let Some(&Reverse(t2)) = self.free_times.peek() {
+                    if t2 <= at {
+                        self.free_times.pop();
+                    } else {
+                        break;
+                    }
+                }
+            }
+            at
         }
-        assert_eq!(warm.stats(), restored.stats());
-        assert_eq!(warm.mem().stats(), restored.mem().stats());
-        assert_eq!(warm.mem_accesses(), restored.mem_accesses());
+
+        fn save(&self) -> Vec<u8> {
+            let mut v: Vec<Cycle> = self.free_times.iter().map(|r| r.0).collect();
+            v.sort_unstable();
+            let mut w = SnapWriter::new();
+            w.section(*b"OCCU", 1);
+            w.put_len(v.len());
+            for t in v {
+                w.put_u64(t);
+            }
+            w.into_bytes()
+        }
+    }
+
+    #[test]
+    fn occupancy_matches_the_binary_heap_it_replaced() {
+        // Admission gaps and entry lifetimes, from back-to-back dispatch
+        // and L1 hits up to DRAM-queue stalls. Each phase of PHASE steps
+        // draws from one (gap, lifetime) pair of classes; the phases cycle
+        // through all sixteen pairs four times, and each phase ends with a
+        // snapshot that must match the heap's and replaces the lazy side.
+        const PHASE: usize = 1_000;
+        let mut state = 0x0cc0_u64;
+        let mut next = move |below: Cycle| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 17) % below
+        };
+        for capacity in [1, 2, 32, 64] {
+            let mut lazy = Occupancy::new(capacity);
+            let mut heap = HeapOccupancy {
+                free_times: std::collections::BinaryHeap::new(),
+                capacity,
+            };
+            let mut at = 0;
+            for phase in 0..64 {
+                let gap_class = phase % 4;
+                let ahead = [4, 600, 9_000, 70_000][phase / 4 % 4];
+                for step in 0..PHASE {
+                    at += match gap_class {
+                        0 => 0,
+                        1 => 1,
+                        2 => next(64),
+                        _ => next(20_000),
+                    };
+                    let admitted = lazy.admit(at);
+                    assert_eq!(
+                        admitted,
+                        heap.admit(at),
+                        "capacity {capacity}, phase {phase}, step {step}"
+                    );
+                    at = admitted;
+                    let until = at + next(ahead);
+                    lazy.occupy(until);
+                    heap.free_times.push(std::cmp::Reverse(until));
+                }
+                let bytes = saved(&lazy);
+                assert_eq!(bytes, heap.save(), "capacity {capacity}, phase {phase}");
+                lazy = Occupancy::new(capacity);
+                lazy.restore(&mut SnapReader::new(&bytes)).unwrap();
+            }
+        }
     }
 
     #[test]
