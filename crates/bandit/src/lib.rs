@@ -16,9 +16,7 @@
 //!   prediction accuracy, after Tokic's value-difference-based exploration
 //!   (the paper cites this directly in §4.1);
 //! * [`ScoredSet`] — a fixed-capacity action set with saturating integer
-//!   scores and score-based replacement, the policy core of a CST entry;
-//! * [`MultiArmedBandit`] — the classical model the paper generalizes,
-//!   kept here for reference, tests and examples.
+//!   scores and score-based replacement, the policy core of a CST entry.
 
 // No panic paths in library code; tests, bins and examples are exempt.
 // `clippy::unreachable` has no in-tests exemption, hence the `cfg_attr`.
@@ -34,13 +32,11 @@
     )
 )]
 
-pub mod mab;
 pub mod policy;
 pub mod reward;
 pub mod scored;
 
-pub use mab::MultiArmedBandit;
-pub use policy::{AdaptiveEpsilon, ExplorationPolicy, FixedEpsilon};
+pub use policy::AdaptiveEpsilon;
 pub use reward::{
     BellReward, GaussianPenaltyReward, PythiaLevelReward, RewardFunction, RewardLut, RewardShape,
     StepReward,

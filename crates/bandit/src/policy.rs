@@ -1,4 +1,4 @@
-//! Exploration policies.
+//! The exploration policy.
 //!
 //! The paper's exploration is "based on the common ε-greedy approach
 //! (choosing a random address from the set of previously correlated ones at
@@ -9,54 +9,13 @@
 use rand::{Rng, RngExt};
 use semloc_trace::{snap_err, SnapReader, SnapWriter, Snapshot};
 
-/// Decides, per step, whether to exploit the best-known action or explore a
-/// random one.
-pub trait ExplorationPolicy {
-    /// Current exploration probability in `[0, 1]`.
-    fn epsilon(&self) -> f64;
-
-    /// Sample the explore/exploit decision.
-    fn explore<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
-        rng.random::<f64>() < self.epsilon()
-    }
-
-    /// Feed back whether the latest prediction was accurate.
-    fn observe(&mut self, hit: bool);
-}
-
-/// Constant-rate ε-greedy.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FixedEpsilon {
-    eps: f64,
-}
-
-impl FixedEpsilon {
-    /// A fixed exploration rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `eps` is outside `[0, 1]`.
-    pub fn new(eps: f64) -> Self {
-        assert!((0.0..=1.0).contains(&eps), "epsilon must be a probability");
-        FixedEpsilon { eps }
-    }
-}
-
-impl ExplorationPolicy for FixedEpsilon {
-    fn epsilon(&self) -> f64 {
-        self.eps
-    }
-
-    fn observe(&mut self, _hit: bool) {}
-}
-
 /// Accuracy-adaptive ε-greedy.
 ///
 /// Maintains an exponentially-weighted accuracy estimate and anneals the
 /// exploration rate from `eps_max` (cold predictor) toward `eps_min`
 /// (converged predictor): `ε = eps_min + (eps_max − eps_min)·(1 − accuracy)`.
 /// ```rust
-/// use semloc_bandit::{AdaptiveEpsilon, ExplorationPolicy};
+/// use semloc_bandit::AdaptiveEpsilon;
 ///
 /// let mut eps = AdaptiveEpsilon::paper_default();
 /// let cold = eps.epsilon();
@@ -119,14 +78,19 @@ impl AdaptiveEpsilon {
     pub fn alpha(&self) -> f64 {
         self.alpha
     }
-}
 
-impl ExplorationPolicy for AdaptiveEpsilon {
-    fn epsilon(&self) -> f64 {
+    /// Current exploration probability in `[eps_min, eps_max]`.
+    pub fn epsilon(&self) -> f64 {
         self.eps_min + (self.eps_max - self.eps_min) * (1.0 - self.accuracy)
     }
 
-    fn observe(&mut self, hit: bool) {
+    /// Sample the explore/exploit decision: one uniform draw from `rng`.
+    pub fn explore<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
+        rng.random::<f64>() < self.epsilon()
+    }
+
+    /// Feed back whether the latest prediction was accurate.
+    pub fn observe(&mut self, hit: bool) {
         self.accuracy += self.alpha * ((hit as u8 as f64) - self.accuracy);
     }
 }
@@ -181,18 +145,6 @@ impl Snapshot for AdaptiveEpsilon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn fixed_rate_is_respected_statistically() {
-        let p = FixedEpsilon::new(0.1);
-        let mut rng = StdRng::seed_from_u64(7);
-        let n = 20_000;
-        let explored = (0..n).filter(|_| p.explore(&mut rng)).count();
-        let rate = explored as f64 / n as f64;
-        assert!((rate - 0.1).abs() < 0.01, "measured {rate}");
-    }
 
     #[test]
     fn adaptive_anneals_with_accuracy() {
@@ -218,19 +170,6 @@ mod tests {
             assert!(p.epsilon() >= 0.05 - 1e-12 && p.epsilon() <= 0.5 + 1e-12);
             assert!((0.0..=1.0).contains(&p.accuracy()));
         }
-    }
-
-    #[test]
-    fn zero_epsilon_never_explores() {
-        let p = FixedEpsilon::new(0.0);
-        let mut rng = StdRng::seed_from_u64(1);
-        assert!((0..1000).all(|_| !p.explore(&mut rng)));
-    }
-
-    #[test]
-    #[should_panic(expected = "probability")]
-    fn bad_epsilon_rejected() {
-        FixedEpsilon::new(1.5);
     }
 
     #[test]

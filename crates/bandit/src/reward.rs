@@ -268,7 +268,7 @@ impl StepReward {
 /// hit just past the window is punished hard while a far-off hit (tiny
 /// gaussian) fades to zero on its own.
 ///
-/// Parameters are integers (lint D6 / golden-digest determinism); the
+/// Parameters are integers (golden-digest determinism); the
 /// gaussian is evaluated in `f64` and rounded exactly like [`BellReward`],
 /// so the [`RewardLut`] tabulation stays bit-exact.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -26,12 +26,12 @@ use rand::{RngExt, SeedableRng};
 use semloc_bandit::{
     BellReward, GaussianPenaltyReward, PythiaLevelReward, RewardFunction, RewardShape, StepReward,
 };
-use semloc_context::{ContextConfig, FeatureSet, PipelineConfig};
+use semloc_context::{ContextConfig, FeatureExtractor, FeatureSet};
 use semloc_cpu::CpuConfig;
 use semloc_harness::{
-    ablation_variants, adversarial_search, coverage, geomean, mc_digest, pool_threads, run_kernel,
-    run_sharded, storage_sweep, Engine, Matrix, McConfig, McEngine, PrefetcherKind, RunResult,
-    SearchConfig, SimConfig, SpeedupError, Table, ABLATION_KERNELS,
+    ablation_variants, adversarial_search, calibrated_context, coverage, geomean, mc_digest,
+    pool_threads, run_kernel, run_sharded, storage_sweep, Engine, Matrix, McConfig, McEngine,
+    PrefetcherKind, RunResult, SearchConfig, SimConfig, SpeedupError, Table, ABLATION_KERNELS,
 };
 use semloc_mem::AccessClass;
 use semloc_trace::{AddressSpace, Placement};
@@ -646,28 +646,31 @@ fn ablation(cfg: &SimConfig) -> String {
         "bell reward, dynamic feature selection, shadow prefetches, sampling, replacement (DESIGN.md #6)",
     );
     let names = ABLATION_KERNELS;
-    // The paper default first, then each ablation, then the extension.
-    let mut rows: Vec<(&str, String, PrefetcherKind)> = ablation_variants()
+    // The paper default first, then each ablation, then the extension; each
+    // row holds one prefetcher per workload.
+    let mut rows: Vec<(&str, String, Vec<PrefetcherKind>)> = ablation_variants()
         .into_iter()
         .map(|v| {
-            (
-                v.name,
-                v.description.to_string(),
-                PrefetcherKind::Context(v.config),
-            )
+            let kind = PrefetcherKind::Context(v.config);
+            (v.name, v.description.to_string(), vec![kind; names.len()])
         })
         .collect();
     rows.push((
         "calibrated",
         "EXTENSION: reward window derived per workload from the #4.3 distance formula".into(),
-        PrefetcherKind::context_calibrated(),
+        run_sharded(pool_threads(), names.to_vec(), |name| {
+            let kernel = kernel_by_name(name).expect("registered workload");
+            let tuned = calibrated_context(kernel.as_ref(), ContextConfig::default(), cfg);
+            PrefetcherKind::Context(tuned)
+        }),
     ));
-    let mut cells = Vec::new();
-    for pf in [PrefetcherKind::None]
+    let mut cells: Vec<_> = names
         .iter()
-        .chain(rows.iter().map(|r| &r.2))
-    {
-        cells.extend(names.map(|k| (k, pf.clone(), cfg.clone())));
+        .map(|&k| (k, PrefetcherKind::None, cfg.clone()))
+        .collect();
+    for (_, _, kinds) in &rows {
+        let row = names.iter().zip(kinds);
+        cells.extend(row.map(|(&k, pf)| (k, pf.clone(), cfg.clone())));
     }
     let runs = run_cells(cells);
     let (bases, variants) = runs.split_at(names.len());
@@ -790,10 +793,10 @@ fn in_order_core(cfg: &SimConfig) -> String {
 
 /// The arena's grid: every feature set crossed with the three
 /// qualitatively distinct reward shapes at the paper's Table-2 geometry,
-/// plus the default composition at halved and doubled CST capacity. 14
-/// cells; the first is exactly [`PipelineConfig::default`], so the ranking
+/// plus the default configuration at halved and doubled CST capacity. 14
+/// cells; the first is exactly [`ContextConfig::default`], so the ranking
 /// always carries the paper's own pipeline as the reference row.
-fn default_cells() -> Vec<PipelineConfig> {
+fn default_cells() -> Vec<ContextConfig> {
     let features = [
         FeatureSet::FullTable1,
         FeatureSet::PcOnly,
@@ -806,22 +809,30 @@ fn default_cells() -> Vec<PipelineConfig> {
         PythiaLevelReward::pythia_default().into(),
     ];
     let mut cells = Vec::new();
-    for f in features {
-        for r in &rewards {
-            cells.push(PipelineConfig {
-                features: f,
-                reward: r.clone(),
-                ..PipelineConfig::default()
+    for features in features {
+        for reward in &rewards {
+            cells.push(ContextConfig {
+                features,
+                reward: reward.clone(),
+                ..ContextConfig::default()
             });
         }
     }
-    for entries in [1024usize, 4096] {
-        cells.push(PipelineConfig {
-            cst_entries: Some(entries),
-            ..PipelineConfig::default()
-        });
+    for entries in [1024, 4096] {
+        cells.push(ContextConfig::default().with_cst_entries(entries));
     }
     cells
+}
+
+/// An arena cell's name over the axes the arena varies, e.g.
+/// `table1+bell+cst2048`.
+fn cell_label(cell: &ContextConfig) -> String {
+    format!(
+        "{}+{}+cst{}",
+        cell.features.name(),
+        cell.reward.label(),
+        cell.cst_entries
+    )
 }
 
 /// Extension: every [`default_cells`] composition on every workload,
@@ -835,11 +846,8 @@ fn arena(cfg: &SimConfig) -> String {
     );
     let kernels = all_kernels();
     let cells = default_cells();
-    let kinds = std::iter::once(PrefetcherKind::None).chain(
-        cells
-            .iter()
-            .map(|c| PrefetcherKind::Context(c.apply(ContextConfig::default()))),
-    );
+    let kinds = std::iter::once(PrefetcherKind::None)
+        .chain(cells.iter().cloned().map(PrefetcherKind::Context));
     let mut jobs = Vec::new();
     for pf in kinds {
         jobs.extend(kernels.iter().map(|k| (k.name(), pf.clone(), cfg.clone())));
@@ -863,7 +871,7 @@ fn arena(cfg: &SimConfig) -> String {
                     ]
                 })
                 .collect();
-            (cell.label(), metrics)
+            (cell_label(cell), metrics)
         })
         .collect();
     let geo = |m: &[[f64; 3]]| geomean(m.iter().map(|k| k[0]));
@@ -1160,17 +1168,25 @@ mod tests {
 
     #[test]
     fn default_cells_cover_the_design_space() {
-        let labels: Vec<String> = default_cells().iter().map(|c| c.label()).collect();
+        let cells = default_cells();
+        let labels: Vec<String> = cells.iter().map(cell_label).collect();
         assert_eq!(labels.len(), 14);
         let mut dedup = labels.clone();
         dedup.sort();
         dedup.dedup();
         assert_eq!(dedup.len(), labels.len(), "cell labels must be unique");
         assert_eq!(
-            labels[0],
-            PipelineConfig::default().label(),
-            "the first cell is the paper's own composition"
+            format!("{:?}", cells[0]),
+            format!("{:?}", ContextConfig::default()),
+            "the first cell is the paper's own configuration"
         );
+        assert_eq!(labels[0], "table1+bell+cst2048");
+        let cell = ContextConfig {
+            features: FeatureSet::PcDeltas,
+            reward: GaussianPenaltyReward::snippet_default().into(),
+            ..ContextConfig::default().with_cst_entries(4096)
+        };
+        assert_eq!(cell_label(&cell), "pc+deltas+gauss-pen+cst4096");
     }
 
     /// Every composition's CTXP snapshot round-trips: a run warmed for 20k
@@ -1186,7 +1202,7 @@ mod tests {
         }
         let checked = run_sharded(pool_threads(), jobs, |(cell, name)| {
             let kernel = kernel_by_name(name).expect("registered workload");
-            let kind = PrefetcherKind::Context(cell.apply(ContextConfig::default()));
+            let kind = PrefetcherKind::Context(cell.clone());
             let replay = || store.replay(kernel.as_ref(), cfg.instr_budget);
             let mut warm = Engine::new(replay(), &kind, &cfg);
             warm.run_to(20_000);
@@ -1200,7 +1216,7 @@ mod tests {
                 forked.finish().stats_digest(),
                 cold.finish().stats_digest(),
                 "{}/{name}: the warm fork diverged from the cold run",
-                cell.label()
+                cell_label(&cell)
             );
         });
         assert_eq!(checked.len(), 42);

@@ -227,6 +227,13 @@ mod tests {
     }
 
     #[test]
+    fn cst_override_keeps_the_reducer_ratio() {
+        let cfg = ContextConfig::default().with_cst_entries(1024);
+        assert_eq!(cfg.cst_entries, 1024);
+        assert_eq!(cfg.reducer_entries, 8 * 1024);
+    }
+
+    #[test]
     #[should_panic(expected = "within the history queue")]
     fn sample_depths_beyond_history_rejected() {
         let c = ContextConfig {

@@ -60,7 +60,6 @@ pub mod cst;
 pub mod features;
 pub mod history;
 pub mod pfq;
-pub mod pipeline;
 pub mod prefetcher;
 pub mod reducer;
 pub mod stats;
@@ -71,7 +70,6 @@ pub use cst::ContextStatesTable;
 pub use features::{ExtractedFeatures, FeatureExtractor, FeatureSet};
 pub use history::HistoryQueue;
 pub use pfq::PrefetchQueue;
-pub use pipeline::PipelineConfig;
 pub use prefetcher::ContextPrefetcher;
 pub use reducer::Reducer;
 pub use semloc_bandit::RewardShape;

@@ -18,7 +18,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use semloc_bandit::{ExplorationPolicy, RewardFunction, RewardLut};
+use semloc_bandit::{RewardFunction, RewardLut};
 use semloc_mem::{MemPressure, PrefetchReq, Prefetcher, PrefetcherStats};
 use semloc_trace::{snap_err, AccessContext, Addr, SnapReader, SnapWriter, Snapshot};
 

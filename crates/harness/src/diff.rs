@@ -19,7 +19,6 @@ use std::cell::Cell;
 use std::fmt;
 use std::path::PathBuf;
 
-use semloc_bandit::ExplorationPolicy;
 use semloc_context::{ContextConfig, ContextPrefetcher, ContextStats};
 use semloc_cpu::Cpu;
 use semloc_mem::{Hierarchy, MemPressure, PrefetchReq, Prefetcher, PrefetcherStats};
@@ -572,11 +571,10 @@ mod tests {
         let store = TraceStore::new();
         let sim = SimConfig::default().with_budget(30_000);
         let k = kernel_by_name("list").expect("registered kernel");
-        let cfg = semloc_context::PipelineConfig {
+        let cfg = ContextConfig {
             reward: semloc_bandit::GaussianPenaltyReward::snippet_default().into(),
-            ..semloc_context::PipelineConfig::default()
-        }
-        .apply(ContextConfig::default());
+            ..ContextConfig::default()
+        };
         let report = diff_kernel(&store, k.as_ref(), "gauss-pen", cfg.clone(), &sim);
         assert!(report.accesses > 1_000, "too few accesses compared");
         if let Some(d) = &report.divergence {

@@ -16,9 +16,9 @@
 //!
 //! That makes checkpoints safe for three distinct uses: resuming a killed
 //! experiment sweep from disk (see `crate::ckpt`), forking one warmed
-//! engine into many continuations ([`Engine::fork`] — e.g. the calibration
-//! probe riding the baseline column's prefix), and post-mortem state
-//! inspection at a divergence.
+//! engine into many continuations ([`Engine::fork`] — e.g. the adversarial
+//! search reading its warm-up statistics off a throwaway fork), and
+//! post-mortem state inspection at a divergence.
 //!
 //! Engines replay [`ReplayKernel`] streams rather than live generators:
 //! the cursor (= instructions consumed) identifies the exact resume point
@@ -106,11 +106,6 @@ pub struct Engine {
 
 impl Engine {
     /// A fresh (cold) engine for `kind` over the captured stream.
-    ///
-    /// `kind` must be fully resolved — [`PrefetcherKind::ContextCalibrated`]
-    /// is a *recipe* (probe first, then run calibrated) that the runner
-    /// resolves into a concrete [`PrefetcherKind::Context`] before any
-    /// engine exists; see [`crate::run_kernel_with_store`].
     pub fn new(replay: ReplayKernel, kind: &PrefetcherKind, config: &SimConfig) -> Engine {
         let hierarchy = Hierarchy::new(config.mem.clone(), kind.build());
         let cpu = Cpu::new(config.cpu.clone(), hierarchy, config.instr_budget);

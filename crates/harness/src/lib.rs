@@ -43,7 +43,8 @@ pub use pool::{pool_threads, run_sharded};
 pub use prefetchers::PrefetcherKind;
 pub use report::Table;
 pub use runner::{
-    run_kernel, run_kernel_uncached, run_kernel_with_store, run_resumable, RunResult, SpeedupError,
+    calibrated_context, run_kernel, run_kernel_uncached, run_kernel_with_store, run_resumable,
+    RunResult, SpeedupError,
 };
 pub use store::TraceStore;
 pub use sweep::{

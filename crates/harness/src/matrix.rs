@@ -8,7 +8,7 @@ use semloc_workloads::KernelBox;
 
 use crate::config::SimConfig;
 use crate::prefetchers::PrefetcherKind;
-use crate::runner::{run_baseline_priming_probe, run_kernel_with_store, RunResult, SpeedupError};
+use crate::runner::{run_kernel_with_store, RunResult, SpeedupError};
 use crate::store::TraceStore;
 
 /// Results of a full run matrix. Always includes a `none` column as the
@@ -22,21 +22,61 @@ pub struct Matrix {
 }
 
 impl Matrix {
-    /// Shared setup for both runners: an empty matrix with the kernel and
-    /// prefetcher display orders filled in, plus the full lineup (baseline
-    /// `none` prepended to the requested prefetchers).
+    /// Run every kernel under the baseline plus each given prefetcher.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two prefetchers in the lineup share a display
+    /// [`label`](PrefetcherKind::label); see
+    /// [`Matrix::run_parallel_with_store`].
+    pub fn run(kernels: &[KernelBox], prefetchers: &[PrefetcherKind], config: &SimConfig) -> Self {
+        Self::run_with_store(TraceStore::global(), kernels, prefetchers, config)
+    }
+
+    /// [`Matrix::run`] against an explicit [`TraceStore`].
+    pub fn run_with_store(
+        store: &TraceStore,
+        kernels: &[KernelBox],
+        prefetchers: &[PrefetcherKind],
+        config: &SimConfig,
+    ) -> Self {
+        Self::run_parallel_with_store(store, kernels, prefetchers, config, 1)
+    }
+
+    /// Like [`Matrix::run`], but fans the independent (kernel, prefetcher)
+    /// simulations out over a work-stealing shard pool of `threads`
+    /// workers (see [`crate::pool`]). Results are bit-identical to the
+    /// sequential runner (every run is deterministic and isolated); only
+    /// completion order differs. Workers share the process-global
+    /// [`TraceStore`], so each kernel's stream is generated once no matter
+    /// how many columns consume it.
+    pub fn run_parallel(
+        kernels: &[KernelBox],
+        prefetchers: &[PrefetcherKind],
+        config: &SimConfig,
+        threads: usize,
+    ) -> Self {
+        Self::run_parallel_with_store(TraceStore::global(), kernels, prefetchers, config, threads)
+    }
+
+    /// [`Matrix::run_parallel`] against an explicit [`TraceStore`]. Every
+    /// runner ends here; the lineup is the baseline `none` followed by
+    /// `prefetchers`.
     ///
     /// # Panics
     ///
     /// Panics if two entries in the lineup share a display
-    /// [`label`](PrefetcherKind::label) (e.g. `Context` and
-    /// `ContextCalibrated`, which both render as `context`). Cells are
-    /// keyed by label, so a duplicate would silently overwrite the earlier
-    /// column's results — a hard error beats a wrong figure.
-    fn prepare(
+    /// [`label`](PrefetcherKind::label) (e.g. two `Context` configurations,
+    /// which both render as `context`). Cells are keyed by label, so a
+    /// duplicate would silently overwrite the earlier column's results — a
+    /// hard error beats a wrong figure.
+    pub fn run_parallel_with_store(
+        store: &TraceStore,
         kernels: &[KernelBox],
         prefetchers: &[PrefetcherKind],
-    ) -> (Self, Vec<PrefetcherKind>) {
+        config: &SimConfig,
+        threads: usize,
+    ) -> Self {
         let mut m = Matrix::default();
         let mut lineup = vec![PrefetcherKind::None];
         lineup.extend(prefetchers.iter().cloned());
@@ -51,92 +91,7 @@ impl Matrix {
             );
             m.pf_order.push(pf.label());
         }
-        for k in kernels {
-            m.kernel_order.push(k.name());
-        }
-        (m, lineup)
-    }
-
-    /// Whether a `none` cell should pause at the calibration-probe budget
-    /// and fork the warmed engine into the probe memo (the lineup contains
-    /// a calibrated context column that will want that exact probe).
-    fn run_cell(
-        store: &TraceStore,
-        kernel: &dyn semloc_workloads::Kernel,
-        pf: &PrefetcherKind,
-        wants_probe: bool,
-        config: &SimConfig,
-    ) -> RunResult {
-        if wants_probe && matches!(pf, PrefetcherKind::None) {
-            run_baseline_priming_probe(store, kernel, config)
-        } else {
-            run_kernel_with_store(store, kernel, pf, config)
-        }
-    }
-
-    /// Run every kernel under the baseline plus each given prefetcher.
-    /// See [`Matrix::prepare`]'s panic contract for lineup constraints.
-    pub fn run(kernels: &[KernelBox], prefetchers: &[PrefetcherKind], config: &SimConfig) -> Self {
-        Self::run_with_store(TraceStore::global(), kernels, prefetchers, config)
-    }
-
-    /// [`Matrix::run`] against an explicit [`TraceStore`]. When the lineup
-    /// contains [`PrefetcherKind::ContextCalibrated`], the baseline column
-    /// doubles as the calibration probe: each kernel's no-prefetch run
-    /// pauses at the probe budget, forks its warmed engine state into the
-    /// probe memo, and continues — so the probe prefix is simulated once
-    /// per kernel instead of once per column.
-    pub fn run_with_store(
-        store: &TraceStore,
-        kernels: &[KernelBox],
-        prefetchers: &[PrefetcherKind],
-        config: &SimConfig,
-    ) -> Self {
-        let (mut m, lineup) = Self::prepare(kernels, prefetchers);
-        let wants_probe = lineup
-            .iter()
-            .any(|pf| matches!(pf, PrefetcherKind::ContextCalibrated(_)));
-        for k in kernels {
-            for pf in &lineup {
-                let r = Self::run_cell(store, k.as_ref(), pf, wants_probe, config);
-                m.results
-                    .entry(k.name())
-                    .or_default()
-                    .insert(r.prefetcher, r);
-            }
-        }
-        m
-    }
-
-    /// Like [`Matrix::run`], but fans the independent (kernel, prefetcher)
-    /// simulations out over a work-stealing shard pool of `threads`
-    /// workers (see [`crate::pool`]). Results are bit-identical to the
-    /// sequential runner (every run is deterministic and isolated); only
-    /// completion order differs. Workers share the process-global
-    /// [`TraceStore`](crate::TraceStore), so each kernel's stream is
-    /// generated once no matter how many columns consume it.
-    pub fn run_parallel(
-        kernels: &[KernelBox],
-        prefetchers: &[PrefetcherKind],
-        config: &SimConfig,
-        threads: usize,
-    ) -> Self {
-        Self::run_parallel_with_store(TraceStore::global(), kernels, prefetchers, config, threads)
-    }
-
-    /// [`Matrix::run_parallel`] against an explicit [`TraceStore`]; see
-    /// [`Matrix::run_with_store`] for the baseline-as-probe behaviour.
-    pub fn run_parallel_with_store(
-        store: &TraceStore,
-        kernels: &[KernelBox],
-        prefetchers: &[PrefetcherKind],
-        config: &SimConfig,
-        threads: usize,
-    ) -> Self {
-        let (mut m, lineup) = Self::prepare(kernels, prefetchers);
-        let wants_probe = lineup
-            .iter()
-            .any(|pf| matches!(pf, PrefetcherKind::ContextCalibrated(_)));
+        m.kernel_order = kernels.iter().map(|k| k.name()).collect();
         // One job per (kernel, prefetcher) cell, kernel-major so a worker's
         // own LIFO shard keeps it on one kernel's columns (and one warm
         // trace) for as long as possible.
@@ -144,13 +99,7 @@ impl Matrix {
             .flat_map(|ki| (0..lineup.len()).map(move |pi| (ki, pi)))
             .collect();
         let results = crate::pool::run_sharded(threads, jobs, |(ki, pi)| {
-            Self::run_cell(
-                store,
-                kernels[ki].as_ref(),
-                &lineup[pi],
-                wants_probe,
-                config,
-            )
+            run_kernel_with_store(store, kernels[ki].as_ref(), &lineup[pi], config)
         });
         for r in results {
             m.results
@@ -250,6 +199,7 @@ impl Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use semloc_context::ContextConfig;
     use semloc_workloads::kernel_by_name;
 
     fn tiny_matrix() -> Matrix {
@@ -299,13 +249,13 @@ mod tests {
     #[should_panic(expected = "duplicate prefetcher label")]
     fn duplicate_labels_are_a_hard_error() {
         let kernels = vec![kernel_by_name("array").unwrap()];
-        // Context and ContextCalibrated both display as "context": the
-        // second column would silently overwrite the first.
+        // Every context configuration displays as "context": the second
+        // column would silently overwrite the first.
         Matrix::run(
             &kernels,
             &[
                 PrefetcherKind::context(),
-                PrefetcherKind::context_calibrated(),
+                PrefetcherKind::Context(ContextConfig::default().with_cst_entries(1024)),
             ],
             &SimConfig::quick(),
         );
@@ -336,29 +286,6 @@ mod tests {
                 assert_eq!(a.cpu, b.cpu, "{k}/{p} differs between runners");
                 assert_eq!(a.mem, b.mem);
             }
-        }
-    }
-
-    #[test]
-    fn calibrated_matrix_matches_standalone_runs() {
-        // The baseline column doubles as the calibration probe (pause,
-        // fork, continue) — which must be invisible in the results: every
-        // cell is bit-identical to a standalone store-less run.
-        let kernels = vec![kernel_by_name("list").unwrap()];
-        let cfg = SimConfig::quick();
-        let store = TraceStore::new();
-        let m = Matrix::run_with_store(
-            &store,
-            &kernels,
-            &[PrefetcherKind::context_calibrated()],
-            &cfg,
-        );
-        for pf in [PrefetcherKind::None, PrefetcherKind::context_calibrated()] {
-            let standalone = crate::runner::run_kernel_uncached(kernels[0].as_ref(), &pf, &cfg);
-            let cell = m.get("list", pf.label()).unwrap();
-            assert_eq!(cell.cpu, standalone.cpu, "{} cpu stats differ", pf.label());
-            assert_eq!(cell.mem, standalone.mem, "{} mem stats differ", pf.label());
-            assert_eq!(cell.stats_digest(), standalone.stats_digest());
         }
     }
 

@@ -199,8 +199,6 @@ pub struct McEngine {
 impl McEngine {
     /// A fresh engine: one core per `(schedule, prefetcher)` spec, all
     /// contending for one shared L2 built from `config.mem.l2` + `mc.dram`.
-    /// Kinds must be fully resolved (no [`PrefetcherKind::ContextCalibrated`]
-    /// recipes), as with [`crate::Engine::new`].
     pub fn new(
         specs: Vec<(ReplayKernel, PrefetcherKind)>,
         config: &SimConfig,

@@ -27,12 +27,6 @@ pub enum PrefetcherKind {
     NextLine,
     /// The paper's context-based prefetcher with the given configuration.
     Context(ContextConfig),
-    /// The context prefetcher with its reward window calibrated to the
-    /// workload's measured target prefetch distance (§4.3): the runner
-    /// first probes the workload without prefetching, computes
-    /// `L1 miss penalty × IPC × Prob(mem op)`, and retunes the given base
-    /// configuration with [`ContextConfig::calibrated`].
-    ContextCalibrated(ContextConfig),
 }
 
 impl PrefetcherKind {
@@ -50,16 +44,11 @@ impl PrefetcherKind {
     /// The default context prefetcher: the paper's single bell reward
     /// centered on the ~30-access average target distance. (§4.3 notes the
     /// one function "accommodates diverse workloads with varying degrees of
-    /// success"; [`PrefetcherKind::ContextCalibrated`] is the per-workload
-    /// variant, evaluated as an extension in the ablation experiment.)
+    /// success"; [`calibrated_context`](crate::calibrated_context) derives
+    /// the per-workload variant, evaluated as an extension in the ablation
+    /// experiment.)
     pub fn context() -> Self {
         PrefetcherKind::Context(ContextConfig::default())
-    }
-
-    /// The per-workload-calibrated context prefetcher (extension; see
-    /// [`PrefetcherKind::ContextCalibrated`]).
-    pub fn context_calibrated() -> Self {
-        PrefetcherKind::ContextCalibrated(ContextConfig::default())
     }
 
     /// Display name, matching each prefetcher's `Prefetcher::name`.
@@ -73,7 +62,7 @@ impl PrefetcherKind {
             PrefetcherKind::Sms => "sms",
             PrefetcherKind::Markov => "markov",
             PrefetcherKind::NextLine => "next-line",
-            PrefetcherKind::Context(_) | PrefetcherKind::ContextCalibrated(_) => "context",
+            PrefetcherKind::Context(_) => "context",
         }
     }
 
@@ -88,9 +77,7 @@ impl PrefetcherKind {
             PrefetcherKind::Sms => Box::new(SmsPrefetcher::paper_default()),
             PrefetcherKind::Markov => Box::new(MarkovPrefetcher::paper_default()),
             PrefetcherKind::NextLine => Box::new(NextLinePrefetcher::default()),
-            PrefetcherKind::Context(cfg) | PrefetcherKind::ContextCalibrated(cfg) => {
-                Box::new(ContextPrefetcher::new(cfg.clone()))
-            }
+            PrefetcherKind::Context(cfg) => Box::new(ContextPrefetcher::new(cfg.clone())),
         }
     }
 }

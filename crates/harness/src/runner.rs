@@ -242,14 +242,9 @@ impl Digest {
 }
 
 /// Run `kernel` under `prefetcher` with `config`, through the process-global
-/// [`TraceStore`](crate::TraceStore): the kernel's instruction stream is
-/// captured on first use and replayed (bit-identically — see the
-/// golden-digest test) for every subsequent run of the same configuration.
-///
-/// For [`PrefetcherKind::ContextCalibrated`] a short no-prefetch probe run
-/// first measures the workload parameters of the §4.3 prefetch-distance
-/// formula, then the context prefetcher runs with its reward window
-/// calibrated to the measured target.
+/// [`TraceStore`]: the kernel's instruction stream is captured on first use
+/// and replayed (bit-identically — see the golden-digest test) for every
+/// subsequent run of the same configuration.
 /// ```rust
 /// use semloc_harness::{run_kernel, PrefetcherKind, SimConfig};
 /// use semloc_workloads::kernel_by_name;
@@ -275,8 +270,8 @@ pub fn run_kernel(
 /// store's full-run result memo — runs are deterministic, so the memoized
 /// clone is bit-identical to recomputation. On a memo miss the cell runs
 /// through the checkpointable [`Engine`], resuming from and periodically
-/// writing on-disk checkpoints when the process-global
-/// [`CkptStore`](crate::CkptStore) is enabled (`SEMLOC_CKPT_DIR`).
+/// writing on-disk checkpoints when the process-global [`CkptStore`] is
+/// enabled (`SEMLOC_CKPT_DIR`).
 pub fn run_kernel_with_store(
     store: &TraceStore,
     kernel: &dyn Kernel,
@@ -287,15 +282,15 @@ pub fn run_kernel_with_store(
     if let Some(r) = store.result(&key) {
         return r;
     }
-    let (replay, kind) = resolve(store, kernel, prefetcher, config);
-    let r = run_resumable(CkptStore::global(), replay, &kind, config);
+    let replay = store.replay(kernel, config.instr_budget);
+    let r = run_resumable(CkptStore::global(), replay, prefetcher, config);
     store.memoize_result(&key, &r);
     r
 }
 
 /// The result-memo identity of one cell: the kernel's full configuration
-/// (its trace key), the *requested* prefetcher kind, and the simulation
-/// config. Debug renderings cover every field of both structs.
+/// (its trace key), the prefetcher kind, and the simulation config. Debug
+/// renderings cover every field of both structs.
 pub(crate) fn result_key(
     kernel: &dyn Kernel,
     prefetcher: &PrefetcherKind,
@@ -304,68 +299,33 @@ pub(crate) fn result_key(
     format!("{}|{:?}|{:?}", kernel.trace_key(), prefetcher, config)
 }
 
-/// The calibration probe's configuration: a no-prefetch run over a quarter
-/// of the budget (clamped to a useful measurement window).
-pub(crate) fn probe_config(config: &SimConfig) -> SimConfig {
-    SimConfig {
+/// `base` with its reward window calibrated to `kernel`'s target prefetch
+/// distance (§4.3): `L1 miss penalty × IPC × Prob(mem op)`, measured by a
+/// no-prefetch probe over a quarter of `config`'s budget (clamped to a
+/// useful measurement window), then applied with
+/// [`ContextConfig::calibrated`]. The probe is an ordinary `none` cell
+/// through [`run_kernel`], so the result memo serves every later request
+/// for it.
+pub fn calibrated_context(
+    kernel: &dyn Kernel,
+    base: ContextConfig,
+    config: &SimConfig,
+) -> ContextConfig {
+    let probe_cfg = SimConfig {
         instr_budget: (config.instr_budget / 4).clamp(40_000, 150_000),
         ..config.clone()
-    }
-}
-
-/// Memo key of a calibration-probe result (see [`TraceStore::probe_result`]).
-pub(crate) fn probe_key(kernel: &dyn Kernel, probe_cfg: &SimConfig) -> String {
-    format!("{}|{:?}", kernel.trace_key(), probe_cfg)
-}
-
-/// Retune `base` with the §4.3 prefetch-distance formula from a measured
-/// no-prefetch probe.
-fn calibrate(base: &ContextConfig, probe: &RunResult, config: &SimConfig) -> PrefetcherKind {
+    };
+    let probe = run_kernel(kernel, &PrefetcherKind::None, &probe_cfg);
     let penalty = config.mem.l1_miss_penalty(probe.mem.l2_miss_rate());
-    let target = penalty * probe.cpu.ipc() * probe.cpu.mem_fraction();
-    PrefetcherKind::Context(base.clone().calibrated(target))
+    base.calibrated(penalty * probe.cpu.ipc() * probe.cpu.mem_fraction())
 }
 
-/// Resolve a requested prefetcher kind into the concrete kind an [`Engine`]
-/// can run, capturing the kernel's stream along the way. For
-/// [`PrefetcherKind::ContextCalibrated`] this runs (or recalls) the
-/// no-prefetch calibration probe first.
-pub(crate) fn resolve(
-    store: &TraceStore,
-    kernel: &dyn Kernel,
-    prefetcher: &PrefetcherKind,
-    config: &SimConfig,
-) -> (ReplayKernel, PrefetcherKind) {
-    if let PrefetcherKind::ContextCalibrated(base) = prefetcher {
-        let probe_cfg = probe_config(config);
-        // One capture covers both the probe and the main run: by the prefix
-        // property, a trace recorded at the larger budget replays the exact
-        // stream either budget would generate.
-        let capture_budget = if config.instr_budget == 0 {
-            0
-        } else {
-            config.instr_budget.max(probe_cfg.instr_budget)
-        };
-        let replay = store.replay(kernel, capture_budget);
-        let probe = store.probe_result(&probe_key(kernel, &probe_cfg), || {
-            simulate(&replay, &PrefetcherKind::None, &probe_cfg)
-        });
-        let kind = calibrate(base, &probe, config);
-        (replay, kind)
-    } else {
-        (
-            store.replay(kernel, config.instr_budget),
-            prefetcher.clone(),
-        )
-    }
-}
-
-/// Run one resolved cell through the [`Engine`], with on-disk
-/// checkpoint/resume when `ckpt` is enabled: a valid *final* checkpoint
-/// (`RRES`) short-circuits the run entirely; a valid *mid-run* checkpoint
-/// (`SIMC`) warm-starts the engine at its cursor; corrupt or foreign
-/// checkpoints are counted as rejects and the cell runs fresh. While
-/// running, a mid-run checkpoint is written every [`CkptStore::interval`]
+/// Run one cell through the [`Engine`], with on-disk checkpoint/resume
+/// when `ckpt` is enabled: a valid *final* checkpoint (`RRES`)
+/// short-circuits the run entirely; a valid *mid-run* checkpoint (`SIMC`)
+/// warm-starts the engine at its cursor; corrupt or foreign checkpoints
+/// are counted as rejects and the cell runs fresh. While running, a
+/// mid-run checkpoint is written every [`CkptStore::interval`]
 /// instructions, and the finished result is persisted as a final
 /// checkpoint.
 pub fn run_resumable(
@@ -412,66 +372,15 @@ pub fn run_resumable(
     result
 }
 
-/// Run the no-prefetch baseline for `kernel`, pausing at the calibration
-/// probe's budget to fork the warmed engine into the probe result before
-/// continuing to the full budget — so a later
-/// [`PrefetcherKind::ContextCalibrated`] column finds its probe memoized
-/// without ever simulating the probe prefix separately. The probe is a
-/// strict prefix of this very run (same trace, same no-prefetch
-/// configuration), so the forked result is bit-identical to a standalone
-/// probe; the store-equivalence suite pins that.
-///
-/// Used by the matrix runners for the baseline column when the lineup
-/// contains a calibrated context prefetcher.
-pub(crate) fn run_baseline_priming_probe(
-    store: &TraceStore,
-    kernel: &dyn Kernel,
-    config: &SimConfig,
-) -> RunResult {
-    let key = result_key(kernel, &PrefetcherKind::None, config);
-    if let Some(r) = store.result(&key) {
-        return r;
-    }
-    let probe_cfg = probe_config(config);
-    // The pause point must lie inside this run's own budget; otherwise the
-    // probe is not a prefix and the calibrated column computes it itself.
-    if config.instr_budget != 0 && probe_cfg.instr_budget > config.instr_budget {
-        return run_kernel_with_store(store, kernel, &PrefetcherKind::None, config);
-    }
-    let capture_budget = if config.instr_budget == 0 {
-        0
-    } else {
-        config.instr_budget.max(probe_cfg.instr_budget)
-    };
-    let replay = store.replay(kernel, capture_budget);
-    let mut engine = Engine::new(replay, &PrefetcherKind::None, config);
-    engine.run_to(probe_cfg.instr_budget);
-    store.probe_result(&probe_key(kernel, &probe_cfg), || engine.fork().finish());
-    engine.run_to_end();
-    let r = engine.finish();
-    store.memoize_result(&key, &r);
-    r
-}
-
 /// [`run_kernel`] without the trace store: drives the workload generator
-/// directly for this cell (and for the calibration probe), with no capture,
-/// replay, result memo or checkpoint. Tests use it as the reference that
-/// every store-backed path must reproduce bit for bit.
+/// directly, with no capture, replay, result memo or checkpoint. Tests use
+/// it as the reference that every store-backed path must reproduce bit for
+/// bit.
 pub fn run_kernel_uncached(
     kernel: &dyn Kernel,
     prefetcher: &PrefetcherKind,
     config: &SimConfig,
 ) -> RunResult {
-    if let PrefetcherKind::ContextCalibrated(base) = prefetcher {
-        let probe = simulate(kernel, &PrefetcherKind::None, &probe_config(config));
-        return simulate(kernel, &calibrate(base, &probe, config), config);
-    }
-    simulate(kernel, prefetcher, config)
-}
-
-/// Drive one kernel (generated or replayed — both are just [`Kernel`]s)
-/// through the simulator and collect every statistic.
-fn simulate(kernel: &dyn Kernel, prefetcher: &PrefetcherKind, config: &SimConfig) -> RunResult {
     let hierarchy = Hierarchy::new(config.mem.clone(), prefetcher.build());
     let mut cpu = Cpu::new(config.cpu.clone(), hierarchy, config.instr_budget);
     kernel.run(&mut cpu);
@@ -480,8 +389,9 @@ fn simulate(kernel: &dyn Kernel, prefetcher: &PrefetcherKind, config: &SimConfig
 
 /// Finalize a driven simulator into a [`RunResult`]: drain in-flight
 /// prefetcher state, then harvest CPU, memory, prefetcher, and (for the
-/// context prefetcher) learning statistics. Shared by [`simulate`] and
-/// [`Engine::finish`] so both paths produce bit-identical results.
+/// context prefetcher) learning statistics. Shared by
+/// [`run_kernel_uncached`] and [`Engine::finish`] so both paths produce
+/// bit-identical results.
 pub(crate) fn collect_result(
     kernel: &'static str,
     prefetcher: &'static str,
@@ -583,15 +493,10 @@ mod tests {
     #[test]
     fn store_backed_runs_match_uncached() {
         // The trace store must be invisible in the results: every prefetcher
-        // kind (including the probe-driven calibrated variant) produces
-        // bit-identical statistics with and without it.
+        // kind produces bit-identical statistics with and without it.
         let k = kernel_by_name("list").unwrap();
         let cfg = SimConfig::default().with_budget(60_000);
-        for pf in [
-            PrefetcherKind::Stride,
-            PrefetcherKind::context(),
-            PrefetcherKind::context_calibrated(),
-        ] {
+        for pf in [PrefetcherKind::Stride, PrefetcherKind::context()] {
             let store = TraceStore::new();
             let cached = run_kernel_with_store(&store, k.as_ref(), &pf, &cfg);
             let uncached = run_kernel_uncached(k.as_ref(), &pf, &cfg);
@@ -602,30 +507,23 @@ mod tests {
     }
 
     #[test]
-    fn calibrated_probe_is_memoized_per_store() {
+    fn calibrated_context_matches_the_distance_formula() {
+        // §4.3 by hand: a store-less no-prefetch run over a quarter of the
+        // budget, then `penalty × IPC × Prob(mem op)`.
         let k = kernel_by_name("list").unwrap();
-        let cfg = SimConfig::default().with_budget(60_000);
-        let store = TraceStore::new();
-        let a = run_kernel_with_store(
-            &store,
-            k.as_ref(),
-            &PrefetcherKind::context_calibrated(),
-            &cfg,
+        let cfg = SimConfig::default().with_budget(200_000);
+        let probe_cfg = cfg.clone().with_budget(50_000);
+        let probe = run_kernel_uncached(k.as_ref(), &PrefetcherKind::None, &probe_cfg);
+        let penalty = cfg.mem.l1_miss_penalty(probe.mem.l2_miss_rate());
+        let target = penalty * probe.cpu.ipc() * probe.cpu.mem_fraction();
+        let expected = ContextConfig::default().calibrated(target);
+        let got = calibrated_context(k.as_ref(), ContextConfig::default(), &cfg);
+        assert_eq!(format!("{got:?}"), format!("{expected:?}"));
+        assert_ne!(
+            format!("{got:?}"),
+            format!("{:?}", ContextConfig::default()),
+            "the probe must move the reward window"
         );
-        let b = run_kernel_with_store(
-            &store,
-            k.as_ref(),
-            &PrefetcherKind::context_calibrated(),
-            &cfg,
-        );
-        assert_eq!(a.stats_digest(), b.stats_digest());
-        // One capture serves the probe and the first main run; the second
-        // run is a full-result memo hit and never touches the trace.
-        let (_, misses) = store.stats();
-        assert_eq!(misses, 1, "kernel must be captured exactly once");
-        let (result_hits, result_misses) = store.result_stats();
-        assert_eq!(result_misses, 1, "first run must simulate");
-        assert!(result_hits >= 1, "second run must be a result-memo hit");
     }
 
     #[test]

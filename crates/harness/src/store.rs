@@ -49,9 +49,6 @@ pub struct TraceStore {
     /// kernel is captured exactly once while *different* kernels capture
     /// concurrently (the `run_parallel` workers hammer this).
     slots: Mutex<HashMap<String, Slot>>,
-    /// Memoized calibration-probe results, keyed by
-    /// `trace_key + probe config` (see [`TraceStore::probe_result`]).
-    probes: Mutex<HashMap<String, RunResult>>,
     /// Memoized full-run results, keyed by
     /// `trace_key + prefetcher kind + config` (see [`TraceStore::result`]).
     /// Runs are deterministic, so a memoized clone is bit-identical to
@@ -174,31 +171,6 @@ impl TraceStore {
         );
         *guard = Some(Arc::clone(&trace));
         ReplayKernel::new(trace)
-    }
-
-    /// Memoized calibration-probe result. `key` must identify both the
-    /// kernel configuration and the probe's [`SimConfig`](crate::SimConfig)
-    /// (the runner uses `trace_key + the probe config's Debug rendering`);
-    /// `compute` runs the probe on a miss. Runs are deterministic, so a
-    /// memoized clone is bit-identical to recomputation.
-    pub fn probe_result(&self, key: &str, compute: impl FnOnce() -> RunResult) -> RunResult {
-        if let Some(r) = self
-            .probes
-            .lock()
-            .expect("no panics hold the lock")
-            .get(key)
-        {
-            return r.clone();
-        }
-        // Computed outside the lock; a racing worker may duplicate the
-        // probe, but determinism makes either result correct.
-        let r = compute();
-        self.probes
-            .lock()
-            .expect("no panics hold the lock")
-            .entry(key.to_string())
-            .or_insert_with(|| r.clone());
-        r
     }
 
     /// Memoized full-run result for `key` (built by the runner from the
@@ -328,9 +300,6 @@ impl TraceStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SimConfig;
-    use crate::prefetchers::PrefetcherKind;
-    use crate::runner::run_kernel_with_store;
     use semloc_trace::RecordingSink;
     use semloc_workloads::kernel_by_name;
 
@@ -418,26 +387,6 @@ mod tests {
         assert_eq!(a.instrs(), b.instrs());
 
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn probe_results_are_memoized() {
-        let store = TraceStore::new();
-        let mut computed = 0;
-        let compute = |n: &mut i32| {
-            *n += 1;
-            let k = kernel_by_name("array").unwrap();
-            run_kernel_with_store(
-                &store,
-                k.as_ref(),
-                &PrefetcherKind::None,
-                &SimConfig::default().with_budget(5_000),
-            )
-        };
-        let a = store.probe_result("k", || compute(&mut computed));
-        let b = store.probe_result("k", || compute(&mut computed));
-        assert_eq!(computed, 1, "second lookup must hit the memo");
-        assert_eq!(a.stats_digest(), b.stats_digest());
     }
 
     #[test]

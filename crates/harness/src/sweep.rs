@@ -139,8 +139,9 @@ pub struct AblationVariant {
 pub fn ablation_variants() -> Vec<AblationVariant> {
     let base = ContextConfig::default();
     // The flat-reward variant removes the bell's shaping: a uniform
-    // positive window with no negative edges (approximating
-    // [`StepReward`] while keeping one reward type in the config).
+    // positive window with no negative edges, close to a `StepReward`.
+    // It keeps the bell form because its committed numbers are for that
+    // shape.
     let mut flat = base.clone();
     flat.reward = BellReward::new(1, 127, 16, 0, -4).into();
 

@@ -92,23 +92,6 @@ fn parallel_matches_golden() {
 }
 
 #[test]
-fn default_pipeline_composition_matches_golden() {
-    // The trait-composed pipeline (PR 9): a context column built by
-    // explicitly composing `PipelineConfig::default()` onto the base
-    // config must be indistinguishable from the plain `context()` lineup —
-    // same golden digest, pinning the refactor as behaviour-preserving
-    // through the whole matrix, not just the unit-level config equality.
-    let composed =
-        semloc_context::PipelineConfig::default().apply(semloc_context::ContextConfig::default());
-    let m = Matrix::run(
-        &kernels(),
-        &[PrefetcherKind::Stride, PrefetcherKind::Context(composed)],
-        &SimConfig::quick(),
-    );
-    assert_golden(&m, "pipeline-composed");
-}
-
-#[test]
 fn replay_matches_golden() {
     // Capture each kernel's stream once, then drive the whole matrix from
     // the replayed traces. Replay must be bit-identical to generation, so

@@ -7,7 +7,7 @@
 //! implementations, so a regression in either breaks loudly.
 
 use semloc_bandit::scored::Replacement;
-use semloc_bandit::{AdaptiveEpsilon, BellReward, ExplorationPolicy, RewardFunction};
+use semloc_bandit::{AdaptiveEpsilon, BellReward, RewardFunction};
 use semloc_context::{ContextConfig, ContextStatesTable, FullHash, Reducer};
 use semloc_spec::{SpecCst, SpecPrefetcher, SpecReducer};
 

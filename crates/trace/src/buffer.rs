@@ -53,7 +53,7 @@ pub(crate) const F_AUX: u8 = 0x40;
 pub(crate) const F_RESULT: u8 = 0x80;
 
 /// Instructions per block: the granularity of
-/// [`DecodedTrace`](crate::decoded::DecodedTrace) batched stepping.
+/// [`DecodedTrace`] batched stepping.
 pub const BLOCK_LEN: usize = 256;
 
 /// The op byte of `i`: kind tag plus presence flags, shared by the varint

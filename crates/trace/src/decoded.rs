@@ -1,7 +1,7 @@
 //! Fully-decoded trace lanes: the form every replay steps.
 //!
 //! [`DecodedTrace`] is the flat struct-of-arrays twin of
-//! [`TraceBuffer`](crate::TraceBuffer): every instruction is held in
+//! [`TraceBuffer`]: every instruction is held in
 //! fixed-width parallel lanes (op byte, absolute PC, a kind-dependent
 //! 64-bit auxiliary word, access size, packed hints, the three register
 //! operands, and the architectural result), so replay is pure sequential

@@ -18,10 +18,12 @@ use std::process::ExitCode;
 
 use semloc::context::{Attr, ContextConfig, ContextPrefetcher};
 use semloc::cpu::{Cpu, CpuConfig};
-use semloc::harness::{parse_knob, run_kernel, PrefetcherKind, RunResult, SimConfig};
+use semloc::harness::{
+    calibrated_context, parse_knob, run_kernel, PrefetcherKind, RunResult, SimConfig,
+};
 use semloc::mem::{AccessClass, Hierarchy, MemConfig};
 use semloc::trace::{write_atomic, SaveFaults, TraceBuffer, TraceSink};
-use semloc::workloads::{all_kernels, capture_kernel, kernel_by_name};
+use semloc::workloads::{all_kernels, capture_kernel, kernel_by_name, Kernel};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -30,8 +32,14 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn prefetcher_by_name(name: &str) -> Option<PrefetcherKind> {
-    Some(match name {
+/// The prefetcher called `name`. `workload` is the kernel and configuration
+/// the run simulates: `context-calibrated` probes it to derive its reward
+/// window (§4.3), so a trace file, which names no workload, cannot run it.
+fn prefetcher_by_name(
+    name: &str,
+    workload: Option<(&dyn Kernel, &SimConfig)>,
+) -> Result<PrefetcherKind, String> {
+    Ok(match name {
         "none" => PrefetcherKind::None,
         "stride" => PrefetcherKind::Stride,
         "ghb-g/dc" | "ghb" => PrefetcherKind::GhbGdc,
@@ -41,8 +49,15 @@ fn prefetcher_by_name(name: &str) -> Option<PrefetcherKind> {
         "markov" => PrefetcherKind::Markov,
         "next-line" => PrefetcherKind::NextLine,
         "context" => PrefetcherKind::context(),
-        "context-calibrated" => PrefetcherKind::context_calibrated(),
-        _ => return None,
+        "context-calibrated" => {
+            let Some((kernel, cfg)) = workload else {
+                return Err("`context-calibrated` probes a workload, and a trace file \
+                            names none: use `semloc run <kernel> context-calibrated`"
+                    .into());
+            };
+            PrefetcherKind::Context(calibrated_context(kernel, ContextConfig::default(), cfg))
+        }
+        _ => return Err(format!("unknown prefetcher `{name}` (see `semloc list`)")),
     })
 }
 
@@ -153,11 +168,14 @@ fn cmd_run(kernel: &str, pf: &str, budget: u64, json: bool) -> ExitCode {
         eprintln!("unknown workload `{kernel}` (see `semloc list`)");
         return ExitCode::FAILURE;
     };
-    let Some(pf) = prefetcher_by_name(pf) else {
-        eprintln!("unknown prefetcher `{pf}` (see `semloc list`)");
-        return ExitCode::FAILURE;
-    };
     let cfg = SimConfig::default().with_budget(budget);
+    let pf = match prefetcher_by_name(pf, Some((k.as_ref(), &cfg))) {
+        Ok(pf) => pf,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let base = run_kernel(k.as_ref(), &PrefetcherKind::None, &cfg);
     let r = if matches!(pf, PrefetcherKind::None) {
         base.clone()
@@ -183,7 +201,8 @@ fn cmd_compare(kernel: &str, budget: u64, json: bool) -> ExitCode {
         let rows: Vec<String> = PREFETCHERS
             .iter()
             .map(|name| {
-                let pf = prefetcher_by_name(name).expect("listed prefetchers exist");
+                let pf = prefetcher_by_name(name, Some((k.as_ref(), &cfg)))
+                    .expect("listed prefetchers exist");
                 let r = if *name == "none" {
                     base.clone()
                 } else {
@@ -204,7 +223,8 @@ fn cmd_compare(kernel: &str, budget: u64, json: bool) -> ExitCode {
         "prefetcher", "IPC", "speedup", "L1 MPKI", "L2 MPKI"
     );
     for name in PREFETCHERS {
-        let pf = prefetcher_by_name(name).expect("listed prefetchers exist");
+        let pf =
+            prefetcher_by_name(name, Some((k.as_ref(), &cfg))).expect("listed prefetchers exist");
         let r = if name == "none" {
             base.clone()
         } else {
@@ -243,9 +263,12 @@ fn cmd_record(kernel: &str, path: &str, instrs: u64) -> ExitCode {
 }
 
 fn cmd_replay(path: &str, pf: &str) -> ExitCode {
-    let Some(pf) = prefetcher_by_name(pf) else {
-        eprintln!("unknown prefetcher `{pf}`");
-        return ExitCode::FAILURE;
+    let pf = match prefetcher_by_name(pf, None) {
+        Ok(pf) => pf,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
     };
     let bytes = match fs::read(path) {
         Ok(b) => b,

@@ -1,7 +1,8 @@
 //! Cross-crate integration tests: full workload → core → hierarchy →
 //! prefetcher runs through the public API.
 
-use semloc::harness::{run_kernel, Matrix, PrefetcherKind, SimConfig};
+use semloc::context::ContextConfig;
+use semloc::harness::{calibrated_context, run_kernel, Matrix, PrefetcherKind, SimConfig};
 use semloc::workloads::{all_kernels, kernel_by_name, microbenchmarks, spec_suite};
 
 fn quick() -> SimConfig {
@@ -111,7 +112,6 @@ fn registry_partitions_are_consistent() {
 
 #[test]
 fn issue_threshold_throttles_real_prefetches() {
-    use semloc::context::ContextConfig;
     let k = kernel_by_name("bst").unwrap();
     let default_run = run_kernel(k.as_ref(), &PrefetcherKind::context(), &quick());
     let cfg = ContextConfig {
@@ -136,7 +136,8 @@ fn issue_threshold_throttles_real_prefetches() {
 #[test]
 fn calibrated_context_runs_and_learns() {
     let k = kernel_by_name("mcf").unwrap();
-    let r = run_kernel(k.as_ref(), &PrefetcherKind::context_calibrated(), &quick());
+    let cfg = calibrated_context(k.as_ref(), ContextConfig::default(), &quick());
+    let r = run_kernel(k.as_ref(), &PrefetcherKind::Context(cfg), &quick());
     let learn = r.learn.expect("learning stats");
     assert!(learn.collected > 0);
     assert!(r.cpu.ipc() > 0.0);
@@ -160,6 +161,34 @@ fn cli_rejects_a_malformed_budget() {
         out.stdout.is_empty(),
         "nothing may run on a malformed budget"
     );
+}
+
+#[test]
+fn cli_replay_refuses_the_calibrated_prefetcher() {
+    // Calibration probes a workload, and a trace file names none: replaying
+    // one under `context-calibrated` must fail, not run the uncalibrated
+    // prefetcher under the calibrated name.
+    let dir = std::env::temp_dir().join(format!("semloc-cli-calibrated-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("list.trace");
+    let file = path.to_str().unwrap();
+    let semloc = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_semloc"))
+            .args(args)
+            .output()
+            .expect("run the semloc binary")
+    };
+    let recorded = semloc(&["record", "list", file, "5000"]);
+    assert_eq!(recorded.status.code(), Some(0), "record must succeed");
+    let out = semloc(&["replay", file, "context-calibrated"]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(out.status.code(), Some(1), "calibrated replay must exit 1");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("context-calibrated") && err.contains("semloc run"),
+        "stderr must name the prefetcher and point to `semloc run`: {err}"
+    );
+    assert!(out.stdout.is_empty(), "nothing may be simulated");
 }
 
 #[test]
