@@ -30,15 +30,15 @@ use semloc_trace::{write_atomic, FaultPlan, SaveFaults};
 
 use crate::knob::Knob;
 
+/// Instructions between a resumable cell's mid-run checkpoint saves.
+pub(crate) const SAVE_INTERVAL: u64 = 100_000;
+
 /// Persistent checkpoint store for resumable simulation cells.
 ///
 /// Disabled (in-memory no-op) unless constructed with a directory; the
 /// process-global instance enables itself when `SEMLOC_CKPT_DIR` is set.
-/// Checkpoint cadence (instructions between mid-run saves) comes from
-/// `SEMLOC_CKPT_INTERVAL` (default 100 000).
 pub struct CkptStore {
     dir: Option<PathBuf>,
-    interval: u64,
     saves: AtomicU64,
     loads: AtomicU64,
     rejects: AtomicU64,
@@ -56,7 +56,6 @@ impl CkptStore {
     pub fn new() -> Self {
         CkptStore {
             dir: None,
-            interval: 100_000,
             saves: AtomicU64::new(0),
             loads: AtomicU64::new(0),
             rejects: AtomicU64::new(0),
@@ -72,22 +71,9 @@ impl CkptStore {
         }
     }
 
-    /// Build from the environment: enabled iff `SEMLOC_CKPT_DIR` is set;
-    /// `SEMLOC_CKPT_INTERVAL` overrides the mid-run save cadence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `SEMLOC_CKPT_INTERVAL` is set but not a non-negative
-    /// integer.
+    /// Build from the environment: enabled iff `SEMLOC_CKPT_DIR` is set.
     pub fn from_env() -> Self {
-        let mut store = Knob::CkptDir.os().map_or_else(Self::new, Self::with_dir);
-        if let Some(v) = Knob::CkptInterval
-            .int(0..=u64::MAX)
-            .unwrap_or_else(|e| panic!("{e}"))
-        {
-            store.interval = v.max(1);
-        }
-        store
+        Knob::CkptDir.os().map_or_else(Self::new, Self::with_dir)
     }
 
     /// The process-global store used by [`run_kernel`](crate::run_kernel)
@@ -100,16 +86,6 @@ impl CkptStore {
     /// Whether checkpoints are persisted at all.
     pub fn enabled(&self) -> bool {
         self.dir.is_some()
-    }
-
-    /// Instructions between mid-run checkpoint saves.
-    pub fn interval(&self) -> u64 {
-        self.interval
-    }
-
-    /// Override the save cadence (for tests and the smoke binary).
-    pub fn set_interval(&mut self, interval: u64) {
-        self.interval = interval.max(1);
     }
 
     /// (saves, loads, rejects) counters. A *reject* is a checkpoint that
@@ -180,14 +156,6 @@ impl CkptStore {
                 self.rejects.fetch_add(1, Ordering::Relaxed);
                 None
             }
-        }
-    }
-
-    /// Delete the cell's checkpoint (e.g. after its result is consumed by
-    /// a completed experiment).
-    pub fn clear(&self, kernel: &str, fingerprint: u64) {
-        if let Some(path) = self.path_for(kernel, fingerprint) {
-            let _ = fs::remove_file(path);
         }
     }
 }

@@ -189,11 +189,6 @@ impl TeePrefetcher {
         self.divergence.as_ref()
     }
 
-    /// Consume the tee, yielding the first divergence.
-    pub fn into_divergence(self) -> Option<Divergence> {
-        self.divergence
-    }
-
     fn diverge(
         &mut self,
         seq: u64,

@@ -30,7 +30,7 @@ use std::io;
 
 use semloc_cpu::Cpu;
 use semloc_mem::{Hierarchy, Prefetcher};
-use semloc_trace::{snap_err, SnapReader, SnapWriter, Snapshot};
+use semloc_trace::{snap_err, Cycle, SnapReader, SnapWriter, Snapshot};
 use semloc_workloads::{Kernel, ReplayKernel};
 
 use crate::config::SimConfig;
@@ -40,7 +40,7 @@ use crate::runner::{collect_result, Digest, RunResult};
 /// Version of the [`SimCheckpoint`] encoding (the `SIMC` section version).
 /// Bump it whenever any layer's snapshot layout changes; readers reject
 /// every other version with a typed error.
-pub const SIM_CKPT_VERSION: u32 = 2;
+pub const SIM_CKPT_VERSION: u32 = 3;
 
 /// A complete, restorable snapshot of a paused [`Engine`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -135,6 +135,11 @@ impl Engine {
         self.cpu.stats().instructions
     }
 
+    /// The core's clock: the cycle its latest instruction retired.
+    pub fn cycles(&self) -> Cycle {
+        self.cpu.stats().cycles
+    }
+
     /// Whether the run is over: the instruction budget is exhausted or the
     /// captured stream has no instructions left.
     pub fn done(&self) -> bool {
@@ -146,6 +151,11 @@ impl Engine {
     /// The prefetcher kind this engine simulates.
     pub fn kind(&self) -> &PrefetcherKind {
         &self.kind
+    }
+
+    /// The captured stream this engine replays.
+    pub fn replay(&self) -> &ReplayKernel {
+        &self.replay
     }
 
     /// The simulation configuration.
@@ -162,12 +172,27 @@ impl Engine {
     ///
     /// The engine consumes the capture's decoded lanes in whole
     /// [`BLOCK_LEN`](semloc_trace::BLOCK_LEN)-instruction blocks through
-    /// [`Cpu::step_block`]: the budget/target bounds are resolved here once
-    /// per slice instead of per instruction, stats fold once per block, and
-    /// the next block's lanes are prefetched while the current one
-    /// executes. A cursor in the middle of a block (a slice or checkpoint
-    /// boundary) just starts with a partial block.
+    /// [`Cpu::step_block_until`] with no horizon: the budget/target bounds
+    /// are resolved here once per slice instead of per instruction, stats
+    /// fold once per block, and the next block's lanes are prefetched while
+    /// the current one executes. A cursor in the middle of a block (a slice
+    /// or checkpoint boundary) just starts with a partial block.
     pub fn run_to(&mut self, target: u64) -> u64 {
+        self.step_blocks(target, Cycle::MAX);
+        self.cursor()
+    }
+
+    /// Run until the core's clock reaches `horizon`, the stream ends or the
+    /// budget is reached: one core's slice of a multi-core quantum. The
+    /// clock is checked before every instruction
+    /// ([`Cpu::step_block_until`]), so a slice, and the next one's start,
+    /// may fall inside a block.
+    pub(crate) fn run_until(&mut self, horizon: Cycle) {
+        self.step_blocks(u64::MAX, horizon);
+    }
+
+    /// The block loop behind [`Engine::run_to`] and [`Engine::run_until`].
+    fn step_blocks(&mut self, target: u64, horizon: Cycle) {
         const BLOCK: u64 = semloc_trace::BLOCK_LEN as u64;
         let budget = self.config.instr_budget;
         let target = if budget == 0 {
@@ -181,11 +206,28 @@ impl Engine {
         while cur < end {
             let block_end = ((cur / BLOCK + 1) * BLOCK).min(end);
             lanes.prefetch_block(block_end as usize);
-            self.cpu
-                .step_block(&lanes.block(cur as usize, block_end as usize));
-            cur = block_end;
+            let block = lanes.block(cur as usize, block_end as usize);
+            cur += self.cpu.step_block_until(&block, horizon) as u64;
+            if cur < block_end {
+                break; // the clock reached the horizon
+            }
         }
-        self.cursor()
+    }
+
+    /// The core's memory hierarchy, for a multi-core engine to lend it the
+    /// shared level.
+    pub(crate) fn mem_mut(&mut self) -> &mut Hierarchy<Box<dyn Prefetcher>> {
+        self.cpu.mem_mut()
+    }
+
+    /// Save every simulator layer: the payload of [`Engine::checkpoint`].
+    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
+        self.cpu.save(w);
+    }
+
+    /// Restore what [`Engine::save_state`] saved.
+    pub(crate) fn restore_state(&mut self, r: &mut SnapReader<'_>) -> io::Result<()> {
+        self.cpu.restore(r)
     }
 
     /// Run to the end (budget or stream exhaustion).
@@ -196,7 +238,7 @@ impl Engine {
     /// Snapshot the complete simulator state at the current cursor.
     pub fn checkpoint(&self) -> SimCheckpoint {
         let mut w = SnapWriter::new();
-        self.cpu.save(&mut w);
+        self.save_state(&mut w);
         SimCheckpoint {
             version: SIM_CKPT_VERSION,
             fingerprint: self.fingerprint(),
@@ -229,7 +271,7 @@ impl Engine {
             )));
         }
         let mut r = SnapReader::new(&ckpt.payload);
-        self.cpu.restore(&mut r)?;
+        self.restore_state(&mut r)?;
         r.expect_end()?;
         if self.cursor() != ckpt.cursor {
             return Err(snap_err(format!(

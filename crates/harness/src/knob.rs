@@ -48,8 +48,6 @@ knobs! {
     Budget = "SEMLOC_BUDGET",
     /// Checkpoint directory; setting it enables mid-run checkpointing.
     CkptDir = "SEMLOC_CKPT_DIR",
-    /// Instructions between mid-run checkpoint saves (default 100 000).
-    CkptInterval = "SEMLOC_CKPT_INTERVAL",
     /// Shard-pool worker threads (default host parallelism).
     PoolThreads = "SEMLOC_POOL_THREADS",
     /// On-disk trace cache directory; unset keeps traces in memory.

@@ -38,7 +38,7 @@ pub use interfere::{
 };
 pub use knob::{parse_knob, KnobError};
 pub use matrix::Matrix;
-pub use mc::{mc_digest, McCheckpoint, McConfig, McCore, McEngine, MC_CKPT_VERSION};
+pub use mc::{mc_digest, McCheckpoint, McConfig, McEngine};
 pub use pool::{pool_threads, run_sharded};
 pub use prefetchers::PrefetcherKind;
 pub use report::Table;

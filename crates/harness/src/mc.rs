@@ -1,9 +1,10 @@
 //! `semloc-interfere`: the shared-L2 multi-core simulation mode.
 //!
-//! An [`McEngine`] steps N cores — each a private-L1 [`Cpu`] with its own
-//! prefetcher instance over its own replayed schedule — against one
-//! [`SharedL2`] (finite MSHRs + a DRAM bandwidth model), so co-running
-//! workloads interfere through capacity, MSHR occupancy, and DRAM queueing.
+//! An [`McEngine`] steps N cores — each an [`Engine`] over its own
+//! replayed schedule, with its own prefetcher instance and private L1 —
+//! against one [`SharedL2`] (finite MSHRs + a DRAM bandwidth model), so
+//! co-running workloads interfere through capacity, MSHR occupancy, and
+//! DRAM queueing.
 //!
 //! Determinism: cores are stepped **round-robin over a fixed cycle
 //! quantum** — the horizon advances by [`McConfig::quantum`], then core 0,
@@ -14,33 +15,32 @@
 //! discipline extends to multi-core runs: the same composed scenario pins
 //! the same digest. The engine runs every core on the calling thread and
 //! never uses the shard pool, so the digest does not depend on
-//! `SEMLOC_POOL_THREADS`. Cores
-//! step decoded blocks like the single-core engine, but gate every
-//! instruction on the quantum horizon, so block stepping leaves the
-//! interleaving a pure function of simulated time.
+//! `SEMLOC_POOL_THREADS`. Cores step decoded blocks like the single-core
+//! engine, but gate every instruction on the quantum horizon, so block
+//! stepping leaves the interleaving a pure function of simulated time.
 //!
 //! The engine owns the shared level and lends it to each core for that
-//! core's slice of the quantum ([`Hierarchy::attach_shared`]), so one core
-//! at a time holds it and no runtime borrow check is needed.
+//! core's slice of the quantum
+//! ([`semloc_mem::Hierarchy::attach_shared`]), so one core at a time holds
+//! it and no runtime borrow check is needed. A fresh core's own private
+//! level is dropped when the engine is built.
 //!
-//! Checkpointing follows the single-core engine's contract: an
+//! Checkpointing follows the single-core engine's contract in memory: an
 //! [`McCheckpoint`] snapshots the shared level once plus every core, is
 //! fingerprinted against the full engine identity, and restore/fork
 //! round-trip bit-identically mid-schedule (pinned by `mc_snapshot.rs`).
+//! Nothing persists one, so it has no byte encoding.
 
 use std::io;
 
-use semloc_cpu::Cpu;
-use semloc_mem::{DramConfig, Hierarchy, Prefetcher, SharedL2, SharedL2Stats};
+use semloc_mem::{DramConfig, SharedL2, SharedL2Stats};
 use semloc_trace::{snap_err, Cycle, SnapReader, SnapWriter, Snapshot};
 use semloc_workloads::{Kernel, ReplayKernel};
 
 use crate::config::SimConfig;
+use crate::engine::Engine;
 use crate::prefetchers::PrefetcherKind;
-use crate::runner::{collect_result, Digest, RunResult};
-
-/// Version of the [`McCheckpoint`] encoding (the `MCCK` section version).
-pub const MC_CKPT_VERSION: u32 = 1;
+use crate::runner::{Digest, RunResult};
 
 const SHARED_HOME: &str = "every slice hands the shared level back to the engine";
 
@@ -62,78 +62,9 @@ impl Default for McConfig {
     }
 }
 
-/// One core of a multi-core engine: its schedule, prefetcher kind, and the
-/// private-L1 [`Cpu`] wired to the shared level.
-pub struct McCore {
-    replay: ReplayKernel,
-    kind: PrefetcherKind,
-    cpu: Cpu<Box<dyn Prefetcher>>,
-}
-
-impl McCore {
-    /// Instructions this core has consumed.
-    pub fn cursor(&self) -> u64 {
-        self.cpu.stats().instructions
-    }
-
-    /// This core's current clock (max retire cycle).
-    pub fn cycles(&self) -> Cycle {
-        self.cpu.stats().cycles
-    }
-
-    /// The schedule this core replays.
-    pub fn replay(&self) -> &ReplayKernel {
-        &self.replay
-    }
-
-    /// The prefetcher kind this core runs.
-    pub fn kind(&self) -> &PrefetcherKind {
-        &self.kind
-    }
-
-    fn done(&self, budget: u64) -> bool {
-        let c = self.cursor();
-        (budget != 0 && c >= budget) || c >= self.replay.trace().buf.len() as u64
-    }
-}
-
-impl Snapshot for McCore {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            replay: _, // identity, in the engine fingerprint; the cursor is in the cpu
-            kind: _,   // identity, in the engine fingerprint
-            cpu,
-        } = self;
-        w.section(*b"MCOR", 1);
-        cpu.save(w);
-    }
-
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> io::Result<()> {
-        let Self {
-            replay: _, // identity, in the engine fingerprint; the cursor is in the cpu
-            kind: _,   // identity, in the engine fingerprint
-            cpu,
-        } = self;
-        r.section(*b"MCOR", 1)?;
-        cpu.restore(r)
-    }
-}
-
-impl std::fmt::Debug for McCore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("McCore")
-            .field("kernel", &self.replay.name())
-            .field("kind", &self.kind)
-            .field("cursor", &self.cursor())
-            .finish_non_exhaustive()
-    }
-}
-
-/// A complete, restorable snapshot of a paused [`McEngine`].
+/// A complete, restorable in-memory snapshot of a paused [`McEngine`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct McCheckpoint {
-    /// Encoding version ([`MC_CKPT_VERSION`] when produced by this build).
-    pub version: u32,
     /// Fingerprint of the engine identity: core count, every core's trace
     /// key + prefetcher kind, [`SimConfig`] and [`McConfig`].
     pub fingerprint: u64,
@@ -145,52 +76,12 @@ pub struct McCheckpoint {
     pub payload: Vec<u8>,
 }
 
-impl McCheckpoint {
-    /// Serialize as an `MCCK` frame (see [`semloc_trace::snap`]).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = SnapWriter::framed(*b"MCCK", self.version);
-        w.put_u64(self.fingerprint);
-        w.put_u64(self.horizon);
-        w.put_len(self.cursors.len());
-        for &c in &self.cursors {
-            w.put_u64(c);
-        }
-        w.put_len(self.payload.len());
-        w.put_bytes(&self.payload);
-        w.into_frame()
-    }
-
-    /// Parse a frame produced by [`McCheckpoint::to_bytes`], rejecting
-    /// corrupted frames, foreign kinds, versions, truncation and trailing
-    /// garbage.
-    pub fn from_bytes(bytes: &[u8]) -> io::Result<McCheckpoint> {
-        let mut r = SnapReader::framed(bytes, *b"MCCK", MC_CKPT_VERSION)?;
-        let fingerprint = r.get_u64()?;
-        let horizon = r.get_u64()?;
-        let n = r.get_len()?;
-        let mut cursors = Vec::with_capacity(n);
-        for _ in 0..n {
-            cursors.push(r.get_u64()?);
-        }
-        let n = r.get_len()?;
-        let payload = r.get_bytes(n)?.to_vec();
-        r.expect_end()?;
-        Ok(McCheckpoint {
-            version: MC_CKPT_VERSION,
-            fingerprint,
-            horizon,
-            cursors,
-            payload,
-        })
-    }
-}
-
 /// The multi-core engine: N cores round-robin over a shared L2.
 pub struct McEngine {
     /// The shared level. Lent to one core during its slice of a quantum,
     /// back here between quanta.
     shared: Option<Box<SharedL2>>,
-    cores: Vec<McCore>,
+    cores: Vec<Engine>,
     config: SimConfig,
     mc: McConfig,
     horizon: Cycle,
@@ -209,9 +100,10 @@ impl McEngine {
         let cores = specs
             .into_iter()
             .map(|(replay, kind)| {
-                let hierarchy = Hierarchy::new(config.mem.clone(), kind.build());
-                let cpu = Cpu::new(config.cpu.clone(), hierarchy, config.instr_budget);
-                McCore { replay, kind, cpu }
+                let mut core = Engine::new(replay, &kind, config);
+                // The shared level replaces the core's own L2 and DRAM.
+                core.mem_mut().detach_shared();
+                core
             })
             .collect();
         McEngine {
@@ -224,7 +116,7 @@ impl McEngine {
     }
 
     /// The cores, in stepping order.
-    pub fn cores(&self) -> &[McCore] {
+    pub fn cores(&self) -> &[Engine] {
         &self.cores
     }
 
@@ -243,8 +135,8 @@ impl McEngine {
         let mut d = Digest::new();
         d.u64(self.cores.len() as u64);
         for core in &self.cores {
-            d.str(&core.replay.trace_key());
-            d.str(&format!("{:?}", core.kind));
+            d.str(&core.replay().trace_key());
+            d.str(&format!("{:?}", core.kind()));
         }
         d.str(&format!("{:?}", self.config));
         d.str(&format!("{:?}", self.mc));
@@ -253,42 +145,22 @@ impl McEngine {
 
     /// Whether every core has exhausted its budget or schedule.
     pub fn done(&self) -> bool {
-        let budget = self.config.instr_budget;
-        self.cores.iter().all(|c| c.done(budget))
+        self.cores.iter().all(Engine::done)
     }
 
     /// Advance the horizon by one quantum and run each core (in index
     /// order) until its clock reaches the horizon, with the shared level
-    /// attached to it. Cores step their capture's decoded lanes block by
-    /// block through [`Cpu::step_block_until`], which checks the horizon
-    /// before every instruction, so a quantum may end, and the next resume,
-    /// inside a block.
+    /// attached to it. A quantum may end, and the next resume, inside a
+    /// decoded block.
     pub fn step_quantum(&mut self) {
-        const BLOCK: usize = semloc_trace::BLOCK_LEN;
         self.horizon += self.mc.quantum;
-        let budget = self.config.instr_budget;
         let mut shared = self.shared.take();
         for core in &mut self.cores {
             if let Some(sh) = shared {
-                core.cpu.mem_mut().attach_shared(sh);
+                core.mem_mut().attach_shared(sh);
             }
-            let lanes = &core.replay.trace().lanes;
-            let end = match budget {
-                0 => lanes.len(),
-                b => lanes.len().min(b as usize),
-            };
-            let mut cur = core.cursor() as usize;
-            while cur < end {
-                let block_end = ((cur / BLOCK + 1) * BLOCK).min(end);
-                lanes.prefetch_block(block_end);
-                cur += core
-                    .cpu
-                    .step_block_until(&lanes.block(cur, block_end), self.horizon);
-                if cur < block_end {
-                    break;
-                }
-            }
-            shared = core.cpu.mem_mut().detach_shared();
+            core.run_until(self.horizon);
+            shared = core.mem_mut().detach_shared();
         }
         self.shared = shared;
     }
@@ -306,28 +178,21 @@ impl McEngine {
         let mut w = SnapWriter::new();
         self.shared().save(&mut w);
         for core in &self.cores {
-            core.save(&mut w);
+            core.save_state(&mut w);
         }
         McCheckpoint {
-            version: MC_CKPT_VERSION,
             fingerprint: self.fingerprint(),
             horizon: self.horizon,
-            cursors: self.cores.iter().map(|c| c.cursor()).collect(),
+            cursors: self.cores.iter().map(Engine::cursor).collect(),
             payload: w.into_bytes(),
         }
     }
 
     /// Restore to a previously captured checkpoint. The checkpoint must
-    /// carry this engine's own fingerprint and a supported version; a
-    /// payload whose restored per-core cursors disagree with the recorded
-    /// ones is rejected too. On error the engine must be discarded.
+    /// carry this engine's own fingerprint; a payload whose restored
+    /// per-core cursors disagree with the recorded ones is rejected too. On
+    /// error the engine must be discarded.
     pub fn restore(&mut self, ckpt: &McCheckpoint) -> io::Result<()> {
-        if ckpt.version != MC_CKPT_VERSION {
-            return Err(snap_err(format!(
-                "mc checkpoint version {} unsupported (engine speaks {MC_CKPT_VERSION})",
-                ckpt.version
-            )));
-        }
         let own = self.fingerprint();
         if ckpt.fingerprint != own {
             return Err(snap_err(format!(
@@ -345,7 +210,7 @@ impl McEngine {
         let mut r = SnapReader::new(&ckpt.payload);
         self.shared_mut().restore(&mut r)?;
         for core in &mut self.cores {
-            core.restore(&mut r)?;
+            core.restore_state(&mut r)?;
         }
         r.expect_end()?;
         for (core, &cursor) in self.cores.iter().zip(&ckpt.cursors) {
@@ -368,7 +233,7 @@ impl McEngine {
         let specs = self
             .cores
             .iter()
-            .map(|c| (c.replay.clone(), c.kind.clone()))
+            .map(|c| (c.replay().clone(), c.kind().clone()))
             .collect();
         let mut e = McEngine::new(specs, &self.config, &self.mc);
         e.restore(&self.checkpoint())
@@ -376,24 +241,23 @@ impl McEngine {
         e
     }
 
-    /// Finish the run: per-core end-of-run accounting (exactly as a
-    /// single-core [`crate::Engine::finish`] would produce), plus the
-    /// shared level's aggregate counters.
+    /// Finish the run: every core's [`Engine::finish`], plus the shared
+    /// level's aggregate counters.
     pub fn finish(self) -> (Vec<RunResult>, SharedL2Stats) {
         let shared = *self.shared().stats();
-        let results = self
-            .cores
-            .into_iter()
-            .map(|c| collect_result(c.replay.name(), c.kind.label(), c.cpu))
-            .collect();
-        (results, shared)
+        (self.cores.into_iter().map(Engine::finish).collect(), shared)
     }
 }
 
 impl std::fmt::Debug for McEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let cores: Vec<_> = self
+            .cores
+            .iter()
+            .map(|c| (c.replay().name(), c.kind().label(), c.cursor()))
+            .collect();
         f.debug_struct("McEngine")
-            .field("cores", &self.cores)
+            .field("cores", &cores)
             .field("horizon", &self.horizon)
             .finish_non_exhaustive()
     }
@@ -569,43 +433,5 @@ mod tests {
             },
         );
         assert!(c.restore(&ckpt).is_err());
-
-        // Bad version.
-        let mut bad = ckpt.clone();
-        bad.version = 9;
-        let mut d = McEngine::new(
-            vec![(replay_of("list", 30_000), PrefetcherKind::Stride)],
-            &cfg(),
-            &McConfig::default(),
-        );
-        assert!(d.restore(&bad).is_err());
-    }
-
-    #[test]
-    fn mc_checkpoint_bytes_roundtrip_and_reject_corruption() {
-        let mut e = McEngine::new(
-            vec![(replay_of("mcf", 30_000), PrefetcherKind::context())],
-            &cfg(),
-            &McConfig::default(),
-        );
-        for _ in 0..3 {
-            e.step_quantum();
-        }
-        let ckpt = e.checkpoint();
-        let bytes = ckpt.to_bytes();
-        assert_eq!(McCheckpoint::from_bytes(&bytes).expect("clean bytes"), ckpt);
-        assert!(McCheckpoint::from_bytes(&bytes[..bytes.len() - 1]).is_err());
-        let mut extra = bytes.clone();
-        extra.push(0);
-        assert!(McCheckpoint::from_bytes(&extra).is_err());
-        for at in [0, bytes.len() / 2] {
-            let mut flipped = bytes.clone();
-            flipped[at] ^= 0x10;
-            assert!(
-                McCheckpoint::from_bytes(&flipped).is_err(),
-                "flip at byte {at} of {} accepted",
-                bytes.len()
-            );
-        }
     }
 }

@@ -30,17 +30,6 @@ pub enum PrefetcherKind {
 }
 
 impl PrefetcherKind {
-    /// The paper's headline comparison set, in Fig 12 bar order:
-    /// GHB G/DC, GHB PC/DC, SMS, context.
-    pub fn paper_lineup() -> Vec<PrefetcherKind> {
-        vec![
-            PrefetcherKind::GhbGdc,
-            PrefetcherKind::GhbPcdc,
-            PrefetcherKind::Sms,
-            PrefetcherKind::Context(ContextConfig::default()),
-        ]
-    }
-
     /// The default context prefetcher: the paper's single bell reward
     /// centered on the ~30-access average target distance. (§4.3 notes the
     /// one function "accommodates diverse workloads with varying degrees of
@@ -123,12 +112,5 @@ mod tests {
                 budget
             );
         }
-    }
-
-    #[test]
-    fn paper_lineup_ends_with_context() {
-        let lineup = PrefetcherKind::paper_lineup();
-        assert_eq!(lineup.len(), 4);
-        assert_eq!(lineup.last().unwrap().label(), "context");
     }
 }

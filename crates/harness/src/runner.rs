@@ -8,7 +8,7 @@ use semloc_mem::{Hierarchy, MemStats, Prefetcher, PrefetcherStats};
 use semloc_trace::{fnv1a, snap_err, SnapReader, SnapWriter, Snapshot, FNV_OFFSET};
 use semloc_workloads::{Kernel, ReplayKernel};
 
-use crate::ckpt::CkptStore;
+use crate::ckpt::{CkptStore, SAVE_INTERVAL};
 use crate::config::SimConfig;
 use crate::engine::{Engine, SimCheckpoint};
 use crate::prefetchers::PrefetcherKind;
@@ -325,9 +325,8 @@ pub fn calibrated_context(
 /// short-circuits the run entirely; a valid *mid-run* checkpoint (`SIMC`)
 /// warm-starts the engine at its cursor; corrupt or foreign checkpoints
 /// are counted as rejects and the cell runs fresh. While running, a
-/// mid-run checkpoint is written every [`CkptStore::interval`]
-/// instructions, and the finished result is persisted as a final
-/// checkpoint.
+/// mid-run checkpoint is written every 100 000 instructions, and the
+/// finished result is persisted as a final checkpoint.
 pub fn run_resumable(
     ckpt: &CkptStore,
     replay: ReplayKernel,
@@ -356,10 +355,9 @@ pub fn run_resumable(
         // part-way: start from a fresh one either way.
         None => engine = Engine::new(replay, kind, config),
     }
-    let interval = ckpt.interval().max(1);
     while !engine.done() {
         let before = engine.cursor();
-        engine.run_to(before.saturating_add(interval));
+        engine.run_to(before.saturating_add(SAVE_INTERVAL));
         if engine.cursor() == before {
             break; // stream exhausted below the budget
         }

@@ -12,10 +12,14 @@
 //! move them. If a future change *intends* to alter multi-core behaviour,
 //! update the constants with the values printed by the failing assertion
 //! and record why in CHANGES.md.
+//!
+//! A one-core engine over a flat DRAM must be the single-core engine, so
+//! the two modes cannot drift apart below the L1.
 
 use std::sync::Arc;
 
-use semloc_harness::{mc_digest, McConfig, McEngine, PrefetcherKind, SimConfig};
+use semloc_harness::{mc_digest, Engine, McConfig, McEngine, PrefetcherKind, SimConfig};
+use semloc_mem::{DramConfig, MemStats};
 use semloc_workloads::{capture_kernel, kernel_by_name, CapturedTrace, Composer, ReplayKernel};
 
 /// Pinned digest of the 2-core scenario below.
@@ -127,4 +131,44 @@ fn multi_core_digests_are_reproducible_in_process() {
     // hidden global state (RNG, maps with randomized iteration, clocks)
     // leaks into the multi-core path.
     assert_eq!(two_core_digest(), two_core_digest());
+}
+
+#[test]
+fn one_core_over_flat_dram_is_the_single_core_engine() {
+    // The single-core DRAM: 300 cycles, one channel, no queueing.
+    let flat = McConfig {
+        dram: DramConfig {
+            latency: 300,
+            channels: 1,
+            service_interval: 0,
+        },
+        ..McConfig::default()
+    };
+    let cfg = SimConfig::default().with_budget(60_000);
+    for kernel in ["milc", "namd"] {
+        let replay = ReplayKernel::new(capture(kernel, cfg.instr_budget));
+        for kind in [
+            PrefetcherKind::None,
+            PrefetcherKind::Stride,
+            PrefetcherKind::context(),
+        ] {
+            let single = {
+                let mut e = Engine::new(replay.clone(), &kind, &cfg);
+                e.run_to_end();
+                e.finish()
+            };
+            let mut e = McEngine::new(vec![(replay.clone(), kind.clone())], &cfg, &flat);
+            e.run_to_end();
+            let (results, shared) = e.finish();
+            let core = &results[0];
+            let what = format!("{kernel} under {}", kind.label());
+            assert_eq!(core.cpu, single.cpu, "{what}: core statistics");
+            // A shared level bills the L2's dirty evictions to itself.
+            let billed = MemStats {
+                writebacks: core.mem.writebacks + shared.writebacks,
+                ..core.mem
+            };
+            assert_eq!(billed, single.mem, "{what}: memory statistics");
+        }
+    }
 }

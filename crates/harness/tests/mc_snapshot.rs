@@ -9,14 +9,13 @@
 //! within a quantum) and pin:
 //!
 //! * restore + continue ≡ uninterrupted (full [`mc_digest`] equality),
-//! * byte round-trip through [`McCheckpoint::to_bytes`] changes nothing,
 //! * re-saving a restored engine is byte-identical (no hidden state
 //!   outside the snapshot),
 //! * a fork runs ahead without disturbing the paused original.
 
 use std::sync::Arc;
 
-use semloc_harness::{mc_digest, McCheckpoint, McConfig, McEngine, PrefetcherKind, SimConfig};
+use semloc_harness::{mc_digest, McConfig, McEngine, PrefetcherKind, SimConfig};
 use semloc_workloads::{capture_kernel, kernel_by_name, Composer, ReplayKernel};
 
 /// The 2-core scenario all tests share: a composed phase-shift schedule on
@@ -64,7 +63,7 @@ fn restore_mid_schedule_and_continue_is_bit_identical() {
         warm.step_quantum();
     }
     assert!(!warm.done(), "pause point must be mid-schedule");
-    let ckpt = McCheckpoint::from_bytes(&warm.checkpoint().to_bytes()).expect("byte round-trip");
+    let ckpt = warm.checkpoint();
     assert!(
         ckpt.cursors.iter().all(|&c| c > 0),
         "every core must have progressed before the pause"

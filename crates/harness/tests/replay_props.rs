@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use semloc_harness::{mc_digest, McCheckpoint, McConfig, McEngine, PrefetcherKind, SimConfig};
+use semloc_harness::{mc_digest, McConfig, McEngine, PrefetcherKind, SimConfig};
 use semloc_harness::{run_kernel_uncached, Engine, TraceStore};
 use semloc_trace::{DecodedTrace, BLOCK_LEN};
 use semloc_workloads::{
@@ -180,7 +180,7 @@ fn mc_restore_at_a_mid_block_cursor_matches_uninterrupted() {
         for _ in 0..quanta {
             warm.step_quantum();
         }
-        let ckpt = McCheckpoint::from_bytes(&warm.checkpoint().to_bytes()).expect("round-trip");
+        let ckpt = warm.checkpoint();
         mid_block += ckpt
             .cursors
             .iter()

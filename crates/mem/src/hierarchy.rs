@@ -4,7 +4,7 @@
 //! model: it performs the L1/L2/DRAM lookup chain, merges into in-flight
 //! fills through the MSHR files, classifies the access (Fig 9), invokes the
 //! attached [`Prefetcher`] and dispatches whatever requests survive MSHR
-//! pressure.
+//! pressure. Everything below the L1 goes through one [`SharedL2`] level.
 
 use crate::cache::{Cache, LookupResult};
 use crate::classify::AccessClass;
@@ -13,7 +13,7 @@ use crate::mshr::{MshrFile, MshrKind};
 use crate::prefetcher::{MemPressure, PrefetchReq, Prefetcher};
 use crate::shared_l2::SharedL2;
 use crate::stats::MemStats;
-use semloc_trace::{AccessContext, Addr, Cycle, SnapReader, SnapWriter, Snapshot};
+use semloc_trace::{snap_err, AccessContext, Addr, Cycle, SnapReader, SnapWriter, Snapshot};
 
 /// Result of a demand access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -24,8 +24,13 @@ pub struct DemandResult {
     pub class: AccessClass,
 }
 
-/// The simulated memory system: L1D + shared L2 + flat-latency DRAM, with an
-/// attached prefetcher.
+/// The simulated memory system: L1D + L2 + DRAM, with an attached
+/// prefetcher.
+///
+/// The L2 and DRAM are one [`SharedL2`] level: the hierarchy's own private
+/// level over a flat-latency DRAM, built by [`Hierarchy::new`], or a
+/// multi-core engine's shared level while the engine lends it
+/// ([`Hierarchy::attach_shared`]).
 ///
 /// ```rust
 /// use semloc_mem::{Hierarchy, MemConfig, NoPrefetch};
@@ -40,47 +45,57 @@ pub struct DemandResult {
 pub struct Hierarchy<P: Prefetcher> {
     cfg: MemConfig,
     l1: Cache,
-    l2: Cache,
     l1_mshrs: MshrFile,
-    l2_mshrs: MshrFile,
+    /// The level below the L1. A multi-core core holds none between its
+    /// slices; its engine saves the shared level.
+    l2: Option<Box<SharedL2>>,
     prefetcher: P,
     stats: MemStats,
     req_buf: Vec<PrefetchReq>,
-    /// In interference mode the L2/DRAM legs go through the shared level
-    /// instead of the private `l2`/`l2_mshrs` (which then stay empty). It is
-    /// attached only while this core steps; its owner snapshots it.
-    shared: Option<Box<SharedL2>>,
 }
 
 impl<P: Prefetcher> Hierarchy<P> {
     /// Build the hierarchy described by `cfg` with `prefetcher` attached to
-    /// the L1.
+    /// the L1, over its own private L2 and flat-latency DRAM.
     pub fn new(cfg: MemConfig, prefetcher: P) -> Self {
         Hierarchy {
             l1: Cache::new(cfg.l1.clone()),
-            l2: Cache::new(cfg.l2.clone()),
             l1_mshrs: MshrFile::new(cfg.l1.mshrs, cfg.l1.line_bytes),
-            l2_mshrs: MshrFile::new(cfg.l2.mshrs, cfg.l2.line_bytes),
+            l2: Some(Box::new(SharedL2::private(
+                cfg.l2.clone(),
+                cfg.dram_latency,
+            ))),
             cfg,
             prefetcher,
             stats: MemStats::default(),
             req_buf: Vec::with_capacity(8),
-            shared: None,
         }
     }
 
     /// Route the L2/DRAM legs through `shared` until
     /// [`Hierarchy::detach_shared`]: this core's slice of a multi-core
-    /// quantum. The private L2 sits unused meanwhile (the shared level
-    /// carries its own geometry); only the L1 and `prefetch_mshr_reserve`
-    /// fields of the configuration matter.
+    /// quantum. The shared level carries its own geometry, so only the L1
+    /// and `prefetch_mshr_reserve` fields of the configuration matter.
     pub fn attach_shared(&mut self, shared: Box<SharedL2>) {
-        self.shared = Some(shared);
+        self.l2 = Some(shared);
     }
 
-    /// Hand the shared level back to its owner (`None` if none is attached).
+    /// Take the level below the L1 away (`None` if none is held): a
+    /// multi-core engine drops each fresh core's private level this way,
+    /// and takes its shared level back after every slice.
     pub fn detach_shared(&mut self) -> Option<Box<SharedL2>> {
-        self.shared.take()
+        self.l2.take()
+    }
+
+    /// The level below the L1.
+    #[expect(
+        clippy::expect_used,
+        reason = "a hierarchy always holds a level while it runs: its own, or a lent shared one"
+    )]
+    fn level(&mut self) -> &mut SharedL2 {
+        self.l2
+            .as_deref_mut()
+            .expect("an L2 level is attached while the hierarchy runs")
     }
 
     /// The attached prefetcher.
@@ -107,13 +122,9 @@ impl<P: Prefetcher> Hierarchy<P> {
     /// reflects the contended shared file, so prefetchers back off when
     /// *other* cores saturate it.
     pub fn pressure(&mut self, now: Cycle) -> MemPressure {
-        let l2_mshr_free = match &mut self.shared {
-            Some(sh) => sh.mshr_free(now),
-            None => self.l2_mshrs.free(now),
-        };
         MemPressure {
             l1_mshr_free: self.l1_mshrs.free(now),
-            l2_mshr_free,
+            l2_mshr_free: self.level().mshr_free(now),
         }
     }
 
@@ -197,7 +208,6 @@ impl<P: Prefetcher> Hierarchy<P> {
     /// capacity as backpressure. Returns the fill-completion cycle.
     fn fetch_line(&mut self, addr: Addr, now: Cycle, kind: MshrKind, dirty: bool) -> Cycle {
         let l1_lat = self.cfg.l1.latency;
-        let l2_lat = self.cfg.l2.latency;
 
         // When the L1 MSHR file is full of demand reservations, the miss
         // waits for the earliest outstanding demand fill before its own
@@ -211,37 +221,10 @@ impl<P: Prefetcher> Hierarchy<P> {
             }
         }
 
-        let l2_ready = match &mut self.shared {
-            Some(sh) => {
-                let (ready, missed) = sh.demand_leg(addr, start + l1_lat, kind, dirty);
-                if missed {
-                    self.stats.l2_misses += 1;
-                }
-                ready
-            }
-            None => match self.l2.lookup_demand(addr, start + l1_lat, dirty) {
-                LookupResult::Hit { .. } => start + l1_lat + l2_lat,
-                LookupResult::InFlight { ready_at, .. } => ready_at.max(start + l1_lat) + l2_lat,
-                LookupResult::Miss => {
-                    self.stats.l2_misses += 1;
-                    // L2 MSHR backpressure (reservation-counted for demands).
-                    let mut l2_start = start + l1_lat + l2_lat;
-                    while kind == MshrKind::Demand && self.l2_mshrs.free_for_demand(l2_start) == 0 {
-                        match self.l2_mshrs.earliest_demand_fill() {
-                            Some(t) if t > l2_start => l2_start = t,
-                            _ => break,
-                        }
-                    }
-                    let fill = l2_start + self.cfg.dram_latency;
-                    let _ = self.l2_mshrs.try_allocate(addr, fill, kind, l2_start);
-                    let ev = self.l2.fill(addr, fill, false, false);
-                    if ev.dirty {
-                        self.stats.writebacks += 1;
-                    }
-                    fill
-                }
-            },
-        };
+        let (l2_ready, missed, writeback) =
+            self.level().demand_leg(addr, start + l1_lat, kind, dirty);
+        self.stats.l2_misses += u64::from(missed);
+        self.stats.writebacks += u64::from(writeback);
 
         let _ = self.l1_mshrs.try_allocate(addr, l2_ready, kind, start);
         let ev = self
@@ -270,41 +253,16 @@ impl<P: Prefetcher> Hierarchy<P> {
             return false;
         }
         let l1_lat = self.cfg.l1.latency;
-        let l2_lat = self.cfg.l2.latency;
         // Prefetches that miss the L2 ride the L2's MSHRs for the DRAM leg;
         // the L1 MSHR is only held for the final L2→L1 transfer window, so
         // the 4-entry L1 file does not serialize deep prefetching.
-        let (fill, l1_window_start) = match &mut self.shared {
-            Some(sh) => match sh.prefetch_leg(addr, now + l1_lat, now) {
-                Some(fill_window) => fill_window,
-                None => {
-                    self.stats.prefetches_rejected += 1;
-                    return false;
-                }
-            },
-            None => match self.l2.lookup_demand(addr, now + l1_lat, false) {
-                LookupResult::Hit { .. } => (now + l1_lat + l2_lat, now),
-                LookupResult::InFlight { ready_at, .. } => {
-                    let fill = ready_at.max(now + l1_lat) + l2_lat;
-                    (fill, fill.saturating_sub(l2_lat))
-                }
-                LookupResult::Miss => {
-                    if self.l2_mshrs.free(now) == 0 {
-                        self.stats.prefetches_rejected += 1;
-                        return false;
-                    }
-                    let fill = now + l1_lat + l2_lat + self.cfg.dram_latency;
-                    let _ = self
-                        .l2_mshrs
-                        .try_allocate(addr, fill, MshrKind::Prefetch, now);
-                    let ev = self.l2.fill(addr, fill, false, false);
-                    if ev.dirty {
-                        self.stats.writebacks += 1;
-                    }
-                    (fill, fill.saturating_sub(l2_lat))
-                }
-            },
+        let Some((fill, l1_window_start, writeback)) =
+            self.level().prefetch_leg(addr, now + l1_lat, now)
+        else {
+            self.stats.prefetches_rejected += 1;
+            return false;
         };
+        self.stats.writebacks += u64::from(writeback);
         let _ =
             self.l1_mshrs
                 .try_allocate_window(addr, l1_window_start, fill, MshrKind::Prefetch, now);
@@ -333,19 +291,19 @@ impl<P: Prefetcher> Snapshot for Hierarchy<P> {
         let Self {
             cfg: _, // construction-time config
             l1,
-            l2,
             l1_mshrs,
-            l2_mshrs,
+            l2,
             prefetcher,
             stats,
             req_buf: _, // scratch, cleared before every use
-            shared: _,  // attached only while a multi-core quantum steps; its owner saves it
         } = self;
-        w.section(*b"HIER", 1);
+        w.section(*b"HIER", 2);
         l1.save(w);
-        l2.save(w);
         l1_mshrs.save(w);
-        l2_mshrs.save(w);
+        w.put_bool(l2.is_some());
+        if let Some(level) = l2 {
+            level.save(w);
+        }
         stats.save(w);
         prefetcher.save_state(w);
     }
@@ -354,19 +312,24 @@ impl<P: Prefetcher> Snapshot for Hierarchy<P> {
         let Self {
             cfg: _, // construction-time config
             l1,
-            l2,
             l1_mshrs,
-            l2_mshrs,
+            l2,
             prefetcher,
             stats,
             req_buf: _, // scratch, cleared before every use
-            shared: _,  // attached only while a multi-core quantum steps; its owner restores it
         } = self;
-        r.section(*b"HIER", 1)?;
+        r.section(*b"HIER", 2)?;
         l1.restore(r)?;
-        l2.restore(r)?;
         l1_mshrs.restore(r)?;
-        l2_mshrs.restore(r)?;
+        match (r.get_bool()?, l2.as_deref_mut()) {
+            (true, Some(level)) => level.restore(r)?,
+            (false, None) => {}
+            _ => {
+                return Err(snap_err(
+                    "the snapshot and the hierarchy disagree on holding an L2 level",
+                ))
+            }
+        }
         stats.restore(r)?;
         prefetcher.restore_state(r)
     }
@@ -444,6 +407,27 @@ mod tests {
         let r = m.demand_access(&ctx(9, 0x10000), 100_000);
         // L1 miss, L2 hit: 2 + 20.
         assert_eq!(r.ready_at, 100_022);
+    }
+
+    #[test]
+    fn snapshot_restores_only_into_a_hierarchy_holding_the_same_level() {
+        let save = |m: &Hierarchy<NoPrefetch>| {
+            let mut w = SnapWriter::new();
+            m.save(&mut w);
+            w.into_bytes()
+        };
+        let mut m = h();
+        m.demand_access(&ctx(0, 0x10000), 0);
+        let with_level = save(&m);
+        let mut detached = h();
+        assert!(detached.detach_shared().is_some());
+        let without_level = save(&detached);
+
+        assert!(detached.restore(&mut SnapReader::new(&with_level)).is_err());
+        assert!(h().restore(&mut SnapReader::new(&without_level)).is_err());
+        let mut fresh = h();
+        fresh.restore(&mut SnapReader::new(&with_level)).unwrap();
+        assert_eq!(save(&fresh), with_level);
     }
 
     struct OneShot {

@@ -3,8 +3,13 @@
 //! Reproduces the memory system of Table 2 of the paper:
 //!
 //! * private L1 data cache — 64 kB, 8-way, 2-cycle access, 4 MSHRs;
-//! * shared L2 — 2 MB, 16-way, 20-cycle access, 20 MSHRs;
+//! * L2 — 2 MB, 16-way, 20-cycle access, 20 MSHRs;
 //! * main memory — flat 300-cycle access.
+//!
+//! The L2 and the memory below it are one [`SharedL2`] level, the only
+//! path below the L1: a [`Hierarchy`] builds its own private level over a
+//! flat-latency DRAM, and the multi-core mode lends every core one shared
+//! level over a finite-bandwidth [`DramModel`] instead.
 //!
 //! Prefetches are delivered **to the L1** (as in the paper), subject to L1
 //! MSHR availability; when the memory system is stressed, prefetch requests

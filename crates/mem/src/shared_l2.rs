@@ -1,14 +1,17 @@
-//! Shared L2 + DRAM bandwidth model for the multi-core interference mode.
+//! The level below the L1: one L2 array, its MSHR file and a DRAM model.
 //!
-//! In single-core runs every [`crate::Hierarchy`] owns a private L2 and a
-//! flat-latency DRAM. The interference mode instead passes one
-//! [`SharedL2`] from hierarchy to hierarchy: a single L2 array + MSHR file
-//! whose DRAM leg goes through a finite-bandwidth channel model, so
-//! co-running cores contend for capacity (evicting each other's lines), for
-//! L2 MSHRs (throttling each other's prefetchers) and for DRAM service
-//! slots (queueing each other's misses). Cores step one at a time, so the
-//! level is owned, never shared: the engine attaches it to the core that is
-//! stepping ([`crate::Hierarchy::attach_shared`]) and takes it back after.
+//! Every [`crate::Hierarchy`] reaches the L2 and DRAM only through a
+//! [`SharedL2`]'s two legs, [`SharedL2::demand_leg`] and
+//! [`SharedL2::prefetch_leg`]. A single-core hierarchy builds its own level
+//! with [`SharedL2::private`]: Table 2's L2 over a flat-latency DRAM. The
+//! multi-core interference mode instead passes one level built with
+//! [`SharedL2::new`] from hierarchy to hierarchy, whose DRAM leg goes
+//! through a finite-bandwidth channel model, so co-running cores contend
+//! for capacity (evicting each other's lines), for L2 MSHRs (throttling
+//! each other's prefetchers) and for DRAM service slots (queueing each
+//! other's misses). Cores step one at a time, so the level is owned, never
+//! shared: the engine attaches it to the core that is stepping
+//! ([`crate::Hierarchy::attach_shared`]) and takes it back after.
 //!
 //! The model stays latency-computed and event-free like the rest of the
 //! memory system: cores hand in *arrival cycles* and get back completion
@@ -67,9 +70,14 @@ impl DramModel {
     }
 
     /// Schedule a line request arriving at cycle `t`. Returns the completion
-    /// cycle (`service start + latency`) and advances the chosen channel.
-    /// Deterministic: the earliest-free channel wins, first index on ties.
+    /// cycle (`service start + latency`) and the cycles it queued, and
+    /// advances the chosen channel. Deterministic: the earliest-free channel
+    /// wins, first index on ties. A zero `service_interval` is flat DRAM:
+    /// every request starts on arrival, in whatever order requests arrive.
     pub fn schedule(&mut self, t: Cycle) -> (Cycle, Cycle) {
+        if self.cfg.service_interval == 0 {
+            return (t + self.cfg.latency, 0);
+        }
         let mut best = 0usize;
         for (i, &free) in self.next_free.iter().enumerate() {
             if free < self.next_free[best] {
@@ -168,18 +176,21 @@ impl Snapshot for SharedL2Stats {
     }
 }
 
-/// One L2 + MSHR file + DRAM shared by every core of a multi-core engine.
+/// One L2 + MSHR file + DRAM: a hierarchy's own level, or the one every
+/// core of a multi-core engine shares.
 ///
-/// The two legs mirror [`crate::Hierarchy`]'s private L2 paths exactly,
-/// except that the flat `dram_latency` is replaced by
-/// [`DramModel::schedule`], so a miss behind a saturated channel completes
-/// later than an identical miss on an idle machine.
+/// A miss's DRAM leg goes through [`DramModel::schedule`], so on a shared
+/// level a miss behind a saturated channel completes later than an
+/// identical miss on an idle machine; a private level's DRAM is flat.
 pub struct SharedL2 {
     cfg: CacheConfig,
     l2: Cache,
     mshrs: MshrFile,
     dram: DramModel,
     stats: SharedL2Stats,
+    /// A hierarchy's own level: the core bills its dirty evictions as its
+    /// own writebacks instead of [`SharedL2Stats::writebacks`].
+    private: bool,
 }
 
 impl SharedL2 {
@@ -191,6 +202,21 @@ impl SharedL2 {
             dram: DramModel::new(dram),
             cfg: l2,
             stats: SharedL2Stats::default(),
+            private: false,
+        }
+    }
+
+    /// A hierarchy's own level: the L2 over a flat DRAM, where every miss
+    /// costs `dram_latency` and never queues.
+    pub fn private(l2: CacheConfig, dram_latency: Cycle) -> Self {
+        let flat = DramConfig {
+            latency: dram_latency,
+            channels: 1,
+            service_interval: 0,
+        };
+        SharedL2 {
+            private: true,
+            ..SharedL2::new(l2, flat)
         }
     }
 
@@ -206,25 +232,26 @@ impl SharedL2 {
 
     /// The demand leg of a core's L1 miss arriving at cycle `arrive`
     /// (already past that core's L1 latency + MSHR backpressure). Returns
-    /// the cycle the line reaches the core's L1 boundary and whether the
-    /// shared array missed.
+    /// the cycle the line reaches the core's L1 boundary, whether the array
+    /// missed, and whether the fill evicted a dirty line the core bills as
+    /// its own writeback (only on a private level).
     pub fn demand_leg(
         &mut self,
         addr: Addr,
         arrive: Cycle,
         kind: MshrKind,
         dirty: bool,
-    ) -> (Cycle, bool) {
+    ) -> (Cycle, bool, bool) {
         let l2_lat = self.cfg.latency;
         self.stats.demand_lookups += 1;
         match self.l2.lookup_demand(addr, arrive, dirty) {
             LookupResult::Hit { .. } => {
                 self.stats.demand_hits += 1;
-                (arrive + l2_lat, false)
+                (arrive + l2_lat, false, false)
             }
             LookupResult::InFlight { ready_at, .. } => {
                 self.stats.demand_hits += 1;
-                (ready_at.max(arrive) + l2_lat, false)
+                (ready_at.max(arrive) + l2_lat, false, false)
             }
             LookupResult::Miss => {
                 self.stats.demand_misses += 1;
@@ -240,31 +267,28 @@ impl SharedL2 {
                 let (fill, queued) = self.dram.schedule(l2_start);
                 self.stats.dram_queue_cycles += queued;
                 let _ = self.mshrs.try_allocate(addr, fill, kind, l2_start);
-                let ev = self.l2.fill(addr, fill, false, false);
-                if ev.dirty {
-                    self.stats.writebacks += 1;
-                }
-                (fill, true)
+                (fill, true, self.install(addr, fill))
             }
         }
     }
 
     /// The L2 leg of a core's prefetch arriving at cycle `arrive` (`now` is
     /// the core's current cycle, used for MSHR occupancy). Returns the L1
-    /// fill cycle and the L1 MSHR window start, or `None` when rejected by
-    /// shared-MSHR pressure.
+    /// fill cycle, the L1 MSHR window start and, as for
+    /// [`SharedL2::demand_leg`], whether the core bills a writeback; `None`
+    /// when rejected by L2-MSHR pressure.
     pub fn prefetch_leg(
         &mut self,
         addr: Addr,
         arrive: Cycle,
         now: Cycle,
-    ) -> Option<(Cycle, Cycle)> {
+    ) -> Option<(Cycle, Cycle, bool)> {
         let l2_lat = self.cfg.latency;
         match self.l2.lookup_demand(addr, arrive, false) {
-            LookupResult::Hit { .. } => Some((arrive + l2_lat, now)),
+            LookupResult::Hit { .. } => Some((arrive + l2_lat, now, false)),
             LookupResult::InFlight { ready_at, .. } => {
                 let fill = ready_at.max(arrive) + l2_lat;
-                Some((fill, fill.saturating_sub(l2_lat)))
+                Some((fill, fill.saturating_sub(l2_lat), false))
             }
             LookupResult::Miss => {
                 if self.mshrs.free(now) == 0 {
@@ -272,14 +296,21 @@ impl SharedL2 {
                 }
                 let (fill, _queued) = self.dram.schedule(arrive + l2_lat);
                 let _ = self.mshrs.try_allocate(addr, fill, MshrKind::Prefetch, now);
-                let ev = self.l2.fill(addr, fill, false, false);
-                if ev.dirty {
-                    self.stats.writebacks += 1;
-                }
                 self.stats.prefetch_fills += 1;
-                Some((fill, fill.saturating_sub(l2_lat)))
+                Some((fill, fill.saturating_sub(l2_lat), self.install(addr, fill)))
             }
         }
+    }
+
+    /// Install `addr`'s line, complete at `fill`. A dirty victim is the
+    /// core's writeback on a private level (returns `true`) and the shared
+    /// level's otherwise.
+    fn install(&mut self, addr: Addr, fill: Cycle) -> bool {
+        let dirty = self.l2.fill(addr, fill, false, false).dirty;
+        if dirty && !self.private {
+            self.stats.writebacks += 1;
+        }
+        dirty && self.private
     }
 }
 
@@ -291,6 +322,7 @@ impl Snapshot for SharedL2 {
             mshrs,
             dram,
             stats,
+            private: _, // construction-time role, not run state
         } = self;
         w.section(*b"SHL2", 1);
         l2.save(w);
@@ -306,6 +338,7 @@ impl Snapshot for SharedL2 {
             mshrs,
             dram,
             stats,
+            private: _, // construction-time role, not run state
         } = self;
         r.section(*b"SHL2", 1)?;
         l2.restore(r)?;
@@ -337,6 +370,18 @@ mod tests {
     }
 
     #[test]
+    fn zero_interval_dram_is_flat_in_any_arrival_order() {
+        let mut d = DramModel::new(DramConfig {
+            latency: 300,
+            channels: 1,
+            service_interval: 0,
+        });
+        assert_eq!(d.schedule(100), (400, 0));
+        // An earlier arrival after a later one does not wait for it.
+        assert_eq!(d.schedule(50), (350, 0));
+    }
+
+    #[test]
     fn saturated_channels_queue_requests() {
         let cfg = DramConfig {
             latency: 300,
@@ -363,13 +408,14 @@ mod tests {
     fn demand_leg_mirrors_private_path_when_idle() {
         let mem = MemConfig::default();
         let mut sh = SharedL2::new(mem.l2.clone(), DramConfig::default());
+        let mut own = SharedL2::private(mem.l2.clone(), mem.dram_latency);
         // Cold miss arriving at the L2 boundary at cycle 2 (past a 2-cycle
-        // L1): 2 + 20 (L2) + 300 (DRAM) = 322, as in the private path.
-        let (ready, missed) = sh.demand_leg(0x10000, 2, MshrKind::Demand, false);
-        assert_eq!(ready, 322);
-        assert!(missed);
+        // L1): 2 + 20 (L2) + 300 (DRAM) = 322, as on a private level.
+        let cold = sh.demand_leg(0x10000, 2, MshrKind::Demand, false);
+        assert_eq!(cold, (322, true, false));
+        assert_eq!(own.demand_leg(0x10000, 2, MshrKind::Demand, false), cold);
         // Second core touching the same line merges in flight.
-        let (ready2, missed2) = sh.demand_leg(0x10020, 10, MshrKind::Demand, false);
+        let (ready2, missed2, _) = sh.demand_leg(0x10020, 10, MshrKind::Demand, false);
         assert_eq!(ready2, 322 + 20);
         assert!(!missed2);
         assert_eq!(sh.stats().demand_misses, 1);
@@ -389,12 +435,12 @@ mod tests {
         let mut sh = SharedL2::new(l2, DramConfig::default());
         sh.demand_leg(0x0000, 0, MshrKind::Demand, false);
         // Refetch after the fill completes: hit.
-        let (_, missed) = sh.demand_leg(0x0000, 1000, MshrKind::Demand, false);
+        let (_, missed, _) = sh.demand_leg(0x0000, 1000, MshrKind::Demand, false);
         assert!(!missed);
         // Another core floods the set.
         sh.demand_leg(0x1000, 2000, MshrKind::Demand, false);
         sh.demand_leg(0x2000, 3000, MshrKind::Demand, false);
-        let (_, missed) = sh.demand_leg(0x0000, 10_000, MshrKind::Demand, false);
+        let (_, missed, _) = sh.demand_leg(0x0000, 10_000, MshrKind::Demand, false);
         assert!(missed, "victim line must have been evicted by the flood");
     }
 

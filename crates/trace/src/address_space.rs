@@ -62,7 +62,6 @@ pub struct AddressSpace {
     policy: Placement,
     rng: StdRng,
     brk: Addr,
-    allocated: u64,
     /// Free slots per size class (Scatter). Keyed by size class; a BTreeMap
     /// keeps any future iteration deterministic — the randomized part of
     /// scatter placement lives in the seeded shuffle, not the map.
@@ -78,7 +77,6 @@ impl AddressSpace {
             policy,
             rng: StdRng::seed_from_u64(seed ^ 0x5ee1_0c8a_11e5_7a11),
             brk: HEAP_BASE,
-            allocated: 0,
             bags: BTreeMap::new(),
             pools: BTreeMap::new(),
         }
@@ -89,11 +87,6 @@ impl AddressSpace {
         &self.policy
     }
 
-    /// Total bytes handed out so far (rounded to size classes).
-    pub fn allocated_bytes(&self) -> u64 {
-        self.allocated
-    }
-
     /// Allocate `size` bytes (8-byte aligned). Returns the base address.
     ///
     /// # Panics
@@ -102,7 +95,6 @@ impl AddressSpace {
     pub fn alloc(&mut self, size: u64) -> Addr {
         assert!(size > 0, "zero-sized allocation");
         let class = size_class(size);
-        self.allocated += class;
         match self.policy {
             Placement::Bump => self.bump(class),
             Placement::Scatter => self.scatter(class),
@@ -116,7 +108,6 @@ impl AddressSpace {
     pub fn alloc_array(&mut self, elem_size: u64, count: u64) -> Addr {
         assert!(elem_size > 0 && count > 0, "zero-sized array allocation");
         let bytes = elem_size * count;
-        self.allocated += bytes;
         self.bump(round_up(bytes, 8))
     }
 

@@ -22,8 +22,8 @@
 //! # Frames
 //!
 //! Everything the simulator persists is one *frame*: a section whose tag
-//! names its kind (`TRCE` traces, `SIMC` and `RRES` checkpoints, `MCCK`
-//! multi-core checkpoints), wrapped with a magic and a checksum trailer.
+//! names its kind (`TRCE` traces, `SIMC` and `RRES` checkpoints), wrapped
+//! with a magic and a checksum trailer.
 //!
 //! ```text
 //! offset  size  field

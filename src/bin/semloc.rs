@@ -137,9 +137,10 @@ fn cmd_list() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The `--json` report for one run: flat metrics. Keys are stable — CI and
-/// downstream tooling parse this shape.
-fn run_json(r: &RunResult, baseline: &RunResult) -> String {
+/// The `--json` report for one run of the prefetcher `semloc list` calls
+/// `name`: flat metrics. Keys are stable — CI and downstream tooling parse
+/// this shape.
+fn run_json(name: &str, r: &RunResult, baseline: &RunResult) -> String {
     let speedup = match r.speedup_over(baseline) {
         Ok(s) => format!("{s:.6}"),
         Err(_) => "null".to_string(),
@@ -152,7 +153,7 @@ fn run_json(r: &RunResult, baseline: &RunResult) -> String {
             "\"storage_bytes\":{}}}"
         ),
         r.kernel,
-        r.prefetcher,
+        name,
         r.cpu.instructions,
         r.cpu.cycles,
         r.cpu.ipc(),
@@ -169,21 +170,26 @@ fn cmd_run(kernel: &str, pf: &str, budget: u64, json: bool) -> ExitCode {
         return ExitCode::FAILURE;
     };
     let cfg = SimConfig::default().with_budget(budget);
-    let pf = match prefetcher_by_name(pf, Some((k.as_ref(), &cfg))) {
-        Ok(pf) => pf,
+    let kind = match prefetcher_by_name(pf, Some((k.as_ref(), &cfg))) {
+        Ok(kind) => kind,
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
     let base = run_kernel(k.as_ref(), &PrefetcherKind::None, &cfg);
-    let r = if matches!(pf, PrefetcherKind::None) {
+    let r = if matches!(kind, PrefetcherKind::None) {
         base.clone()
     } else {
-        run_kernel(k.as_ref(), &pf, &cfg)
+        run_kernel(k.as_ref(), &kind, &cfg)
     };
     if json {
-        println!("{}", run_json(&r, &base));
+        // An alias (`ghb`) reports its kind's label, which is the listed name.
+        let name = PREFETCHERS
+            .into_iter()
+            .find(|&listed| listed == pf)
+            .unwrap_or(r.prefetcher);
+        println!("{}", run_json(name, &r, &base));
     } else {
         print_result(&r, Some(&base));
     }
@@ -208,7 +214,7 @@ fn cmd_compare(kernel: &str, budget: u64, json: bool) -> ExitCode {
                 } else {
                     run_kernel(k.as_ref(), &pf, &cfg)
                 };
-                run_json(&r, &base)
+                run_json(name, &r, &base)
             })
             .collect();
         println!(

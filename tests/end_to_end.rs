@@ -236,3 +236,32 @@ fn cli_record_then_replay_matches_run() {
     assert_eq!(code, Some(1), "an extended trace must be refused");
     let _ = std::fs::remove_file(&path);
 }
+
+#[test]
+fn cli_compare_json_rows_carry_the_listed_names() {
+    // Each `compare --json` row names its prefetcher as `semloc list` does,
+    // so `context` and `context-calibrated` stay distinguishable.
+    let semloc = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_semloc"))
+            .args(args)
+            .output()
+            .expect("run the semloc binary");
+        assert_eq!(out.status.code(), Some(0), "semloc {args:?} must succeed");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let list = semloc(&["list"]);
+    let listed: Vec<&str> = list
+        .split("prefetchers:")
+        .nth(1)
+        .expect("`semloc list` lists prefetchers")
+        .split_whitespace()
+        .collect();
+    let json = semloc(&["compare", "list", "5000", "--json"]);
+    let rows: Vec<&str> = json
+        .split("\"prefetcher\":\"")
+        .skip(1)
+        .map(|row| row.split('"').next().unwrap())
+        .collect();
+    assert_eq!(listed.len(), 10, "{list}");
+    assert_eq!(rows, listed, "{json}");
+}
