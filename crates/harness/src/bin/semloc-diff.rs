@@ -27,7 +27,9 @@ fn variant_config() -> ContextConfig {
 fn main() -> ExitCode {
     let budget = match std::env::args().nth(1) {
         None => 60_000,
-        Some(arg) => match parse_knob("budget", &arg, 0..=u64::MAX) {
+        // 0 would mean unbounded, and every registered kernel runs until
+        // its budget.
+        Some(arg) => match parse_knob("budget", &arg, 1..=u64::MAX) {
             Ok(b) => b,
             Err(e) => {
                 eprintln!("{e}");

@@ -25,13 +25,16 @@ impl Default for SimConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `SEMLOC_BUDGET` is set but not a non-negative integer.
+    /// Panics if `SEMLOC_BUDGET` is set but not a positive integer. A
+    /// budget of 0 means unbounded, and every registered kernel runs until
+    /// its budget, so 0 from outside the program is refused; only a finite
+    /// stream may run unbounded, through [`SimConfig::with_budget`].
     fn default() -> Self {
         SimConfig {
             cpu: CpuConfig::default(),
             mem: MemConfig::default(),
             instr_budget: Knob::Budget
-                .int(0..=u64::MAX)
+                .int(1..=u64::MAX)
                 .unwrap_or_else(|e| panic!("{e}"))
                 .unwrap_or(400_000),
         }
@@ -47,7 +50,8 @@ impl SimConfig {
         }
     }
 
-    /// Set the instruction budget.
+    /// Set the instruction budget; 0 runs until the stream ends, which
+    /// only a finite stream (a composed schedule) does.
     pub fn with_budget(mut self, budget: u64) -> Self {
         self.instr_budget = budget;
         self

@@ -3,8 +3,8 @@
 //! [`Engine`] owns one composed simulator — a replayed kernel stream, the
 //! prefetcher under test, and the [`Cpu`] (which itself owns the cache
 //! hierarchy and prefetcher state) — and can pause it at any instruction
-//! boundary. A paused engine yields a [`SimCheckpoint`]: a versioned,
-//! fingerprinted byte snapshot of *every* stateful layer (core, branch
+//! boundary. A paused engine yields a [`SimCheckpoint`]: an in-memory,
+//! fingerprinted snapshot of *every* stateful layer (core, branch
 //! predictor, caches, MSHRs, prefetcher tables, RNG streams, statistics)
 //! built on the [`Snapshot`] trait.
 //!
@@ -14,11 +14,13 @@
 //!   uninterrupted run, and
 //! * re-saving a restored engine yields byte-identical checkpoint payloads.
 //!
-//! That makes checkpoints safe for three distinct uses: resuming a killed
-//! experiment sweep from disk (see `crate::ckpt`), forking one warmed
-//! engine into many continuations ([`Engine::fork`] — e.g. the adversarial
-//! search reading its warm-up statistics off a throwaway fork), and
-//! post-mortem state inspection at a divergence.
+//! That makes checkpoints safe for forking one warmed engine into many
+//! continuations ([`Engine::fork`], [`Engine::fork_onto`] — e.g. the
+//! adversarial search reading its warm-up statistics off a throwaway fork)
+//! and for post-mortem state inspection at a divergence. Nothing persists
+//! a checkpoint: a killed run resumes from the finished cells the
+//! [`TraceStore`](crate::TraceStore) keeps on disk, and reruns the cells
+//! that were in flight from instruction 0.
 //!
 //! Engines replay [`ReplayKernel`] streams rather than live generators:
 //! the cursor (= instructions consumed) identifies the exact resume point
@@ -37,16 +39,10 @@ use crate::config::SimConfig;
 use crate::prefetchers::PrefetcherKind;
 use crate::runner::{collect_result, Digest, RunResult};
 
-/// Version of the [`SimCheckpoint`] encoding (the `SIMC` section version).
-/// Bump it whenever any layer's snapshot layout changes; readers reject
-/// every other version with a typed error.
-pub const SIM_CKPT_VERSION: u32 = 3;
-
-/// A complete, restorable snapshot of a paused [`Engine`].
+/// A complete, restorable snapshot of a paused [`Engine`]. Nothing
+/// persists one, so it has no byte encoding.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SimCheckpoint {
-    /// Encoding version ([`SIM_CKPT_VERSION`] when produced by this build).
-    pub version: u32,
     /// Fingerprint of the engine's identity — trace key, prefetcher kind,
     /// and [`SimConfig`] — so a checkpoint can never be restored into an
     /// engine simulating something else.
@@ -58,35 +54,17 @@ pub struct SimCheckpoint {
     pub payload: Vec<u8>,
 }
 
-impl SimCheckpoint {
-    /// Serialize as a `SIMC` frame (see [`semloc_trace::snap`]).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = SnapWriter::framed(*b"SIMC", self.version);
-        w.put_u64(self.fingerprint);
-        w.put_u64(self.cursor);
-        w.put_len(self.payload.len());
-        w.put_bytes(&self.payload);
-        w.into_frame()
-    }
-
-    /// Parse a frame produced by [`SimCheckpoint::to_bytes`]. Rejects
-    /// corrupted frames, foreign kinds, unknown versions, truncation, and
-    /// trailing garbage with a typed [`io::ErrorKind::InvalidData`] /
-    /// `UnexpectedEof` error.
-    pub fn from_bytes(bytes: &[u8]) -> io::Result<SimCheckpoint> {
-        let mut r = SnapReader::framed(bytes, *b"SIMC", SIM_CKPT_VERSION)?;
-        let fingerprint = r.get_u64()?;
-        let cursor = r.get_u64()?;
-        let n = r.get_len()?;
-        let payload = r.get_bytes(n)?.to_vec();
-        r.expect_end()?;
-        Ok(SimCheckpoint {
-            version: SIM_CKPT_VERSION,
-            fingerprint,
-            cursor,
-            payload,
-        })
-    }
+/// The identity of one cell: FNV-1a over the kernel's trace key, the
+/// prefetcher kind, and the simulation configuration (both via their
+/// `Debug` renderings, which cover every field). [`Engine::fingerprint`]
+/// is this over the engine's own stream; the trace store looks a finished
+/// cell up by it before anything is captured.
+pub(crate) fn fingerprint(trace_key: &str, kind: &PrefetcherKind, config: &SimConfig) -> u64 {
+    let mut d = Digest::new();
+    d.str(trace_key);
+    d.str(&format!("{kind:?}"));
+    d.str(&format!("{config:?}"));
+    d.finish()
 }
 
 /// One pausable simulation: a captured kernel stream driven through a
@@ -123,11 +101,7 @@ impl Engine {
     /// equal fingerprints simulate the same cell, so their checkpoints are
     /// interchangeable; everything else is rejected at restore.
     pub fn fingerprint(&self) -> u64 {
-        let mut d = Digest::new();
-        d.str(&self.replay.trace_key());
-        d.str(&format!("{:?}", self.kind));
-        d.str(&format!("{:?}", self.config));
-        d.finish()
+        fingerprint(&self.replay.trace_key(), &self.kind, &self.config)
     }
 
     /// Instructions consumed so far (the resume position in the stream).
@@ -240,7 +214,6 @@ impl Engine {
         let mut w = SnapWriter::new();
         self.save_state(&mut w);
         SimCheckpoint {
-            version: SIM_CKPT_VERSION,
             fingerprint: self.fingerprint(),
             cursor: self.cursor(),
             payload: w.into_bytes(),
@@ -250,18 +223,11 @@ impl Engine {
     /// Restore this engine to a previously captured checkpoint.
     ///
     /// The checkpoint must carry this engine's own [`Engine::fingerprint`]
-    /// (same trace, same prefetcher kind, same configuration) and a
-    /// supported version; anything else — including a payload whose cursor
-    /// disagrees with its restored statistics — fails with
-    /// [`io::ErrorKind::InvalidData`]. On error the engine state is
-    /// unspecified and the engine must be discarded.
+    /// (same trace, same prefetcher kind, same configuration); anything
+    /// else — including a payload whose cursor disagrees with its restored
+    /// statistics — fails with [`io::ErrorKind::InvalidData`]. On error the
+    /// engine state is unspecified and the engine must be discarded.
     pub fn restore(&mut self, ckpt: &SimCheckpoint) -> io::Result<()> {
-        if ckpt.version != SIM_CKPT_VERSION {
-            return Err(snap_err(format!(
-                "checkpoint version {} unsupported (engine speaks {SIM_CKPT_VERSION})",
-                ckpt.version
-            )));
-        }
         let own = self.fingerprint();
         if ckpt.fingerprint != own {
             return Err(snap_err(format!(
@@ -390,11 +356,12 @@ mod tests {
             e.run_to_end();
             e.finish()
         };
-        // Pause halfway, round-trip the checkpoint through bytes, restore
-        // into a cold engine, and continue.
+        // Pause halfway, restore the checkpoint into a cold engine, and
+        // continue.
         let mut warm = Engine::new(replay_of("mcf", cfg.instr_budget), &kind, &cfg);
         warm.run_to(cfg.instr_budget / 2);
-        let ckpt = SimCheckpoint::from_bytes(&warm.checkpoint().to_bytes()).unwrap();
+        let ckpt = warm.checkpoint();
+        drop(warm);
         assert_eq!(ckpt.cursor, cfg.instr_budget / 2);
         let mut resumed = Engine::new(replay_of("mcf", cfg.instr_budget), &kind, &cfg);
         resumed.restore(&ckpt).unwrap();
@@ -517,44 +484,5 @@ mod tests {
             other.restore(&ckpt).unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
-
-        // Unknown version.
-        let mut bad = ckpt.clone();
-        bad.version = 99;
-        let mut same = Engine::new(
-            replay_of("list", cfg.instr_budget),
-            &PrefetcherKind::Stride,
-            &cfg,
-        );
-        assert_eq!(
-            same.restore(&bad).unwrap_err().kind(),
-            io::ErrorKind::InvalidData
-        );
-    }
-
-    #[test]
-    fn checkpoint_bytes_reject_corruption() {
-        let cfg = SimConfig::default().with_budget(2_000);
-        let mut e = Engine::new(
-            replay_of("array", cfg.instr_budget),
-            &PrefetcherKind::None,
-            &cfg,
-        );
-        e.run_to(1_000);
-        let bytes = e.checkpoint().to_bytes();
-        assert_eq!(
-            SimCheckpoint::from_bytes(&bytes).unwrap(),
-            e.checkpoint(),
-            "clean bytes round-trip"
-        );
-        // Truncation and trailing garbage are both typed errors.
-        assert!(SimCheckpoint::from_bytes(&bytes[..bytes.len() - 1]).is_err());
-        let mut extra = bytes.clone();
-        extra.push(0);
-        assert!(SimCheckpoint::from_bytes(&extra).is_err());
-        // A bad magic is rejected before anything is interpreted.
-        let mut bad = bytes;
-        bad[0] ^= 0xFF;
-        assert!(SimCheckpoint::from_bytes(&bad).is_err());
     }
 }

@@ -4,8 +4,8 @@
 //! `Knob` lists every environment variable, and this module holds the
 //! workspace's one environment read (clippy's `disallowed-methods` rejects
 //! `std::env::var` and friends anywhere else). Each knob has exactly one
-//! typed reader: `SimConfig::default`, `pool_threads`,
-//! `CkptStore::from_env`, `TraceStore::from_env` and `diff_dump_dir`.
+//! typed reader: `SimConfig::default`, `pool_threads`, `diff_dump_dir`,
+//! and `TraceStore::from_env` for the two store directories.
 //! `Knob` is crate-private, so a variant nothing reads is a dead-code
 //! error, and a test holds README's knob table to the enum.
 //!
@@ -46,7 +46,7 @@ macro_rules! knobs {
 knobs! {
     /// Dynamic-instruction budget per experiment run (default 400 000).
     Budget = "SEMLOC_BUDGET",
-    /// Checkpoint directory; setting it enables mid-run checkpointing.
+    /// Directory for finished cells' results; unset keeps them in memory.
     CkptDir = "SEMLOC_CKPT_DIR",
     /// Shard-pool worker threads (default host parallelism).
     PoolThreads = "SEMLOC_POOL_THREADS",
@@ -115,9 +115,9 @@ impl std::error::Error for KnobError {}
 /// ```rust
 /// use semloc_harness::parse_knob;
 ///
-/// assert_eq!(parse_knob("budget", "400000", 0..=u64::MAX), Ok(400_000));
-/// let e = parse_knob("SEMLOC_BUDGET", "100k", 0..=u64::MAX).unwrap_err();
-/// assert_eq!(e.to_string(), "SEMLOC_BUDGET must be an integer >= 0, got \"100k\"");
+/// assert_eq!(parse_knob("budget", "400000", 1..=u64::MAX), Ok(400_000));
+/// let e = parse_knob("SEMLOC_BUDGET", "100k", 1..=u64::MAX).unwrap_err();
+/// assert_eq!(e.to_string(), "SEMLOC_BUDGET must be an integer >= 1, got \"100k\"");
 /// ```
 pub fn parse_knob(name: &str, value: &str, range: RangeInclusive<u64>) -> Result<u64, KnobError> {
     match value.trim().parse::<u64>() {

@@ -13,7 +13,6 @@
 //!    10/11, access classes for Fig 9, hit-depth CDFs for Fig 8, the storage
 //!    sweep for Fig 13 and layout comparisons for Fig 14).
 
-pub mod ckpt;
 pub mod config;
 pub mod diff;
 pub mod engine;
@@ -28,10 +27,9 @@ pub mod runner;
 pub mod store;
 pub mod sweep;
 
-pub use ckpt::CkptStore;
 pub use config::SimConfig;
 pub use diff::{diff_dump_dir, diff_kernel, DiffReport, Divergence, TeePrefetcher};
-pub use engine::{Engine, SimCheckpoint, SIM_CKPT_VERSION};
+pub use engine::{Engine, SimCheckpoint};
 pub use interfere::{
     adversarial_search, coverage, AdvBench, AdvFinding, AdvParams, AdvScore, SearchConfig,
     BASELINES,
@@ -43,8 +41,8 @@ pub use pool::{pool_threads, run_sharded};
 pub use prefetchers::PrefetcherKind;
 pub use report::Table;
 pub use runner::{
-    calibrated_context, run_kernel, run_kernel_uncached, run_kernel_with_store, run_resumable,
-    RunResult, SpeedupError,
+    calibrated_context, run_kernel, run_kernel_uncached, run_kernel_with_store, RunResult,
+    SpeedupError,
 };
 pub use store::TraceStore;
 pub use sweep::{

@@ -6,11 +6,10 @@ use semloc_context::{ContextConfig, ContextPrefetcher, ContextStats};
 use semloc_cpu::{Cpu, CpuStats};
 use semloc_mem::{Hierarchy, MemStats, Prefetcher, PrefetcherStats};
 use semloc_trace::{fnv1a, snap_err, SnapReader, SnapWriter, Snapshot, FNV_OFFSET};
-use semloc_workloads::{Kernel, ReplayKernel};
+use semloc_workloads::Kernel;
 
-use crate::ckpt::{CkptStore, SAVE_INTERVAL};
 use crate::config::SimConfig;
-use crate::engine::{Engine, SimCheckpoint};
+use crate::engine::{fingerprint, Engine};
 use crate::prefetchers::PrefetcherKind;
 use crate::store::TraceStore;
 
@@ -19,7 +18,7 @@ use crate::store::TraceStore;
 const RESULT_VERSION: u32 = 2;
 
 /// Everything measured in one simulated run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunResult {
     /// Workload name.
     pub kernel: &'static str,
@@ -139,9 +138,8 @@ impl RunResult {
         d.finish()
     }
 
-    /// Serialize this result as an `RRES` frame, the *final* on-disk
-    /// checkpoint of the cell whose engine has `fingerprint` (see
-    /// [`crate::ckpt`]).
+    /// Serialize this result as an `RRES` frame, the on-disk record of the
+    /// finished cell whose engine has `fingerprint` (see [`TraceStore`]).
     pub(crate) fn to_frame(&self, fingerprint: u64) -> Vec<u8> {
         let mut w = SnapWriter::framed(*b"RRES", RESULT_VERSION);
         w.put_u64(fingerprint);
@@ -163,7 +161,7 @@ impl RunResult {
     /// Parse an `RRES` frame written by [`RunResult::to_frame`]. The
     /// embedded fingerprint, kernel and prefetcher names must match the
     /// expected cell (names live in the registry as `&'static str`s, so the
-    /// caller supplies the identities it is resuming and the frame merely
+    /// caller supplies the identities it is looking up and the frame merely
     /// confirms them).
     pub(crate) fn from_frame(
         bytes: &[u8],
@@ -264,39 +262,33 @@ pub fn run_kernel(
 
 /// [`run_kernel`] against an explicit [`TraceStore`] (the global store is
 /// just a shared instance of this). Useful for benchmarks and tests that
-/// need an isolated cache.
+/// need an isolated store.
 ///
-/// Identical (kernel, prefetcher, config) cells are served from the
-/// store's full-run result memo — runs are deterministic, so the memoized
-/// clone is bit-identical to recomputation. On a memo miss the cell runs
-/// through the checkpointable [`Engine`], resuming from and periodically
-/// writing on-disk checkpoints when the process-global [`CkptStore`] is
-/// enabled (`SEMLOC_CKPT_DIR`).
+/// The store answers a cell it holds: from memory, else from the cell's
+/// `RRES` file, looked up by the engine fingerprint before anything is
+/// captured. Otherwise the cell runs through the [`Engine`] to the end, and
+/// its result goes into the store, in memory and on disk when the store
+/// has a result directory. Runs are deterministic, so a stored result is
+/// bit-identical to recomputation.
 pub fn run_kernel_with_store(
     store: &TraceStore,
     kernel: &dyn Kernel,
     prefetcher: &PrefetcherKind,
     config: &SimConfig,
 ) -> RunResult {
-    let key = result_key(kernel, prefetcher, config);
-    if let Some(r) = store.result(&key) {
+    let fp = fingerprint(&kernel.trace_key(), prefetcher, config);
+    if let Some(r) = store.result(fp, kernel.name(), prefetcher.label()) {
         return r;
     }
-    let replay = store.replay(kernel, config.instr_budget);
-    let r = run_resumable(CkptStore::global(), replay, prefetcher, config);
-    store.memoize_result(&key, &r);
+    let mut engine = Engine::new(
+        store.replay(kernel, config.instr_budget),
+        prefetcher,
+        config,
+    );
+    engine.run_to_end();
+    let r = engine.finish();
+    store.save_result(fp, &r);
     r
-}
-
-/// The result-memo identity of one cell: the kernel's full configuration
-/// (its trace key), the prefetcher kind, and the simulation config. Debug
-/// renderings cover every field of both structs.
-pub(crate) fn result_key(
-    kernel: &dyn Kernel,
-    prefetcher: &PrefetcherKind,
-    config: &SimConfig,
-) -> String {
-    format!("{}|{:?}|{:?}", kernel.trace_key(), prefetcher, config)
 }
 
 /// `base` with its reward window calibrated to `kernel`'s target prefetch
@@ -320,58 +312,8 @@ pub fn calibrated_context(
     base.calibrated(penalty * probe.cpu.ipc() * probe.cpu.mem_fraction())
 }
 
-/// Run one cell through the [`Engine`], with on-disk checkpoint/resume
-/// when `ckpt` is enabled: a valid *final* checkpoint (`RRES`)
-/// short-circuits the run entirely; a valid *mid-run* checkpoint (`SIMC`)
-/// warm-starts the engine at its cursor; corrupt or foreign checkpoints
-/// are counted as rejects and the cell runs fresh. While running, a
-/// mid-run checkpoint is written every 100 000 instructions, and the
-/// finished result is persisted as a final checkpoint.
-pub fn run_resumable(
-    ckpt: &CkptStore,
-    replay: ReplayKernel,
-    kind: &PrefetcherKind,
-    config: &SimConfig,
-) -> RunResult {
-    let kernel_name = replay.name();
-    if !ckpt.enabled() {
-        let mut engine = Engine::new(replay, kind, config);
-        engine.run_to_end();
-        return engine.finish();
-    }
-    let mut engine = Engine::new(replay.clone(), kind, config);
-    let fp = engine.fingerprint();
-    let finished = ckpt.load(kernel_name, fp, |bytes| {
-        if let Ok(r) = RunResult::from_frame(bytes, fp, kernel_name, kind.label()) {
-            return Ok(Some(r));
-        }
-        engine.restore(&SimCheckpoint::from_bytes(bytes)?)?;
-        Ok(None)
-    });
-    match finished {
-        Some(Some(result)) => return result,
-        Some(None) => {} // warm-started at the checkpoint's cursor
-        // A miss leaves the engine cold, but a reject may have restored it
-        // part-way: start from a fresh one either way.
-        None => engine = Engine::new(replay, kind, config),
-    }
-    while !engine.done() {
-        let before = engine.cursor();
-        engine.run_to(before.saturating_add(SAVE_INTERVAL));
-        if engine.cursor() == before {
-            break; // stream exhausted below the budget
-        }
-        if !engine.done() {
-            ckpt.save(kernel_name, fp, &engine.checkpoint().to_bytes());
-        }
-    }
-    let result = engine.finish();
-    ckpt.save(kernel_name, fp, &result.to_frame(fp));
-    result
-}
-
 /// [`run_kernel`] without the trace store: drives the workload generator
-/// directly, with no capture, replay, result memo or checkpoint. Tests use
+/// directly, with no capture, replay or stored result. Tests use
 /// it as the reference that every store-backed path must reproduce bit for
 /// bit.
 pub fn run_kernel_uncached(

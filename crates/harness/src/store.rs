@@ -1,15 +1,27 @@
-//! The shared trace store: record each kernel's instruction stream once,
-//! replay it for every prefetcher column, sweep point, and paper section.
+//! The one store: each kernel's capture and each finished cell's result.
 //!
 //! Every run funneled through [`run_kernel`](crate::run_kernel) consults the
 //! process-global store ([`TraceStore::global`]), so the whole experiment
 //! matrix — `Matrix::run`, `Matrix::run_parallel` workers, the calibration
 //! probe, and every section of `all_experiments` — pays each kernel's
-//! generation cost once per process instead of once per cell. With
-//! `SEMLOC_TRACE_DIR` set, captures also persist as `TRCE` frames (the
-//! capture's varint buffer, see [`semloc_trace::TraceBuffer::to_frame`]) so
-//! separate processes (e.g. two `all_experiments --only <id>` runs) reuse
-//! each other's traces.
+//! generation cost once per process instead of once per cell, and
+//! simulates each distinct cell once. Both halves live in memory, and on
+//! disk when a directory is configured:
+//!
+//! * captures as `TRCE` frames (the capture's varint buffer, see
+//!   [`semloc_trace::TraceBuffer::to_frame`]) under `SEMLOC_TRACE_DIR`, so
+//!   separate processes (e.g. two `all_experiments --only <id>` runs) reuse
+//!   each other's traces;
+//! * finished cells as `RRES` frames (the [`RunResult`] and its engine
+//!   fingerprint) under `SEMLOC_CKPT_DIR`, one file per cell, so a killed
+//!   run resumes: finished cells load from their files, and the cells that
+//!   were in flight rerun from instruction 0.
+//!
+//! A file that fails to load — corrupt, renamed, foreign, or from an older
+//! layout — is never an error: the store counts a reject
+//! ([`TraceStore::disk_rejects`]), and the caller regenerates or reruns and
+//! overwrites it. Writes go through [`write_atomic`], so a kill mid-save
+//! leaves the previous file intact.
 //!
 //! Correctness rests on the prefix property documented in
 //! [`semloc_workloads::replay`]: a capture at budget `B` replays
@@ -35,9 +47,10 @@ use crate::runner::{Digest, RunResult};
 
 type Slot = Arc<Mutex<Option<Arc<CapturedTrace>>>>;
 
-/// A lazily-populated, thread-safe cache of captured kernel traces, keyed by
-/// [`Kernel::trace_key`] (the kernel's full configuration — name, placement,
-/// sizes, seed) and covering budgets per the prefix property.
+/// A lazily-populated, thread-safe store of captured kernel traces, keyed
+/// by [`Kernel::trace_key`] (the kernel's full configuration — name,
+/// placement, sizes, seed) and covering budgets per the prefix property,
+/// and of finished cells' results, keyed by the engine fingerprint.
 #[derive(Debug, Default)]
 #[expect(
     clippy::disallowed_types,
@@ -49,30 +62,34 @@ pub struct TraceStore {
     /// kernel is captured exactly once while *different* kernels capture
     /// concurrently (the `run_parallel` workers hammer this).
     slots: Mutex<HashMap<String, Slot>>,
-    /// Memoized full-run results, keyed by
-    /// `trace_key + prefetcher kind + config` (see [`TraceStore::result`]).
-    /// Runs are deterministic, so a memoized clone is bit-identical to
-    /// recomputation; the matrix, the storage sweep, and the figure
-    /// binaries share repeated cells (every sweep re-runs the no-prefetch
-    /// baseline and the default-context column) through this map.
-    results: Mutex<HashMap<String, RunResult>>,
-    /// On-disk cache directory (`SEMLOC_TRACE_DIR`), if configured.
-    dir: Option<PathBuf>,
+    /// Finished cells, keyed by the engine fingerprint (see
+    /// [`TraceStore::result`]). Runs are deterministic, so a stored result
+    /// is bit-identical to recomputation; the matrix, the storage sweep,
+    /// the calibration probe and the generator's sections share repeated
+    /// cells (every sweep re-runs the no-prefetch baseline and the
+    /// default-context column) through this map.
+    results: Mutex<HashMap<u64, RunResult>>,
+    /// Where captures persist (`SEMLOC_TRACE_DIR`), if anywhere.
+    trace_dir: Option<PathBuf>,
+    /// Where finished cells persist (`SEMLOC_CKPT_DIR`), if anywhere.
+    result_dir: Option<PathBuf>,
     hits: AtomicU64,
     misses: AtomicU64,
     result_hits: AtomicU64,
     result_misses: AtomicU64,
-    /// On-disk captures that were found but rejected as unreadable, corrupt,
-    /// or inconsistent with their file-name metadata. Every injected storage
-    /// fault must either land here (detected) or provably leave no cache
-    /// file behind (tolerated) — the fault-injection suite asserts both.
+    /// On-disk captures and results that were found but rejected as
+    /// unreadable, corrupt, or inconsistent with their file name or cell.
+    /// Every injected storage fault must either land here (detected) or
+    /// provably leave no file behind (tolerated) — the fault-injection
+    /// suite asserts both.
     disk_rejects: AtomicU64,
     /// Faults the next save injects (testing only).
     save_faults: Mutex<SaveFaults>,
 }
 
 impl TraceStore {
-    /// An empty in-memory store.
+    /// An empty in-memory store: it reads and writes no file, whatever the
+    /// environment says.
     pub fn new() -> Self {
         Self::default()
     }
@@ -81,15 +98,29 @@ impl TraceStore {
     /// write) as `TRCE` frames.
     pub fn with_dir(dir: impl Into<PathBuf>) -> Self {
         TraceStore {
-            dir: Some(dir.into()),
+            trace_dir: Some(dir.into()),
             ..Self::default()
         }
     }
 
-    /// A store configured from the environment: on-disk caching under
-    /// `SEMLOC_TRACE_DIR` when set, in-memory only otherwise.
+    /// A store that also persists finished cells under `dir` (created on
+    /// first write) as `RRES` frames.
+    pub fn with_result_dir(dir: impl Into<PathBuf>) -> Self {
+        TraceStore {
+            result_dir: Some(dir.into()),
+            ..Self::default()
+        }
+    }
+
+    /// A store configured from the environment: captures persist under
+    /// `SEMLOC_TRACE_DIR` and finished cells under `SEMLOC_CKPT_DIR`, each
+    /// when set (the two may name one directory).
     pub fn from_env() -> Self {
-        Knob::TraceDir.os().map_or_else(Self::new, Self::with_dir)
+        TraceStore {
+            trace_dir: Knob::TraceDir.os().map(PathBuf::from),
+            result_dir: Knob::CkptDir.os().map(PathBuf::from),
+            ..Self::default()
+        }
     }
 
     /// The process-global store every [`run_kernel`](crate::run_kernel)
@@ -108,16 +139,18 @@ impl TraceStore {
         )
     }
 
-    /// On-disk captures that were found but rejected (unreadable, corrupt,
-    /// or inconsistent with their file-name metadata) and therefore
-    /// regenerated. Nonzero means a storage fault was *detected*.
+    /// On-disk captures and results that were found but rejected
+    /// (unreadable, corrupt, or inconsistent with their file name or cell)
+    /// and therefore regenerated or rerun. Nonzero means a storage fault
+    /// was *detected*.
     pub fn disk_rejects(&self) -> u64 {
         self.disk_rejects.load(Ordering::Relaxed)
     }
 
-    /// Corrupt the next capture save with `plan` (fault-injection harness
-    /// only): the serialized bytes are mutated in memory just before they
-    /// reach disk, modelling silent media/tooling corruption.
+    /// Corrupt the next save — a capture or a result — with `plan`
+    /// (fault-injection harness only): the serialized bytes are mutated in
+    /// memory just before they reach disk, modelling silent media/tooling
+    /// corruption.
     pub fn inject_save_faults(&self, plan: FaultPlan) {
         self.save_faults
             .lock()
@@ -125,10 +158,10 @@ impl TraceStore {
             .plan = plan;
     }
 
-    /// Make the next capture save fail after `budget` bytes
-    /// (fault-injection harness only), modelling a full disk or a process
-    /// killed mid-write. The interrupted temp file is cleaned up, so no
-    /// cache entry appears — the fault is *tolerated* by regeneration.
+    /// Make the next save fail after `budget` bytes (fault-injection
+    /// harness only), modelling a full disk or a process killed mid-write.
+    /// The interrupted temp file is cleaned up and any previous file stays,
+    /// so the fault is *tolerated*.
     pub fn inject_short_write(&self, budget: usize) {
         self.save_faults
             .lock()
@@ -173,17 +206,37 @@ impl TraceStore {
         ReplayKernel::new(trace)
     }
 
-    /// Memoized full-run result for `key` (built by the runner from the
-    /// kernel's trace key, the prefetcher kind, and the config — the same
-    /// identity the golden digest pins), if one was stored. Counts a result
-    /// hit or miss either way.
-    pub fn result(&self, key: &str) -> Option<RunResult> {
-        let r = self
+    /// The finished result of the cell whose engine fingerprint is
+    /// `fingerprint` (see [`Engine::fingerprint`](crate::Engine::fingerprint)),
+    /// for `kernel` under `prefetcher`: from memory, else from the cell's
+    /// `RRES` file when the store has a result directory. Counts a result
+    /// hit or miss either way; a file that does not parse as this cell's
+    /// result also counts a reject.
+    pub fn result(
+        &self,
+        fingerprint: u64,
+        kernel: &'static str,
+        prefetcher: &'static str,
+    ) -> Option<RunResult> {
+        let memo = self
             .results
             .lock()
             .expect("no panics hold the lock")
-            .get(key)
+            .get(&fingerprint)
             .cloned();
+        let r = memo.or_else(|| {
+            let bytes = fs::read(self.result_path(kernel, fingerprint)?).ok()?;
+            match RunResult::from_frame(&bytes, fingerprint, kernel, prefetcher) {
+                Ok(r) => {
+                    self.memoize(fingerprint, &r);
+                    Some(r)
+                }
+                Err(_) => {
+                    self.disk_rejects.fetch_add(1, Ordering::Relaxed);
+                    None
+                }
+            }
+        });
         match r {
             Some(_) => self.result_hits.fetch_add(1, Ordering::Relaxed),
             None => self.result_misses.fetch_add(1, Ordering::Relaxed),
@@ -191,19 +244,20 @@ impl TraceStore {
         r
     }
 
-    /// Memoize a computed full-run result under `key`. A racing worker may
-    /// insert first; determinism makes either copy correct, so the first
-    /// insertion wins.
-    pub fn memoize_result(&self, key: &str, r: &RunResult) {
-        self.results
-            .lock()
-            .expect("no panics hold the lock")
-            .entry(key.to_string())
-            .or_insert_with(|| r.clone());
+    /// Store the finished result of the cell whose engine fingerprint is
+    /// `fingerprint`: in memory, and as its `RRES` file when the store has
+    /// a result directory. A racing worker may store first; determinism
+    /// makes either copy correct, so the first one wins in memory. A failed
+    /// write is silent — it costs resumability, never correctness.
+    pub(crate) fn save_result(&self, fingerprint: u64, r: &RunResult) {
+        self.memoize(fingerprint, r);
+        if let Some(path) = self.result_path(r.kernel, fingerprint) {
+            let _ = write_atomic(&path, &r.to_frame(fingerprint), self.take_faults());
+        }
     }
 
-    /// `(hits, misses)` of the full-run result memo — runs served from a
-    /// previous identical run vs. cells that had to simulate.
+    /// `(hits, misses)` of the finished-cell results — cells answered from
+    /// memory or from their file vs. cells that had to simulate.
     pub fn result_stats(&self) -> (u64, u64) {
         (
             self.result_hits.load(Ordering::Relaxed),
@@ -211,18 +265,36 @@ impl TraceStore {
         )
     }
 
+    /// Keep `r` in memory unless a result for `fingerprint` is already
+    /// there.
+    fn memoize(&self, fingerprint: u64, r: &RunResult) {
+        self.results
+            .lock()
+            .expect("no panics hold the lock")
+            .entry(fingerprint)
+            .or_insert_with(|| r.clone());
+    }
+
+    /// The file that holds the finished cell `fingerprint` of `kernel`.
+    fn result_path(&self, kernel: &str, fingerprint: u64) -> Option<PathBuf> {
+        let dir = self.result_dir.as_deref()?;
+        Some(dir.join(format!("{}-{fingerprint:016x}.ckpt", sanitize(kernel))))
+    }
+
+    /// The one-shot faults the next save injects, leaving none behind.
+    fn take_faults(&self) -> SaveFaults {
+        std::mem::take(&mut *self.save_faults.lock().expect("no panics hold the lock"))
+    }
+
     /// Stable file name for a capture: kernel name (sanitized), FNV-1a of
     /// the full trace key, capture budget, and an `f`(ull)/`p`(artial)
     /// completeness flag.
     fn file_name(name: &str, key: &str, budget: u64, complete: bool) -> String {
-        let sane: String = name
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-            .collect();
         let mut d = Digest::new();
         d.str(key);
         format!(
-            "{sane}-{:016x}-{budget}-{}.trace",
+            "{}-{:016x}-{budget}-{}.trace",
+            sanitize(name),
             d.finish(),
             if complete { 'f' } else { 'p' }
         )
@@ -234,7 +306,7 @@ impl TraceStore {
     /// its own name as its label, and a partial capture holds exactly its
     /// named budget.
     fn load_from_disk(&self, kernel: &dyn Kernel, key: &str, budget: u64) -> Option<CapturedTrace> {
-        let dir = self.dir.as_deref()?;
+        let dir = self.trace_dir.as_deref()?;
         let prefix = Self::file_name(kernel.name(), key, 0, true);
         let prefix = &prefix[..prefix.len() - "0-f.trace".len()];
         let mut best: Option<(u64, bool, String)> = None;
@@ -287,21 +359,50 @@ impl TraceStore {
     /// Failures are silent — the disk cache is an optimization, never a
     /// correctness dependency.
     fn save_to_disk(&self, trace: &CapturedTrace) {
-        let Some(dir) = self.dir.as_deref() else {
+        let Some(dir) = self.trace_dir.as_deref() else {
             return;
         };
         let name = Self::file_name(trace.name, &trace.key, trace.budget, trace.complete);
-        let faults =
-            std::mem::take(&mut *self.save_faults.lock().expect("no panics hold the lock"));
-        let _ = write_atomic(&dir.join(&name), &trace.buf.to_frame(&name), faults);
+        let _ = write_atomic(
+            &dir.join(&name),
+            &trace.buf.to_frame(&name),
+            self.take_faults(),
+        );
     }
+}
+
+/// `name` with every character but ASCII letters and digits replaced by
+/// `_`, for a file name.
+fn sanitize(name: &str) -> String {
+    name.chars()
+        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use semloc_trace::RecordingSink;
+    use crate::{run_kernel_with_store, PrefetcherKind, SimConfig};
+    use semloc_trace::{Fault, RecordingSink};
     use semloc_workloads::kernel_by_name;
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("semloc-store-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A small finished cell: `array` under stride at 5 000 instructions.
+    fn finished_cell() -> RunResult {
+        let k = kernel_by_name("array").unwrap();
+        let cfg = SimConfig::default().with_budget(5_000);
+        run_kernel_with_store(
+            &TraceStore::new(),
+            k.as_ref(),
+            &PrefetcherKind::Stride,
+            &cfg,
+        )
+    }
 
     #[test]
     fn second_replay_is_a_hit() {
@@ -408,5 +509,96 @@ mod tests {
         let (hits, misses) = store.stats();
         assert_eq!(misses, 3, "each kernel captured exactly once");
         assert_eq!(hits, 9);
+    }
+
+    #[test]
+    fn results_without_a_directory_stay_in_memory() {
+        let r = finished_cell();
+        let store = TraceStore::new();
+        store.save_result(7, &r);
+        assert_eq!(store.result(7, "array", "stride"), Some(r));
+        assert_eq!(TraceStore::new().result(7, "array", "stride"), None);
+        assert_eq!(store.result_stats(), (1, 0));
+        assert_eq!(store.disk_rejects(), 0);
+    }
+
+    #[test]
+    fn results_round_trip_through_their_files() {
+        let dir = temp_dir("results");
+        let r = finished_cell();
+        TraceStore::with_result_dir(&dir).save_result(0xDEAD_BEEF, &r);
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1, "one file per cell");
+        // A fresh store, as another process would create, loads the file.
+        let reader = TraceStore::with_result_dir(&dir);
+        assert_eq!(reader.result(0xDEAD_BEEF, "array", "stride"), Some(r));
+        assert_eq!(reader.result_stats(), (1, 0), "a file load is a hit");
+        // Another fingerprint or kernel names no file, and the file refuses
+        // to be another prefetcher's result.
+        let fresh = || TraceStore::with_result_dir(&dir);
+        assert_eq!(fresh().result(0xDEAD_BEEE, "array", "stride"), None);
+        assert_eq!(fresh().result(0xDEAD_BEEF, "list", "stride"), None);
+        let other = fresh();
+        assert_eq!(other.result(0xDEAD_BEEF, "array", "none"), None);
+        assert_eq!(other.result_stats(), (0, 1));
+        assert_eq!(other.disk_rejects(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupted_result_saves_are_rejected_on_load() {
+        let dir = temp_dir("result-faults");
+        let r = finished_cell();
+        let faults = [
+            Fault::BitFlip { offset: 15, bit: 2 },
+            Fault::Truncate { keep: 12 },
+            Fault::BadMagic,
+            Fault::LengthSkew { delta: 1 },
+            Fault::Garbage { len: 80 },
+        ];
+        for fault in faults {
+            let writer = TraceStore::with_result_dir(&dir);
+            writer.inject_save_faults(FaultPlan::with(fault.clone()));
+            writer.save_result(3, &r);
+            let reader = TraceStore::with_result_dir(&dir);
+            assert_eq!(
+                reader.result(3, "array", "stride"),
+                None,
+                "{fault:?} was accepted"
+            );
+            assert_eq!(reader.disk_rejects(), 1, "{fault:?} was not counted");
+        }
+        // A clean save afterwards works (injection is one-shot).
+        let writer = TraceStore::with_result_dir(&dir);
+        writer.inject_save_faults(FaultPlan::with(Fault::BadMagic));
+        writer.save_result(3, &r);
+        writer.save_result(3, &r);
+        assert_eq!(
+            TraceStore::with_result_dir(&dir).result(3, "array", "stride"),
+            Some(r)
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn short_result_write_is_dropped_not_renamed() {
+        let dir = temp_dir("result-short");
+        let r = finished_cell();
+        let mut other = r.clone();
+        other.cpu.cycles += 1;
+        let writer = TraceStore::with_result_dir(&dir);
+        writer.save_result(4, &r);
+        writer.inject_short_write(10);
+        writer.save_result(4, &other);
+        assert_eq!(
+            TraceStore::with_result_dir(&dir).result(4, "array", "stride"),
+            Some(r),
+            "the interrupted save leaves the previous file"
+        );
+        let names: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names.len(), 1, "no temp file survives: {names:?}");
+        let _ = fs::remove_dir_all(&dir);
     }
 }

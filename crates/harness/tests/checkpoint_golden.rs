@@ -1,27 +1,30 @@
-//! Checkpoint/restore fidelity against the pinned golden matrix.
+//! Checkpoint/restore fidelity against the pinned golden matrix, and the
+//! store's finished-cell files.
 //!
 //! The checkpointable engine is only trustworthy if interrupting a run is
 //! *invisible*: for every cell of the golden quick matrix (the same
 //! kernels × prefetchers the golden-digest suite pins), pausing mid-run,
-//! serializing the checkpoint to bytes, restoring it into a cold engine,
-//! and continuing must reproduce the uninterrupted statistics bit for bit.
-//! The per-cell digests are folded with the same FNV-1a scheme
-//! `Matrix::stats_digest` uses and compared against the pinned golden
-//! fingerprint, so a checkpoint-path regression fails against the same
-//! constant as a simulator regression.
+//! restoring the checkpoint into a cold engine, and continuing must
+//! reproduce the uninterrupted statistics bit for bit. The per-cell
+//! digests are folded with the same FNV-1a scheme `Matrix::stats_digest`
+//! uses and compared against the pinned golden fingerprint, so a
+//! checkpoint-path regression fails against the same constant as a
+//! simulator regression.
 //!
-//! The second half exercises on-disk checkpoints end to end: a killed
-//! run's mid-run `SIMC` frame resumes from disk, a finished cell's final
-//! `RRES` frame short-circuits simulation, and corrupted or foreign files
-//! are rejected in favour of a fresh (still bit-identical) run.
+//! The second half exercises the files a killed run resumes from: a
+//! finished cell's `RRES` frame answers the cell in a fresh store without a
+//! capture or a simulation, and corrupted, foreign or older files are
+//! rejected in favour of a fresh (still bit-identical) run that overwrites
+//! them.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use semloc_harness::{
-    run_kernel_uncached, run_resumable, CkptStore, Engine, PrefetcherKind, SimCheckpoint, SimConfig,
+    run_kernel_uncached, run_kernel_with_store, Engine, PrefetcherKind, RunResult, SimConfig,
+    TraceStore,
 };
-use semloc_trace::{Fault, FaultPlan};
+use semloc_trace::{Fault, FaultPlan, SnapWriter};
 use semloc_workloads::{capture_kernel, kernel_by_name, ReplayKernel};
 
 /// Same pinned fingerprint as `golden_digest.rs`.
@@ -68,15 +71,13 @@ fn every_golden_cell_survives_checkpoint_restore_continue() {
                 e.finish()
             };
             // Interrupt at several points through the run; each pause
-            // round-trips the checkpoint through its byte encoding and a
-            // cold engine before continuing.
+            // restores its checkpoint into a cold engine before continuing.
             for pause in [1, cfg.instr_budget / 3, cfg.instr_budget / 2] {
                 let mut first = Engine::new(replay.clone(), &kind, &cfg);
                 first.run_to(pause);
-                let bytes = first.checkpoint().to_bytes();
-                drop(first); // the "killed" process
+                let ckpt = first.checkpoint();
+                drop(first);
 
-                let ckpt = SimCheckpoint::from_bytes(&bytes).unwrap();
                 let mut resumed = Engine::new(replay.clone(), &kind, &cfg);
                 resumed.restore(&ckpt).unwrap();
                 assert_eq!(resumed.cursor(), pause);
@@ -99,62 +100,72 @@ fn every_golden_cell_survives_checkpoint_restore_continue() {
     );
 }
 
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("semloc-results-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// The one file in `dir`.
+fn only_file(dir: &Path) -> PathBuf {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert_eq!(files.len(), 1, "expected exactly one result file");
+    files.remove(0)
+}
+
+/// The frame kind of a file (the tag sits after the 8-byte magic).
+fn kind_of(path: &Path) -> [u8; 4] {
+    std::fs::read(path).unwrap()[8..12].try_into().unwrap()
+}
+
+/// Run `kernel` under `kind` through a fresh store over `dir`, as a
+/// restarted process would, and return the result with that store.
+fn run_fresh(
+    dir: &Path,
+    kernel: &str,
+    kind: &PrefetcherKind,
+    cfg: &SimConfig,
+) -> (RunResult, TraceStore) {
+    let store = TraceStore::with_result_dir(dir);
+    let k = kernel_by_name(kernel).unwrap();
+    (run_kernel_with_store(&store, k.as_ref(), kind, cfg), store)
+}
+
 #[test]
-fn disk_checkpoints_resume_and_short_circuit() {
+fn finished_cells_load_from_their_files() {
     let cfg = SimConfig::quick();
     let kind = PrefetcherKind::context();
-    let replay = replay_of("list", cfg.instr_budget);
-    let reference = {
-        let mut e = Engine::new(replay.clone(), &kind, &cfg);
-        e.run_to_end();
-        e.finish()
-    };
+    let reference = run_kernel_uncached(kernel_by_name("list").unwrap().as_ref(), &kind, &cfg);
+    let dir = temp_dir("load");
 
-    let dir = std::env::temp_dir().join(format!("semloc-ckpt-golden-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = CkptStore::with_dir(&dir);
+    let (first, store) = run_fresh(&dir, "list", &kind, &cfg);
+    assert_eq!(first, reference);
+    assert_eq!(store.result_stats(), (0, 1), "the first run simulates");
+    assert_eq!(&kind_of(&only_file(&dir)), b"RRES");
 
-    // "Kill" a run partway: persist its mid-run checkpoint exactly as the
-    // resumable runner would have.
-    let mut victim = Engine::new(replay.clone(), &kind, &cfg);
-    victim.run_to(cfg.instr_budget / 2);
-    let fp = victim.fingerprint();
-    store.save("list", fp, &victim.checkpoint().to_bytes());
-    drop(victim);
-
-    // A restarted process resumes from disk and matches bit for bit.
-    let resumed = run_resumable(&store, replay.clone(), &kind, &cfg);
-    assert_eq!(resumed.stats_digest(), reference.stats_digest());
-    let (_, loads, rejects) = store.stats();
-    assert!(loads >= 1, "the mid-run checkpoint must have been loaded");
-    assert_eq!(rejects, 0);
-
-    // The finished run left a final checkpoint (the frame's kind tag sits
-    // after the 8-byte magic): the next invocation short-circuits
-    // simulation entirely and still matches.
-    let file = std::fs::read(new_file(&dir, &[])).unwrap();
-    assert_eq!(&file[8..12], b"RRES", "expected a final checkpoint on disk");
-    let (_, loads, _) = store.stats();
-    let shortcut = run_resumable(&store, replay.clone(), &kind, &cfg);
-    assert_eq!(store.stats().1, loads + 1, "the final checkpoint must load");
-    assert_eq!(shortcut.stats_digest(), reference.stats_digest());
-    assert_eq!(shortcut.cpu, reference.cpu);
-    assert_eq!(shortcut.mem, reference.mem);
-    assert_eq!(shortcut.pf, reference.pf);
-    assert_eq!(shortcut.learn, reference.learn);
-    assert_eq!(shortcut.storage_bytes, reference.storage_bytes);
-
+    // A restarted process answers the cell from its file, before any
+    // capture, with every statistic intact.
+    let (loaded, store) = run_fresh(&dir, "list", &kind, &cfg);
+    assert_eq!(loaded, reference);
+    assert_eq!(
+        store.result_stats(),
+        (1, 0),
+        "the file must answer the cell"
+    );
+    assert_eq!(store.stats(), (0, 0), "nothing may be captured");
+    assert_eq!(store.disk_rejects(), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn corrupted_disk_checkpoints_fall_back_to_a_fresh_run() {
+fn corrupted_result_files_fall_back_to_a_fresh_run() {
     let cfg = SimConfig::default().with_budget(30_000);
     let kind = PrefetcherKind::Stride;
-    let replay = replay_of("array", cfg.instr_budget);
     let reference = run_kernel_uncached(kernel_by_name("array").unwrap().as_ref(), &kind, &cfg);
-
-    let dir = std::env::temp_dir().join(format!("semloc-ckpt-corrupt-{}", std::process::id()));
+    let dir = temp_dir("corrupt");
     let faults = [
         Fault::BitFlip { offset: 3, bit: 1 },
         Fault::BitFlip { offset: 25, bit: 7 },
@@ -164,21 +175,28 @@ fn corrupted_disk_checkpoints_fall_back_to_a_fresh_run() {
     ];
     for fault in faults {
         let _ = std::fs::remove_dir_all(&dir);
-        let store = CkptStore::with_dir(&dir);
-        let mut victim = Engine::new(replay.clone(), &kind, &cfg);
-        victim.run_to(10_000);
-        let fp = victim.fingerprint();
-        store.inject_save_faults(FaultPlan::with(fault.clone()));
-        store.save("array", fp, &victim.checkpoint().to_bytes());
-        let r = run_resumable(&store, replay.clone(), &kind, &cfg);
+        let writer = TraceStore::with_result_dir(&dir);
+        writer.inject_save_faults(FaultPlan::with(fault.clone()));
+        let k = kernel_by_name("array").unwrap();
+        run_kernel_with_store(&writer, k.as_ref(), &kind, &cfg);
+
+        let (r, store) = run_fresh(&dir, "array", &kind, &cfg);
         assert_eq!(
-            r.stats_digest(),
-            reference.stats_digest(),
+            r, reference,
             "{fault:?}: fresh run after rejection diverged"
         );
-        assert!(
-            store.stats().2 >= 1,
-            "{fault:?}: corruption must be counted as a reject"
+        assert_eq!(
+            store.disk_rejects(),
+            1,
+            "{fault:?}: corruption must count as a reject"
+        );
+        // The rerun overwrote the corrupt file with the cell's result.
+        let (again, store) = run_fresh(&dir, "array", &kind, &cfg);
+        assert_eq!(again, reference);
+        assert_eq!(
+            store.result_stats(),
+            (1, 0),
+            "{fault:?}: the file was not replaced"
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -186,117 +204,114 @@ fn corrupted_disk_checkpoints_fall_back_to_a_fresh_run() {
 
 #[test]
 fn on_disk_corruption_matrix_is_rejected() {
-    // A real engine checkpoint on disk, bits flipped one at a time: each
-    // mutation must fail validation (magic, length, or FNV-1a checksum —
-    // the per-byte fold is bijective, so no flip can cancel). The frame
-    // matrix in `crates/trace/tests/corruption_matrix.rs` flips literally
-    // every bit of a trace frame; here a real multi-kilobyte `SIMC` frame
-    // gets the exhaustive treatment on its header and trailer plus a dense
-    // sample of the payload, through the store. Caches are shrunk so the
-    // snapshot stays small enough to hammer.
-    let mut cfg = SimConfig::default().with_budget(2_000);
-    cfg.mem.l1 = semloc_mem::CacheConfig {
-        size_bytes: 2048,
-        ways: 2,
-        line_bytes: 64,
-        latency: 2,
-        mshrs: 4,
-    };
-    cfg.mem.l2 = semloc_mem::CacheConfig {
-        size_bytes: 8192,
-        ways: 4,
-        line_bytes: 64,
-        latency: 20,
-        mshrs: 8,
-    };
-    let kind = PrefetcherKind::None;
-    let replay = replay_of("array", cfg.instr_budget);
-    let mut e = Engine::new(replay, &kind, &cfg);
-    e.run_to(1_000);
-    let fp = e.fingerprint();
-
-    let dir = std::env::temp_dir().join(format!("semloc-ckpt-matrix-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = CkptStore::with_dir(&dir);
-    store.save("array", fp, &e.checkpoint().to_bytes());
-
-    // Locate the file the store wrote and take its canonical bytes.
-    let entries: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .collect();
-    assert_eq!(entries.len(), 1);
-    let path = &entries[0];
-    let good = std::fs::read(path).unwrap();
-    let load = || store.load("array", fp, SimCheckpoint::from_bytes);
+    // A real result file, bits flipped one at a time: each mutation must
+    // fail validation (magic, length, or FNV-1a checksum — the per-byte
+    // fold is bijective, so no flip can cancel). The frame matrix in
+    // `crates/trace/tests/corruption_matrix.rs` flips every bit of a trace
+    // frame; a context cell's `RRES` frame is about a kilobyte, so it gets
+    // the same exhaustive treatment here, through the store, along with
+    // every truncation and a few extensions.
+    let cfg = SimConfig::default().with_budget(5_000);
+    let kind = PrefetcherKind::context();
+    let fp = Engine::new(replay_of("list", cfg.instr_budget), &kind, &cfg).fingerprint();
+    let dir = temp_dir("matrix");
+    run_fresh(&dir, "list", &kind, &cfg);
+    let path = only_file(&dir);
+    let good = std::fs::read(&path).unwrap();
+    let load = || TraceStore::with_result_dir(&dir).result(fp, "list", "context");
     assert!(load().is_some(), "canonical file loads");
+    assert!(
+        good.len() > 500,
+        "a context cell's frame holds its learning stats"
+    );
 
-    // Exhaustive over the header and trailer; dense coprime-stride sample
-    // through the payload so the test stays fast while touching every
-    // byte region.
-    let total_bits = good.len() * 8;
-    // Header: magic, kind tag, version. Trailer: body length, checksum.
-    let header_bits = 16 * 8;
-    let trailer_bits = 16 * 8;
-    let mut bits: Vec<usize> = (0..header_bits.min(total_bits)).collect();
-    bits.extend(total_bits.saturating_sub(trailer_bits)..total_bits);
-    bits.extend((header_bits..total_bits.saturating_sub(trailer_bits)).step_by(7));
-    for bit in bits {
+    for bit in 0..good.len() * 8 {
         let mut bad = good.clone();
         bad[bit / 8] ^= 1 << (bit % 8);
-        std::fs::write(path, &bad).unwrap();
+        std::fs::write(&path, &bad).unwrap();
         assert!(load().is_none(), "flip of bit {bit} was accepted");
     }
-    std::fs::write(path, &good).unwrap();
+    // Every strict prefix, and the frame with bytes appended, too.
+    for keep in 0..good.len() {
+        std::fs::write(&path, &good[..keep]).unwrap();
+        assert!(load().is_none(), "a prefix of {keep} bytes was accepted");
+    }
+    for extra in 1..=16 {
+        let mut long = good.clone();
+        long.resize(good.len() + extra, 0xA5);
+        std::fs::write(&path, &long).unwrap();
+        assert!(load().is_none(), "{extra} appended bytes were accepted");
+    }
+    std::fs::write(&path, &good).unwrap();
     assert!(load().is_some());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The one file in `dir` that `files_before` does not list.
-fn new_file(dir: &Path, files_before: &[PathBuf]) -> PathBuf {
-    let mut new: Vec<PathBuf> = std::fs::read_dir(dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| !files_before.contains(p))
-        .collect();
-    assert_eq!(new.len(), 1, "expected exactly one new checkpoint file");
-    new.remove(0)
-}
-
 #[test]
-fn final_checkpoint_of_another_cell_is_rejected() {
+fn result_file_of_another_cell_is_rejected() {
     // Two cells of the same kernel and prefetcher that differ only in
     // budget: each RRES frame names the same kernel and prefetcher, so only
-    // its engine fingerprint tells them apart. A final checkpoint copied
-    // under the other cell's fingerprint must be rejected and the cell
-    // rerun to its own result.
+    // its engine fingerprint tells them apart. A result file copied under
+    // the other cell's name must be rejected and the cell rerun to its own
+    // result.
     let long = SimConfig::quick();
     let short = SimConfig::quick().with_budget(long.instr_budget / 2);
     let kind = PrefetcherKind::Stride;
-    let replay = replay_of("list", long.instr_budget);
     let reference = run_kernel_uncached(kernel_by_name("list").unwrap().as_ref(), &kind, &short);
 
-    let dir = std::env::temp_dir().join(format!("semloc-ckpt-foreign-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = CkptStore::with_dir(&dir);
-    run_resumable(&store, replay.clone(), &kind, &long);
-    let long_file = new_file(&dir, &[]);
-    let r = run_resumable(&store, replay.clone(), &kind, &short);
-    assert_eq!(r.stats_digest(), reference.stats_digest());
-    let short_file = new_file(&dir, std::slice::from_ref(&long_file));
+    let long_dir = temp_dir("foreign-long");
+    let short_dir = temp_dir("foreign-short");
+    run_fresh(&long_dir, "list", &kind, &long);
+    run_fresh(&short_dir, "list", &kind, &short);
+    let short_file = only_file(&short_dir);
+    std::fs::copy(only_file(&long_dir), &short_file).unwrap();
 
-    std::fs::copy(&long_file, &short_file).unwrap();
-    let rejects = store.stats().2;
-    let rerun = run_resumable(&store, replay, &kind, &short);
+    let (rerun, store) = run_fresh(&short_dir, "list", &kind, &short);
+    assert_eq!(store.disk_rejects(), 1, "foreign RRES must be rejected");
+    assert_eq!(rerun, reference, "the cell must rerun to its own result");
+    let _ = std::fs::remove_dir_all(&long_dir);
+    let _ = std::fs::remove_dir_all(&short_dir);
+}
+
+#[test]
+fn older_mid_run_checkpoint_is_rejected_and_replaced() {
+    // Builds that saved mid-run checkpoints left a `SIMC` frame (the
+    // engine fingerprint, the cursor and the snapshot payload) under the
+    // cell's file name until the cell finished. A killed run of such a
+    // build leaves one behind: it counts as a reject, the cell reruns from
+    // instruction 0, and its result replaces the file.
+    let cfg = SimConfig::default().with_budget(30_000);
+    let kind = PrefetcherKind::context();
+    let reference = run_kernel_uncached(kernel_by_name("mcf").unwrap().as_ref(), &kind, &cfg);
+    let mut paused = Engine::new(replay_of("mcf", cfg.instr_budget), &kind, &cfg);
+    paused.run_to(10_000);
+    let ckpt = paused.checkpoint();
+    let mut w = SnapWriter::framed(*b"SIMC", 3);
+    w.put_u64(ckpt.fingerprint);
+    w.put_u64(ckpt.cursor);
+    w.put_len(ckpt.payload.len());
+    w.put_bytes(&ckpt.payload);
+    let dir = temp_dir("simc");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("mcf-{:016x}.ckpt", ckpt.fingerprint));
+    std::fs::write(&path, w.into_frame()).unwrap();
+
+    let (r, store) = run_fresh(&dir, "mcf", &kind, &cfg);
     assert_eq!(
-        store.stats().2,
-        rejects + 1,
-        "foreign RRES must be rejected"
+        store.disk_rejects(),
+        1,
+        "the mid-run frame must be rejected"
     );
+    assert_eq!(store.result_stats(), (0, 1));
+    assert_eq!(r, reference, "the cell must rerun to its own result");
     assert_eq!(
-        rerun.stats_digest(),
-        reference.stats_digest(),
-        "the cell must rerun to its own result"
+        only_file(&dir),
+        path,
+        "the result keeps the cell's file name"
     );
+    assert_eq!(&kind_of(&path), b"RRES");
+    let (loaded, store) = run_fresh(&dir, "mcf", &kind, &cfg);
+    assert_eq!(loaded, reference);
+    assert_eq!(store.result_stats(), (1, 0));
     let _ = std::fs::remove_dir_all(&dir);
 }

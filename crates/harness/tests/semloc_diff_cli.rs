@@ -11,7 +11,7 @@ fn malformed_budget_fails_before_any_simulation() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
     assert!(
-        stderr.contains("budget must be an integer >= 0, got \"100k\""),
+        stderr.contains("budget must be an integer >= 1, got \"100k\""),
         "stderr: {stderr}"
     );
     assert!(
@@ -19,4 +19,23 @@ fn malformed_budget_fails_before_any_simulation() {
         "nothing may run: {}",
         String::from_utf8_lossy(&out.stdout)
     );
+}
+
+#[test]
+fn zero_budget_fails_before_any_simulation() {
+    // 0 would mean unbounded, and every registered kernel runs until its
+    // budget. The malformed `SEMLOC_BUDGET` makes a build that accepted the
+    // zero panic at `SimConfig::default` before it simulates anything.
+    let out = Command::new(env!("CARGO_BIN_EXE_semloc-diff"))
+        .arg("0")
+        .env("SEMLOC_BUDGET", "banana")
+        .output()
+        .expect("semloc-diff runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains("budget must be an integer >= 1, got \"0\""),
+        "stderr: {stderr}"
+    );
+    assert!(out.stdout.is_empty());
 }

@@ -22,7 +22,7 @@
 //! # Frames
 //!
 //! Everything the simulator persists is one *frame*: a section whose tag
-//! names its kind (`TRCE` traces, `SIMC` and `RRES` checkpoints), wrapped
+//! names its kind (`TRCE` traces, `RRES` finished-cell results), wrapped
 //! with a magic and a checksum trailer.
 //!
 //! ```text

@@ -1,5 +1,5 @@
 //! Exhaustive corruption matrix for the frame every persisted kind shares
-//! (`TRCE` traces, `SIMC`/`RRES` checkpoints), run on a trace
+//! (`TRCE` traces, `RRES` finished-cell results), run on a trace
 //! frame: every single-bit mutation of every byte must either fail to
 //! parse with a typed `io::Error` or — were the frame ever to grow
 //! don't-care bytes — decode to a buffer whose canonical re-encode

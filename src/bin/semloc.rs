@@ -11,6 +11,9 @@
 //! semloc inspect <kernel> [budget]    dump the trained prefetcher state
 //! semloc table2                       print the machine configuration
 //! ```
+//!
+//! A budget defaults to `SEMLOC_BUDGET`, else 400 000 instructions;
+//! `record` captures 200 000 by default.
 
 use std::fs;
 use std::path::Path;
@@ -347,27 +350,34 @@ fn main() -> ExitCode {
     let json = args.iter().any(|a| a == "--json");
     args.retain(|a| a != "--json");
     let arg = |i: usize| args.get(i).map(String::as_str);
-    let budget =
-        |i: usize, default: u64| match arg(i).map(|s| parse_knob("budget", s, 0..=u64::MAX)) {
-            None => default,
-            Some(Ok(b)) => b,
-            Some(Err(e)) => {
-                eprintln!("{e}");
-                std::process::exit(1)
-            }
-        };
+    // A budget of 0 would mean unbounded, and every registered kernel runs
+    // until its budget, so it is refused like any other bad value.
+    let budget = |i: usize| match arg(i).map(|s| parse_knob("budget", s, 1..=u64::MAX)) {
+        None => None,
+        Some(Ok(b)) => Some(b),
+        Some(Err(e)) => {
+            eprintln!("{e}");
+            std::process::exit(1)
+        }
+    };
+    let sim_budget = || SimConfig::default().instr_budget;
     match arg(0) {
         Some("list") => cmd_list(),
         Some("run") => match arg(1) {
-            Some(k) => cmd_run(k, arg(2).unwrap_or("context"), budget(3, 400_000), json),
+            Some(k) => cmd_run(
+                k,
+                arg(2).unwrap_or("context"),
+                budget(3).unwrap_or_else(sim_budget),
+                json,
+            ),
             None => usage(),
         },
         Some("compare") => match arg(1) {
-            Some(k) => cmd_compare(k, budget(2, 400_000), json),
+            Some(k) => cmd_compare(k, budget(2).unwrap_or_else(sim_budget), json),
             None => usage(),
         },
         Some("record") => match (arg(1), arg(2)) {
-            (Some(k), Some(path)) => cmd_record(k, path, budget(3, 200_000)),
+            (Some(k), Some(path)) => cmd_record(k, path, budget(3).unwrap_or(200_000)),
             _ => usage(),
         },
         Some("replay") => match arg(1) {
@@ -375,7 +385,7 @@ fn main() -> ExitCode {
             None => usage(),
         },
         Some("inspect") => match arg(1) {
-            Some(k) => cmd_inspect(k, budget(2, 400_000)),
+            Some(k) => cmd_inspect(k, budget(2).unwrap_or_else(sim_budget)),
             None => usage(),
         },
         Some("table2") => {

@@ -164,6 +164,60 @@ fn cli_rejects_a_malformed_budget() {
 }
 
 #[test]
+fn cli_budget_defaults_to_semloc_budget() {
+    // Without a budget argument the CLI runs `SEMLOC_BUDGET`, the same
+    // default every other entry point reads.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_semloc"))
+        .args(["run", "list", "none", "--json"])
+        .env("SEMLOC_BUDGET", "20000")
+        .output()
+        .expect("run the semloc binary");
+    assert_eq!(out.status.code(), Some(0));
+    let json = String::from_utf8_lossy(&out.stdout);
+    assert!(json.contains("\"instructions\":20000,"), "{json}");
+}
+
+#[test]
+fn cli_refuses_a_zero_budget() {
+    // A budget of 0 means unbounded, and every registered kernel runs
+    // until its budget, so a zero from outside the program must stop the
+    // CLI before anything runs. Each command below also makes a build
+    // that accepted the zero stop without simulating: the workload does
+    // not exist, or `table2` only prints.
+    let semloc = |args: &[&str], budget_env: Option<&str>| {
+        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_semloc"));
+        cmd.args(args).env_remove("SEMLOC_BUDGET");
+        if let Some(v) = budget_env {
+            cmd.env("SEMLOC_BUDGET", v);
+        }
+        cmd.output().expect("run the semloc binary")
+    };
+    let file = std::env::temp_dir().join(format!("semloc-zero-{}.trace", std::process::id()));
+    let file = file.to_str().unwrap();
+    for args in [
+        &["run", "no-such-kernel", "none", "0"][..],
+        &["compare", "no-such-kernel", "0"],
+        &["record", "no-such-kernel", file, "0"],
+        &["inspect", "no-such-kernel", "0"],
+    ] {
+        let out = semloc(args, None);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(
+            err.contains("budget must be an integer >= 1, got \"0\""),
+            "{args:?}: {err}"
+        );
+    }
+    let out = semloc(&["table2"], Some("0"));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "SEMLOC_BUDGET=0 was accepted");
+    assert!(
+        err.contains("SEMLOC_BUDGET must be an integer >= 1, got \"0\""),
+        "{err}"
+    );
+}
+
+#[test]
 fn cli_replay_refuses_the_calibrated_prefetcher() {
     // Calibration probes a workload, and a trace file names none: replaying
     // one under `context-calibrated` must fail, not run the uncalibrated
