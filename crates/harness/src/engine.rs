@@ -119,7 +119,7 @@ impl Engine {
     pub fn done(&self) -> bool {
         let c = self.cursor();
         (self.config.instr_budget != 0 && c >= self.config.instr_budget)
-            || c >= self.replay.trace().buf.len() as u64
+            || c >= self.replay.trace().lanes.len() as u64
     }
 
     /// The prefetcher kind this engine simulates.
@@ -274,11 +274,11 @@ impl Engine {
     /// checkpoint contract.
     pub fn fork_onto(&self, replay: ReplayKernel) -> io::Result<Engine> {
         let cursor = self.cursor();
-        if (replay.trace().buf.len() as u64) < cursor {
+        if (replay.trace().lanes.len() as u64) < cursor {
             return Err(snap_err(format!(
                 "fork_onto target '{}' holds {} instrs, engine cursor is {cursor}",
                 replay.name(),
-                replay.trace().buf.len()
+                replay.trace().lanes.len()
             )));
         }
         let ours = &self.replay.trace().lanes;

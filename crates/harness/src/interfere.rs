@@ -243,7 +243,7 @@ impl AdvBench {
             "adv-candidate",
             vec![
                 Phase::new(self.warmup_capture.clone(), self.search.warmup),
-                Phase::new(tail.clone(), self.search.tail.min(tail.buf.len() as u64)),
+                Phase::new(tail.clone(), self.search.tail.min(tail.lanes.len() as u64)),
             ],
         );
         let capture = Arc::new(capture_kernel(

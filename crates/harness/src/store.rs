@@ -8,10 +8,11 @@
 //! simulates each distinct cell once. Both halves live in memory, and on
 //! disk when a directory is configured:
 //!
-//! * captures as `TRCE` frames (the capture's varint buffer, see
-//!   [`semloc_trace::TraceBuffer::to_frame`]) under `SEMLOC_TRACE_DIR`, so
-//!   separate processes (e.g. two `all_experiments --only <id>` runs) reuse
-//!   each other's traces;
+//! * captures as decoded lanes in memory, and as `TRCE` frames under
+//!   `SEMLOC_TRACE_DIR` (the lanes varint-encoded into a temporary, see
+//!   [`semloc_trace::TraceBuffer::encode`]), so separate processes (e.g.
+//!   two `all_experiments --only <id>` runs) reuse each other's traces; a
+//!   loaded frame keeps only the lanes it decodes;
 //! * finished cells as `RRES` frames (the [`RunResult`] and its engine
 //!   fingerprint) under `SEMLOC_CKPT_DIR`, one file per cell, so a killed
 //!   run resumes: finished cells load from their files, and the cells that
@@ -365,7 +366,7 @@ impl TraceStore {
         let name = Self::file_name(trace.name, &trace.key, trace.budget, trace.complete);
         let _ = write_atomic(
             &dir.join(&name),
-            &trace.buf.to_frame(&name),
+            &TraceBuffer::encode(&trace.lanes).to_frame(&name),
             self.take_faults(),
         );
     }
@@ -382,9 +383,9 @@ fn sanitize(name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_kernel_with_store, PrefetcherKind, SimConfig};
+    use crate::{run_kernel_with_store, Engine, PrefetcherKind, SimConfig};
     use semloc_trace::{Fault, RecordingSink};
-    use semloc_workloads::kernel_by_name;
+    use semloc_workloads::{kernel_by_name, Composer, Phase};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("semloc-store-{tag}-{}", std::process::id()));
@@ -487,6 +488,58 @@ mod tests {
         replay.run(&mut b);
         assert_eq!(a.instrs(), b.instrs());
 
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn simulating_never_builds_the_varint_form() {
+        let k = kernel_by_name("mcf").unwrap();
+        let store = TraceStore::new();
+        let cfg = SimConfig::default().with_budget(6_000);
+        run_kernel_with_store(&store, k.as_ref(), &PrefetcherKind::context(), &cfg);
+        let replay = store.replay(k.as_ref(), 6_000);
+        assert_eq!(store.stats(), (1, 1), "the run captured, the replay hit");
+        assert!(
+            !replay.trace().buf.is_encoded(),
+            "a run encoded its capture"
+        );
+
+        // Unbudgeted, the engine stops at the end of the stream.
+        let unbounded = SimConfig::default().with_budget(0);
+        let mut e = Engine::new(replay.clone(), &PrefetcherKind::Stride, &unbounded);
+        e.run_to_end();
+        assert_eq!(e.cursor(), 6_000);
+        assert!(e.done());
+        // Forking and composing read the stream's length from its lanes too.
+        e.fork_onto(replay.clone()).unwrap();
+        let menu = [Arc::clone(replay.trace())];
+        Composer::new(1).phase_shift("t", &menu, 2, 1_000, 9_000);
+        Phase::new(Arc::clone(replay.trace()), 6_000);
+        assert!(
+            !replay.trace().buf.is_encoded(),
+            "the engine or a schedule encoded its stream"
+        );
+
+        // Writing a trace file and loading it back encode into temporaries.
+        let dir = temp_dir("lanes-only");
+        let written = TraceStore::with_dir(&dir).replay(k.as_ref(), 6_000);
+        let reader = TraceStore::with_dir(&dir);
+        let loaded = reader.replay(k.as_ref(), 6_000);
+        assert_eq!(reader.stats(), (1, 0), "a disk load");
+        assert!(
+            !written.trace().buf.is_encoded(),
+            "the writer kept its encoding"
+        );
+        assert!(!loaded.trace().buf.is_encoded(), "the load kept its buffer");
+
+        // Control: the view encodes on first use, to what the file holds.
+        let file = fs::read_dir(&dir).unwrap().next().unwrap().unwrap();
+        let name = file.file_name().into_string().unwrap();
+        assert_eq!(
+            loaded.trace().buf.to_frame(&name),
+            fs::read(file.path()).unwrap()
+        );
+        assert!(loaded.trace().buf.is_encoded());
         let _ = fs::remove_dir_all(&dir);
     }
 

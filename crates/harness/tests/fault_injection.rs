@@ -257,7 +257,7 @@ fn detection_errors_are_typed_at_the_trace_layer() {
     let k = kernel_by_name("list").unwrap();
     let mut sink = BufferSink::with_limit(500);
     k.run(&mut sink);
-    let clean = sink.into_buffer().to_frame("list");
+    let clean = TraceBuffer::encode(&sink.into_lanes()).to_frame("list");
 
     let kind_of = |plan: FaultPlan| {
         let mut bytes = clean.clone();

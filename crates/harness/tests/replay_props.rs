@@ -1,12 +1,13 @@
 //! Property tests for capture-time lanes, the form every replay steps.
 //!
-//! A capture builds its varint buffer and its decoded lanes in one pass,
-//! and nothing decodes the buffer again, so these tests pin the lanes to
-//! the varint stream directly: for random kernels and budgets — budgets
-//! that stop in the middle of a 256-instruction block, budgets on a block
-//! boundary, and budget 0 through composed schedules — the capture's lanes
-//! equal a fresh [`DecodedTrace::decode`] of its buffer, which equals the
-//! streaming varint decode. Alongside, the capture prefix property
+//! A capture holds only its decoded lanes, and a trace file holds their
+//! varint encoding, so these tests pin both to the generated stream: for
+//! random kernels and budgets — budgets that stop in the middle of a
+//! 256-instruction block, budgets on a block boundary, and budget 0
+//! through composed schedules — the capture's lanes equal the stream the
+//! kernel emits into a recorder, and [`TraceBuffer::encode`] of the lanes
+//! decodes back to it both through [`DecodedTrace::decode`] and through
+//! the streaming varint decode. Alongside, the capture prefix property
 //! ([`CapturedTrace::covers`]), the trace store's supersede rule, and
 //! multi-core checkpoint/restore at a cursor inside a block are pinned,
 //! because the golden digests rest on all of them.
@@ -19,27 +20,42 @@ use proptest::prelude::*;
 
 use semloc_harness::{mc_digest, McConfig, McEngine, PrefetcherKind, SimConfig};
 use semloc_harness::{run_kernel_uncached, Engine, TraceStore};
-use semloc_trace::{DecodedTrace, BLOCK_LEN};
+use semloc_trace::{DecodedTrace, RecordingSink, TraceBuffer, BLOCK_LEN};
 use semloc_workloads::{
-    all_kernels, capture_kernel, kernel_by_name, CapturedTrace, Composer, ReplayKernel,
+    all_kernels, capture_kernel, kernel_by_name, CapturedTrace, Composer, Kernel, ReplayKernel,
 };
 
-/// Assert that a capture's lanes, a fresh decode of its buffer, and the
-/// streaming varint decode agree on every instruction.
-fn assert_lanes_match(t: &CapturedTrace, what: &str) {
-    let decoded = DecodedTrace::decode(&t.buf);
-    assert_eq!(t.lanes.len(), t.buf.len(), "{what}: lane count");
-    assert_eq!(decoded.len(), t.buf.len(), "{what}: decoded count");
+/// Assert that a capture's lanes hold the stream `kernel` emits under
+/// `budget` (0 = unbounded), and that their varint encoding decodes back
+/// to it both into fresh lanes and through the streaming decode.
+fn assert_lanes_match(t: &CapturedTrace, kernel: &dyn Kernel, budget: u64, what: &str) {
+    let mut recorder = match budget {
+        0 => RecordingSink::new(),
+        b => RecordingSink::with_limit(b as usize),
+    };
+    kernel.run(&mut recorder);
+    let generated = recorder.instrs();
+    let encoded = TraceBuffer::encode(&t.lanes);
+    let decoded = DecodedTrace::decode(&encoded);
+    assert_eq!(t.lanes.len(), generated.len(), "{what}: lane count");
+    assert_eq!(encoded.len(), generated.len(), "{what}: encoded count");
     assert_eq!(t.lanes.bytes(), decoded.bytes(), "{what}: lane bytes");
-    for (i, streamed) in t.buf.iter().enumerate() {
-        assert_eq!(t.lanes.instr(i), streamed, "{what}: capture lanes at {i}");
-        assert_eq!(decoded.instr(i), streamed, "{what}: decoded lanes at {i}");
+    let mut streamed = encoded.iter();
+    for (i, want) in generated.iter().enumerate() {
+        assert_eq!(&t.lanes.instr(i), want, "{what}: capture lanes at {i}");
+        assert_eq!(&decoded.instr(i), want, "{what}: decoded lanes at {i}");
+        assert_eq!(
+            streamed.next().as_ref(),
+            Some(want),
+            "{what}: stream at {i}"
+        );
     }
 }
 
 proptest! {
-    /// Capture lanes == decode(buffer) == streaming decode, for random
-    /// kernels at budgets inside a block and on a block boundary.
+    /// Capture lanes == generation == decode(encode(lanes)) == streaming
+    /// decode, for random kernels at budgets inside a block and on a block
+    /// boundary.
     #[test]
     fn capture_lanes_match_decode_and_stream(
         kidx in 0usize..64,
@@ -52,7 +68,7 @@ proptest! {
         // stops the capture mid-block.
         let budget = blocks * BLOCK_LEN as u64 + offset;
         let t = capture_kernel(kernel, budget);
-        assert_lanes_match(&t, &format!("{} @ {budget}", kernel.name()));
+        assert_lanes_match(&t, kernel, budget, &format!("{} @ {budget}", kernel.name()));
     }
 
     /// The same for composed schedules captured at budget 0 (unbounded),
@@ -74,8 +90,8 @@ proptest! {
         let sched = Composer::new(seed).phase_shift("prop", &menu, phases, min, min + extra);
         let t = capture_kernel(&sched, 0);
         prop_assert!(t.complete, "a budget-0 capture holds the whole schedule");
-        prop_assert_eq!(t.buf.len() as u64, sched.total_instrs());
-        assert_lanes_match(&t, &format!("compose seed {seed}"));
+        prop_assert_eq!(t.lanes.len() as u64, sched.total_instrs());
+        assert_lanes_match(&t, &sched, 0, &format!("compose seed {seed}"));
     }
 
     /// A capture taken at budget `b1` covers every smaller non-zero budget
@@ -98,9 +114,9 @@ proptest! {
         }
         if t.covers(b2) && !t.complete {
             prop_assert!(
-                t.buf.len() as u64 >= b2,
+                t.lanes.len() as u64 >= b2,
                 "{}: claimed cover of {b2} with only {} instructions",
-                kernel.name(), t.buf.len()
+                kernel.name(), t.lanes.len()
             );
         }
     }
@@ -128,7 +144,7 @@ proptest! {
             prop_assert!(!Arc::ptr_eq(&early.trace().lanes, &late.trace().lanes));
         }
         prop_assert!(Arc::ptr_eq(&early.trace().lanes, &early_lanes), "earlier replay lost its lanes");
-        prop_assert_eq!(late.trace().lanes.len(), late.trace().buf.len());
+        prop_assert!(!late.trace().buf.is_encoded(), "the store built the varint form");
         let again = store.replay(kernel, small);
         prop_assert!(
             Arc::ptr_eq(&again.trace().lanes, &late.trace().lanes),

@@ -22,13 +22,14 @@
 //! +8, streaming kernels have constant address strides, and loop branches
 //! have small target offsets.
 //!
-//! The buffer is the compact, persistable form of a capture; replay steps
-//! the [`DecodedTrace`] lanes that [`BufferSink`] builds in the same pass.
+//! The buffer is a capture's on-disk form only. A capture holds its
+//! [`DecodedTrace`] lanes, which [`BufferSink`](crate::BufferSink) writes
+//! and every replay steps; [`TraceBuffer::encode`] builds the buffer from
+//! them when a frame is written.
 
-use crate::decoded::{DecodedTrace, LaneWriter};
+use crate::decoded::DecodedTrace;
 use crate::hints::SemanticHints;
 use crate::instr::{Instr, InstrKind, Reg};
-use crate::sink::TraceSink;
 use crate::snap::{snap_err, SnapReader, SnapWriter};
 use std::io;
 
@@ -215,6 +216,18 @@ impl TraceBuffer {
         if i.result != 0 {
             put_varint(&mut self.aux, i.result);
         }
+    }
+
+    /// The buffer that pushing every instruction of `lanes` in order
+    /// builds: what a capture's `TRCE` frame holds.
+    pub fn encode(lanes: &DecodedTrace) -> Self {
+        let block = lanes.block(0, lanes.len());
+        let mut buf = TraceBuffer::new();
+        buf.ops.reserve_exact(block.len());
+        for i in 0..block.len() {
+            buf.push(&block.instr(i));
+        }
+        buf
     }
 
     /// Iterate the stored instructions in push order.
@@ -423,70 +436,6 @@ impl Iterator for TraceIter<'_> {
     }
 }
 
-/// Instructions a capture reserves lanes for up front: its budget, capped
-/// so a huge budget on a short kernel does not reserve gigabytes.
-const PRESIZE_MAX: u64 = 1 << 22;
-
-/// A [`TraceSink`] that captures into a [`TraceBuffer`] and its
-/// [`DecodedTrace`] lanes in the same pass, mirroring the budget gating of
-/// the simulated core: instructions are accepted while the count is below
-/// `limit` and silently dropped after, and `done()` flips exactly when the
-/// limit is reached (`limit == 0` is unbounded). This makes a capture see
-/// the *same* `done()` transitions a budgeted
-/// [`Cpu`](crate::TraceSink)-driven run would, so the captured stream is
-/// bit-identical to what the simulator consumed.
-#[derive(Debug, Default)]
-pub struct BufferSink {
-    buf: TraceBuffer,
-    lanes: LaneWriter,
-    limit: u64,
-}
-
-impl BufferSink {
-    /// Capture at most `limit` instructions (0 = unbounded), with lanes
-    /// pre-sized for the limit.
-    pub fn with_limit(limit: u64) -> Self {
-        BufferSink {
-            buf: TraceBuffer::new(),
-            lanes: LaneWriter::with_capacity(limit.min(PRESIZE_MAX) as usize),
-            limit,
-        }
-    }
-
-    /// Instructions captured so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing was captured.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Consume the sink, returning the captured buffer.
-    pub fn into_buffer(self) -> TraceBuffer {
-        self.buf
-    }
-
-    /// Consume the sink, returning the captured buffer and its lanes.
-    pub fn into_parts(self) -> (TraceBuffer, DecodedTrace) {
-        (self.buf, self.lanes.finish())
-    }
-}
-
-impl TraceSink for BufferSink {
-    fn instr(&mut self, instr: Instr) {
-        if !self.done() {
-            self.buf.push(&instr);
-            self.lanes.push(&instr);
-        }
-    }
-
-    fn done(&self) -> bool {
-        self.limit != 0 && self.buf.len() as u64 >= self.limit
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -666,44 +615,6 @@ mod tests {
                 assert_eq!(e.kind(), io::ErrorKind::InvalidData);
             }
         }
-    }
-
-    #[test]
-    fn buffer_sink_gates_like_the_core() {
-        let mut s = BufferSink::with_limit(3);
-        for i in sample() {
-            s.instr(i);
-        }
-        assert!(s.done());
-        let (buf, lanes) = s.into_parts();
-        assert_eq!(buf.len(), 3);
-        assert_eq!(buf.iter().collect::<Vec<_>>(), sample()[..3].to_vec());
-        assert_eq!(lanes.len(), 3, "lanes gate with the buffer");
-    }
-
-    #[test]
-    fn capture_lanes_match_the_varint_stream() {
-        let mut s = BufferSink::with_limit(0);
-        for i in sample() {
-            s.instr(i);
-        }
-        let (buf, lanes) = s.into_parts();
-        let decoded = DecodedTrace::decode(&buf);
-        assert_eq!(lanes.len(), sample().len());
-        for (n, want) in sample().iter().enumerate() {
-            assert_eq!(&lanes.instr(n), want, "capture lanes, instr {n}");
-            assert_eq!(&decoded.instr(n), want, "decoded lanes, instr {n}");
-        }
-    }
-
-    #[test]
-    fn unbounded_sink_captures_everything() {
-        let mut s = BufferSink::with_limit(0);
-        for i in sample() {
-            s.instr(i);
-        }
-        assert!(!s.done());
-        assert_eq!(s.len(), sample().len());
     }
 
     #[test]

@@ -1,19 +1,19 @@
-//! Fully-decoded trace lanes: the form every replay steps.
+//! Fully-decoded trace lanes: the one in-memory form of a captured stream.
 //!
-//! [`DecodedTrace`] is the flat struct-of-arrays twin of
-//! [`TraceBuffer`]: every instruction is held in
-//! fixed-width parallel lanes (op byte, absolute PC, a kind-dependent
-//! 64-bit auxiliary word, access size, packed hints, the three register
-//! operands, and the architectural result), so replay is pure sequential
-//! lane reads with no per-instruction decode work. The layout costs
-//! 33 B/instr against the ~6-10 B/instr varint encoding.
+//! [`DecodedTrace`] holds every instruction in fixed-width parallel lanes
+//! (op byte, absolute PC, a kind-dependent 64-bit auxiliary word, access
+//! size, packed hints, the three register operands, and the architectural
+//! result), so replay is pure sequential lane reads with no
+//! per-instruction decode work. The layout costs 33 B/instr against the
+//! ~6-10 B/instr of the varint [`TraceBuffer`], which is the on-disk form
+//! only.
 //!
-//! Lanes are built while capturing: [`BufferSink`](crate::BufferSink)
-//! appends each instruction to the varint buffer and to the lanes in the
-//! same pass, so a captured stream is never decoded back. [`DecodedTrace::
-//! decode`] derives the same lanes from a finished buffer in one
-//! sequential pass; it is the decoder round trip the tests pin, bit-identical
-//! to [`TraceBuffer::iter`](crate::TraceBuffer::iter).
+//! Lanes are written while capturing: [`BufferSink`] appends each
+//! instruction to them and keeps nothing else. A `TRCE` frame is written
+//! from [`TraceBuffer::encode`](crate::TraceBuffer::encode) of the lanes,
+//! and [`DecodedTrace::decode`] turns a frame's buffer back into lanes in
+//! one sequential pass, bit-identical to
+//! [`TraceBuffer::iter`](crate::TraceBuffer::iter).
 //!
 //! Replay consumers step whole [`BLOCK_LEN`](crate::BLOCK_LEN)-instruction
 //! blocks at a time through [`InstrBlock`] views (see `Cpu::step_block` in
@@ -27,6 +27,7 @@ use crate::buffer::{
 };
 use crate::hints::SemanticHints;
 use crate::instr::{Instr, InstrKind, Reg};
+use crate::sink::TraceSink;
 
 /// A fully-decoded trace: fixed-width parallel lanes over a whole captured
 /// stream, replayable in [`BLOCK_LEN`](crate::BLOCK_LEN)-instruction blocks
@@ -49,14 +50,14 @@ pub struct DecodedTrace {
 /// plain stores; [`LaneWriter::finish`] trims the lanes to the count
 /// written.
 #[derive(Debug, Default)]
-pub(crate) struct LaneWriter {
+struct LaneWriter {
     len: usize,
     lanes: DecodedTrace,
 }
 
 impl LaneWriter {
     /// A writer with lanes for `n` instructions already in place.
-    pub(crate) fn with_capacity(n: usize) -> Self {
+    fn with_capacity(n: usize) -> Self {
         LaneWriter {
             len: 0,
             lanes: DecodedTrace {
@@ -75,7 +76,7 @@ impl LaneWriter {
 
     /// Append one instruction to every lane.
     #[inline]
-    pub(crate) fn push(&mut self, i: &Instr) {
+    fn push(&mut self, i: &Instr) {
         let n = self.len;
         if n == self.lanes.len() {
             self.lanes.resize((2 * n).max(crate::BLOCK_LEN));
@@ -101,7 +102,7 @@ impl LaneWriter {
     }
 
     /// The lanes of every instruction pushed, without spare capacity.
-    pub(crate) fn finish(mut self) -> DecodedTrace {
+    fn finish(mut self) -> DecodedTrace {
         self.lanes.resize(self.len);
         self.lanes.ops.shrink_to_fit();
         self.lanes.pcs.shrink_to_fit();
@@ -208,6 +209,61 @@ impl std::fmt::Debug for DecodedTrace {
             .field("instrs", &self.len())
             .field("bytes", &self.bytes())
             .finish()
+    }
+}
+
+/// Instructions a capture reserves lanes for up front: its budget, capped
+/// so a huge budget on a short kernel does not reserve gigabytes.
+const PRESIZE_MAX: u64 = 1 << 22;
+
+/// A [`TraceSink`] that captures into [`DecodedTrace`] lanes, mirroring the
+/// budget gating of the simulated core: instructions are accepted while
+/// the count is below `limit` and silently dropped after, and `done()`
+/// flips exactly when the limit is reached (`limit == 0` is unbounded).
+/// This makes a capture see the *same* `done()` transitions a budgeted
+/// [`Cpu`](crate::TraceSink)-driven run would, so the captured stream is
+/// bit-identical to what the simulator consumed.
+#[derive(Debug, Default)]
+pub struct BufferSink {
+    lanes: LaneWriter,
+    limit: u64,
+}
+
+impl BufferSink {
+    /// Capture at most `limit` instructions (0 = unbounded), with lanes
+    /// pre-sized for the limit.
+    pub fn with_limit(limit: u64) -> Self {
+        BufferSink {
+            lanes: LaneWriter::with_capacity(limit.min(PRESIZE_MAX) as usize),
+            limit,
+        }
+    }
+
+    /// Instructions captured so far.
+    pub fn len(&self) -> usize {
+        self.lanes.len
+    }
+
+    /// Whether nothing was captured.
+    pub fn is_empty(&self) -> bool {
+        self.lanes.len == 0
+    }
+
+    /// Consume the sink, returning the captured lanes.
+    pub fn into_lanes(self) -> DecodedTrace {
+        self.lanes.finish()
+    }
+}
+
+impl TraceSink for BufferSink {
+    fn instr(&mut self, instr: Instr) {
+        if !self.done() {
+            self.lanes.push(&instr);
+        }
+    }
+
+    fn done(&self) -> bool {
+        self.limit != 0 && self.lanes.len as u64 >= self.limit
     }
 }
 
@@ -360,9 +416,59 @@ mod tests {
     }
 
     #[test]
+    fn buffer_sink_gates_like_the_core() {
+        let instrs = random_stream(7);
+        let mut s = BufferSink::with_limit(3);
+        for i in &instrs {
+            s.instr(*i);
+        }
+        assert!(s.done());
+        assert_eq!(s.len(), 3);
+        let lanes = s.into_lanes();
+        assert_eq!(lanes.len(), 3);
+        for (n, want) in instrs[..3].iter().enumerate() {
+            assert_eq!(&lanes.instr(n), want, "instr {n}");
+        }
+    }
+
+    #[test]
+    fn capture_lanes_match_the_varint_stream() {
+        // Past the writer's first growth step, with a partial last block.
+        let instrs = random_stream(3 * BLOCK_LEN as u64 + 11);
+        let mut s = BufferSink::with_limit(0);
+        for i in &instrs {
+            s.instr(*i);
+        }
+        let lanes = s.into_lanes();
+        assert_eq!(lanes.len(), instrs.len());
+        for (n, want) in instrs.iter().enumerate() {
+            assert_eq!(&lanes.instr(n), want, "capture lanes, instr {n}");
+        }
+        let pushed = buffer_of(&instrs);
+        let encoded = TraceBuffer::encode(&lanes);
+        assert_eq!(
+            encoded.to_frame("k"),
+            pushed.to_frame("k"),
+            "encoding the lanes builds the pushed buffer byte for byte"
+        );
+        assert!(encoded.iter().eq(instrs.iter().copied()));
+    }
+
+    #[test]
+    fn unbounded_sink_captures_everything() {
+        let mut s = BufferSink::with_limit(0);
+        for i in random_stream(7) {
+            s.instr(i);
+        }
+        assert!(!s.done());
+        assert_eq!(s.len(), 7);
+    }
+
+    #[test]
     fn empty_trace_decodes_empty() {
         let d = DecodedTrace::decode(&TraceBuffer::new());
         assert!(d.is_empty());
         assert_eq!(d.bytes(), 0);
+        assert!(TraceBuffer::encode(&d).is_empty());
     }
 }

@@ -58,9 +58,9 @@ pub mod sink;
 pub mod snap;
 
 pub use address_space::{AddressSpace, Placement};
-pub use buffer::{BufferSink, TraceBuffer, BLOCK_LEN};
+pub use buffer::{TraceBuffer, BLOCK_LEN};
 pub use context::{AccessContext, RECENT_ADDRS};
-pub use decoded::{DecodedTrace, InstrBlock};
+pub use decoded::{BufferSink, DecodedTrace, InstrBlock};
 pub use emit::{Emitter, PcAlloc};
 pub use fault::{Fault, FaultPlan, SaveFaults, ShortWriter};
 pub use hints::{RefForm, SemanticHints};

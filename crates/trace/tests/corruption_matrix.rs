@@ -55,7 +55,7 @@ fn valid_bytes() -> Vec<u8> {
             _ => sink.instr(Instr::branch(pc, i % 3 == 0, pc + 8, Some(Reg(9)))),
         }
     }
-    sink.into_buffer().to_frame("matrix")
+    TraceBuffer::encode(&sink.into_lanes()).to_frame("matrix")
 }
 
 /// Validate the frame and decode its columns, or report the typed error.

@@ -38,11 +38,11 @@ impl Phase {
     /// Panics if the capture is shorter than the requested phase.
     pub fn new(source: Arc<CapturedTrace>, instrs: u64) -> Self {
         assert!(
-            source.buf.len() as u64 >= instrs,
+            source.lanes.len() as u64 >= instrs,
             "phase wants {} instrs but capture '{}' holds only {}",
             instrs,
             source.name,
-            source.buf.len()
+            source.lanes.len()
         );
         Phase { source, instrs }
     }
@@ -158,7 +158,7 @@ impl Composer {
             };
             out.push(Phase::new(
                 menu[pick].clone(),
-                len.min(menu[pick].buf.len() as u64),
+                len.min(menu[pick].lanes.len() as u64),
             ));
         }
         ComposedKernel::new(name, out)
@@ -199,9 +199,9 @@ mod tests {
         let instrs = sink.instrs();
         assert_eq!(instrs.len(), 4_734);
         // The first instruction of each phase matches its source's first.
-        assert_eq!(instrs[0], m[0].buf.iter().next().expect("nonempty"));
-        assert_eq!(instrs[1_000], m[1].buf.iter().next().expect("nonempty"));
-        assert_eq!(instrs[3_500], m[2].buf.iter().next().expect("nonempty"));
+        assert_eq!(instrs[0], m[0].lanes.instr(0));
+        assert_eq!(instrs[1_000], m[1].lanes.instr(0));
+        assert_eq!(instrs[3_500], m[2].lanes.instr(0));
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use registry::{
     all_kernels, kernel_by_name, memory_intensive, microbenchmarks, spec_suite, KernelBox,
     KernelInfo,
 };
-pub use replay::{capture_kernel, CapturedTrace, ReplayKernel};
+pub use replay::{capture_kernel, CapturedTrace, EncodedOnUse, ReplayKernel};
 
 use semloc_trace::TraceSink;
 

@@ -1,6 +1,5 @@
-//! Record-once / replay-many: capture a kernel's instruction stream into a
-//! [`TraceBuffer`] plus its [`DecodedTrace`] lanes, and replay the lanes
-//! through the `Kernel` trait.
+//! Record-once / replay-many: capture a kernel's instruction stream as
+//! [`DecodedTrace`] lanes, and replay the lanes through the `Kernel` trait.
 //!
 //! Why replay is bit-identical to generation: kernels receive **no**
 //! feedback from their sink other than `done()`, and every sink the
@@ -13,7 +12,8 @@
 //! A trace captured at the largest budget a matrix needs therefore serves
 //! every smaller budget, including the calibration probe's.
 
-use std::sync::Arc;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 use semloc_trace::{BufferSink, DecodedTrace, TraceBuffer, TraceSink};
 
@@ -32,13 +32,15 @@ pub struct CapturedTrace {
     /// The instruction budget the capture ran under (0 = unbounded).
     pub budget: u64,
     /// Whether the generator finished on its own before the capture budget
-    /// — i.e. the buffer holds the kernel's *entire* stream.
+    /// — i.e. the lanes hold the kernel's *entire* stream.
     pub complete: bool,
-    /// The captured stream, varint-encoded: the persistable form.
-    pub buf: TraceBuffer,
-    /// The same stream as decoded lanes, built in the capture pass: the
-    /// form every replay steps.
+    /// The captured stream as decoded lanes: the form every replay steps,
+    /// and the only one a capture holds.
     pub lanes: Arc<DecodedTrace>,
+    /// The same stream varint-encoded, built from the lanes on first use.
+    /// Nothing that simulates or writes a trace file reads it; it serves
+    /// `semloc-perf`'s per-layer decode figure.
+    pub buf: EncodedOnUse,
 }
 
 impl CapturedTrace {
@@ -52,30 +54,53 @@ impl CapturedTrace {
 
     /// A capture of `kernel` under `budget` from a filled sink.
     pub fn from_sink(kernel: &dyn Kernel, budget: u64, complete: bool, sink: BufferSink) -> Self {
-        let (buf, lanes) = sink.into_parts();
-        CapturedTrace {
-            name: kernel.name(),
-            suite: kernel.suite(),
-            key: kernel.trace_key(),
-            budget,
-            complete,
-            buf,
-            lanes: Arc::new(lanes),
-        }
+        Self::from_lanes(kernel, budget, complete, sink.into_lanes())
     }
 
     /// A capture of `kernel` under `budget` from a buffer read back from
-    /// disk, its lanes decoded once here.
+    /// disk: its lanes are decoded once here, and the buffer is dropped.
     pub fn from_buffer(kernel: &dyn Kernel, budget: u64, complete: bool, buf: TraceBuffer) -> Self {
+        Self::from_lanes(kernel, budget, complete, DecodedTrace::decode(&buf))
+    }
+
+    fn from_lanes(kernel: &dyn Kernel, budget: u64, complete: bool, lanes: DecodedTrace) -> Self {
+        let lanes = Arc::new(lanes);
         CapturedTrace {
             name: kernel.name(),
             suite: kernel.suite(),
             key: kernel.trace_key(),
             budget,
             complete,
-            lanes: Arc::new(DecodedTrace::decode(&buf)),
-            buf,
+            buf: EncodedOnUse {
+                lanes: Arc::clone(&lanes),
+                encoded: OnceLock::new(),
+            },
+            lanes,
         }
+    }
+}
+
+/// The varint [`TraceBuffer`] of a capture's lanes, encoded the first time
+/// it is dereferenced and kept after.
+#[derive(Debug, Clone)]
+pub struct EncodedOnUse {
+    lanes: Arc<DecodedTrace>,
+    encoded: OnceLock<TraceBuffer>,
+}
+
+impl EncodedOnUse {
+    /// Whether the buffer has been encoded, i.e. something dereferenced it.
+    pub fn is_encoded(&self) -> bool {
+        self.encoded.get().is_some()
+    }
+}
+
+impl Deref for EncodedOnUse {
+    type Target = TraceBuffer;
+
+    fn deref(&self) -> &TraceBuffer {
+        self.encoded
+            .get_or_init(|| TraceBuffer::encode(&self.lanes))
     }
 }
 
@@ -149,9 +174,58 @@ pub(crate) fn replay_prefix(lanes: &DecodedTrace, n: usize, sink: &mut dyn Trace
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compose::{ComposedKernel, Phase};
     use crate::graph500::Graph500;
     use crate::kernel_by_name;
-    use semloc_trace::RecordingSink;
+    use semloc_trace::{fnv1a, RecordingSink, FNV_OFFSET};
+
+    /// The `TRCE` frame of `kernel`'s stream under `budget` as a build that
+    /// pushed each generated instruction into a [`TraceBuffer`] wrote it.
+    fn pushed_frame(kernel: &dyn Kernel, budget: u64, label: &str) -> Vec<u8> {
+        let mut rec = match budget {
+            0 => RecordingSink::new(),
+            b => RecordingSink::with_limit(b as usize),
+        };
+        kernel.run(&mut rec);
+        let mut buf = TraceBuffer::new();
+        for i in rec.instrs() {
+            buf.push(i);
+        }
+        buf.to_frame(label)
+    }
+
+    #[test]
+    fn trace_frames_keep_their_bytes() {
+        let frame_of = |t: &CapturedTrace| TraceBuffer::encode(&t.lanes).to_frame(&t.key);
+        // graph500 carries semantic hints on its loads.
+        for name in ["list", "mcf", "graph500"] {
+            let k = kernel_by_name(name).unwrap();
+            let t = capture_kernel(k.as_ref(), 30_000);
+            assert_eq!(
+                frame_of(&t),
+                pushed_frame(k.as_ref(), 30_000, &t.key),
+                "{name}: the frame encoded from the lanes changed"
+            );
+        }
+        let source = |name, budget| {
+            let k = kernel_by_name(name).unwrap();
+            Arc::new(capture_kernel(k.as_ref(), budget))
+        };
+        let composed = ComposedKernel::new(
+            "two-phase",
+            vec![
+                Phase::new(source("mcf", 4_000), 3_000),
+                Phase::new(source("graph500", 5_000), 4_500),
+            ],
+        );
+        let t = capture_kernel(&composed, 0);
+        assert_eq!(frame_of(&t), pushed_frame(&composed, 0, &t.key));
+
+        // The bytes older builds wrote: a change here stops every trace
+        // directory they filled from loading.
+        let list = capture_kernel(kernel_by_name("list").unwrap().as_ref(), 20_000);
+        assert_eq!(fnv1a(FNV_OFFSET, &frame_of(&list)), 0x1381_1757_1bd5_409d);
+    }
 
     #[test]
     fn replay_is_bit_identical_to_generation() {

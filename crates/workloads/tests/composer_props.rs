@@ -67,7 +67,7 @@ proptest! {
         prop_assert_eq!(record(&a, 0), record(&b, 0));
         prop_assert_eq!(a.phases().len(), phases);
         for p in a.phases() {
-            prop_assert!(p.instrs >= min.min(p.source.buf.len() as u64));
+            prop_assert!(p.instrs >= min.min(p.source.lanes.len() as u64));
             prop_assert!(p.instrs <= min + extra);
         }
     }
@@ -107,7 +107,7 @@ proptest! {
         let stream = record(&k, 0);
         let mut start = 0usize;
         for &(p, n) in &picks {
-            let source: Vec<_> = m[p].buf.iter().take(n as usize).collect();
+            let source: Vec<_> = (0..n as usize).map(|i| m[p].lanes.instr(i)).collect();
             prop_assert_eq!(
                 &stream[start..start + n as usize],
                 &source[..],

@@ -257,10 +257,10 @@ fn cmd_record(kernel: &str, path: &str, instrs: u64) -> ExitCode {
         return ExitCode::FAILURE;
     };
     let trace = capture_kernel(k.as_ref(), instrs);
-    let frame = trace.buf.to_frame(&trace.key);
+    let frame = TraceBuffer::encode(&trace.lanes).to_frame(&trace.key);
     match write_atomic(Path::new(path), &frame, SaveFaults::default()) {
         Ok(()) => {
-            let n = trace.buf.len();
+            let n = trace.lanes.len();
             println!("recorded {n} instructions of `{kernel}` to {path}");
             ExitCode::SUCCESS
         }

@@ -292,6 +292,25 @@ fn cli_record_then_replay_matches_run() {
 }
 
 #[test]
+fn cli_record_writes_the_pinned_trace_bytes() {
+    // The file older builds wrote for the same command, byte for byte
+    // (FNV-1a of the whole file): trace files stay loadable across builds.
+    let path = std::env::temp_dir().join(format!("semloc-pin-{}.trace", std::process::id()));
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_semloc"))
+        .args(["record", "list", path.to_str().unwrap(), "20000"])
+        .output()
+        .expect("run the semloc binary")
+        .status;
+    assert!(status.success());
+    let bytes = std::fs::read(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(
+        semloc::trace::fnv1a(semloc::trace::FNV_OFFSET, &bytes),
+        0x1381_1757_1bd5_409d
+    );
+}
+
+#[test]
 fn cli_compare_json_rows_carry_the_listed_names() {
     // Each `compare --json` row names its prefetcher as `semloc list` does,
     // so `context` and `context-calibrated` stay distinguishable.
