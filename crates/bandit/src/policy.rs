@@ -7,7 +7,6 @@
 //! begins to converge, similar to the proposal by Tokic" (§4.1).
 
 use rand::{Rng, RngExt};
-use semloc_trace::{snap_err, SnapReader, SnapWriter, Snapshot};
 
 /// Accuracy-adaptive ε-greedy.
 ///
@@ -95,53 +94,6 @@ impl AdaptiveEpsilon {
     }
 }
 
-impl Snapshot for AdaptiveEpsilon {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            eps_min,
-            eps_max,
-            accuracy,
-            alpha,
-        } = self;
-        w.section(*b"EPSL", 1);
-        w.put_f64(*eps_min);
-        w.put_f64(*eps_max);
-        w.put_f64(*accuracy);
-        w.put_f64(*alpha);
-    }
-
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
-        let Self {
-            eps_min,
-            eps_max,
-            accuracy,
-            alpha,
-        } = self;
-        r.section(*b"EPSL", 1)?;
-        let saved_min = r.get_f64()?;
-        let saved_max = r.get_f64()?;
-        let saved_accuracy = r.get_f64()?;
-        let saved_alpha = r.get_f64()?;
-        let bounds_ok = (0.0..=1.0).contains(&saved_min)
-            && (0.0..=1.0).contains(&saved_max)
-            && saved_min <= saved_max
-            && (0.0..=1.0).contains(&saved_accuracy)
-            && saved_alpha > 0.0
-            && saved_alpha <= 1.0;
-        if !bounds_ok {
-            return Err(snap_err(format!(
-                "adaptive-epsilon snapshot out of bounds: eps_min={saved_min}, \
-                 eps_max={saved_max}, accuracy={saved_accuracy}, alpha={saved_alpha}"
-            )));
-        }
-        *eps_min = saved_min;
-        *eps_max = saved_max;
-        *accuracy = saved_accuracy;
-        *alpha = saved_alpha;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,39 +122,5 @@ mod tests {
             assert!(p.epsilon() >= 0.05 - 1e-12 && p.epsilon() <= 0.5 + 1e-12);
             assert!((0.0..=1.0).contains(&p.accuracy()));
         }
-    }
-
-    #[test]
-    fn adaptive_snapshot_round_trips_mid_anneal() {
-        use semloc_trace::{SnapReader, SnapWriter, Snapshot};
-        let mut p = AdaptiveEpsilon::paper_default();
-        for i in 0..137 {
-            p.observe(i % 3 != 0);
-        }
-        let mut w = SnapWriter::new();
-        p.save(&mut w);
-        let bytes = w.into_bytes();
-        let mut q = AdaptiveEpsilon::paper_default();
-        q.restore(&mut SnapReader::new(&bytes)).unwrap();
-        assert_eq!(p, q);
-        // The restored policy continues the exact same trajectory.
-        p.observe(true);
-        q.observe(true);
-        assert_eq!(p.epsilon().to_bits(), q.epsilon().to_bits());
-    }
-
-    #[test]
-    fn adaptive_snapshot_rejects_corrupt_bounds() {
-        use semloc_trace::{SnapReader, SnapWriter, Snapshot};
-        let p = AdaptiveEpsilon::paper_default();
-        let mut w = SnapWriter::new();
-        p.save(&mut w);
-        let mut bytes = w.into_bytes();
-        // Corrupt eps_max (second f64 after the 8-byte section header) to a
-        // huge value: restore must fail, not construct an invalid policy.
-        bytes[16..24].copy_from_slice(&f64::to_bits(7.5).to_le_bytes());
-        let mut q = AdaptiveEpsilon::paper_default();
-        let err = q.restore(&mut SnapReader::new(&bytes)).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 }

@@ -570,113 +570,6 @@ impl From<PythiaLevelReward> for RewardShape {
     }
 }
 
-impl semloc_trace::Snapshot for RewardShape {
-    fn save(&self, w: &mut semloc_trace::SnapWriter) {
-        w.section(*b"RWSH", 1);
-        match self {
-            RewardShape::PaperBell(r) => {
-                w.put_u8(0);
-                let (lo, hi) = r.window();
-                w.put_u32(lo);
-                w.put_u32(hi);
-                w.put_i64(r.peak() as i64);
-                w.put_i64(r.edge_penalty() as i64);
-                w.put_i64(r.expiry() as i64);
-            }
-            RewardShape::Step(r) => {
-                w.put_u8(1);
-                let (lo, hi) = r.window();
-                w.put_u32(lo);
-                w.put_u32(hi);
-                w.put_i64(r.peak() as i64);
-                w.put_i64(r.penalty() as i64);
-            }
-            RewardShape::GaussianPenalty(r) => {
-                w.put_u8(2);
-                w.put_u32(r.center());
-                w.put_u32(r.sigma());
-                w.put_i64(r.scale() as i64);
-                w.put_i64(r.penalty_factor() as i64);
-                w.put_i64(r.expiry() as i64);
-            }
-            RewardShape::PythiaLevel(r) => {
-                w.put_u8(3);
-                let (lo, hi) = r.window();
-                w.put_u32(lo);
-                w.put_u32(hi);
-                w.put_i64(r.timely() as i64);
-                w.put_i64(r.late() as i64);
-                w.put_i64(r.early() as i64);
-                w.put_i64(r.expiry() as i64);
-            }
-        }
-    }
-
-    fn restore(&mut self, r: &mut semloc_trace::SnapReader<'_>) -> std::io::Result<()> {
-        r.section(*b"RWSH", 1)?;
-        let get_i32 = |v: i64| -> std::io::Result<i32> {
-            i32::try_from(v)
-                .map_err(|_| semloc_trace::snap_err(format!("reward parameter {v} out of range")))
-        };
-        *self = match r.get_u8()? {
-            0 => {
-                let (lo, hi) = (r.get_u32()?, r.get_u32()?);
-                let peak = get_i32(r.get_i64()?)?;
-                let edge = get_i32(r.get_i64()?)?;
-                let expiry = get_i32(r.get_i64()?)?;
-                if lo >= hi || peak <= 0 || edge > 0 || expiry > 0 {
-                    return Err(semloc_trace::snap_err("malformed bell reward snapshot"));
-                }
-                RewardShape::PaperBell(BellReward::new(lo, hi, peak, edge, expiry))
-            }
-            1 => {
-                let (lo, hi) = (r.get_u32()?, r.get_u32()?);
-                let peak = get_i32(r.get_i64()?)?;
-                let penalty = get_i32(r.get_i64()?)?;
-                if lo >= hi || peak <= 0 || penalty > 0 {
-                    return Err(semloc_trace::snap_err("malformed step reward snapshot"));
-                }
-                RewardShape::Step(StepReward::new(lo, hi, peak, penalty))
-            }
-            2 => {
-                let (center, sigma) = (r.get_u32()?, r.get_u32()?);
-                let scale = get_i32(r.get_i64()?)?;
-                let factor = get_i32(r.get_i64()?)?;
-                let expiry = get_i32(r.get_i64()?)?;
-                if sigma == 0 || scale <= 0 || factor < 0 || expiry > 0 {
-                    return Err(semloc_trace::snap_err(
-                        "malformed gaussian-penalty reward snapshot",
-                    ));
-                }
-                RewardShape::GaussianPenalty(GaussianPenaltyReward::new(
-                    center, sigma, scale, factor, expiry,
-                ))
-            }
-            3 => {
-                let (lo, hi) = (r.get_u32()?, r.get_u32()?);
-                let timely = get_i32(r.get_i64()?)?;
-                let late = get_i32(r.get_i64()?)?;
-                let early = get_i32(r.get_i64()?)?;
-                let expiry = get_i32(r.get_i64()?)?;
-                if lo >= hi || timely <= late || late <= 0 || early > 0 || expiry > early {
-                    return Err(semloc_trace::snap_err(
-                        "malformed pythia-level reward snapshot",
-                    ));
-                }
-                RewardShape::PythiaLevel(PythiaLevelReward::new(
-                    lo, hi, timely, late, early, expiry,
-                ))
-            }
-            d => {
-                return Err(semloc_trace::snap_err(format!(
-                    "unknown reward-shape discriminant {d}"
-                )))
-            }
-        };
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -869,37 +762,5 @@ mod tests {
             assert_eq!(shape.reward(d), bell.reward(d));
         }
         assert_eq!(shape.label(), "bell");
-    }
-
-    #[test]
-    fn reward_shape_snapshot_round_trips_every_variant() {
-        use semloc_trace::{SnapReader, SnapWriter, Snapshot};
-        let shapes: [RewardShape; 4] = [
-            BellReward::new(10, 64, 20, -6, -3).into(),
-            StepReward::paper_default().into(),
-            GaussianPenaltyReward::new(24, 7, 12, 3, -2).into(),
-            PythiaLevelReward::new(4, 90, 9, 5, -1, -7).into(),
-        ];
-        for shape in &shapes {
-            let mut w = SnapWriter::new();
-            shape.save(&mut w);
-            let bytes = w.into_bytes();
-            // Restore overwrites whatever variant was there before.
-            let mut back = RewardShape::default();
-            back.restore(&mut SnapReader::new(&bytes))
-                .expect("round trip");
-            assert_eq!(&back, shape);
-        }
-    }
-
-    #[test]
-    fn reward_shape_snapshot_rejects_garbage() {
-        use semloc_trace::{SnapReader, SnapWriter, Snapshot};
-        let mut w = SnapWriter::new();
-        w.section(*b"RWSH", 1);
-        w.put_u8(9); // unknown discriminant
-        let bytes = w.into_bytes();
-        let mut shape = RewardShape::default();
-        assert!(shape.restore(&mut SnapReader::new(&bytes)).is_err());
     }
 }

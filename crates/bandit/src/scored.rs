@@ -182,44 +182,6 @@ impl<A: Copy + Eq + Default, const N: usize> ScoredSet<A, N> {
             Some(self.actions[rng.random_range(0..self.len())])
         }
     }
-
-    /// The insertion clock driving FIFO eviction ages (checkpoint state:
-    /// restoring it preserves future eviction order exactly).
-    pub fn clock(&self) -> u32 {
-        self.clock
-    }
-
-    /// Every slot as `(action, score, inserted_at)` in internal slot order,
-    /// for checkpointing. Slot order matters: lookup tie-breaks and the
-    /// stable ranking walk slots in this order.
-    pub fn slots_raw(&self) -> impl Iterator<Item = (A, i8, u32)> + '_ {
-        (0..self.len()).map(|i| (self.actions[i], self.scores[i], self.inserted_at[i]))
-    }
-
-    /// Rebuild the set from raw checkpoint state captured by
-    /// [`ScoredSet::clock`] + [`ScoredSet::slots_raw`]. The replacement
-    /// policy is construction configuration and is kept as-is.
-    ///
-    /// Fails when `slots` exceeds the set's capacity `N`.
-    pub fn restore_raw(&mut self, clock: u32, slots: &[(A, i8, u32)]) -> std::io::Result<()> {
-        if slots.len() > N {
-            return Err(semloc_trace::snap_err(format!(
-                "scored-set snapshot has {} slots, capacity is {N}",
-                slots.len()
-            )));
-        }
-        self.clock = clock;
-        self.actions = [A::default(); N];
-        self.scores = [0; N];
-        self.inserted_at = [0; N];
-        self.len = slots.len() as u8;
-        for (i, &(action, score, inserted_at)) in slots.iter().enumerate() {
-            self.actions[i] = action;
-            self.scores[i] = score;
-            self.inserted_at[i] = inserted_at;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -332,29 +294,5 @@ mod tests {
     fn reward_on_missing_action_reports_false() {
         let mut s = Set::default();
         assert!(!s.reward(42, 1));
-    }
-
-    #[test]
-    fn raw_round_trip_preserves_eviction_order() {
-        let mut s: ScoredSet<u64, 2> = ScoredSet::new(Replacement::Fifo);
-        s.insert(1);
-        s.insert(2);
-        let raw: Vec<_> = s.slots_raw().collect();
-        let mut t: ScoredSet<u64, 2> = ScoredSet::new(Replacement::Fifo);
-        t.restore_raw(s.clock(), &raw).unwrap();
-        // Under FIFO, the restored set must evict the same (oldest) victim.
-        assert_eq!(s.insert(3), t.insert(3));
-        assert_eq!(s.clock(), t.clock());
-        assert_eq!(
-            s.slots_raw().collect::<Vec<_>>(),
-            t.slots_raw().collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn raw_restore_rejects_overflow() {
-        let mut t: ScoredSet<u64, 2> = ScoredSet::default();
-        let too_many = [(1u64, 0i8, 1u32), (2, 0, 2), (3, 0, 3)];
-        assert!(t.restore_raw(9, &too_many).is_err());
     }
 }

@@ -204,26 +204,6 @@ proptest! {
         }
         prop_assert_eq!(lut.expiry(), shape.expiry());
     }
-
-    #[test]
-    fn reward_shape_snapshots_round_trip(
-        raw in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-        which in 0u8..4,
-    ) {
-        use semloc_trace::{SnapReader, SnapWriter, Snapshot};
-        let shape: RewardShape = match which {
-            0 => bell_from(raw).into(),
-            1 => StepReward::paper_default().into(),
-            2 => gaussian_from((raw.0, raw.1, raw.2)).into(),
-            _ => levels_from((raw.0, raw.1, raw.2)).into(),
-        };
-        let mut w = SnapWriter::new();
-        shape.save(&mut w);
-        let bytes = w.into_bytes();
-        let mut back = RewardShape::default();
-        back.restore(&mut SnapReader::new(&bytes)).expect("round trip");
-        prop_assert_eq!(back, shape);
-    }
 }
 
 #[test]

@@ -14,9 +14,9 @@
 use std::collections::VecDeque;
 
 use semloc_mem::{MemPressure, PrefetchReq, Prefetcher, PrefetcherStats};
+use semloc_trace::AccessContext;
 #[cfg(test)]
 use semloc_trace::Addr;
-use semloc_trace::{snap_err, AccessContext, SnapReader, SnapWriter, Snapshot};
 
 /// Localization and correlation mode of the GHB.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,7 +45,15 @@ impl GhbFlavor {
 struct GhbEntry {
     block: u64,
     /// Absolute position of the previous entry with the same key, or
-    /// `u64::MAX`.
+    /// `u64::MAX`: the link a hardware GHB walks, which
+    /// [`Prefetcher::storage_bytes`] counts.
+    #[cfg_attr(
+        not(test),
+        expect(
+            dead_code,
+            reason = "the chain memos replace the walk; only the test reference `ring_walk` reads it"
+        )
+    )]
     prev: u64,
 }
 
@@ -58,7 +66,7 @@ struct ItEntry {
 }
 
 /// A GHB delta-correlation prefetcher.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct GhbPrefetcher {
     flavor: GhbFlavor,
     ghb: Vec<GhbEntry>,
@@ -74,8 +82,7 @@ pub struct GhbPrefetcher {
     /// minus the next-older link's (the oldest link's is never read).
     /// After a push to a slot, its links are exactly those the walk
     /// through `prev` links from the slot's head would visit, without its
-    /// up to `max_walk` dependent loads. Derived state: rebuilt from the
-    /// ring on restore, never snapshotted.
+    /// up to `max_walk` dependent loads.
     chains: Vec<VecDeque<(u64, i64)>>,
 }
 
@@ -126,31 +133,6 @@ impl GhbPrefetcher {
 
     fn at(&self, pos: u64) -> &GhbEntry {
         &self.ghb[(pos % self.ghb.len() as u64) as usize]
-    }
-
-    /// Rebuild every per-slot chain memo by walking the ring through
-    /// `prev` links — the slow path the memos exist to avoid, run once
-    /// after a snapshot restore.
-    fn rebuild_chains(&mut self) {
-        let mut chains = std::mem::take(&mut self.chains);
-        for (slot, memo) in self.it.iter().zip(chains.iter_mut()) {
-            memo.clear();
-            if !slot.valid || self.flavor == GhbFlavor::GlobalAc {
-                continue;
-            }
-            let mut pos = slot.head;
-            while self.live(pos) && memo.len() < self.max_walk as usize {
-                let e = self.at(pos);
-                // Made a delta below; the oldest link keeps its block.
-                memo.push_back((pos, e.block as i64));
-                // `prev >= pos` ends the chain (`u64::MAX` is never live).
-                pos = if e.prev < pos { e.prev } else { u64::MAX };
-            }
-            for k in 1..memo.len() {
-                memo[k - 1].1 -= memo[k].1;
-            }
-        }
-        self.chains = chains;
     }
 }
 
@@ -271,85 +253,6 @@ impl Prefetcher for GhbPrefetcher {
 
     fn stats(&self) -> PrefetcherStats {
         self.stats
-    }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        let Self {
-            flavor: _, // construction-time config
-            ghb,
-            pushes,
-            it,
-            degree: _,     // construction-time config
-            line_shift: _, // construction-time config
-            max_walk: _,   // construction-time config
-            stats,
-            chains: _, // derived: restore rebuilds it from the ring
-        } = self;
-        w.section(*b"GHB0", 1);
-        stats.save(w);
-        w.put_u64(*pushes);
-        w.put_len(ghb.len());
-        for e in ghb {
-            w.put_u64(e.block);
-            w.put_u64(e.prev);
-        }
-        w.put_len(it.len());
-        for e in it {
-            w.put_u16(e.tag);
-            w.put_u64(e.head);
-            w.put_bool(e.valid);
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
-        let Self {
-            flavor: _, // construction-time config
-            ghb,
-            pushes,
-            it,
-            degree: _,     // construction-time config
-            line_shift: _, // construction-time config
-            max_walk: _,   // construction-time config
-            stats,
-            chains: _, // derived: rebuilt from the ring below
-        } = self;
-        r.section(*b"GHB0", 1)?;
-        stats.restore(r)?;
-        let saved_pushes = r.get_u64()?;
-        let n = r.get_len()?;
-        if n != ghb.len() {
-            return Err(snap_err(format!(
-                "GHB snapshot has {n} buffer entries, expected {}",
-                ghb.len()
-            )));
-        }
-        let mut saved_ghb = Vec::with_capacity(n);
-        for _ in 0..n {
-            saved_ghb.push(GhbEntry {
-                block: r.get_u64()?,
-                prev: r.get_u64()?,
-            });
-        }
-        let m = r.get_len()?;
-        if m != it.len() {
-            return Err(snap_err(format!(
-                "GHB snapshot has {m} index entries, expected {}",
-                it.len()
-            )));
-        }
-        let mut saved_it = Vec::with_capacity(m);
-        for _ in 0..m {
-            saved_it.push(ItEntry {
-                tag: r.get_u16()?,
-                head: r.get_u64()?,
-                valid: r.get_bool()?,
-            });
-        }
-        *pushes = saved_pushes;
-        *ghb = saved_ghb;
-        *it = saved_it;
-        self.rebuild_chains();
-        Ok(())
     }
 }
 
@@ -597,42 +500,6 @@ mod tests {
             }
             assert!(predicted > 1000, "{flavor:?} predicted only {predicted}");
         }
-    }
-
-    /// A restored prefetcher must predict identically to the original:
-    /// `rebuild_chains` has to reconstruct the memos the live instance
-    /// accumulated incrementally. The five PCs, 0x200 apart, sit in five
-    /// slots, so each keeps a correlatable chain.
-    #[test]
-    fn restore_rebuilds_chain_memos() {
-        let c = |i: u64| ctx(0x400 + (i % 5) * 0x200, 0x10_0000 + i * 64);
-        let mut p = GhbPrefetcher::new(GhbFlavor::PcDc, 32, 8, 3);
-        let mut out = Vec::new();
-        for i in 0..300u64 {
-            p.on_access(&c(i), pressure(), &mut out);
-        }
-        let mut w = SnapWriter::new();
-        p.save_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut q = GhbPrefetcher::new(GhbFlavor::PcDc, 32, 8, 3);
-        let mut r = SnapReader::new(&bytes);
-        q.restore_state(&mut r).expect("restore");
-        let chains = (0..p.it.len()).filter(|&idx| memo_view(&p, idx).1.len() >= 3);
-        assert_eq!(chains.count(), 5);
-        for idx in 0..p.it.len() {
-            assert_eq!(memo_view(&p, idx), memo_view(&q, idx), "slot {idx}");
-        }
-        // And the two must keep predicting identically afterwards.
-        let mut oa = Vec::new();
-        let mut ob = Vec::new();
-        for i in 300..600u64 {
-            oa.clear();
-            ob.clear();
-            p.on_access(&c(i), pressure(), &mut oa);
-            q.on_access(&c(i), pressure(), &mut ob);
-            assert_eq!(oa, ob, "post-restore divergence at access {i}");
-        }
-        assert!(!oa.is_empty());
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! that contrast.
 
 use semloc_mem::{MemPressure, PrefetchReq, Prefetcher, PrefetcherStats};
+use semloc_trace::AccessContext;
 #[cfg(test)]
 use semloc_trace::Addr;
-use semloc_trace::{snap_err, AccessContext, SnapReader, SnapWriter, Snapshot};
 
 const SUCCESSORS: usize = 2;
 
@@ -23,7 +23,7 @@ struct Entry {
 }
 
 /// A first-order address-correlation prefetcher.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct MarkovPrefetcher {
     table: Vec<Entry>,
     last_block: Option<u64>,
@@ -135,60 +135,6 @@ impl Prefetcher for MarkovPrefetcher {
 
     fn stats(&self) -> PrefetcherStats {
         self.stats
-    }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        let Self {
-            table,
-            last_block,
-            line_shift: _, // construction-time config
-            degree: _,     // construction-time config
-            stats,
-        } = self;
-        w.section(*b"MRKV", 1);
-        stats.save(w);
-        w.put_bool(last_block.is_some());
-        w.put_u64(last_block.unwrap_or(0));
-        w.put_len(table.len());
-        for e in table {
-            w.put_u16(e.tag);
-            for i in 0..SUCCESSORS {
-                w.put_u64(e.succ[i]);
-                w.put_u8(e.count[i]);
-            }
-            w.put_bool(e.valid);
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
-        let Self {
-            table,
-            last_block,
-            line_shift: _, // construction-time config
-            degree: _,     // construction-time config
-            stats,
-        } = self;
-        r.section(*b"MRKV", 1)?;
-        stats.restore(r)?;
-        let has_last = r.get_bool()?;
-        let last = r.get_u64()?;
-        let n = r.get_len()?;
-        if n != table.len() {
-            return Err(snap_err(format!(
-                "markov snapshot has {n} entries, table expects {}",
-                table.len()
-            )));
-        }
-        for e in table {
-            e.tag = r.get_u16()?;
-            for i in 0..SUCCESSORS {
-                e.succ[i] = r.get_u64()?;
-                e.count[i] = r.get_u8()?;
-            }
-            e.valid = r.get_bool()?;
-        }
-        *last_block = has_last.then_some(last);
-        Ok(())
     }
 }
 

@@ -2,10 +2,10 @@
 //! and the subject of the `custom_prefetcher` example.
 
 use semloc_mem::{MemPressure, PrefetchReq, Prefetcher, PrefetcherStats};
-use semloc_trace::{AccessContext, SnapReader, SnapWriter, Snapshot};
+use semloc_trace::AccessContext;
 
 /// Prefetch the `degree` lines following every demand access.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct NextLinePrefetcher {
     degree: u32,
     line: u64,
@@ -65,26 +65,6 @@ impl Prefetcher for NextLinePrefetcher {
 
     fn stats(&self) -> PrefetcherStats {
         self.stats
-    }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        let Self {
-            degree: _, // construction-time config
-            line: _,   // construction-time config
-            stats,
-        } = self;
-        w.section(*b"NXTL", 1);
-        stats.save(w);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
-        let Self {
-            degree: _, // construction-time config
-            line: _,   // construction-time config
-            stats,
-        } = self;
-        r.section(*b"NXTL", 1)?;
-        stats.restore(r)
     }
 }
 

@@ -9,7 +9,7 @@
 //! filter tables, 2K-entry pattern history table (PHT), ~20 kB.
 
 use semloc_mem::{MemPressure, PrefetchReq, Prefetcher, PrefetcherStats};
-use semloc_trace::{snap_err, AccessContext, Addr, SnapReader, SnapWriter, Snapshot};
+use semloc_trace::{AccessContext, Addr};
 
 const LINE: u64 = 64;
 
@@ -29,7 +29,7 @@ struct PhtEntry {
 }
 
 /// The SMS prefetcher.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct SmsPrefetcher {
     region_bytes: u64,
     agt: Vec<Generation>,
@@ -197,91 +197,6 @@ impl Prefetcher for SmsPrefetcher {
 
     fn stats(&self) -> PrefetcherStats {
         self.stats
-    }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        let Self {
-            region_bytes: _, // construction-time config
-            agt,
-            agt_capacity: _, // construction-time config
-            filter,
-            filter_capacity: _, // construction-time config
-            pht,
-            tick,
-            stats,
-        } = self;
-        w.section(*b"SMS0", 1);
-        stats.save(w);
-        w.put_u64(*tick);
-        // AGT/filter order matters (swap_remove reshuffles it), so the live
-        // vectors are serialized verbatim.
-        for gens in [agt, filter] {
-            w.put_len(gens.len());
-            for g in gens.iter() {
-                w.put_u64(g.region);
-                w.put_u64(g.signature);
-                w.put_u32(g.pattern);
-                w.put_u64(g.last_use);
-            }
-        }
-        w.put_len(pht.len());
-        for e in pht {
-            w.put_u16(e.tag);
-            w.put_u32(e.pattern);
-            w.put_bool(e.valid);
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
-        let Self {
-            region_bytes: _, // construction-time config
-            agt,
-            agt_capacity,
-            filter,
-            filter_capacity,
-            pht,
-            tick,
-            stats,
-        } = self;
-        r.section(*b"SMS0", 1)?;
-        stats.restore(r)?;
-        let saved_tick = r.get_u64()?;
-        let mut tables: [Vec<Generation>; 2] = [Vec::new(), Vec::new()];
-        for (t, cap) in tables.iter_mut().zip([*agt_capacity, *filter_capacity]) {
-            let n = r.get_len()?;
-            if n > cap {
-                return Err(snap_err(format!(
-                    "SMS snapshot has {n} generations, capacity is {cap}"
-                )));
-            }
-            for _ in 0..n {
-                t.push(Generation {
-                    region: r.get_u64()?,
-                    signature: r.get_u64()?,
-                    pattern: r.get_u32()?,
-                    last_use: r.get_u64()?,
-                });
-            }
-        }
-        let m = r.get_len()?;
-        if m != pht.len() {
-            return Err(snap_err(format!(
-                "SMS snapshot has {m} PHT entries, expected {}",
-                pht.len()
-            )));
-        }
-        let mut saved_pht = Vec::with_capacity(m);
-        for _ in 0..m {
-            saved_pht.push(PhtEntry {
-                tag: r.get_u16()?,
-                pattern: r.get_u32()?,
-                valid: r.get_bool()?,
-            });
-        }
-        *tick = saved_tick;
-        [*agt, *filter] = tables;
-        *pht = saved_pht;
-        Ok(())
     }
 }
 

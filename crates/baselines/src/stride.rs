@@ -5,7 +5,7 @@
 //! confidence counter; confident entries prefetch `degree` strides ahead.
 
 use semloc_mem::{MemPressure, PrefetchReq, Prefetcher, PrefetcherStats};
-use semloc_trace::{snap_err, AccessContext, Addr, SnapReader, SnapWriter, Snapshot};
+use semloc_trace::{AccessContext, Addr};
 
 #[derive(Clone, Copy, Debug, Default)]
 struct Entry {
@@ -32,7 +32,7 @@ struct Entry {
 /// }
 /// assert!(!out.is_empty(), "a constant stride is detected after warmup");
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct StridePrefetcher {
     table: Vec<Entry>,
     mask: u64,
@@ -132,53 +132,6 @@ impl Prefetcher for StridePrefetcher {
     fn stats(&self) -> PrefetcherStats {
         self.stats
     }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        let Self {
-            table,
-            mask: _,   // derived from the table size at construction
-            degree: _, // construction-time config
-            line: _,   // construction-time config
-            stats,
-        } = self;
-        w.section(*b"STRD", 1);
-        stats.save(w);
-        w.put_len(table.len());
-        for e in table {
-            w.put_u16(e.tag);
-            w.put_u64(e.last_addr);
-            w.put_i64(e.stride);
-            w.put_u8(e.confidence);
-            w.put_bool(e.valid);
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
-        let Self {
-            table,
-            mask: _,   // derived from the table size at construction
-            degree: _, // construction-time config
-            line: _,   // construction-time config
-            stats,
-        } = self;
-        r.section(*b"STRD", 1)?;
-        stats.restore(r)?;
-        let n = r.get_len()?;
-        if n != table.len() {
-            return Err(snap_err(format!(
-                "stride snapshot has {n} entries, table expects {}",
-                table.len()
-            )));
-        }
-        for e in table {
-            e.tag = r.get_u16()?;
-            e.last_addr = r.get_u64()?;
-            e.stride = r.get_i64()?;
-            e.confidence = r.get_u8()?;
-            e.valid = r.get_bool()?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -194,38 +147,6 @@ mod tests {
 
     fn ctx(pc: Addr, addr: Addr) -> AccessContext {
         AccessContext::bare(0, pc, addr, false)
-    }
-
-    #[test]
-    fn snapshot_round_trip_is_bit_identical() {
-        let mut p = StridePrefetcher::paper_default();
-        let mut out = Vec::new();
-        for i in 0..50u64 {
-            out.clear();
-            p.on_access(&ctx(0x400, 0x1000 + i * 256), pressure(), &mut out);
-        }
-        let mut w = SnapWriter::new();
-        p.save_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut q = StridePrefetcher::paper_default();
-        let mut r = SnapReader::new(&bytes);
-        q.restore_state(&mut r).expect("restore");
-        r.expect_end().expect("fully consumed");
-        let mut w2 = SnapWriter::new();
-        q.save_state(&mut w2);
-        assert_eq!(bytes, w2.into_bytes());
-        let mut oq = Vec::new();
-        for i in 50..60u64 {
-            out.clear();
-            oq.clear();
-            let c = ctx(0x400, 0x1000 + i * 256);
-            p.on_access(&c, pressure(), &mut out);
-            q.on_access(&c, pressure(), &mut oq);
-            assert_eq!(
-                out.iter().map(|r| r.addr).collect::<Vec<_>>(),
-                oq.iter().map(|r| r.addr).collect::<Vec<_>>()
-            );
-        }
     }
 
     #[test]

@@ -1189,9 +1189,9 @@ mod tests {
         assert_eq!(cell_label(&cell), "pc+deltas+gauss-pen+cst4096");
     }
 
-    /// Every composition's CTXP snapshot round-trips: a run warmed for 20k
+    /// Every composition forks bit-identically: a run warmed for 20k
     /// instructions and moved onto a fresh replay by [`Engine::fork_onto`]
-    /// (checkpoint, then restore) ends with the digest of a cold run.
+    /// ends with the digest of a cold run.
     #[test]
     fn every_cell_forks_warm_state_bit_identically() {
         let cfg = SimConfig::default().with_budget(120_000);

@@ -10,7 +10,6 @@
 use crate::attrs::ContextKey;
 use semloc_bandit::scored::Replacement;
 use semloc_bandit::ScoredSet;
-use semloc_trace::{snap_err, SnapReader, SnapWriter, Snapshot};
 
 /// Candidate links per CST entry (Table 2: 4).
 pub const LINKS: usize = 4;
@@ -176,62 +175,6 @@ impl ContextStatesTable {
             .enumerate()
             .filter(|(_, e)| e.valid)
             .map(|(i, e)| (i, e.links.ranked()))
-    }
-}
-
-impl Snapshot for ContextStatesTable {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            entries,
-            count: _,       // construction-time config, equal to entries.len()
-            replacement: _, // construction-time config, not run state
-        } = self;
-        w.section(*b"CST0", 1);
-        w.put_len(entries.len());
-        for e in entries {
-            w.put_u8(e.tag);
-            w.put_bool(e.valid);
-            w.put_u16(e.last_full);
-            w.put_u32(e.links.clock());
-            w.put_u8(e.links.len() as u8);
-            for (delta, score, inserted_at) in e.links.slots_raw() {
-                w.put_i16(delta);
-                w.put_i8(score);
-                w.put_u32(inserted_at);
-            }
-        }
-    }
-
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
-        let Self {
-            entries,
-            count,
-            replacement: _, // construction-time config, not run state
-        } = self;
-        r.section(*b"CST0", 1)?;
-        let n = r.get_len()?;
-        if n != *count {
-            return Err(snap_err(format!(
-                "CST snapshot has {n} entries, table expects {count}"
-            )));
-        }
-        let mut slots: Vec<(i16, i8, u32)> = Vec::with_capacity(LINKS);
-        for e in entries {
-            e.tag = r.get_u8()?;
-            e.valid = r.get_bool()?;
-            e.last_full = r.get_u16()?;
-            let clock = r.get_u32()?;
-            let links = r.get_u8()? as usize;
-            slots.clear();
-            for _ in 0..links {
-                let delta = r.get_i16()?;
-                let score = r.get_i8()?;
-                let inserted_at = r.get_u32()?;
-                slots.push((delta, score, inserted_at));
-            }
-            e.links.restore_raw(clock, &slots)?;
-        }
-        Ok(())
     }
 }
 

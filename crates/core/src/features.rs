@@ -25,7 +25,7 @@
 //! differential oracle in `crates/spec` mirrors, keeping the
 //! optimized-vs-naive diffing honest across the trait boundary.
 
-use semloc_trace::{AccessContext, SnapReader, SnapWriter, Snapshot};
+use semloc_trace::AccessContext;
 
 use crate::attrs::{
     fold, mix, squeeze, Attr, ContextKey, FeatureVec, FullHash, FULL_SEED, KEY_MASK, KEY_SEED, SALT,
@@ -189,34 +189,6 @@ impl FeatureExtractor for FeatureSet {
             len: feats.len() as u8,
             full: FullHash(squeeze(full_acc) as u16),
         }
-    }
-}
-
-impl Snapshot for FeatureSet {
-    fn save(&self, w: &mut SnapWriter) {
-        w.section(*b"FSET", 1);
-        w.put_u8(match self {
-            FeatureSet::PcOnly => 0,
-            FeatureSet::PcDeltas => 1,
-            FeatureSet::FullTable1 => 2,
-            FeatureSet::PythiaProgram => 3,
-        });
-    }
-
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
-        r.section(*b"FSET", 1)?;
-        *self = match r.get_u8()? {
-            0 => FeatureSet::PcOnly,
-            1 => FeatureSet::PcDeltas,
-            2 => FeatureSet::FullTable1,
-            3 => FeatureSet::PythiaProgram,
-            d => {
-                return Err(semloc_trace::snap_err(format!(
-                    "unknown feature-set discriminant {d}"
-                )))
-            }
-        };
-        Ok(())
     }
 }
 
@@ -395,24 +367,5 @@ mod tests {
             FeatureSet::PythiaProgram.extract(&a, 6).full_hash(),
             FeatureSet::PythiaProgram.extract(&b, 6).full_hash()
         );
-    }
-
-    #[test]
-    fn snapshot_round_trips_every_set() {
-        for set in ALL {
-            let mut w = SnapWriter::new();
-            set.save(&mut w);
-            let bytes = w.into_bytes();
-            let mut back = FeatureSet::default();
-            back.restore(&mut SnapReader::new(&bytes))
-                .expect("round trip");
-            assert_eq!(back, set);
-        }
-        let mut w = SnapWriter::new();
-        w.section(*b"FSET", 1);
-        w.put_u8(7);
-        let bytes = w.into_bytes();
-        let mut bad = FeatureSet::default();
-        assert!(bad.restore(&mut SnapReader::new(&bytes)).is_err());
     }
 }

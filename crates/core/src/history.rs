@@ -8,7 +8,6 @@
 use std::collections::VecDeque;
 
 use crate::attrs::{ContextKey, FullHash};
-use semloc_trace::{snap_err, SnapReader, SnapWriter, Snapshot};
 
 /// One recorded context observation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -78,43 +77,6 @@ impl HistoryQueue {
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-}
-
-impl Snapshot for HistoryQueue {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            entries,
-            capacity: _, // construction-time config; restore validates the entry count against it
-        } = self;
-        w.section(*b"HIST", 1);
-        w.put_len(entries.len());
-        for e in entries {
-            w.put_u32(e.key.0);
-            w.put_u16(e.full.0);
-            w.put_u64(e.block);
-        }
-    }
-
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
-        let Self { entries, capacity } = self;
-        r.section(*b"HIST", 1)?;
-        let n = r.get_len()?;
-        if n > *capacity {
-            return Err(snap_err(format!(
-                "history snapshot has {n} entries, capacity is {capacity}"
-            )));
-        }
-        let mut saved = VecDeque::with_capacity(*capacity + 1);
-        for _ in 0..n {
-            saved.push_back(HistoryEntry {
-                key: ContextKey(r.get_u32()?),
-                full: FullHash(r.get_u16()?),
-                block: r.get_u64()?,
-            });
-        }
-        *entries = saved;
-        Ok(())
     }
 }
 

@@ -37,7 +37,7 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::attrs::{ContextKey, FullHash};
-use semloc_trace::{snap_err, Seq, SnapReader, SnapWriter, Snapshot};
+use semloc_trace::Seq;
 
 /// An outstanding prediction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -106,8 +106,7 @@ struct Unhit {
 
 /// Hot-path block → un-hit entries index. A std HashMap is allowed here
 /// because the hasher is the fixed-seed [`BlockHasher`] (no per-process
-/// randomization), every read is keyed, the index is rebuilt from the
-/// deque on restore rather than serialized, and the only iteration
+/// randomization), every read is keyed, and the only iteration
 /// ([`PrefetchQueue::drain`]) recycles cleared buffers whose order is
 /// unobservable — so iteration order can never reach stats or output.
 #[expect(
@@ -297,81 +296,6 @@ impl PrefetchQueue {
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-}
-
-impl Snapshot for PrefetchQueue {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            entries,
-            capacity: _, // construction-time config; restore validates the entry count against it
-            next_id,
-            // Derived: it covers exactly the un-hit entries in deque order,
-            // so restore rebuilds it from the deque.
-            index: _,
-            pool: _, // allocation-recycling free list; its contents are never observable
-        } = self;
-        w.section(*b"PFQ0", 1);
-        w.put_u64(*next_id);
-        w.put_len(entries.len());
-        for e in entries {
-            w.put_u64(e.id);
-            w.put_u64(e.block);
-            w.put_u32(e.key.0);
-            w.put_u16(e.full.0);
-            w.put_i16(e.delta);
-            w.put_u64(e.issue_seq);
-            w.put_bool(e.shadow);
-            w.put_bool(e.hit);
-        }
-    }
-
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
-        let Self {
-            entries,
-            capacity,
-            next_id,
-            index,
-            pool,
-        } = self;
-        r.section(*b"PFQ0", 1)?;
-        let saved_next_id = r.get_u64()?;
-        let n = r.get_len()?;
-        if n > *capacity {
-            return Err(snap_err(format!(
-                "prefetch-queue snapshot has {n} entries, capacity is {capacity}"
-            )));
-        }
-        let mut saved = VecDeque::with_capacity(*capacity + 1);
-        for i in 0..n {
-            let e = PfqEntry {
-                id: r.get_u64()?,
-                block: r.get_u64()?,
-                key: ContextKey(r.get_u32()?),
-                full: FullHash(r.get_u16()?),
-                delta: r.get_i16()?,
-                issue_seq: r.get_u64()?,
-                shadow: r.get_bool()?,
-                hit: r.get_bool()?,
-            };
-            // Position lookups assume contiguous ascending ids ending just
-            // before next_id; a snapshot violating that is corrupt.
-            let expect = saved_next_id - (n - i) as u64;
-            if e.id != expect {
-                return Err(snap_err(format!(
-                    "prefetch-queue snapshot id {} out of sequence (expected {expect})",
-                    e.id
-                )));
-            }
-            saved.push_back(e);
-        }
-        *next_id = saved_next_id;
-        index.clear();
-        for e in saved.iter().filter(|e| !e.hit) {
-            Self::index_unhit(index, pool, e.block, e.id, e.shadow);
-        }
-        *entries = saved;
-        Ok(())
     }
 }
 
@@ -566,10 +490,9 @@ mod tests {
     /// mix: pushes (real and shadow), demand accesses, demotes of any id
     /// (pending, hit, expired or never issued) and `predicts` /
     /// `predicts_real` probes, over a small block space so blocks alias
-    /// heavily. At step `restore_at`, the queue is saved and restored
-    /// into a fresh one, which from then on must answer like the others.
-    fn random_ops_match_linear_reference(seed: u64, restore_at: Option<u64>) {
-        let mut qs = vec![PrefetchQueue::new(16)];
+    /// heavily.
+    fn random_ops_match_linear_reference(seed: u64) {
+        let mut q = PrefetchQueue::new(16);
         let mut r = LinearQueue::new(16);
         let mut state = seed;
         let mut next = move || {
@@ -579,65 +502,38 @@ mod tests {
             state
         };
         for seq in 0..5000u64 {
-            if restore_at == Some(seq) {
-                let mut w = SnapWriter::new();
-                qs[0].save(&mut w);
-                let mut fresh = PrefetchQueue::new(16);
-                fresh
-                    .restore(&mut SnapReader::new(&w.into_bytes()))
-                    .unwrap();
-                qs.push(fresh);
-            }
             let block = next() % 24;
             match next() % 5 {
                 0 | 1 => {
                     let delta = (next() % 32) as i16;
                     let shadow = next() % 2 == 0;
                     let want = r.push(block, delta, seq, shadow);
-                    for q in &mut qs {
-                        assert_eq!(q.push(block, key(), full(), delta, seq, shadow), want);
-                    }
+                    assert_eq!(q.push(block, key(), full(), delta, seq, shadow), want);
                 }
                 2 => {
                     let mut want = Vec::new();
                     r.record_access(block, seq, &mut want);
-                    for q in &mut qs {
-                        let mut got = Vec::new();
-                        q.record_access(block, seq, &mut got);
-                        assert_eq!(got, want, "hit sets (and their order) must match");
-                    }
+                    let mut got = Vec::new();
+                    q.record_access(block, seq, &mut got);
+                    assert_eq!(got, want, "hit sets (and their order) must match");
                 }
                 3 => {
                     let id = next() % (r.next_id + 4);
                     r.demote_to_shadow(id);
-                    for q in &mut qs {
-                        q.demote_to_shadow(id);
-                    }
+                    q.demote_to_shadow(id);
                 }
                 _ => {
-                    for q in &qs {
-                        assert_eq!(q.predicts(block), r.predicts(block), "step {seq}");
-                        assert_eq!(q.predicts_real(block), r.predicts_real(block), "step {seq}");
-                    }
+                    assert_eq!(q.predicts(block), r.predicts(block), "step {seq}");
+                    assert_eq!(q.predicts_real(block), r.predicts_real(block), "step {seq}");
                 }
             }
         }
         let want: Vec<_> = r.entries.drain(..).collect();
-        for q in &mut qs {
-            assert_eq!(q.drain().collect::<Vec<_>>(), want);
-        }
+        assert_eq!(q.drain().collect::<Vec<_>>(), want);
     }
 
     #[test]
     fn indexed_queue_matches_linear_reference_on_random_ops() {
-        random_ops_match_linear_reference(0xdead_beef, None);
-    }
-
-    /// The index (lists and real counts) is rebuilt from the deque on
-    /// restore; a restored queue must keep answering like one that never
-    /// stopped.
-    #[test]
-    fn restored_queue_matches_linear_reference_on_random_ops() {
-        random_ops_match_linear_reference(0x5eed_f00d, Some(2500));
+        random_ops_match_linear_reference(0xdead_beef);
     }
 }

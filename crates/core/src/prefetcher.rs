@@ -20,7 +20,7 @@ use rand::SeedableRng;
 
 use semloc_bandit::{RewardFunction, RewardLut};
 use semloc_mem::{MemPressure, PrefetchReq, Prefetcher, PrefetcherStats};
-use semloc_trace::{snap_err, AccessContext, Addr, SnapReader, SnapWriter, Snapshot};
+use semloc_trace::{AccessContext, Addr};
 
 use crate::attrs::{ContextKey, FullHash};
 use crate::config::ContextConfig;
@@ -50,6 +50,7 @@ use crate::stats::ContextStats;
 /// }
 /// assert!(pf.learn_stats().hits > 0, "the stride stream is learned");
 /// ```
+#[derive(Clone)]
 pub struct ContextPrefetcher {
     cfg: ContextConfig,
     cst: ContextStatesTable,
@@ -61,8 +62,8 @@ pub struct ContextPrefetcher {
     hit_buf: Vec<PfqHit>,
     /// Reusable candidate-ranking scratch (hoisted out of `predict`).
     rank_buf: Vec<(i16, i8)>,
-    /// Exact tabulation of `cfg.reward` — derived configuration, rebuilt on
-    /// construction, deliberately absent from snapshots.
+    /// Exact tabulation of `cfg.reward`: derived configuration, built on
+    /// construction.
     reward_lut: RewardLut,
     /// Scratch for the batched depth→reward gather in `feedback`.
     depth_buf: Vec<u32>,
@@ -409,92 +410,6 @@ impl Prefetcher for ContextPrefetcher {
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
     }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        let Self {
-            cfg,
-            cst,
-            reducer,
-            history,
-            pfq,
-            rng,
-            stats,
-            hit_buf: _,    // scratch, cleared before each use and restored empty
-            rank_buf: _,   // scratch, cleared before each use and restored empty
-            reward_lut: _, // derived from cfg.reward at construction
-            depth_buf: _,  // scratch, cleared before each use
-            reward_buf: _, // scratch, cleared before each use
-            mem_stats,
-        } = self;
-        // v2: the composition axes (feature set, reward shape) are stamped
-        // ahead of the payload so a checkpoint can never silently restore
-        // into a differently-composed pipeline.
-        w.section(*b"CTXP", 2);
-        cfg.features.save(w);
-        cfg.reward.save(w);
-        // The exploration policy lives inside the config but is mutated run
-        // state (observe() anneals ε), so it snapshots with everything else.
-        cfg.exploration.save(w);
-        cst.save(w);
-        reducer.save(w);
-        history.save(w);
-        pfq.save(w);
-        for word in rng.state() {
-            w.put_u64(word);
-        }
-        stats.save(w);
-        mem_stats.save(w);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
-        let Self {
-            cfg,
-            cst,
-            reducer,
-            history,
-            pfq,
-            rng,
-            stats,
-            hit_buf,
-            rank_buf,
-            reward_lut: _, // derived from cfg.reward at construction
-            depth_buf: _,  // scratch, cleared before each use
-            reward_buf: _, // scratch, cleared before each use
-            mem_stats,
-        } = self;
-        r.section(*b"CTXP", 2)?;
-        let mut features = cfg.features;
-        features.restore(r)?;
-        if features != cfg.features {
-            return Err(snap_err(format!(
-                "checkpoint composed with feature set {:?}, this pipeline uses {:?}",
-                features, cfg.features
-            )));
-        }
-        let mut reward = cfg.reward.clone();
-        reward.restore(r)?;
-        if reward != cfg.reward {
-            return Err(snap_err(format!(
-                "checkpoint composed with reward shape {:?}, this pipeline uses {:?}",
-                reward, cfg.reward
-            )));
-        }
-        cfg.exploration.restore(r)?;
-        cst.restore(r)?;
-        reducer.restore(r)?;
-        history.restore(r)?;
-        pfq.restore(r)?;
-        let mut s = [0u64; 4];
-        for word in &mut s {
-            *word = r.get_u64()?;
-        }
-        *rng = StdRng::from_state(s);
-        stats.restore(r)?;
-        mem_stats.restore(r)?;
-        hit_buf.clear();
-        rank_buf.clear();
-        Ok(())
-    }
 }
 
 impl std::fmt::Debug for ContextPrefetcher {
@@ -706,61 +621,6 @@ mod tests {
             (issued as f64) < 0.2 * 20_000.0,
             "issued {issued} real prefetches on random traffic"
         );
-    }
-
-    #[test]
-    fn snapshot_round_trip_is_bit_identical() {
-        let mut p = ContextPrefetcher::new(ContextConfig::default());
-        drive_stride(&mut p, 3000, 64);
-
-        let mut w = SnapWriter::new();
-        p.save_state(&mut w);
-        let bytes = w.into_bytes();
-
-        let mut q = ContextPrefetcher::new(ContextConfig::default());
-        let mut r = SnapReader::new(&bytes);
-        q.restore_state(&mut r).expect("restore succeeds");
-        r.expect_end().expect("snapshot fully consumed");
-
-        // save → restore → save must reproduce the exact byte stream.
-        let mut w2 = SnapWriter::new();
-        q.save_state(&mut w2);
-        assert_eq!(bytes, w2.into_bytes(), "re-save differs after restore");
-
-        // Continued execution (including RNG-driven exploration) must match.
-        let mut out_p = Vec::new();
-        let mut out_q = Vec::new();
-        for i in 3000..5000u64 {
-            let c = ctx(i, 0x400, 0x10_0000 + i * 64);
-            out_p.clear();
-            out_q.clear();
-            p.on_access(&c, pressure(), &mut out_p);
-            q.on_access(&c, pressure(), &mut out_q);
-            assert_eq!(out_p, out_q, "diverged at access {i}");
-            for r in &out_p {
-                p.on_issue_result(r.tag, true);
-                q.on_issue_result(r.tag, true);
-            }
-        }
-        assert_eq!(
-            format!("{:?}", p.learn_stats()),
-            format!("{:?}", q.learn_stats())
-        );
-        assert_eq!(p.stats(), q.stats());
-    }
-
-    #[test]
-    fn snapshot_rejects_mismatched_geometry() {
-        let mut p = ContextPrefetcher::new(ContextConfig::default());
-        drive_stride(&mut p, 500, 64);
-        let mut w = SnapWriter::new();
-        p.save_state(&mut w);
-        let bytes = w.into_bytes();
-
-        let mut q = ContextPrefetcher::new(ContextConfig::default().with_cst_entries(256));
-        let mut r = SnapReader::new(&bytes);
-        let err = q.restore_state(&mut r).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //!   *deactivates* an attribute, merging contexts.
 
 use crate::attrs::{Attr, FullHash};
-use semloc_trace::{snap_err, SnapReader, SnapWriter, Snapshot};
 
 #[derive(Clone, Copy, Debug)]
 struct Entry {
@@ -156,74 +155,6 @@ impl Reducer {
             }
         }
         h
-    }
-}
-
-impl Snapshot for Reducer {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            entries,
-            mask: _,                // derived from the table size at construction
-            initial_active: _,      // construction-time config
-            overload_threshold: _,  // construction-time config
-            underload_threshold: _, // construction-time config
-            frozen: _,              // set once from cfg.freeze_reducer, never mutated
-            activations,
-            deactivations,
-        } = self;
-        w.section(*b"REDU", 1);
-        w.put_u64(*activations);
-        w.put_u64(*deactivations);
-        w.put_len(entries.len());
-        for e in entries {
-            w.put_u8(e.tag);
-            w.put_u8(e.active);
-            w.put_i8(e.pressure);
-            w.put_bool(e.valid);
-        }
-    }
-
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
-        let Self {
-            entries,
-            mask: _,                // derived from the table size at construction
-            initial_active: _,      // construction-time config
-            overload_threshold: _,  // construction-time config
-            underload_threshold: _, // construction-time config
-            frozen: _,              // set once from cfg.freeze_reducer, never mutated
-            activations,
-            deactivations,
-        } = self;
-        r.section(*b"REDU", 1)?;
-        let saved_activations = r.get_u64()?;
-        let saved_deactivations = r.get_u64()?;
-        let n = r.get_len()?;
-        if n != entries.len() {
-            return Err(snap_err(format!(
-                "reducer snapshot has {n} entries, table expects {}",
-                entries.len()
-            )));
-        }
-        let mut saved = Vec::with_capacity(n);
-        for _ in 0..n {
-            let e = Entry {
-                tag: r.get_u8()?,
-                active: r.get_u8()?,
-                pressure: r.get_i8()?,
-                valid: r.get_bool()?,
-            };
-            if !(1..=Attr::COUNT as u8).contains(&e.active) {
-                return Err(snap_err(format!(
-                    "reducer active count {} out of range",
-                    e.active
-                )));
-            }
-            saved.push(e);
-        }
-        *activations = saved_activations;
-        *deactivations = saved_deactivations;
-        *entries = saved;
-        Ok(())
     }
 }
 

@@ -5,7 +5,7 @@
 //! maintain the global branch-history register that feeds the prefetcher's
 //! *branch history* context attribute (Table 1).
 
-use semloc_trace::{snap_err, Addr, SnapReader, SnapWriter, Snapshot};
+use semloc_trace::Addr;
 
 /// Global-history XOR PC predictor with 2-bit saturating counters.
 ///
@@ -61,44 +61,6 @@ impl Gshare {
         };
         self.history = (self.history << 1) | taken as u16;
         predicted == taken
-    }
-}
-
-impl Snapshot for Gshare {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            table,
-            mask: _, // derived from the table size at construction
-            history,
-        } = self;
-        w.section(*b"BPRD", 1);
-        w.put_u16(*history);
-        w.put_len(table.len());
-        w.put_bytes(table);
-    }
-
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
-        let Self {
-            table,
-            mask: _, // derived from the table size at construction
-            history,
-        } = self;
-        r.section(*b"BPRD", 1)?;
-        let saved_history = r.get_u16()?;
-        let n = r.get_len()?;
-        if n != table.len() {
-            return Err(snap_err(format!(
-                "gshare snapshot has {n} counters, predictor expects {}",
-                table.len()
-            )));
-        }
-        let saved = r.get_bytes(n)?;
-        if let Some(bad) = saved.iter().find(|&&c| c > 3) {
-            return Err(snap_err(format!("gshare counter {bad} out of 2-bit range")));
-        }
-        *history = saved_history;
-        table.copy_from_slice(saved);
-        Ok(())
     }
 }
 

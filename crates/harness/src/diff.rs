@@ -23,7 +23,7 @@ use semloc_context::{ContextConfig, ContextPrefetcher, ContextStats};
 use semloc_cpu::Cpu;
 use semloc_mem::{Hierarchy, MemPressure, PrefetchReq, Prefetcher, PrefetcherStats};
 use semloc_spec::SpecPrefetcher;
-use semloc_trace::{AccessContext, Addr, SnapReader, SnapWriter};
+use semloc_trace::{AccessContext, Addr};
 use semloc_workloads::Kernel;
 
 use crate::config::SimConfig;
@@ -49,12 +49,6 @@ pub struct Divergence {
     pub core_dump: String,
     /// Full state dump of the spec prefetcher at the divergence.
     pub spec_dump: String,
-    /// Serialized snapshot of the optimized prefetcher, restorable into a
-    /// fresh `ContextPrefetcher` of the same configuration via
-    /// `Prefetcher::restore_state` for post-mortem single-stepping.
-    pub core_snapshot: Vec<u8>,
-    /// Serialized snapshot of the spec prefetcher (same contract).
-    pub spec_snapshot: Vec<u8>,
 }
 
 impl fmt::Display for Divergence {
@@ -200,10 +194,6 @@ impl TeePrefetcher {
         if self.divergence.is_some() {
             return;
         }
-        let mut core_snap = SnapWriter::new();
-        self.core.save_state(&mut core_snap);
-        let mut spec_snap = SnapWriter::new();
-        self.spec.save_state(&mut spec_snap);
         self.divergence = Some(Divergence {
             access: self.accesses,
             seq,
@@ -213,8 +203,6 @@ impl TeePrefetcher {
             context,
             core_dump: core_dump_state(&self.core),
             spec_dump: self.spec.dump_state(),
-            core_snapshot: core_snap.into_bytes(),
-            spec_snapshot: spec_snap.into_bytes(),
         });
     }
 
@@ -461,43 +449,6 @@ impl Prefetcher for TeePrefetcher {
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
     }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        let Self {
-            core,
-            spec,
-            accesses,
-            // A tee is only checkpointed while clean, so these are empty.
-            divergence: _,
-            spec_out: _,
-            was_pred_mismatch: _,
-        } = self;
-        w.section(*b"TEE0", 1);
-        w.put_u64(*accesses);
-        core.save_state(w);
-        spec.save_state(w);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
-        let Self {
-            core,
-            spec,
-            accesses,
-            divergence,
-            spec_out,
-            was_pred_mismatch,
-        } = self;
-        r.section(*b"TEE0", 1)?;
-        *accesses = r.get_u64()?;
-        core.restore_state(r)?;
-        spec.restore_state(r)?;
-        // A tee is only checkpointed while clean; transient probe state
-        // does not survive a restore.
-        *divergence = None;
-        was_pred_mismatch.set(None);
-        spec_out.clear();
-        Ok(())
-    }
 }
 
 /// Where `semloc-diff` writes divergence dumps: `DIFF_DUMP_DIR`, default
@@ -599,45 +550,6 @@ mod tests {
         assert!(d.access > 0);
     }
 
-    /// A tee checkpointed mid-run restores into a fresh tee that continues
-    /// exactly like the original, both sides still in lockstep.
-    #[test]
-    fn tee_checkpoint_continues_bit_identically() {
-        let pressure = MemPressure {
-            l1_mshr_free: 4,
-            l2_mshr_free: 20,
-        };
-        let drive = |tee: &mut TeePrefetcher, seqs: std::ops::Range<u64>| {
-            let (mut all, mut out) = (Vec::new(), Vec::new());
-            for seq in seqs {
-                let addr = match seq % 3 {
-                    0 => 0x10_0000 + seq * 64,
-                    1 => 0x80_0000 + (seq % 97) * 160,
-                    _ => 0x40_0000 + (seq * 7919 % 4096) * 32,
-                };
-                let ctx = AccessContext::bare(seq, 0x400 + (seq % 3) * 0x10, addr, false);
-                out.clear();
-                tee.on_access(&ctx, pressure, &mut out);
-                all.extend_from_slice(&out);
-            }
-            all
-        };
-        let mut p = TeePrefetcher::new(ContextConfig::default());
-        drive(&mut p, 0..4_000);
-
-        let mut w = SnapWriter::new();
-        p.save_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut q = TeePrefetcher::new(ContextConfig::default());
-        let mut r = SnapReader::new(&bytes);
-        q.restore_state(&mut r).expect("restore succeeds");
-        r.expect_end().expect("snapshot fully consumed");
-
-        assert_eq!(drive(&mut p, 4_000..6_000), drive(&mut q, 4_000..6_000));
-        assert_eq!((p.accesses(), p.stats()), (q.accesses(), q.stats()));
-        assert!(p.divergence().is_none() && q.divergence().is_none());
-    }
-
     #[test]
     fn diff_runner_catches_a_seeded_discrepancy() {
         // Oracle sensitivity: run the two implementations with *different*
@@ -668,25 +580,5 @@ mod tests {
             .expect("mismatched seeds must be detected");
         assert!(d.access > 0);
         assert!(!d.core_dump.is_empty() && !d.spec_dump.is_empty());
-
-        // Both sides' serialized snapshots restore into fresh instances of
-        // the same configuration, bit-identically (save → restore → save).
-        let mut core = ContextPrefetcher::new(ContextConfig::default());
-        let mut r = SnapReader::new(&d.core_snapshot);
-        core.restore_state(&mut r).expect("core snapshot restores");
-        r.expect_end().expect("core snapshot fully consumed");
-        let mut w = SnapWriter::new();
-        core.save_state(&mut w);
-        assert_eq!(d.core_snapshot, w.into_bytes());
-
-        let mut cfg_spec = ContextConfig::default();
-        cfg_spec.seed ^= 1;
-        let mut spec = SpecPrefetcher::new(cfg_spec);
-        let mut r = SnapReader::new(&d.spec_snapshot);
-        spec.restore_state(&mut r).expect("spec snapshot restores");
-        r.expect_end().expect("spec snapshot fully consumed");
-        let mut w = SnapWriter::new();
-        spec.save_state(&mut w);
-        assert_eq!(d.spec_snapshot, w.into_bytes());
     }
 }

@@ -1,24 +1,20 @@
-//! The checkpointable simulation engine.
+//! The simulation engine, and forking it.
 //!
 //! [`Engine`] owns one composed simulator — a replayed kernel stream, the
 //! prefetcher under test, and the [`Cpu`] (which itself owns the cache
 //! hierarchy and prefetcher state) — and can pause it at any instruction
-//! boundary. A paused engine yields a [`SimCheckpoint`]: an in-memory,
-//! fingerprinted snapshot of *every* stateful layer (core, branch
-//! predictor, caches, MSHRs, prefetcher tables, RNG streams, statistics)
-//! built on the [`Snapshot`] trait.
+//! boundary. A paused engine forks by `clone()`: every stateful layer
+//! (core, branch predictor, caches, MSHRs, prefetcher tables, RNG streams,
+//! statistics) derives `Clone`, so a fork copies every field.
 //!
-//! The contract, pinned by the golden-digest suite, is **bit identity**:
+//! The contract, pinned by the fork tests over every prefetcher, is **bit
+//! identity**: a fork and the engine it was taken from each finish to
+//! exactly the statistics of an uninterrupted run.
 //!
-//! * checkpoint → restore → continue produces exactly the statistics of an
-//!   uninterrupted run, and
-//! * re-saving a restored engine yields byte-identical checkpoint payloads.
-//!
-//! That makes checkpoints safe for forking one warmed engine into many
-//! continuations ([`Engine::fork`], [`Engine::fork_onto`] — e.g. the
-//! adversarial search reading its warm-up statistics off a throwaway fork)
-//! and for post-mortem state inspection at a divergence. Nothing persists
-//! a checkpoint: a killed run resumes from the finished cells the
+//! That makes one warmed engine the start of many continuations (a clone,
+//! or [`Engine::fork_onto`] a longer stream — e.g. the adversarial search
+//! reading its warm-up statistics off a throwaway fork). Nothing persists
+//! an engine: a killed run resumes from the finished cells the
 //! [`TraceStore`](crate::TraceStore) keeps on disk, and reruns the cells
 //! that were in flight from instruction 0.
 //!
@@ -31,28 +27,13 @@
 use std::io;
 
 use semloc_cpu::Cpu;
-use semloc_mem::{Hierarchy, Prefetcher};
-use semloc_trace::{snap_err, Cycle, SnapReader, SnapWriter, Snapshot};
+use semloc_mem::{Fork, Hierarchy};
+use semloc_trace::{snap_err, Cycle};
 use semloc_workloads::{Kernel, ReplayKernel};
 
 use crate::config::SimConfig;
 use crate::prefetchers::PrefetcherKind;
 use crate::runner::{collect_result, Digest, RunResult};
-
-/// A complete, restorable snapshot of a paused [`Engine`]. Nothing
-/// persists one, so it has no byte encoding.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SimCheckpoint {
-    /// Fingerprint of the engine's identity — trace key, prefetcher kind,
-    /// and [`SimConfig`] — so a checkpoint can never be restored into an
-    /// engine simulating something else.
-    pub fingerprint: u64,
-    /// Instructions consumed when the checkpoint was taken (the resume
-    /// position in the replayed stream).
-    pub cursor: u64,
-    /// The serialized [`Snapshot`] stream of every simulator layer.
-    pub payload: Vec<u8>,
-}
 
 /// The identity of one cell: FNV-1a over the kernel's trace key, the
 /// prefetcher kind, and the simulation configuration (both via their
@@ -71,15 +52,14 @@ pub(crate) fn fingerprint(trace_key: &str, kind: &PrefetcherKind, config: &SimCo
 /// [`Cpu`] composed with the prefetcher under test.
 ///
 /// The engine is the single run-loop behind [`crate::run_kernel`]: drive it
-/// with [`Engine::run_to`], snapshot it with [`Engine::checkpoint`], clone
-/// its warm state with [`Engine::fork`], and collect the final
-/// [`RunResult`] with [`Engine::finish`].
-#[derive(Debug)]
+/// with [`Engine::run_to`], fork its warm state with `clone()`, and collect
+/// the final [`RunResult`] with [`Engine::finish`].
+#[derive(Clone, Debug)]
 pub struct Engine {
     replay: ReplayKernel,
     kind: PrefetcherKind,
     config: SimConfig,
-    cpu: Cpu<Box<dyn Prefetcher>>,
+    cpu: Cpu<Box<dyn Fork>>,
 }
 
 impl Engine {
@@ -98,8 +78,8 @@ impl Engine {
     /// The engine's identity fingerprint: FNV-1a over the kernel's trace
     /// key, the prefetcher kind, and the simulation configuration (both via
     /// their `Debug` renderings, which cover every field). Two engines with
-    /// equal fingerprints simulate the same cell, so their checkpoints are
-    /// interchangeable; everything else is rejected at restore.
+    /// equal fingerprints simulate the same cell; the trace store files a
+    /// finished cell's result under it.
     pub fn fingerprint(&self) -> u64 {
         fingerprint(&self.replay.trace_key(), &self.kind, &self.config)
     }
@@ -150,7 +130,7 @@ impl Engine {
     /// are resolved here once per slice instead of per instruction, stats
     /// fold once per block, and the next block's lanes are prefetched while
     /// the current one executes. A cursor in the middle of a block (a slice
-    /// or checkpoint boundary) just starts with a partial block.
+    /// or fork boundary) just starts with a partial block.
     pub fn run_to(&mut self, target: u64) -> u64 {
         self.step_blocks(target, Cycle::MAX);
         self.cursor()
@@ -190,74 +170,13 @@ impl Engine {
 
     /// The core's memory hierarchy, for a multi-core engine to lend it the
     /// shared level.
-    pub(crate) fn mem_mut(&mut self) -> &mut Hierarchy<Box<dyn Prefetcher>> {
+    pub(crate) fn mem_mut(&mut self) -> &mut Hierarchy<Box<dyn Fork>> {
         self.cpu.mem_mut()
-    }
-
-    /// Save every simulator layer: the payload of [`Engine::checkpoint`].
-    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
-        self.cpu.save(w);
-    }
-
-    /// Restore what [`Engine::save_state`] saved.
-    pub(crate) fn restore_state(&mut self, r: &mut SnapReader<'_>) -> io::Result<()> {
-        self.cpu.restore(r)
     }
 
     /// Run to the end (budget or stream exhaustion).
     pub fn run_to_end(&mut self) -> u64 {
         self.run_to(u64::MAX)
-    }
-
-    /// Snapshot the complete simulator state at the current cursor.
-    pub fn checkpoint(&self) -> SimCheckpoint {
-        let mut w = SnapWriter::new();
-        self.save_state(&mut w);
-        SimCheckpoint {
-            fingerprint: self.fingerprint(),
-            cursor: self.cursor(),
-            payload: w.into_bytes(),
-        }
-    }
-
-    /// Restore this engine to a previously captured checkpoint.
-    ///
-    /// The checkpoint must carry this engine's own [`Engine::fingerprint`]
-    /// (same trace, same prefetcher kind, same configuration); anything
-    /// else — including a payload whose cursor disagrees with its restored
-    /// statistics — fails with [`io::ErrorKind::InvalidData`]. On error the
-    /// engine state is unspecified and the engine must be discarded.
-    pub fn restore(&mut self, ckpt: &SimCheckpoint) -> io::Result<()> {
-        let own = self.fingerprint();
-        if ckpt.fingerprint != own {
-            return Err(snap_err(format!(
-                "checkpoint fingerprint {:#018x} does not match engine {own:#018x} \
-                 (different kernel, prefetcher, or config)",
-                ckpt.fingerprint
-            )));
-        }
-        let mut r = SnapReader::new(&ckpt.payload);
-        self.restore_state(&mut r)?;
-        r.expect_end()?;
-        if self.cursor() != ckpt.cursor {
-            return Err(snap_err(format!(
-                "checkpoint cursor {} disagrees with restored instruction count {}",
-                ckpt.cursor,
-                self.cursor()
-            )));
-        }
-        Ok(())
-    }
-
-    /// Fork the engine: a new engine at exactly this warm state, free to
-    /// run ahead independently (the paused original is untouched). Forking
-    /// goes through [`Engine::checkpoint`]/[`Engine::restore`], so a fork
-    /// is also a standing test that the snapshot round-trips.
-    pub fn fork(&self) -> Engine {
-        let mut e = Engine::new(self.replay.clone(), &self.kind, &self.config);
-        e.restore(&self.checkpoint())
-            .expect("a fresh engine restores its own checkpoint");
-        e
     }
 
     /// Fork this engine's warm state **onto a different replayed stream**
@@ -268,10 +187,10 @@ impl Engine {
     /// once, then fork the trained state onto many composed continuations
     /// (same prefix, different tails) without re-simulating the warmup. The
     /// prefix equality is *verified instruction by instruction* before any
-    /// state moves — a diverging stream is rejected with
-    /// [`io::ErrorKind::InvalidData`], because restoring warm state into a
-    /// stream that disagrees about the past would silently break the
-    /// checkpoint contract.
+    /// state is copied — a diverging stream is rejected with
+    /// [`io::ErrorKind::InvalidData`], because warm state continued on a
+    /// stream that disagrees about the past would silently break bit
+    /// identity.
     pub fn fork_onto(&self, replay: ReplayKernel) -> io::Result<Engine> {
         let cursor = self.cursor();
         if (replay.trace().lanes.len() as u64) < cursor {
@@ -292,13 +211,12 @@ impl Engine {
                 self.replay.name()
             )));
         }
-        let mut e = Engine::new(replay, &self.kind, &self.config);
-        // Same warm state, new stream identity: re-stamp the fingerprint so
-        // the (verified-prefix) restore is accepted.
-        let mut ckpt = self.checkpoint();
-        ckpt.fingerprint = e.fingerprint();
-        e.restore(&ckpt)?;
-        Ok(e)
+        Ok(Engine {
+            replay,
+            kind: self.kind.clone(),
+            config: self.config.clone(),
+            cpu: self.cpu.clone(),
+        })
     }
 
     /// Finish the run (end-of-run accounting flush) and collect every
@@ -347,52 +265,53 @@ mod tests {
         }
     }
 
+    /// A fork copies every layer: under every prefetcher, a clone taken on
+    /// a block boundary or inside a block and the engine it was taken from
+    /// both finish to the result of an uninterrupted run, every counter
+    /// included. On `mcf` the stride and GHB G/AC prefetchers issue
+    /// nothing, so `suffixArray`, where every prefetcher's tables steer its
+    /// later requests, runs too: a `Clone` that lost a table diverges there.
     #[test]
-    fn checkpoint_restore_continue_is_bit_identical() {
+    fn every_prefetcher_forks_mid_run_and_mid_block() {
+        const BLOCK: u64 = semloc_trace::BLOCK_LEN as u64;
         let cfg = quick();
-        let kind = PrefetcherKind::context();
-        let uninterrupted = {
-            let mut e = Engine::new(replay_of("mcf", cfg.instr_budget), &kind, &cfg);
-            e.run_to_end();
-            e.finish()
-        };
-        // Pause halfway, restore the checkpoint into a cold engine, and
-        // continue.
-        let mut warm = Engine::new(replay_of("mcf", cfg.instr_budget), &kind, &cfg);
-        warm.run_to(cfg.instr_budget / 2);
-        let ckpt = warm.checkpoint();
-        drop(warm);
-        assert_eq!(ckpt.cursor, cfg.instr_budget / 2);
-        let mut resumed = Engine::new(replay_of("mcf", cfg.instr_budget), &kind, &cfg);
-        resumed.restore(&ckpt).unwrap();
-        assert_eq!(resumed.cursor(), ckpt.cursor);
-        resumed.run_to_end();
-        let r = resumed.finish();
-        assert_eq!(
-            r.stats_digest(),
-            uninterrupted.stats_digest(),
-            "restore + continue must be bit-identical to an uninterrupted run"
-        );
-        // And re-saving a restored engine yields byte-identical payloads.
-        let mut again = Engine::new(replay_of("mcf", cfg.instr_budget), &kind, &cfg);
-        again.restore(&ckpt).unwrap();
-        assert_eq!(again.checkpoint().payload, ckpt.payload);
-    }
-
-    #[test]
-    fn fork_runs_ahead_independently() {
-        let cfg = quick();
-        let kind = PrefetcherKind::context();
-        let mut e = Engine::new(replay_of("list", cfg.instr_budget), &kind, &cfg);
-        e.run_to(20_000);
-        let mut fork = e.fork();
-        assert_eq!(fork.cursor(), 20_000);
-        fork.run_to_end();
-        let forked = fork.finish();
-        // The original is untouched and finishes to the same result.
-        assert_eq!(e.cursor(), 20_000);
-        e.run_to_end();
-        assert_eq!(e.finish().stats_digest(), forked.stats_digest());
+        for kernel in ["mcf", "suffixArray"] {
+            let replay = replay_of(kernel, cfg.instr_budget);
+            for kind in [
+                PrefetcherKind::None,
+                PrefetcherKind::Stride,
+                PrefetcherKind::GhbGdc,
+                PrefetcherKind::GhbPcdc,
+                PrefetcherKind::GhbGac,
+                PrefetcherKind::Sms,
+                PrefetcherKind::Markov,
+                PrefetcherKind::NextLine,
+                PrefetcherKind::context(),
+            ] {
+                let uninterrupted = {
+                    let mut e = Engine::new(replay.clone(), &kind, &cfg);
+                    e.run_to_end();
+                    e.finish()
+                };
+                for at in [100 * BLOCK, 100 * BLOCK + 77] {
+                    let mut original = Engine::new(replay.clone(), &kind, &cfg);
+                    original.run_to(at);
+                    let mut fork = original.clone();
+                    assert_eq!(fork.cursor(), at);
+                    fork.run_to_end();
+                    assert_eq!(original.cursor(), at, "running a fork moved its original");
+                    original.run_to_end();
+                    for (who, e) in [("fork", fork), ("original", original)] {
+                        assert_eq!(
+                            e.finish(),
+                            uninterrupted,
+                            "{kernel}/{}: the {who} diverged after a fork at {at}",
+                            kind.label()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -437,51 +356,6 @@ mod tests {
         // A stream shorter than the cursor cannot host the warm state.
         assert_eq!(
             warm.fork_onto(replay_of("list", 5_000)).unwrap_err().kind(),
-            io::ErrorKind::InvalidData
-        );
-    }
-
-    #[test]
-    fn foreign_checkpoints_are_rejected() {
-        let cfg = quick();
-        let mut e = Engine::new(
-            replay_of("list", cfg.instr_budget),
-            &PrefetcherKind::Stride,
-            &cfg,
-        );
-        e.run_to(5_000);
-        let ckpt = e.checkpoint();
-
-        // Different prefetcher kind.
-        let mut other = Engine::new(
-            replay_of("list", cfg.instr_budget),
-            &PrefetcherKind::context(),
-            &cfg,
-        );
-        assert_eq!(
-            other.restore(&ckpt).unwrap_err().kind(),
-            io::ErrorKind::InvalidData
-        );
-
-        // Different config.
-        let mut other = Engine::new(
-            replay_of("list", cfg.instr_budget),
-            &PrefetcherKind::Stride,
-            &cfg.clone().with_budget(70_000),
-        );
-        assert_eq!(
-            other.restore(&ckpt).unwrap_err().kind(),
-            io::ErrorKind::InvalidData
-        );
-
-        // Different kernel.
-        let mut other = Engine::new(
-            replay_of("mcf", cfg.instr_budget),
-            &PrefetcherKind::Stride,
-            &cfg,
-        );
-        assert_eq!(
-            other.restore(&ckpt).unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
     }

@@ -224,7 +224,7 @@ impl AdvBench {
                 e.run_to(search.warmup);
                 // A throwaway fork's result = the statistics at the warmup
                 // point (the paused engine itself stays unconsumed).
-                let at_warmup = e.fork().finish();
+                let at_warmup = e.clone().finish();
                 (kind, e, at_warmup)
             })
             .collect();

@@ -29,14 +29,14 @@ pub mod sweep;
 
 pub use config::SimConfig;
 pub use diff::{diff_dump_dir, diff_kernel, DiffReport, Divergence, TeePrefetcher};
-pub use engine::{Engine, SimCheckpoint};
+pub use engine::Engine;
 pub use interfere::{
     adversarial_search, coverage, AdvBench, AdvFinding, AdvParams, AdvScore, SearchConfig,
     BASELINES,
 };
 pub use knob::{parse_knob, KnobError};
 pub use matrix::Matrix;
-pub use mc::{mc_digest, McCheckpoint, McConfig, McEngine};
+pub use mc::{mc_digest, McConfig, McEngine};
 pub use pool::{pool_threads, run_sharded};
 pub use prefetchers::PrefetcherKind;
 pub use report::Table;

@@ -25,16 +25,13 @@
 //! it and no runtime borrow check is needed. A fresh core's own private
 //! level is dropped when the engine is built.
 //!
-//! Checkpointing follows the single-core engine's contract in memory: an
-//! [`McCheckpoint`] snapshots the shared level once plus every core, is
-//! fingerprinted against the full engine identity, and restore/fork
-//! round-trip bit-identically mid-schedule (pinned by `mc_snapshot.rs`).
-//! Nothing persists one, so it has no byte encoding.
-
-use std::io;
+//! Forking follows the single-core engine's contract: an [`McEngine`]
+//! derives `Clone`, so a clone copies the shared level once plus every
+//! core, and a clone taken mid-schedule and its original each finish to
+//! the uninterrupted digest (pinned by `mc_fork.rs`).
 
 use semloc_mem::{DramConfig, SharedL2, SharedL2Stats};
-use semloc_trace::{snap_err, Cycle, SnapReader, SnapWriter, Snapshot};
+use semloc_trace::Cycle;
 use semloc_workloads::{Kernel, ReplayKernel};
 
 use crate::config::SimConfig;
@@ -62,27 +59,13 @@ impl Default for McConfig {
     }
 }
 
-/// A complete, restorable in-memory snapshot of a paused [`McEngine`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct McCheckpoint {
-    /// Fingerprint of the engine identity: core count, every core's trace
-    /// key + prefetcher kind, [`SimConfig`] and [`McConfig`].
-    pub fingerprint: u64,
-    /// The stepping horizon when the checkpoint was taken.
-    pub horizon: Cycle,
-    /// Per-core instruction cursors (resume positions).
-    pub cursors: Vec<u64>,
-    /// Serialized shared level + every core.
-    pub payload: Vec<u8>,
-}
-
 /// The multi-core engine: N cores round-robin over a shared L2.
+#[derive(Clone)]
 pub struct McEngine {
     /// The shared level. Lent to one core during its slice of a quantum,
     /// back here between quanta.
     shared: Option<Box<SharedL2>>,
     cores: Vec<Engine>,
-    config: SimConfig,
     mc: McConfig,
     horizon: Cycle,
 }
@@ -109,7 +92,6 @@ impl McEngine {
         McEngine {
             shared: Some(Box::new(shared)),
             cores,
-            config: config.clone(),
             mc: mc.clone(),
             horizon: 0,
         }
@@ -123,24 +105,6 @@ impl McEngine {
     /// The shared level, which is back in the engine between quanta.
     fn shared(&self) -> &SharedL2 {
         self.shared.as_deref().expect(SHARED_HOME)
-    }
-
-    fn shared_mut(&mut self) -> &mut SharedL2 {
-        self.shared.as_deref_mut().expect(SHARED_HOME)
-    }
-
-    /// Identity fingerprint over core count, every core's trace key and
-    /// prefetcher kind (in order), and both configurations.
-    pub fn fingerprint(&self) -> u64 {
-        let mut d = Digest::new();
-        d.u64(self.cores.len() as u64);
-        for core in &self.cores {
-            d.str(&core.replay().trace_key());
-            d.str(&format!("{:?}", core.kind()));
-        }
-        d.str(&format!("{:?}", self.config));
-        d.str(&format!("{:?}", self.mc));
-        d.finish()
     }
 
     /// Whether every core has exhausted its budget or schedule.
@@ -170,75 +134,6 @@ impl McEngine {
         while !self.done() {
             self.step_quantum();
         }
-    }
-
-    /// Snapshot the complete multi-core state (shared level once, then
-    /// every core) at the current horizon.
-    pub fn checkpoint(&self) -> McCheckpoint {
-        let mut w = SnapWriter::new();
-        self.shared().save(&mut w);
-        for core in &self.cores {
-            core.save_state(&mut w);
-        }
-        McCheckpoint {
-            fingerprint: self.fingerprint(),
-            horizon: self.horizon,
-            cursors: self.cores.iter().map(Engine::cursor).collect(),
-            payload: w.into_bytes(),
-        }
-    }
-
-    /// Restore to a previously captured checkpoint. The checkpoint must
-    /// carry this engine's own fingerprint; a payload whose restored
-    /// per-core cursors disagree with the recorded ones is rejected too. On
-    /// error the engine must be discarded.
-    pub fn restore(&mut self, ckpt: &McCheckpoint) -> io::Result<()> {
-        let own = self.fingerprint();
-        if ckpt.fingerprint != own {
-            return Err(snap_err(format!(
-                "mc checkpoint fingerprint {:#018x} does not match engine {own:#018x}",
-                ckpt.fingerprint
-            )));
-        }
-        if ckpt.cursors.len() != self.cores.len() {
-            return Err(snap_err(format!(
-                "mc checkpoint has {} cores, engine has {}",
-                ckpt.cursors.len(),
-                self.cores.len()
-            )));
-        }
-        let mut r = SnapReader::new(&ckpt.payload);
-        self.shared_mut().restore(&mut r)?;
-        for core in &mut self.cores {
-            core.restore_state(&mut r)?;
-        }
-        r.expect_end()?;
-        for (core, &cursor) in self.cores.iter().zip(&ckpt.cursors) {
-            if core.cursor() != cursor {
-                return Err(snap_err(format!(
-                    "mc checkpoint cursor {} disagrees with restored count {}",
-                    cursor,
-                    core.cursor()
-                )));
-            }
-        }
-        self.horizon = ckpt.horizon;
-        Ok(())
-    }
-
-    /// Fork: a new engine at exactly this warm state, free to run ahead
-    /// independently. Goes through checkpoint/restore, so every fork is a
-    /// standing round-trip test.
-    pub fn fork(&self) -> McEngine {
-        let specs = self
-            .cores
-            .iter()
-            .map(|c| (c.replay().clone(), c.kind().clone()))
-            .collect();
-        let mut e = McEngine::new(specs, &self.config, &self.mc);
-        e.restore(&self.checkpoint())
-            .expect("a fresh mc engine restores its own checkpoint");
-        e
     }
 
     /// Finish the run: every core's [`Engine::finish`], plus the shared
@@ -400,38 +295,5 @@ mod tests {
                 assert!(core.cycles() + mc.quantum >= e.horizon.saturating_sub(mc.quantum));
             }
         }
-    }
-
-    #[test]
-    fn foreign_mc_checkpoints_are_rejected() {
-        let mut a = McEngine::new(
-            vec![(replay_of("list", 30_000), PrefetcherKind::Stride)],
-            &cfg(),
-            &McConfig::default(),
-        );
-        a.step_quantum();
-        let ckpt = a.checkpoint();
-
-        // Different core count.
-        let mut b = McEngine::new(
-            vec![
-                (replay_of("list", 30_000), PrefetcherKind::Stride),
-                (replay_of("array", 30_000), PrefetcherKind::Stride),
-            ],
-            &cfg(),
-            &McConfig::default(),
-        );
-        assert!(b.restore(&ckpt).is_err());
-
-        // Different quantum.
-        let mut c = McEngine::new(
-            vec![(replay_of("list", 30_000), PrefetcherKind::Stride)],
-            &cfg(),
-            &McConfig {
-                quantum: 999,
-                ..McConfig::default()
-            },
-        );
-        assert!(c.restore(&ckpt).is_err());
     }
 }

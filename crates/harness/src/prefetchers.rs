@@ -4,7 +4,7 @@ use semloc_baselines::{
     GhbFlavor, GhbPrefetcher, MarkovPrefetcher, NextLinePrefetcher, SmsPrefetcher, StridePrefetcher,
 };
 use semloc_context::{ContextConfig, ContextPrefetcher};
-use semloc_mem::{NoPrefetch, Prefetcher};
+use semloc_mem::{Fork, NoPrefetch};
 
 /// A buildable prefetcher configuration.
 #[derive(Clone, Debug)]
@@ -55,8 +55,8 @@ impl PrefetcherKind {
         }
     }
 
-    /// Instantiate the prefetcher.
-    pub fn build(&self) -> Box<dyn Prefetcher> {
+    /// Instantiate the prefetcher, as one an engine can fork.
+    pub fn build(&self) -> Box<dyn Fork> {
         match self {
             PrefetcherKind::None => Box::new(NoPrefetch),
             PrefetcherKind::Stride => Box::new(StridePrefetcher::paper_default()),

@@ -4,7 +4,7 @@ use std::io;
 
 use semloc_context::{ContextConfig, ContextPrefetcher, ContextStats};
 use semloc_cpu::{Cpu, CpuStats};
-use semloc_mem::{Hierarchy, MemStats, Prefetcher, PrefetcherStats};
+use semloc_mem::{Fork, Hierarchy, MemStats, Prefetcher, PrefetcherStats};
 use semloc_trace::{fnv1a, snap_err, SnapReader, SnapWriter, Snapshot, FNV_OFFSET};
 use semloc_workloads::Kernel;
 
@@ -335,7 +335,7 @@ pub fn run_kernel_uncached(
 pub(crate) fn collect_result(
     kernel: &'static str,
     prefetcher: &'static str,
-    cpu: Cpu<Box<dyn Prefetcher>>,
+    cpu: Cpu<Box<dyn Fork>>,
 ) -> RunResult {
     let (cpu_stats, mut mem) = cpu.finish();
     let learn = mem

@@ -1,19 +1,19 @@
-//! Checkpoint/restore fidelity against the pinned golden matrix, and the
-//! store's finished-cell files.
+//! Fork fidelity against the pinned golden matrix, and the store's
+//! finished-cell files.
 //!
-//! The checkpointable engine is only trustworthy if interrupting a run is
-//! *invisible*: for every cell of the golden quick matrix (the same
-//! kernels × prefetchers the golden-digest suite pins), pausing mid-run,
-//! restoring the checkpoint into a cold engine, and continuing must
-//! reproduce the uninterrupted statistics bit for bit. The per-cell
-//! digests are folded with the same FNV-1a scheme `Matrix::stats_digest`
-//! uses and compared against the pinned golden fingerprint, so a
-//! checkpoint-path regression fails against the same constant as a
+//! Forking a warm engine is only trustworthy if it is *invisible*: for
+//! every cell of the golden quick matrix (the same kernels × prefetchers
+//! the golden-digest suite pins), pausing mid-run, forking, and continuing
+//! the fork must reproduce the uninterrupted statistics bit for bit. The
+//! per-cell digests are folded with the same FNV-1a scheme
+//! `Matrix::stats_digest` uses and compared against the pinned golden
+//! fingerprint, so a fork regression fails against the same constant as a
 //! simulator regression.
 //!
 //! The second half exercises the files a killed run resumes from: a
 //! finished cell's `RRES` frame answers the cell in a fresh store without a
-//! capture or a simulation, and corrupted, foreign or older files are
+//! capture or a simulation, its bytes are pinned so files that older
+//! builds wrote keep loading, and corrupted, foreign or older files are
 //! rejected in favour of a fresh (still bit-identical) run that overwrites
 //! them.
 
@@ -24,7 +24,7 @@ use semloc_harness::{
     run_kernel_uncached, run_kernel_with_store, Engine, PrefetcherKind, RunResult, SimConfig,
     TraceStore,
 };
-use semloc_trace::{Fault, FaultPlan, SnapWriter};
+use semloc_trace::{fnv1a, Fault, FaultPlan, SnapWriter, FNV_OFFSET};
 use semloc_workloads::{capture_kernel, kernel_by_name, ReplayKernel};
 
 /// Same pinned fingerprint as `golden_digest.rs`.
@@ -58,7 +58,7 @@ fn fold(digests: &[u64]) -> u64 {
 }
 
 #[test]
-fn every_golden_cell_survives_checkpoint_restore_continue() {
+fn every_golden_cell_survives_a_fork() {
     let cfg = SimConfig::quick();
     let mut digests = Vec::new();
     for kernel in KERNELS {
@@ -71,22 +71,19 @@ fn every_golden_cell_survives_checkpoint_restore_continue() {
                 e.finish()
             };
             // Interrupt at several points through the run; each pause
-            // restores its checkpoint into a cold engine before continuing.
+            // forks the engine and continues the fork alone.
             for pause in [1, cfg.instr_budget / 3, cfg.instr_budget / 2] {
                 let mut first = Engine::new(replay.clone(), &kind, &cfg);
                 first.run_to(pause);
-                let ckpt = first.checkpoint();
+                let mut fork = first.clone();
                 drop(first);
-
-                let mut resumed = Engine::new(replay.clone(), &kind, &cfg);
-                resumed.restore(&ckpt).unwrap();
-                assert_eq!(resumed.cursor(), pause);
-                resumed.run_to_end();
-                let r = resumed.finish();
+                assert_eq!(fork.cursor(), pause);
+                fork.run_to_end();
+                let r = fork.finish();
                 assert_eq!(
                     r.stats_digest(),
                     reference.stats_digest(),
-                    "{kernel}/{}: resume from pause at {pause} diverged",
+                    "{kernel}/{}: fork at pause {pause} diverged",
                     kind.label()
                 );
             }
@@ -96,7 +93,7 @@ fn every_golden_cell_survives_checkpoint_restore_continue() {
     assert_eq!(
         fold(&digests),
         GOLDEN,
-        "checkpoint suite ran against different cells than the golden matrix"
+        "fork suite ran against different cells than the golden matrix"
     );
 }
 
@@ -158,6 +155,34 @@ fn finished_cells_load_from_their_files() {
     assert_eq!(store.stats(), (0, 0), "nothing may be captured");
     assert_eq!(store.disk_rejects(), 0);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn result_frames_keep_their_bytes() {
+    // The bytes older builds wrote: a change here stops every result
+    // directory they filled from loading. A context cell's frame carries
+    // its learning statistics; a stride cell's has none.
+    let cfg = SimConfig::quick();
+    for (kernel, kind, len, hash) in [
+        (
+            "list",
+            PrefetcherKind::context(),
+            1_428,
+            0x153a_e8b7_974b_bc0c,
+        ),
+        ("mcf", PrefetcherKind::Stride, 290, 0x2ece_6cec_cf76_f610),
+    ] {
+        let dir = temp_dir(&format!("bytes-{kernel}"));
+        run_fresh(&dir, kernel, &kind, &cfg);
+        let bytes = std::fs::read(only_file(&dir)).unwrap();
+        assert_eq!(
+            (bytes.len(), fnv1a(FNV_OFFSET, &bytes)),
+            (len, hash),
+            "{kernel} x {}: the RRES frame changed",
+            kind.label()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
@@ -279,21 +304,19 @@ fn older_mid_run_checkpoint_is_rejected_and_replaced() {
     // engine fingerprint, the cursor and the snapshot payload) under the
     // cell's file name until the cell finished. A killed run of such a
     // build leaves one behind: it counts as a reject, the cell reruns from
-    // instruction 0, and its result replaces the file.
+    // instruction 0, and its result replaces the file. The store refuses
+    // the frame by its kind, whatever its payload holds.
     let cfg = SimConfig::default().with_budget(30_000);
     let kind = PrefetcherKind::context();
     let reference = run_kernel_uncached(kernel_by_name("mcf").unwrap().as_ref(), &kind, &cfg);
-    let mut paused = Engine::new(replay_of("mcf", cfg.instr_budget), &kind, &cfg);
-    paused.run_to(10_000);
-    let ckpt = paused.checkpoint();
+    let fp = Engine::new(replay_of("mcf", cfg.instr_budget), &kind, &cfg).fingerprint();
     let mut w = SnapWriter::framed(*b"SIMC", 3);
-    w.put_u64(ckpt.fingerprint);
-    w.put_u64(ckpt.cursor);
-    w.put_len(ckpt.payload.len());
-    w.put_bytes(&ckpt.payload);
+    w.put_u64(fp);
+    w.put_u64(10_000);
+    w.put_len(0);
     let dir = temp_dir("simc");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("mcf-{:016x}.ckpt", ckpt.fingerprint));
+    let path = dir.join(format!("mcf-{fp:016x}.ckpt"));
     std::fs::write(&path, w.into_frame()).unwrap();
 
     let (r, store) = run_fresh(&dir, "mcf", &kind, &cfg);

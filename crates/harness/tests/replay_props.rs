@@ -8,9 +8,9 @@
 //! kernel emits into a recorder, and [`TraceBuffer::encode`] of the lanes
 //! decodes back to it both through [`DecodedTrace::decode`] and through
 //! the streaming varint decode. Alongside, the capture prefix property
-//! ([`CapturedTrace::covers`]), the trace store's supersede rule, and
-//! multi-core checkpoint/restore at a cursor inside a block are pinned,
-//! because the golden digests rest on all of them.
+//! ([`CapturedTrace::covers`]), the trace store's supersede rule, and a
+//! multi-core fork at a cursor inside a block are pinned, because the
+//! golden digests rest on all of them.
 //!
 //! [`CapturedTrace::covers`]: semloc_workloads::CapturedTrace::covers
 
@@ -185,10 +185,10 @@ fn mc_finish(mut e: McEngine) -> u64 {
     mc_digest(&results, &shared)
 }
 
-/// A multi-core engine restored from a checkpoint whose cursors sit inside
-/// a block continues exactly as the uninterrupted run does.
+/// A fork of a multi-core engine whose cursors sit inside a block
+/// continues exactly as the uninterrupted run does.
 #[test]
-fn mc_restore_at_a_mid_block_cursor_matches_uninterrupted() {
+fn mc_fork_at_a_mid_block_cursor_matches_uninterrupted() {
     let uninterrupted = mc_finish(mc_engine());
     let mut mid_block = 0;
     for quanta in [1, 2, 5, 11] {
@@ -196,18 +196,15 @@ fn mc_restore_at_a_mid_block_cursor_matches_uninterrupted() {
         for _ in 0..quanta {
             warm.step_quantum();
         }
-        let ckpt = warm.checkpoint();
-        mid_block += ckpt
-            .cursors
+        mid_block += warm
+            .cores()
             .iter()
-            .filter(|&&c| c % BLOCK_LEN as u64 != 0)
+            .filter(|c| c.cursor() % BLOCK_LEN as u64 != 0)
             .count();
-        let mut resumed = mc_engine();
-        resumed.restore(&ckpt).expect("restore into a cold engine");
         assert_eq!(
-            mc_finish(resumed),
+            mc_finish(warm.clone()),
             uninterrupted,
-            "restore after {quanta} quanta diverged from the uninterrupted run"
+            "a fork after {quanta} quanta diverged from the uninterrupted run"
         );
     }
     assert!(mid_block > 0, "no pause point left a cursor inside a block");

@@ -7,7 +7,7 @@
 //! the Fig 9 access classification and the "prefetch never hit" statistic.
 
 use crate::config::CacheConfig;
-use semloc_trace::{snap_err, Addr, Cycle, SnapReader, SnapWriter, Snapshot};
+use semloc_trace::{Addr, Cycle};
 
 // (Line metadata is stored structure-of-arrays directly in `Cache`; see
 // the field docs there.)
@@ -54,7 +54,7 @@ pub struct Eviction {
 /// l1.fill(0x1000, 22, false, false);
 /// assert!(matches!(l1.lookup_demand(0x1000, 30, false), LookupResult::Hit { .. }));
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Cache {
     cfg: CacheConfig,
     /// Line metadata in parallel arrays, set-major: set `s`, way `w` lives
@@ -238,93 +238,6 @@ impl Cache {
     /// Number of valid lines (occupancy), for tests.
     pub fn valid_lines(&self) -> u64 {
         self.valid.iter().filter(|&&v| v).count() as u64
-    }
-}
-
-impl Snapshot for Cache {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            cfg: _, // construction-time config
-            tags,
-            valid,
-            dirty,
-            prefetched,
-            touched,
-            lru,
-            ready_at,
-            ways: _,       // derived from cfg at construction
-            set_mask: _,   // derived from cfg at construction
-            line_shift: _, // derived from cfg at construction
-            tick,
-        } = self;
-        // Byte-identical to the interleaved-line format: per line index,
-        // tag / flags / lru / ready_at, in set-major order.
-        w.section(*b"CACH", 1);
-        w.put_u64(*tick);
-        w.put_len(tags.len());
-        for i in 0..tags.len() {
-            w.put_u64(tags[i]);
-            let flags = valid[i] as u8
-                | (dirty[i] as u8) << 1
-                | (prefetched[i] as u8) << 2
-                | (touched[i] as u8) << 3;
-            w.put_u8(flags);
-            w.put_u64(lru[i]);
-            w.put_u64(ready_at[i]);
-        }
-    }
-
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
-        let Self {
-            cfg: _, // construction-time config
-            tags,
-            valid,
-            dirty,
-            prefetched,
-            touched,
-            lru,
-            ready_at,
-            ways: _,       // derived from cfg at construction
-            set_mask: _,   // derived from cfg at construction
-            line_shift: _, // derived from cfg at construction
-            tick,
-        } = self;
-        r.section(*b"CACH", 1)?;
-        let saved_tick = r.get_u64()?;
-        let n = r.get_len()?;
-        if n != tags.len() {
-            return Err(snap_err(format!(
-                "cache snapshot has {n} lines, geometry expects {}",
-                tags.len()
-            )));
-        }
-        // Parse into scratch first so a malformed snapshot leaves the
-        // cache untouched.
-        let mut saved_tags = vec![0u64; n];
-        let mut packed_flags = vec![0u8; n];
-        let mut saved_lru = vec![0u64; n];
-        let mut saved_ready_at = vec![0u64; n];
-        for i in 0..n {
-            saved_tags[i] = r.get_u64()?;
-            let flags = r.get_u8()?;
-            if flags & !0x0F != 0 {
-                return Err(snap_err(format!("cache line flags {flags:#04x} invalid")));
-            }
-            packed_flags[i] = flags;
-            saved_lru[i] = r.get_u64()?;
-            saved_ready_at[i] = r.get_u64()?;
-        }
-        *tick = saved_tick;
-        for i in 0..n {
-            tags[i] = saved_tags[i];
-            valid[i] = packed_flags[i] & 1 != 0;
-            dirty[i] = packed_flags[i] & 2 != 0;
-            prefetched[i] = packed_flags[i] & 4 != 0;
-            touched[i] = packed_flags[i] & 8 != 0;
-            lru[i] = saved_lru[i];
-            ready_at[i] = saved_ready_at[i];
-        }
-        Ok(())
     }
 }
 

@@ -13,7 +13,7 @@ use crate::mshr::{MshrFile, MshrKind};
 use crate::prefetcher::{MemPressure, PrefetchReq, Prefetcher};
 use crate::shared_l2::SharedL2;
 use crate::stats::MemStats;
-use semloc_trace::{snap_err, AccessContext, Addr, Cycle, SnapReader, SnapWriter, Snapshot};
+use semloc_trace::{AccessContext, Addr, Cycle};
 
 /// Result of a demand access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,12 +42,13 @@ pub struct DemandResult {
 /// let warm = mem.demand_access(&AccessContext::bare(1, 0x400, 0x1000, false), 400);
 /// assert_eq!(warm.ready_at, 402); // L1 hit
 /// ```
+#[derive(Clone)]
 pub struct Hierarchy<P: Prefetcher> {
     cfg: MemConfig,
     l1: Cache,
     l1_mshrs: MshrFile,
     /// The level below the L1. A multi-core core holds none between its
-    /// slices; its engine saves the shared level.
+    /// slices; its engine holds the shared level.
     l2: Option<Box<SharedL2>>,
     prefetcher: P,
     stats: MemStats,
@@ -286,55 +287,6 @@ impl<P: Prefetcher> Hierarchy<P> {
     }
 }
 
-impl<P: Prefetcher> Snapshot for Hierarchy<P> {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            cfg: _, // construction-time config
-            l1,
-            l1_mshrs,
-            l2,
-            prefetcher,
-            stats,
-            req_buf: _, // scratch, cleared before every use
-        } = self;
-        w.section(*b"HIER", 2);
-        l1.save(w);
-        l1_mshrs.save(w);
-        w.put_bool(l2.is_some());
-        if let Some(level) = l2 {
-            level.save(w);
-        }
-        stats.save(w);
-        prefetcher.save_state(w);
-    }
-
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
-        let Self {
-            cfg: _, // construction-time config
-            l1,
-            l1_mshrs,
-            l2,
-            prefetcher,
-            stats,
-            req_buf: _, // scratch, cleared before every use
-        } = self;
-        r.section(*b"HIER", 2)?;
-        l1.restore(r)?;
-        l1_mshrs.restore(r)?;
-        match (r.get_bool()?, l2.as_deref_mut()) {
-            (true, Some(level)) => level.restore(r)?,
-            (false, None) => {}
-            _ => {
-                return Err(snap_err(
-                    "the snapshot and the hierarchy disagree on holding an L2 level",
-                ))
-            }
-        }
-        stats.restore(r)?;
-        prefetcher.restore_state(r)
-    }
-}
-
 impl<P: Prefetcher> std::fmt::Debug for Hierarchy<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Hierarchy")
@@ -407,27 +359,6 @@ mod tests {
         let r = m.demand_access(&ctx(9, 0x10000), 100_000);
         // L1 miss, L2 hit: 2 + 20.
         assert_eq!(r.ready_at, 100_022);
-    }
-
-    #[test]
-    fn snapshot_restores_only_into_a_hierarchy_holding_the_same_level() {
-        let save = |m: &Hierarchy<NoPrefetch>| {
-            let mut w = SnapWriter::new();
-            m.save(&mut w);
-            w.into_bytes()
-        };
-        let mut m = h();
-        m.demand_access(&ctx(0, 0x10000), 0);
-        let with_level = save(&m);
-        let mut detached = h();
-        assert!(detached.detach_shared().is_some());
-        let without_level = save(&detached);
-
-        assert!(detached.restore(&mut SnapReader::new(&with_level)).is_err());
-        assert!(h().restore(&mut SnapReader::new(&without_level)).is_err());
-        let mut fresh = h();
-        fresh.restore(&mut SnapReader::new(&with_level)).unwrap();
-        assert_eq!(save(&fresh), with_level);
     }
 
     struct OneShot {

@@ -55,6 +55,6 @@ pub use classify::{AccessClass, ClassCounts};
 pub use config::{CacheConfig, MemConfig};
 pub use hierarchy::{DemandResult, Hierarchy};
 pub use mshr::{MshrFile, MshrKind};
-pub use prefetcher::{MemPressure, NoPrefetch, PrefetchReq, Prefetcher, PrefetcherStats};
+pub use prefetcher::{Fork, MemPressure, NoPrefetch, PrefetchReq, Prefetcher, PrefetcherStats};
 pub use shared_l2::{DramConfig, DramModel, SharedL2, SharedL2Stats};
 pub use stats::MemStats;

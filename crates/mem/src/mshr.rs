@@ -5,7 +5,7 @@
 //! Capacity pressure is what throttles prefetching (§4.2 of the paper) and
 //! bounds memory-level parallelism in the core model.
 
-use semloc_trace::{snap_err, Addr, Cycle, SnapReader, SnapWriter, Snapshot};
+use semloc_trace::{Addr, Cycle};
 
 /// Whether an outstanding fill was initiated by a demand or a prefetch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,7 +46,7 @@ impl Entry {
 /// assert_eq!(mshrs.free(10), 3);
 /// assert_eq!(mshrs.free(400), 4); // retired after the fill
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct MshrFile {
     entries: Vec<Entry>,
     capacity: usize,
@@ -167,56 +167,6 @@ impl MshrFile {
     /// Whether the file is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-}
-
-impl Snapshot for MshrFile {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            entries,
-            capacity: _,   // construction-time config
-            line_shift: _, // derived from the line size at construction
-        } = self;
-        w.section(*b"MSHR", 1);
-        w.put_len(entries.len());
-        for e in entries {
-            w.put_u64(e.block);
-            w.put_u64(e.start);
-            w.put_u64(e.fill_at);
-            w.put_u8(match e.kind {
-                MshrKind::Demand => 0,
-                MshrKind::Prefetch => 1,
-            });
-        }
-    }
-
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
-        let Self {
-            entries,
-            capacity,
-            line_shift: _, // derived from the line size at construction
-        } = self;
-        r.section(*b"MSHR", 1)?;
-        let n = r.get_len()?;
-        let mut saved = Vec::with_capacity(n.max(*capacity));
-        for _ in 0..n {
-            let block = r.get_u64()?;
-            let start = r.get_u64()?;
-            let fill_at = r.get_u64()?;
-            let kind = match r.get_u8()? {
-                0 => MshrKind::Demand,
-                1 => MshrKind::Prefetch,
-                k => return Err(snap_err(format!("MSHR kind byte {k} invalid"))),
-            };
-            saved.push(Entry {
-                block,
-                start,
-                fill_at,
-                kind,
-            });
-        }
-        *entries = saved;
-        Ok(())
     }
 }
 

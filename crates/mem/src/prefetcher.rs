@@ -155,24 +155,31 @@ pub trait Prefetcher {
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         None
     }
+}
 
-    /// Append the prefetcher's complete run state (tables, queues, RNG
-    /// streams, counters) to `w`. Stateful prefetchers MUST override this
-    /// together with [`Prefetcher::restore_state`]; the default writes a
-    /// stateless marker section only, which is correct solely for
-    /// prefetchers with no run state at all (e.g. [`NoPrefetch`]).
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.section(*b"PF--", 1);
-    }
+/// A prefetcher that copies itself with its complete run state (tables,
+/// queues, RNG streams, counters): what a forked engine holds. Every
+/// `Prefetcher + Clone` is one, through the blanket impl, so a derived
+/// `Clone` is the whole of a prefetcher's fork support.
+pub trait Fork: Prefetcher {
+    /// A boxed copy of this prefetcher. On a `Box<dyn Fork>`, call
+    /// `clone()`: the box's own `fork` would box the box.
+    fn fork(&self) -> Box<dyn Fork>;
+}
 
-    /// Restore state previously written by [`Prefetcher::save_state`] into
-    /// a prefetcher constructed from the same configuration.
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
-        r.section(*b"PF--", 1)
+impl<T: Prefetcher + Clone + 'static> Fork for T {
+    fn fork(&self) -> Box<dyn Fork> {
+        Box::new(self.clone())
     }
 }
 
-impl Prefetcher for Box<dyn Prefetcher> {
+impl Clone for Box<dyn Fork> {
+    fn clone(&self) -> Self {
+        (**self).fork()
+    }
+}
+
+impl<T: Prefetcher + ?Sized> Prefetcher for Box<T> {
     fn name(&self) -> &'static str {
         (**self).name()
     }
@@ -208,14 +215,6 @@ impl Prefetcher for Box<dyn Prefetcher> {
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         (**self).as_any()
-    }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        (**self).save_state(w)
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
-        (**self).restore_state(r)
     }
 }
 

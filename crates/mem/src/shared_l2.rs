@@ -22,7 +22,7 @@
 use crate::cache::{Cache, LookupResult};
 use crate::config::CacheConfig;
 use crate::mshr::{MshrFile, MshrKind};
-use semloc_trace::{Addr, Cycle, SnapReader, SnapWriter, Snapshot};
+use semloc_trace::{Addr, Cycle};
 
 /// DRAM bandwidth model configuration.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -48,7 +48,7 @@ impl Default for DramConfig {
 /// Finite-bandwidth DRAM: each channel serves one line per
 /// `service_interval` cycles; a request picks the earliest-free channel and
 /// queues behind its outstanding transfers.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct DramModel {
     cfg: DramConfig,
     next_free: Vec<Cycle>,
@@ -90,35 +90,6 @@ impl DramModel {
     }
 }
 
-impl Snapshot for DramModel {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            cfg: _, // construction-time config, not run state
-            next_free,
-        } = self;
-        w.section(*b"DRAM", 1);
-        w.put_len(next_free.len());
-        for &t in next_free {
-            w.put_u64(t);
-        }
-    }
-
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
-        let Self {
-            cfg: _, // construction-time config, not run state
-            next_free,
-        } = self;
-        r.section(*b"DRAM", 1)?;
-        let n = r.get_len()?;
-        let mut saved = Vec::with_capacity(n);
-        for _ in 0..n {
-            saved.push(r.get_u64()?);
-        }
-        *next_free = saved;
-        Ok(())
-    }
-}
-
 /// Aggregate counters for the shared level (per-core counters stay in each
 /// core's [`crate::MemStats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -137,51 +108,13 @@ pub struct SharedL2Stats {
     pub dram_queue_cycles: u64,
 }
 
-impl Snapshot for SharedL2Stats {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            demand_lookups,
-            demand_hits,
-            demand_misses,
-            prefetch_fills,
-            writebacks,
-            dram_queue_cycles,
-        } = self;
-        w.section(*b"SLST", 1);
-        w.put_u64(*demand_lookups);
-        w.put_u64(*demand_hits);
-        w.put_u64(*demand_misses);
-        w.put_u64(*prefetch_fills);
-        w.put_u64(*writebacks);
-        w.put_u64(*dram_queue_cycles);
-    }
-
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
-        let Self {
-            demand_lookups,
-            demand_hits,
-            demand_misses,
-            prefetch_fills,
-            writebacks,
-            dram_queue_cycles,
-        } = self;
-        r.section(*b"SLST", 1)?;
-        *demand_lookups = r.get_u64()?;
-        *demand_hits = r.get_u64()?;
-        *demand_misses = r.get_u64()?;
-        *prefetch_fills = r.get_u64()?;
-        *writebacks = r.get_u64()?;
-        *dram_queue_cycles = r.get_u64()?;
-        Ok(())
-    }
-}
-
 /// One L2 + MSHR file + DRAM: a hierarchy's own level, or the one every
 /// core of a multi-core engine shares.
 ///
 /// A miss's DRAM leg goes through [`DramModel::schedule`], so on a shared
 /// level a miss behind a saturated channel completes later than an
 /// identical miss on an idle machine; a private level's DRAM is flat.
+#[derive(Clone)]
 pub struct SharedL2 {
     cfg: CacheConfig,
     l2: Cache,
@@ -314,40 +247,6 @@ impl SharedL2 {
     }
 }
 
-impl Snapshot for SharedL2 {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            cfg: _, // construction-time geometry, not run state
-            l2,
-            mshrs,
-            dram,
-            stats,
-            private: _, // construction-time role, not run state
-        } = self;
-        w.section(*b"SHL2", 1);
-        l2.save(w);
-        mshrs.save(w);
-        dram.save(w);
-        stats.save(w);
-    }
-
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
-        let Self {
-            cfg: _, // construction-time geometry, not run state
-            l2,
-            mshrs,
-            dram,
-            stats,
-            private: _, // construction-time role, not run state
-        } = self;
-        r.section(*b"SHL2", 1)?;
-        l2.restore(r)?;
-        mshrs.restore(r)?;
-        dram.restore(r)?;
-        stats.restore(r)
-    }
-}
-
 impl std::fmt::Debug for SharedL2 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SharedL2")
@@ -442,28 +341,5 @@ mod tests {
         sh.demand_leg(0x2000, 3000, MshrKind::Demand, false);
         let (_, missed, _) = sh.demand_leg(0x0000, 10_000, MshrKind::Demand, false);
         assert!(missed, "victim line must have been evicted by the flood");
-    }
-
-    #[test]
-    fn snapshot_roundtrip_is_bit_identical() {
-        let mem = MemConfig::default();
-        let mut sh = SharedL2::new(mem.l2.clone(), DramConfig::default());
-        for i in 0..32u64 {
-            sh.demand_leg(0x4000 + i * 0x1000, i * 7, MshrKind::Demand, i % 3 == 0);
-            sh.prefetch_leg(0x9000 + i * 0x1000, i * 7 + 2, i * 7);
-        }
-        let mut w = SnapWriter::new();
-        sh.save(&mut w);
-        let bytes = w.into_bytes();
-
-        let mut fresh = SharedL2::new(mem.l2.clone(), DramConfig::default());
-        let mut r = SnapReader::new(&bytes);
-        fresh.restore(&mut r).unwrap();
-        r.expect_end().unwrap();
-
-        let mut w2 = SnapWriter::new();
-        fresh.save(&mut w2);
-        assert_eq!(bytes, w2.into_bytes(), "re-save must be byte-identical");
-        assert_eq!(sh.stats(), fresh.stats());
     }
 }

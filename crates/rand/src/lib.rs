@@ -142,21 +142,6 @@ pub mod rngs {
         }
     }
 
-    impl StdRng {
-        /// The generator's internal xoshiro256** state, for checkpointing.
-        pub fn state(&self) -> [u64; 4] {
-            self.s
-        }
-
-        /// Rebuild a generator from a previously captured [`StdRng::state`].
-        ///
-        /// The restored generator continues the exact output stream of the
-        /// captured one.
-        pub fn from_state(s: [u64; 4]) -> Self {
-            StdRng { s }
-        }
-    }
-
     impl Rng for StdRng {
         #[inline]
         fn next_u64(&mut self) -> u64 {
@@ -237,18 +222,6 @@ mod tests {
             seen[rng.random_range(0usize..8)] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn state_round_trip_continues_the_stream() {
-        let mut a = StdRng::seed_from_u64(0x5e11_0c8a);
-        for _ in 0..17 {
-            a.random::<u64>();
-        }
-        let mut b = StdRng::from_state(a.state());
-        for _ in 0..100 {
-            assert_eq!(a.random::<u64>(), b.random::<u64>());
-        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use rand::{RngExt, SeedableRng};
 
 use semloc_bandit::{RewardFunction, RewardShape};
 use semloc_mem::{MemPressure, PrefetchReq, Prefetcher, PrefetcherStats};
-use semloc_trace::{snap_err, AccessContext, Addr, SnapReader, SnapWriter, Snapshot};
+use semloc_trace::{AccessContext, Addr};
 
 use semloc_context::{ContextConfig, ContextKey, ContextStats, FullHash};
 
@@ -606,66 +606,6 @@ impl Prefetcher for SpecPrefetcher {
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
-    }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        let Self {
-            cfg: _,  // construction-time config
-            bell: _, // construction-time config, read out of cfg.reward
-            eps,
-            cst,
-            reducer,
-            history,
-            pfq,
-            rng,
-            stats,
-            mem_stats,
-        } = self;
-        w.section(*b"SPEC", 1);
-        // Of the ε state only the EWMA accuracy is mutated at run time; the
-        // bounds are construction config.
-        w.put_f64(eps.accuracy);
-        cst.save(w);
-        reducer.save(w);
-        history.save(w);
-        pfq.save(w);
-        for word in rng.state() {
-            w.put_u64(word);
-        }
-        stats.save(w);
-        mem_stats.save(w);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
-        let Self {
-            cfg: _,  // construction-time config
-            bell: _, // construction-time config, read out of cfg.reward
-            eps,
-            cst,
-            reducer,
-            history,
-            pfq,
-            rng,
-            stats,
-            mem_stats,
-        } = self;
-        r.section(*b"SPEC", 1)?;
-        let accuracy = r.get_f64()?;
-        if !(0.0..=1.0).contains(&accuracy) {
-            return Err(snap_err(format!("spec accuracy {accuracy} out of range")));
-        }
-        eps.accuracy = accuracy;
-        cst.restore(r)?;
-        reducer.restore(r)?;
-        history.restore(r)?;
-        pfq.restore(r)?;
-        let mut s = [0u64; 4];
-        for word in &mut s {
-            *word = r.get_u64()?;
-        }
-        *rng = StdRng::from_state(s);
-        stats.restore(r)?;
-        mem_stats.restore(r)
     }
 }
 

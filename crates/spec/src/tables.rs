@@ -9,7 +9,6 @@
 
 use semloc_bandit::scored::Replacement;
 use semloc_context::{Attr, ContextKey, FullHash};
-use semloc_trace::{snap_err, SnapReader, SnapWriter, Snapshot};
 
 /// One scored candidate link.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -250,221 +249,6 @@ impl SpecCst {
             .enumerate()
             .filter_map(|(i, e)| e.as_ref().map(|e| (i, e.links.ranked())))
             .collect()
-    }
-}
-
-impl Snapshot for SpecCst {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            entries,
-            replacement: _, // construction-time config, not run state
-        } = self;
-        w.section(*b"SCST", 1);
-        w.put_len(entries.len());
-        for e in entries {
-            w.put_bool(e.is_some());
-            let Some(e) = e else { continue };
-            w.put_u8(e.tag);
-            w.put_u16(e.last_full);
-            w.put_u32(e.links.clock);
-            w.put_u8(e.links.slots.len() as u8);
-            for s in &e.links.slots {
-                w.put_i16(s.delta);
-                w.put_i8(s.score);
-                w.put_u32(s.inserted_at);
-            }
-        }
-    }
-
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
-        let Self {
-            entries,
-            replacement,
-        } = self;
-        r.section(*b"SCST", 1)?;
-        let n = r.get_len()?;
-        if n != entries.len() {
-            return Err(snap_err(format!(
-                "spec CST snapshot has {n} entries, table expects {}",
-                entries.len()
-            )));
-        }
-        for slot in entries {
-            if !r.get_bool()? {
-                *slot = None;
-                continue;
-            }
-            let tag = r.get_u8()?;
-            let last_full = r.get_u16()?;
-            let clock = r.get_u32()?;
-            let links = r.get_u8()? as usize;
-            if links > SPEC_LINKS {
-                return Err(snap_err(format!("spec CST entry has {links} links")));
-            }
-            let mut set = SpecScoredSet::new(*replacement);
-            set.clock = clock;
-            for _ in 0..links {
-                set.slots.push(SpecSlot {
-                    delta: r.get_i16()?,
-                    score: r.get_i8()?,
-                    inserted_at: r.get_u32()?,
-                });
-            }
-            *slot = Some(SpecCstEntry {
-                tag,
-                last_full,
-                links: set,
-            });
-        }
-        Ok(())
-    }
-}
-
-impl Snapshot for SpecReducer {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            entries,
-            initial_active: _,      // construction-time config
-            overload_threshold: _,  // construction-time config
-            underload_threshold: _, // construction-time config
-            frozen: _,              // set once at construction, never mutated
-            activations,
-            deactivations,
-        } = self;
-        w.section(*b"SRED", 1);
-        w.put_u64(*activations);
-        w.put_u64(*deactivations);
-        w.put_len(entries.len());
-        for e in entries {
-            w.put_bool(e.is_some());
-            let Some(e) = e else { continue };
-            w.put_u8(e.tag);
-            w.put_u8(e.active);
-            w.put_i8(e.pressure);
-        }
-    }
-
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
-        let Self {
-            entries,
-            initial_active: _,      // construction-time config
-            overload_threshold: _,  // construction-time config
-            underload_threshold: _, // construction-time config
-            frozen: _,              // set once at construction, never mutated
-            activations,
-            deactivations,
-        } = self;
-        r.section(*b"SRED", 1)?;
-        *activations = r.get_u64()?;
-        *deactivations = r.get_u64()?;
-        let n = r.get_len()?;
-        if n != entries.len() {
-            return Err(snap_err(format!(
-                "spec reducer snapshot has {n} entries, table expects {}",
-                entries.len()
-            )));
-        }
-        for slot in entries {
-            if !r.get_bool()? {
-                *slot = None;
-                continue;
-            }
-            *slot = Some(SpecReducerEntry {
-                tag: r.get_u8()?,
-                active: r.get_u8()?,
-                pressure: r.get_i8()?,
-            });
-        }
-        Ok(())
-    }
-}
-
-impl Snapshot for SpecHistory {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            entries,
-            capacity: _, // construction-time config; restore validates the entry count against it
-        } = self;
-        w.section(*b"SHIS", 1);
-        w.put_len(entries.len());
-        for e in entries {
-            w.put_u32(e.key.0);
-            w.put_u16(e.full.0);
-            w.put_u64(e.block);
-        }
-    }
-
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
-        let Self { entries, capacity } = self;
-        r.section(*b"SHIS", 1)?;
-        let n = r.get_len()?;
-        if n > *capacity {
-            return Err(snap_err(format!(
-                "spec history snapshot has {n} entries, capacity is {capacity}"
-            )));
-        }
-        entries.clear();
-        for _ in 0..n {
-            entries.push(SpecHistEntry {
-                key: ContextKey(r.get_u32()?),
-                full: FullHash(r.get_u16()?),
-                block: r.get_u64()?,
-            });
-        }
-        Ok(())
-    }
-}
-
-impl Snapshot for SpecPfq {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            entries,
-            capacity: _, // construction-time config; restore validates the entry count against it
-            next_id,
-        } = self;
-        w.section(*b"SPFQ", 1);
-        w.put_u64(*next_id);
-        w.put_len(entries.len());
-        for e in entries {
-            w.put_u64(e.id);
-            w.put_u64(e.block);
-            w.put_u32(e.key.0);
-            w.put_u16(e.full.0);
-            w.put_i16(e.delta);
-            w.put_u64(e.issue_seq);
-            w.put_bool(e.shadow);
-            w.put_bool(e.hit);
-        }
-    }
-
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
-        let Self {
-            entries,
-            capacity,
-            next_id,
-        } = self;
-        r.section(*b"SPFQ", 1)?;
-        *next_id = r.get_u64()?;
-        let n = r.get_len()?;
-        if n > *capacity {
-            return Err(snap_err(format!(
-                "spec prefetch-queue snapshot has {n} entries, capacity is {capacity}"
-            )));
-        }
-        entries.clear();
-        for _ in 0..n {
-            entries.push(SpecPfqEntry {
-                id: r.get_u64()?,
-                block: r.get_u64()?,
-                key: ContextKey(r.get_u32()?),
-                full: FullHash(r.get_u16()?),
-                delta: r.get_i16()?,
-                issue_seq: r.get_u64()?,
-                shadow: r.get_bool()?,
-                hit: r.get_bool()?,
-            });
-        }
-        Ok(())
     }
 }
 

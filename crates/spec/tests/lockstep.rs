@@ -7,7 +7,7 @@
 use semloc_context::{ContextConfig, ContextPrefetcher, ContextStats};
 use semloc_mem::{MemPressure, PrefetchReq, Prefetcher};
 use semloc_spec::SpecPrefetcher;
-use semloc_trace::{AccessContext, RefForm, SemanticHints, SnapReader, SnapWriter, RECENT_ADDRS};
+use semloc_trace::{AccessContext, RefForm, SemanticHints, RECENT_ADDRS};
 
 /// SplitMix64 — deterministic stream entropy without depending on the
 /// prefetchers' own RNG.
@@ -331,53 +331,4 @@ fn lockstep_shadow_disabled() {
         ..ContextConfig::default()
     };
     run_lockstep(cfg, "stride/no-shadow", &stride_stream(2500, 66));
-}
-
-/// Feed `accesses` to `p` under varying MSHR pressure, bouncing some issued
-/// requests back; returns every request it emitted.
-fn drive(p: &mut SpecPrefetcher, accesses: &[AccessContext]) -> Vec<PrefetchReq> {
-    let mut all = Vec::new();
-    let mut out = Vec::new();
-    for ctx in accesses {
-        let pressure = MemPressure {
-            l1_mshr_free: (ctx.seq % 5) as u32,
-            l2_mshr_free: 8,
-        };
-        out.clear();
-        p.on_access(ctx, pressure, &mut out);
-        if let Some(first) = out.first().filter(|_| ctx.seq % 32 == 7) {
-            p.on_issue_result(first.tag, false);
-        }
-        all.extend_from_slice(&out);
-    }
-    all
-}
-
-/// A checkpoint taken mid-stream restores into a fresh reference
-/// prefetcher that then continues exactly like the original.
-#[test]
-fn spec_checkpoint_continues_bit_identically() {
-    let stream = interleaved_stream(6_000);
-    let (warm, tail) = stream.split_at(4_000);
-    let mut p = SpecPrefetcher::new(ContextConfig::default());
-    drive(&mut p, warm);
-
-    let mut w = SnapWriter::new();
-    p.save_state(&mut w);
-    let bytes = w.into_bytes();
-    let mut q = SpecPrefetcher::new(ContextConfig::default());
-    let mut r = SnapReader::new(&bytes);
-    q.restore_state(&mut r).expect("restore succeeds");
-    r.expect_end().expect("snapshot fully consumed");
-    let mut w2 = SnapWriter::new();
-    q.save_state(&mut w2);
-    assert_eq!(bytes, w2.into_bytes(), "re-save differs");
-
-    assert_eq!(
-        drive(&mut p, tail),
-        drive(&mut q, tail),
-        "continuation diverged"
-    );
-    assert_eq!(Prefetcher::stats(&p), Prefetcher::stats(&q));
-    assert_eq!(p.learn_stats(), q.learn_stats());
 }

@@ -1,23 +1,13 @@
-//! Versioned binary snapshots of simulator state.
-//!
-//! Every stateful layer of the simulator implements [`Snapshot`]: a
-//! complete, deterministic dump of its run state (including RNG streams)
-//! into a [`SnapWriter`], and the inverse restore from a [`SnapReader`].
-//! The contract is *bit identity*: a component that is saved, restored into
-//! a freshly-constructed instance with the same configuration, and then
-//! driven forward must produce exactly the same statistics as one that was
-//! never interrupted — and re-saving a restored component must yield
-//! byte-identical bytes.
+//! The checksummed frames the simulator persists, and the versioned codec
+//! of the statistics they carry.
 //!
 //! The encoding is a flat little-endian stream of tagged *sections*. Each
-//! component opens its own section with a 4-byte ASCII tag and a `u32`
-//! version; readers validate both before touching the payload, so a stale
-//! or foreign snapshot fails with a typed [`std::io::Error`] instead of
-//! silently misinterpreting bytes. Construction-time configuration
-//! (geometries, capacities, seeds) is deliberately *not* serialized — the
-//! restore target is always built from the same configuration, and restore
-//! implementations validate structural parameters (table lengths, entry
-//! counts) against their own.
+//! one opens with a 4-byte ASCII tag and a `u32` version; readers validate
+//! both before touching the payload, so a stale or foreign record fails
+//! with a typed [`std::io::Error`] instead of silently misinterpreting
+//! bytes. [`Snapshot`] is the codec of the statistics a finished cell's
+//! result frame persists (core, memory, prefetcher and context-learning
+//! counters).
 //!
 //! # Frames
 //!
@@ -78,14 +68,15 @@ pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// Versioned save/restore of a component's complete run state.
+/// Versioned save/restore of a persisted statistics record: the codec of
+/// the counters an `RRES` frame carries. Simulator run state is never
+/// encoded; a fork copies it with `Clone`.
 ///
 /// Both bodies of an implementation over a named-field struct open by
 /// destructuring `self` without `..`, writing `field: _, // <why>` for a
-/// field that is not run state. A field added later then fails to compile
-/// until it is checkpointed or excused, and a bound field the body never
-/// uses fails `unused_variables` under `-D warnings`. The same holds for
-/// the prefetchers' `save_state`/`restore_state`.
+/// field that is not persisted. A field added later then fails to compile
+/// until it is encoded or excused, and a bound field the body never uses
+/// fails `unused_variables` under `-D warnings`.
 ///
 /// ```compile_fail,E0027
 /// use semloc_trace::{SnapReader, SnapWriter, Snapshot};
@@ -93,7 +84,7 @@ pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 /// struct Counter {
 ///     hits: u64,
 ///     capacity: usize,
-///     misses: u64, // added later, not yet checkpointed
+///     misses: u64, // added later, not yet encoded
 /// }
 ///
 /// impl Snapshot for Counter {
@@ -118,23 +109,20 @@ pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 /// }
 /// ```
 pub trait Snapshot {
-    /// Append this component's state to `w` as one or more tagged sections.
+    /// Append this record to `w` as one or more tagged sections.
     fn save(&self, w: &mut SnapWriter);
 
-    /// Restore state previously written by [`Snapshot::save`] from `r`.
-    ///
-    /// `self` must have been constructed with the same configuration as the
-    /// saved instance; implementations validate structural parameters and
-    /// fail with [`io::ErrorKind::InvalidData`] on any mismatch.
+    /// Restore a record previously written by [`Snapshot::save`] from `r`,
+    /// failing with [`io::ErrorKind::InvalidData`] on a malformed one.
     fn restore(&mut self, r: &mut SnapReader<'_>) -> io::Result<()>;
 }
 
-/// An [`io::ErrorKind::InvalidData`] error for malformed snapshots.
+/// An [`io::ErrorKind::InvalidData`] error for malformed records.
 pub fn snap_err(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Little-endian byte sink for [`Snapshot::save`].
+/// Little-endian byte sink for frames and [`Snapshot::save`].
 #[derive(Debug, Default)]
 pub struct SnapWriter {
     buf: Vec<u8>,
@@ -166,7 +154,7 @@ impl SnapWriter {
         self.buf.is_empty()
     }
 
-    /// Consume the writer, yielding the serialized snapshot.
+    /// Consume the writer, yielding the bytes written.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
@@ -186,16 +174,6 @@ impl SnapWriter {
         self.put_u32(version);
     }
 
-    /// Append one byte.
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Append a `u16`, little-endian.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Append a `u32`, little-endian.
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -206,29 +184,9 @@ impl SnapWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Append an `i8` (two's complement byte).
-    pub fn put_i8(&mut self, v: i8) {
-        self.buf.push(v as u8);
-    }
-
-    /// Append an `i16`, little-endian two's complement.
-    pub fn put_i16(&mut self, v: i16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append an `i64`, little-endian two's complement.
-    pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Append a bool as one byte (0 or 1).
     pub fn put_bool(&mut self, v: bool) {
         self.buf.push(v as u8);
-    }
-
-    /// Append an `f64` via its exact IEEE-754 bit pattern.
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
     }
 
     /// Append a collection length as a `u64`.
@@ -242,7 +200,7 @@ impl SnapWriter {
     }
 }
 
-/// Cursor over a serialized snapshot for [`Snapshot::restore`].
+/// Cursor over serialized bytes, for frames and [`Snapshot::restore`].
 #[derive(Debug)]
 pub struct SnapReader<'a> {
     buf: &'a [u8],
@@ -353,16 +311,6 @@ impl<'a> SnapReader<'a> {
         Ok(())
     }
 
-    /// Read one byte.
-    pub fn get_u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Read a `u16`, little-endian.
-    pub fn get_u16(&mut self) -> io::Result<u16> {
-        Ok(u16::from_le_bytes(self.take_array()?))
-    }
-
     /// Read a `u32`, little-endian.
     pub fn get_u32(&mut self) -> io::Result<u32> {
         Ok(u32::from_le_bytes(self.take_array()?))
@@ -373,33 +321,13 @@ impl<'a> SnapReader<'a> {
         Ok(u64::from_le_bytes(self.take_array()?))
     }
 
-    /// Read an `i8`.
-    pub fn get_i8(&mut self) -> io::Result<i8> {
-        Ok(self.take(1)?[0] as i8)
-    }
-
-    /// Read an `i16`, little-endian two's complement.
-    pub fn get_i16(&mut self) -> io::Result<i16> {
-        Ok(i16::from_le_bytes(self.take_array()?))
-    }
-
-    /// Read an `i64`, little-endian two's complement.
-    pub fn get_i64(&mut self) -> io::Result<i64> {
-        Ok(i64::from_le_bytes(self.take_array()?))
-    }
-
     /// Read a bool; any byte other than 0/1 is malformed.
     pub fn get_bool(&mut self) -> io::Result<bool> {
-        match self.get_u8()? {
+        match self.take(1)?[0] {
             0 => Ok(false),
             1 => Ok(true),
             b => Err(snap_err(format!("snapshot bool has invalid value {b}"))),
         }
-    }
-
-    /// Read an `f64` from its exact bit pattern.
-    pub fn get_f64(&mut self) -> io::Result<f64> {
-        Ok(f64::from_bits(self.get_u64()?))
     }
 
     /// Read a collection length, bounds-checked against the bytes actually
@@ -478,45 +406,23 @@ mod tests {
     fn primitives_round_trip() {
         let mut w = SnapWriter::new();
         w.section(*b"TST0", 3);
-        w.put_u8(0xAB);
-        w.put_u16(0xBEEF);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX - 7);
-        w.put_i8(-5);
-        w.put_i16(-12345);
-        w.put_i64(i64::MIN + 1);
         w.put_bool(true);
         w.put_bool(false);
-        w.put_f64(-0.125);
         w.put_len(3);
         w.put_bytes(b"abc");
         let bytes = w.into_bytes();
 
         let mut r = SnapReader::new(&bytes);
         r.section(*b"TST0", 3).unwrap();
-        assert_eq!(r.get_u8().unwrap(), 0xAB);
-        assert_eq!(r.get_u16().unwrap(), 0xBEEF);
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 7);
-        assert_eq!(r.get_i8().unwrap(), -5);
-        assert_eq!(r.get_i16().unwrap(), -12345);
-        assert_eq!(r.get_i64().unwrap(), i64::MIN + 1);
         assert!(r.get_bool().unwrap());
         assert!(!r.get_bool().unwrap());
-        assert_eq!(r.get_f64().unwrap(), -0.125);
         let n = r.get_len().unwrap();
         assert_eq!(r.get_bytes(n).unwrap(), b"abc");
         r.expect_end().unwrap();
-    }
-
-    #[test]
-    fn nan_bit_pattern_survives() {
-        let weird = f64::from_bits(0x7FF8_0000_0000_1234);
-        let mut w = SnapWriter::new();
-        w.put_f64(weird);
-        let bytes = w.into_bytes();
-        let got = SnapReader::new(&bytes).get_f64().unwrap();
-        assert_eq!(got.to_bits(), weird.to_bits());
     }
 
     #[test]
@@ -566,13 +472,13 @@ mod tests {
     #[test]
     fn trailing_bytes_are_rejected() {
         let mut w = SnapWriter::new();
-        w.put_u8(1);
-        w.put_u8(2);
+        w.put_bool(true);
+        w.put_bool(false);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        r.get_u8().unwrap();
+        r.get_bool().unwrap();
         assert!(r.expect_end().is_err());
-        r.get_u8().unwrap();
+        r.get_bool().unwrap();
         r.expect_end().unwrap();
     }
 
